@@ -7,10 +7,11 @@ Commands:
   gen         emit a circuit in the text format
   cx-compare  legacy vs pipelined CX cycle table
 
-Exit codes: 0 success, 2 usage error, 3 capacity error, 4 I/O or input
-parse error. All outputs are deterministic for a fixed seed and config;
-the modeled device time and the emulator's own wall clock are reported
-in separate columns and never mixed.
+Exit codes: 0 success, 2 usage error (bad options, an empty --n range,
+an --init outside the state), 3 capacity error, 4 I/O or input parse
+error (including a bad --config). All outputs are deterministic for a
+fixed seed and config; the modeled device time and the emulator's own
+wall clock are reported in separate columns and never mixed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ GENERATORS = ("qft", circuits.CHAIN, circuits.ALTERNATING,
 BENCH_COLUMNS = ("circuit", "n", "gates_total", "gates_cx", "gates_single",
                  "total_cycles", "predicted_time_s", "ngs", "fidelity",
                  "mse_raw", "mse_aligned", "wall_clock_s", "error")
+
+
+class UsageError(Exception):
+    """Options that parse but cannot be used together; exits 2."""
 
 
 def _load_config(path: str | None) -> perfmodel.PerfConfig:
@@ -73,15 +78,26 @@ def _out_dir(args) -> Path:
 
 
 def _parse_range(spec: str):
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(spec)
-    return range(value, value + 1)
+    lo, sep, hi = spec.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise UsageError(
+            f"--n must be an integer or a range a..b, got {spec!r}") from None
+    if hi < lo:
+        raise UsageError(f"--n range {spec!r} is empty")
+    return range(lo, hi + 1)
+
+
+def _check_init(init: int, n: int) -> None:
+    if not 0 <= init < (1 << n):
+        raise UsageError(f"--init {init} out of range for n={n} (0..{(1 << n) - 1})")
 
 
 def cmd_run(args) -> int:
     label, circuit = _build_circuit(args)
+    _check_init(args.init, circuit.n)
     cfg = _load_config(args.config)
     sv = state.init_basis(circuit.n, args.init, max_qubits=args.max_qubits)
     sv, report = engine.run_circuit(sv, circuit, cfg, workers=args.workers)
@@ -100,6 +116,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     label, circuit = _build_circuit(args)
+    _check_init(args.init, circuit.n)
     cfg = _load_config(args.config)
     sv = state.init_basis(circuit.n, args.init, max_qubits=args.max_qubits)
     sv, _ = engine.run_circuit(sv, circuit, cfg, workers=args.workers)
@@ -136,7 +153,7 @@ def _bench_row(gen: str, n: int, args, cfg) -> dict:
         row["mse_aligned"] = repr(result.mse_aligned)
         if not args.no_wall_clock:
             row["wall_clock_s"] = repr(wall)
-    except Exception as exc:   # record the failure, keep sweeping
+    except (CapacityError, ValueError) as exc:   # record it, keep sweeping
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -164,8 +181,8 @@ def _write_table(rows, columns, fmt: str, path: Path) -> None:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
     n_range = _parse_range(args.n)
+    cfg = _load_config(args.config)
     rows = [_bench_row(args.gen, n, args, cfg) for n in n_range]
     out = _out_dir(args)
     ext = "json" if args.format == "json" else "csv"
@@ -268,6 +285,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))        # prints usage, exits 2
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

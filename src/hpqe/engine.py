@@ -7,14 +7,26 @@ handled inside that segment (access mode 1); when the target bit selects
 the segment itself, the pair spans two PEs at the same offset and the
 owning segment computes both outputs from the exchanged values (mode 2).
 
-CX performs no arithmetic: it swaps 2^(n-2) amplitude pairs. The
-pipelined swapper schedule costs 2*(2^(n-2)+1)+1 cycles against the
-sequential baseline's 5*2^(n-2); `simulate_swapper` steps the machine
-cycle by cycle and the closed forms are checked against it in tests.
+The arithmetic runs in fxp's blocked bank kernels, which stream each
+segment through BLOCK-element slices of one scratch array allocated per
+call, so temporaries stay bounded by the block:
+  * sparse (diagonal) gates scale contiguous blocks in place, in mode 1
+    by a periodic (m00, m11) coefficient pattern of period 2^(t+1), in
+    mode 2 by the one coefficient the segment's target bit selects;
+  * dense gates hand `fxp.pair_banks` the two halves of each pair: strided
+    views of one segment in mode 1, two whole segments in mode 2.
+Every rounding and saturation step of the scalar `fxp.su_eval` is kept
+(see the `fxp` docstring for the two provably inert steps it skips).
+
+CX performs no arithmetic: it swaps 2^(n-2) amplitude pairs, through
+views of each component reshaped to [2]*n. The pipelined swapper
+schedule costs 2*(2^(n-2)+1)+1 cycles against the sequential baseline's
+5*2^(n-2); `simulate_swapper` steps the machine cycle by cycle and the
+closed forms are checked against it in tests.
 
 Segment updates never overlap, so gate application may be spread over
-1..8 workers with a barrier between gates; results are bit-identical
-for any worker count.
+1..8 workers with a barrier between gates; each worker call owns its
+scratch, and results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 import json
 
-import numpy as np
 
 from . import fxp, perfmodel
 from .gateset import Circuit, GateOp, CX
@@ -78,27 +89,29 @@ def cx_pair(k: int, n: int, control: int, target: int) -> tuple[int, int]:
     return i0, i0 | (1 << target)
 
 
-def cx_pair_indices(n: int, control: int, target: int):
-    """Vectorized cx_pair over all 2^(n-2) compressed indices."""
-    k = np.arange(1 << (n - 2), dtype=np.int64)
-    lo, hi = sorted((control, target))
-    x = _insert_bit(_insert_bit(k, lo, 0), hi, 0)
-    i0 = x | (1 << control)
-    return i0, i0 | (1 << target)
-
-
 def apply_cx(state: StateVector, control: int, target: int) -> int:
-    """Swap the control=1 amplitude pairs in place; returns cycles."""
+    """Swap the control=1 amplitude pairs in place; returns cycles.
+
+    Each component is viewed as an n-axis array of shape [2]*n (qubit q
+    is axis n-1-q), so the control=1, target=0 and target=1 halves are
+    strided views and the swap needs no index arrays.
+    """
     n = state.n
     if n < 2:
         raise ValueError("CX requires n >= 2")
     if control == target or not (0 <= control < n and 0 <= target < n):
         raise ValueError(f"bad CX qubits ({control}, {target}) for n={n}")
-    i0, i1 = cx_pair_indices(n, control, target)
+    lo = [slice(None)] * n
+    lo[n - 1 - control] = slice(1, 2)       # slices keep every view an array
+    hi = list(lo)
+    lo[n - 1 - target] = slice(0, 1)
+    hi[n - 1 - target] = slice(1, 2)
     for arr in (state.re, state.im):
-        tmp = arr[i0].copy()
-        arr[i0] = arr[i1]
-        arr[i1] = tmp
+        grid = arr.reshape([2] * n)
+        a, b = grid[tuple(lo)], grid[tuple(hi)]
+        tmp = a.copy()
+        a[...] = b
+        b[...] = tmp
     return cx_cycles(n)
 
 
@@ -188,55 +201,43 @@ def _segment_bit(t: int, n: int) -> int:
     return t - (n - 3)
 
 
-def _update_intra(sv: StateVector, op: GateOp, sid: int) -> None:
-    # both pair members inside segment sid (or the whole state for n < 3)
+def _update_intra(sv: StateVector, op: GateOp, seg_ids, scratch) -> None:
+    # both pair members inside one segment (or the whole state for n < 3)
     t = op.target
     m00, m01, m10, m11 = op.matrix
-    re, im = sv.segment(sid)
-    r3 = re.reshape(-1, 2, 1 << t)
-    i3 = im.reshape(-1, 2, 1 << t)
     if op.sparse:
-        # diagonal: each half scales independently, no pair exchange
-        r3[:, 0, :], i3[:, 0, :] = fxp.cfx_mul_v(m00, r3[:, 0, :], i3[:, 0, :])
-        r3[:, 1, :], i3[:, 1, :] = fxp.cfx_mul_v(m11, r3[:, 1, :], i3[:, 1, :])
+        # diagonal: scale by the periodic (m00, m11) pattern, no exchange
+        fxp.scale_bank(m00, m11, t, map(sv.segment, seg_ids), scratch)
         return
-    xr, xi = r3[:, 0, :].copy(), i3[:, 0, :].copy()
-    yr, yi = r3[:, 1, :].copy(), i3[:, 1, :].copy()
-    r3[:, 0, :], i3[:, 0, :] = fxp.su_dense_v(m00, m01, xr, xi, yr, yi)
-    r3[:, 1, :], i3[:, 1, :] = fxp.su_dense_v(m10, m11, xr, xi, yr, yi)
+    for sid in seg_ids:
+        r3, i3 = (a.reshape(-1, 2, 1 << t) for a in sv.segment(sid))
+        fxp.pair_banks(m00, m01, m10, m11, r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1],
+                       scratch)
 
 
-def _update_cross(sv: StateVector, op: GateOp, sid: int) -> None:
-    # pair spans two segments at equal offsets; sid owns the bit-clear half
+def _update_cross(sv: StateVector, op: GateOp, seg_ids, scratch) -> None:
+    # pair spans two segments at equal offsets; a segment with the target
+    # bit clear owns the pair and writes both halves
     bit = _segment_bit(op.target, sv.n)
     m00, m01, m10, m11 = op.matrix
-    if op.sparse:
-        # diagonal gates touch no partner data: scale the whole segment
-        coeff = m11 if (sid >> bit) & 1 else m00
-        re, im = sv.segment(sid)
-        re[:], im[:] = fxp.cfx_mul_v(coeff, re, im)
-        return
-    if (sid >> bit) & 1:
-        return   # partner half: written by the owning segment
-    xr_v, xi_v = sv.segment(sid)
-    yr_v, yi_v = sv.segment(sid | (1 << bit))
-    xr, xi = xr_v.copy(), xi_v.copy()
-    yr, yi = yr_v.copy(), yi_v.copy()
-    xr_v[:], xi_v[:] = fxp.su_dense_v(m00, m01, xr, xi, yr, yi)
-    yr_v[:], yi_v[:] = fxp.su_dense_v(m10, m11, xr, xi, yr, yi)
+    for sid in seg_ids:
+        if op.sparse:
+            # diagonal gates touch no partner data: scale the whole segment
+            coeff = m11 if (sid >> bit) & 1 else m00
+            fxp.scale_bank(coeff, coeff, 0, [sv.segment(sid)], scratch)
+        elif not (sid >> bit) & 1:
+            xr, xi = sv.segment(sid)
+            yr, yi = sv.segment(sid | (1 << bit))
+            fxp.pair_banks(m00, m01, m10, m11, xr, xi, yr, yi, scratch)
 
 
 def _apply_single_segments(sv: StateVector, op: GateOp, seg_ids) -> None:
-    if sv.n < 3:
-        for sid in seg_ids:
-            _update_intra(sv, op, sid)
-        return
-    mode = access_mode(op.target, sv.n)
-    for sid in seg_ids:
-        if mode == MODE1:
-            _update_intra(sv, op, sid)
-        else:
-            _update_cross(sv, op, sid)
+    # scratch is per call, so concurrent workers never share buffers
+    scratch = fxp.new_scratch()
+    if sv.n < 3 or access_mode(op.target, sv.n) == MODE1:
+        _update_intra(sv, op, seg_ids, scratch)
+    else:
+        _update_cross(sv, op, seg_ids, scratch)
 
 
 def apply_single(state: StateVector, gate: GateOp,

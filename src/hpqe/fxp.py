@@ -6,10 +6,19 @@ two's-complement integer read as value = raw * 2^-30 (2 integer bits,
 instead of wrapping, and every narrowing step rounds to nearest with
 ties to even, so results are reproducible bit for bit.
 
-Scalar functions (plain Python ints) define the semantics; the *_v
-variants are numpy int64 kernels proven bit-identical to the scalars
-by the test suite. Hot loops use the vectorized forms, golden values
-and oracles use the scalars.
+Scalar functions (plain Python ints) define the semantics. The bank
+kernels `scale_bank` (sparse SU step) and `pair_banks` (dense SU step)
+apply them to whole int64 arrays in place, and the test suite proves
+them bit-identical to the scalars. They stream each bank through
+BLOCK-element slices of one reused scratch array, so their temporaries
+are bounded by the block, not by the state. Each real product is
+rounded as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30, which is fx_mul's
+round-half-even, and every sum is saturated as in fx_add / fx_sub. Two
+steps are skipped only where they provably cannot change a bit: a zero
+coefficient's product (it is exactly 0), and the clip of a product
+whose coefficient lies in (-2^30, 2^30] (see `product_fits`).
+`quantize_array` is `quantize` over an array. Golden values and oracles
+use the scalars.
 """
 
 from __future__ import annotations
@@ -62,6 +71,20 @@ def quantize(x: float) -> int:
     # x * SCALE is exact in float64 (power-of-two scaling); round() is
     # round-half-even on floats.
     return saturate(round(x * SCALE))
+
+
+def quantize_array(x) -> np.ndarray:
+    """quantize() of every element of a float array, as int64 raws.
+
+    x * SCALE is exact and np.rint rounds ties to even, as round() does.
+    Values with |x| >= 4 are first clipped to +-4, which then saturates
+    exactly as quantize() does, without overflowing the product.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("cannot quantize non-finite values")
+    scaled = np.rint(np.clip(x, -4.0, 4.0) * SCALE)
+    return np.clip(scaled, RAW_MIN, RAW_MAX).astype(np.int64)
 
 
 def to_real(raw: int) -> float:
@@ -119,41 +142,176 @@ def su_eval(c0: CFx, c1: CFx, x: CFx, y: CFx, op: str = DENSE) -> CFx:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels (numpy int64) -- bit-identical to the scalar forms.
-# Products of two in-range raws fit in 62 bits, so int64 is exact.
+# Bank kernels (numpy int64, blocked, in place) -- bit-identical to the
+# scalar forms. Products of two in-range raws fit in 62 bits, so int64
+# is exact. A bank is processed BLOCK elements at a time inside a
+# caller-owned scratch array of SCRATCH_ROWS x BLOCK words, so the
+# temporaries stay bounded by the block whatever the bank size.
 # ---------------------------------------------------------------------------
 
-def saturate_v(raw: np.ndarray) -> np.ndarray:
-    return np.clip(raw, RAW_MIN, RAW_MAX)
+BLOCK = 1 << 16          # elements per kernel step
+SCRATCH_ROWS = 8         # int64 buffers of BLOCK words each kernel may use
 
 
-def fx_add_v(a, b) -> np.ndarray:
-    return saturate_v(np.asarray(a, dtype=np.int64) + b)
+def new_scratch() -> np.ndarray:
+    """Scratch for the bank kernels; give each concurrent caller its own."""
+    return np.empty((SCRATCH_ROWS, BLOCK), dtype=np.int64)
 
 
-def fx_sub_v(a, b) -> np.ndarray:
-    return saturate_v(np.asarray(a, dtype=np.int64) - b)
+def product_fits(c: int) -> bool:
+    """True when fx_mul(c, x) needs no saturation for any in-range x.
+
+    For c in (-2^30, 2^30): |c*x| / 2^30 <= (2^30 - 1) * 2^31 / 2^30
+    = 2^31 - 2, so even after rounding the result stays inside
+    [RAW_MIN, RAW_MAX]. For c = 2^30 the product is x itself. For
+    c = -2^30 (RZ(2*pi) yields it) and x = RAW_MIN the result is 2^31,
+    which saturates, so that coefficient keeps its clip.
+    """
+    return -SCALE < c <= SCALE
 
 
-def fx_mul_v(a, b) -> np.ndarray:
-    p = np.asarray(a, dtype=np.int64) * b
-    q = p >> FRAC
-    r = p & FRAC_MASK
-    q = q + ((r > HALF_ULP) | ((r == HALF_ULP) & (q & 1 == 1)))
-    return saturate_v(q)
+class _Coef(NamedTuple):
+    # one real coefficient for a block: an int, or an int64 array holding
+    # a per-element pattern of the ints in `parts`
+    value: object
+    zero: bool           # every part is 0: the product is exactly 0
+    clip: bool           # some part may saturate its product
 
 
-def cfx_mul_v(c: CFx, xr, xi):
-    """Complex multiply of scalar coefficient c against component arrays."""
-    re = fx_sub_v(fx_mul_v(c.re, xr), fx_mul_v(c.im, xi))
-    im = fx_add_v(fx_mul_v(c.re, xi), fx_mul_v(c.im, xr))
-    return re, im
+def _coef(value, *parts: int) -> _Coef:
+    parts = parts or (value,)
+    return _Coef(value, not any(parts),
+                 not all(product_fits(p) for p in parts))
 
 
-def su_dense_v(c0: CFx, c1: CFx, xr, xi, yr, yi):
-    ar, ai = cfx_mul_v(c0, xr, xi)
-    br, bi = cfx_mul_v(c1, yr, yi)
-    return fx_add_v(ar, br), fx_add_v(ai, bi)
+def _prod(c: _Coef, v, out, t):
+    # out <- fx_mul(c, v) and return out; None stands for an exact 0 when
+    # c is zero. v is read in full before out is written, so out may be v.
+    if c.zero:
+        return None
+    np.multiply(v, c.value, out=t)
+    np.right_shift(t, FRAC, out=out)
+    out &= 1
+    out += HALF_ULP - 1
+    out += t
+    out >>= FRAC
+    if c.clip:
+        np.clip(out, RAW_MIN, RAW_MAX, out=out)
+    return out
+
+
+def _sum_into(p, q, sub: bool, out):
+    # out <- fx_sub(p, q) if sub else fx_add(p, q), and return out; None
+    # is an exact 0. Adding 0 to an in-range word needs no saturation,
+    # and negating one can only overflow at -RAW_MIN.
+    if p is None and q is None:
+        out.fill(0)
+    elif q is None:
+        if p is not out:
+            out[...] = p
+    elif p is None:
+        if sub:
+            np.negative(q, out=out)
+            np.minimum(out, RAW_MAX, out=out)
+        else:
+            out[...] = q
+    else:
+        (np.subtract if sub else np.add)(p, q, out=out)
+        np.clip(out, RAW_MIN, RAW_MAX, out=out)
+    return out
+
+
+def _cmul_part(c, xr, xi, imag: bool, out, s, t):
+    # out <- the real or imaginary part of cfx_mul(c, x), c a (re, im)
+    # pair of _Coefs; out may be xr (imag=False) or xi (imag=True)
+    if imag:
+        return _sum_into(_prod(c[0], xi, out, t), _prod(c[1], xr, s, t),
+                         False, out)
+    return _sum_into(_prod(c[0], xr, out, t), _prod(c[1], xi, s, t),
+                     True, out)
+
+
+def scale_bank(c0: CFx, c1: CFx, t: int, banks, scratch: np.ndarray) -> None:
+    """Sparse SU step over banks, in place: x[k] <- cfx_mul(c, x[k]).
+
+    c is c1 where bit t of k is set and c0 elsewhere: a diagonal gate on
+    qubit t of banks whose first index has bit t clear. One coefficient
+    for a whole bank is scale_bank(c, c, 0, ...). When the period
+    2^(t+1) fits a block, every block is scaled by one periodic (c0, c1)
+    pattern, built once per call; otherwise 2^t is a multiple of BLOCK
+    and bit t is constant within each block. `banks` holds (re, im)
+    pairs of 1-D int64 arrays of any length.
+    """
+    s_ir, s, tmp = scratch[:3]
+    banks = list(banks)
+    fixed = [[_coef(v) for v in c] for c in (c0, c1)]
+    periodic = c0 != c1 and (2 << t) <= BLOCK
+    if periodic:
+        size = min(BLOCK, max(len(re) for re, _ in banks))
+        reps = -(-size >> (t + 1))
+        pattern = [_coef(np.tile(np.repeat(np.array(pair, dtype=np.int64), 1 << t),
+                                 reps)[:size], *pair)
+                   for pair in zip(c0, c1)]
+    for re, im in banks:
+        for lo in range(0, len(re), BLOCK):
+            xr, xi = re[lo:lo + BLOCK], im[lo:lo + BLOCK]
+            m = len(xr)
+            if periodic:
+                cr, ci = (c._replace(value=c.value[:m]) for c in pattern)
+            else:
+                cr, ci = fixed[(lo >> t) & 1]
+            # keep fx_mul(ci, xr) for the imaginary part, then write both
+            # parts straight back: re <- cr*xr - ci*xi, im <- cr*xi + ci*xr
+            ir = _prod(ci, xr, s_ir[:m], tmp[:m])
+            _cmul_part((cr, ci), xr, xi, False, xr, s[:m], tmp[:m])
+            _sum_into(_prod(cr, xi, xi, tmp[:m]), ir, False, xi)
+
+
+def _block_slices(shape):
+    # index expressions cutting an array of this shape (1-D, or 2-D rows)
+    # into pieces of at most BLOCK elements
+    if len(shape) == 1:
+        for lo in range(0, shape[0], BLOCK):
+            yield slice(lo, lo + BLOCK)
+        return
+    rows, width = shape
+    if width >= BLOCK:
+        for r in range(rows):
+            for lo in range(0, width, BLOCK):
+                yield (r, slice(lo, lo + BLOCK))
+        return
+    step = BLOCK // width
+    for lo in range(0, rows, step):
+        yield slice(lo, lo + step)
+
+
+def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
+               xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """Dense SU step over paired banks, in place.
+
+    x <- su_eval(c00, c01, x, y) and y <- su_eval(c10, c11, x, y), both
+    from the old x and y. The four arrays share one shape: 1-D of any
+    length, or 2-D (strided views of the pair halves inside a bank).
+    Each block of x and y is first copied into scratch, so results are
+    written straight back to the banks.
+    """
+    gxr, gxi, gyr, gyi, acc, y, s, tmp = scratch
+    coefs = [tuple(_coef(v) for v in c) for c in (c00, c01, c10, c11)]
+    outputs = ((coefs[0], coefs[1], xr, False), (coefs[0], coefs[1], xi, True),
+               (coefs[2], coefs[3], yr, False), (coefs[2], coefs[3], yi, True))
+    for sl in _block_slices(xr.shape):
+        shape = xr[sl].shape
+        m = xr[sl].size
+        g = [buf[:m].reshape(shape) for buf in (gxr, gxi, gyr, gyi)]
+        for dst, src in zip(g, (xr, xi, yr, yi)):
+            np.copyto(dst, src[sl])
+        a, b, s_, t_ = (buf[:m].reshape(shape) for buf in (acc, y, s, tmp))
+        for ca, cb, out, imag in outputs:
+            # one part of su_eval: fx_add(cfx_mul(ca, x), cfx_mul(cb, y))
+            _sum_into(_cmul_part(ca, g[0], g[1], imag, a, s_, t_),
+                      _cmul_part(cb, g[2], g[3], imag, b, s_, t_),
+                      False, out[sl])
 
 
 # ---------------------------------------------------------------------------

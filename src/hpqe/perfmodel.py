@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 HARD_QUBIT_LIMIT = 30   # device memory ceiling
 AMPLITUDE_BYTES = 8     # complex amplitude = two 32-bit fixed-point words
@@ -34,9 +34,16 @@ class PerfConfig:
     bram_qubit_limit: int = 19
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if value <= 0:
-                raise ValueError(f"PerfConfig.{name} must be positive, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # annotations are strings here (postponed evaluation)
+            kinds = (int, float) if f.type == "float" else (int,)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                want = "a number" if f.type == "float" else "an integer"
+                raise ValueError(f"PerfConfig.{f.name} must be {want}, got {value!r}")
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(
+                    f"PerfConfig.{f.name} must be positive and finite, got {value}")
         if self.bram_qubit_limit >= HARD_QUBIT_LIMIT:
             raise ValueError("bram_qubit_limit must be below the 30-qubit ceiling")
 
@@ -45,8 +52,14 @@ class PerfConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "PerfConfig":
-        fields = json.loads(text)
-        return cls(**fields)
+        """Parse a JSON object of field overrides; bad input is a ValueError."""
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("PerfConfig JSON must be an object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown PerfConfig key(s): {', '.join(unknown)}")
+        return cls(**doc)
 
     @classmethod
     def load(cls, path) -> "PerfConfig":

@@ -23,6 +23,7 @@ MAX_QUBITS_DEFAULT = 26   # desk-scale ceiling; device hard limit is 30
 
 DUMP_MAGIC = b"HPQE"
 DUMP_VERSION = 1
+HEADER_BYTES = 6          # magic, version byte, n byte
 
 
 class SegmentAddress(NamedTuple):
@@ -101,7 +102,7 @@ class StateVector:
         body = np.empty(2 * self.size, dtype="<i4")
         body[0::2] = self.re
         body[1::2] = self.im
-        return header + body.tobytes()
+        return b"".join((header, body.data))     # one copy of the body, not two
 
 
 def init_basis(n: int, k: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVector:
@@ -130,22 +131,27 @@ def from_amplitudes(n: int, amps, max_qubits: int = MAX_QUBITS_DEFAULT) -> State
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape != (1 << n,):
         raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
-    for i, z in enumerate(amps):
-        sv.re[i] = fxp.quantize(z.real)
-        sv.im[i] = fxp.quantize(z.imag)
+    sv.re[:] = fxp.quantize_array(amps.real)
+    sv.im[:] = fxp.quantize_array(amps.imag)
     return sv
 
 
 def load(data: bytes) -> StateVector:
-    """Inverse of StateVector.dump()."""
+    """Inverse of StateVector.dump(); malformed input raises ValueError."""
+    if len(data) < HEADER_BYTES:
+        raise ValueError(f"state dump shorter than its {HEADER_BYTES}-byte header")
     if data[:4] != DUMP_MAGIC:
         raise ValueError("bad magic in state dump")
-    version, n = struct.unpack("<BB", data[4:6])
+    version, n = struct.unpack("<BB", data[4:HEADER_BYTES])
     if version != DUMP_VERSION:
         raise ValueError(f"unsupported dump version {version}")
-    body = np.frombuffer(data[6:], dtype="<i4")
-    if body.size != 2 << n:
-        raise ValueError("state dump truncated")
+    if not 1 <= n <= perfmodel.HARD_QUBIT_LIMIT:
+        raise ValueError(
+            f"state dump claims n={n}, outside 1..{perfmodel.HARD_QUBIT_LIMIT}")
+    want = HEADER_BYTES + perfmodel.AMPLITUDE_BYTES * (1 << n)
+    if len(data) != want:
+        raise ValueError(f"state dump for n={n} must be {want} bytes, got {len(data)}")
+    body = np.frombuffer(data, dtype="<i4", offset=HEADER_BYTES)
     sv = StateVector(
         n=n,
         re=body[0::2].astype(np.int64),

@@ -208,3 +208,41 @@ class TestDeterminism:
                            "--out", out) == 0
         assert (dirs[0] / "metrics.json").read_bytes() == \
                (dirs[1] / "metrics.json").read_bytes()
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("doc", ['{"bogus": 1}', '{"hbm_ports": "x"}',
+                                     '{"hbm_ports": 2.0}', '{"freq_hz": true}',
+                                     '[250e6]'])
+    def test_bad_config_exits_4_with_one_line(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        assert run_cli("run", "--gen", "qft", "--n", 3, "--config", cfg,
+                       "--out", tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_bench_empty_range_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--gen", "qft", "--n", "5..3", "--out", tmp_path)
+        assert exc.value.code == 2
+        assert "empty" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("command", ("run", "compare"))
+    @pytest.mark.parametrize("init", (8, -1))
+    def test_init_out_of_range_is_usage_error(self, tmp_path, capsys,
+                                              command, init):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--gen", "qft", "--n", 3, "--init", init,
+                    "--out", tmp_path)
+        assert exc.value.code == 2
+        assert "--init" in capsys.readouterr().err
+
+    def test_bench_kernel_bug_is_not_a_row(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("kernel bug")
+        monkeypatch.setattr(cli.engine, "run_circuit", broken)
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            run_cli("bench", "--gen", "qft", "--n", "3..4", "--out", tmp_path)

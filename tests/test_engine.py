@@ -108,10 +108,11 @@ class TestApplyCx:
         for n in (2, 4, 7):
             sv = state.from_amplitudes(n, random_ref_amplitudes(n, rng))
             before = sorted(zip(sv.re.tolist(), sv.im.tolist()))
+            moved = sv.re.copy()
             c, t = rng.choice(n, size=2, replace=False)
-            i0, i1 = engine.cx_pair_indices(n, int(c), int(t))
-            assert len(i0) == 1 << (n - 2)
             engine.apply_cx(sv, int(c), int(t))
+            # 2^(n-2) pairs swap, so 2^(n-1) random words change place
+            assert np.count_nonzero(sv.re != moved) == 1 << (n - 1)
             after = sorted(zip(sv.re.tolist(), sv.im.tolist()))
             assert before == after           # bit-exact multiset
 

@@ -191,33 +191,33 @@ class TestSuEval:
 class TestVectorizedKernels:
     def test_match_scalar_bit_exact(self):
         rng = np.random.default_rng(12)
-        edges = np.array([fxp.RAW_MIN, fxp.RAW_MAX, 0, 1, -1, fxp.HALF_ULP],
-                         dtype=np.int64)
-        a = np.concatenate([rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, 2000,
-                                         dtype=np.int64), edges])
-        b = np.concatenate([rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, 2000,
-                                         dtype=np.int64),
-                            edges[::-1]])
-        for vec, scalar in ((fxp.fx_add_v, fxp.fx_add),
-                            (fxp.fx_sub_v, fxp.fx_sub),
-                            (fxp.fx_mul_v, fxp.fx_mul)):
-            got = vec(a, b)
-            want = np.array([scalar(int(x), int(y)) for x, y in zip(a, b)],
-                            dtype=np.int64)
-            assert np.array_equal(got, want), vec.__name__
+        edges = [fxp.RAW_MIN, fxp.RAW_MAX, 0, 1, -1, fxp.HALF_ULP,
+                 -fxp.SCALE, fxp.SCALE]
+        re = np.concatenate([rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, 2000,
+                                          dtype=np.int64), edges])
+        im = np.concatenate([rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, 2000,
+                                          dtype=np.int64), edges[::-1]])
+        coeffs = [CFx(a, b) for a in edges for b in edges[::3]]
+        coeffs += [CFx(*random_raws(rng, 2)) for _ in range(6)]
+        scratch = fxp.new_scratch()
+        for c in coeffs:
+            got_re, got_im = re.copy(), im.copy()
+            fxp.scale_bank(c, c, 0, [(got_re, got_im)], scratch)
+            want = [fxp.cfx_mul(c, CFx(int(x), int(y))) for x, y in zip(re, im)]
+            assert [CFx(int(x), int(y)) for x, y in zip(got_re, got_im)] == want, c
 
-    def test_su_dense_v_matches_scalar(self):
+    def test_pair_banks_matches_scalar(self):
         rng = np.random.default_rng(13)
-        c0 = CFx(*random_raws(rng, 2))
-        c1 = CFx(*random_raws(rng, 2))
+        c00, c01, c10, c11 = (CFx(*random_raws(rng, 2)) for _ in range(4))
         size = 500
         xr, xi, yr, yi = (rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, size,
                                        dtype=np.int64) for _ in range(4))
-        vr, vi = fxp.su_dense_v(c0, c1, xr, xi, yr, yi)
+        banks = [a.copy() for a in (xr, xi, yr, yi)]
+        fxp.pair_banks(c00, c01, c10, c11, *banks, fxp.new_scratch())
         for k in range(size):
-            want = fxp.su_eval(c0, c1, CFx(int(xr[k]), int(xi[k])),
-                               CFx(int(yr[k]), int(yi[k])))
-            assert (int(vr[k]), int(vi[k])) == want
+            x, y = CFx(int(xr[k]), int(xi[k])), CFx(int(yr[k]), int(yi[k]))
+            assert (int(banks[0][k]), int(banks[1][k])) == fxp.su_eval(c00, c01, x, y)
+            assert (int(banks[2][k]), int(banks[3][k])) == fxp.su_eval(c10, c11, x, y)
 
 
 class TestSerialization:

@@ -1,0 +1,273 @@
+"""Blocked bank kernels and the engine's gate paths against the scalar spec.
+
+`fxp.scale_bank` and `fxp.pair_banks` are driven with full-range words and
+coefficients (RAW_MIN, RAW_MAX, exact rounding ties, the clip-elision
+boundary) and every element is compared with `fxp.su_eval` / `fxp.fx_mul`.
+Most property tests shrink BLOCK to a few elements, so a bank spans many
+blocks and ends in a partial one while staying small enough for the scalar
+reference; the rest run at the real BLOCK.
+"""
+
+import contextlib
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from hpqe import engine, fxp, gateset, state
+from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
+
+from helpers import random_circuit, rne
+
+EDGES = (RAW_MIN, RAW_MIN + 1, -SCALE - 1, -SCALE, -SCALE + 1, -fxp.HALF_ULP,
+         -1, 0, 1, fxp.HALF_ULP, SCALE - 1, SCALE, SCALE + 1, RAW_MAX - 1,
+         RAW_MAX)
+
+raws = st.one_of(st.sampled_from(EDGES), st.integers(RAW_MIN, RAW_MAX))
+cfxs = st.builds(CFx, raws, raws)
+small_blocks = st.sampled_from((1, 2, 4, 8, 16))
+
+
+@contextlib.contextmanager
+def block_size(size: int):
+    """Run the kernels with a different BLOCK (a power of two)."""
+    saved = fxp.BLOCK
+    fxp.BLOCK = size
+    try:
+        yield
+    finally:
+        fxp.BLOCK = saved
+
+
+def word_lists(size: int):
+    return st.lists(raws, min_size=size, max_size=size)
+
+
+def as_cfx(re, im) -> list:
+    return [CFx(int(r), int(i)) for r, i in zip(re, im)]
+
+
+def scalar_scale(c0, c1, t, re, im) -> list:
+    return [fxp.su_eval(c1 if (k >> t) & 1 else c0, fxp.CFX_ZERO, x,
+                        fxp.CFX_ZERO, op=fxp.SPARSE)
+            for k, x in enumerate(as_cfx(re, im))]
+
+
+def random_words(rng, size: int) -> np.ndarray:
+    return rng.integers(RAW_MIN, RAW_MAX + 1, size, dtype=np.int64)
+
+
+def random_coeff(rng) -> CFx:
+    pick = lambda: int(rng.choice(EDGES)) if rng.random() < 0.3 else int(
+        rng.integers(RAW_MIN, RAW_MAX + 1))
+    return CFx(pick(), pick())
+
+
+class TestScaleBank:
+    @settings(max_examples=100, deadline=None)
+    @given(c0=cfxs, c1=cfxs, t=st.integers(0, 5), block=small_blocks,
+           data=st.data())
+    def test_matches_scalar(self, c0, c1, t, block, data):
+        sizes = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))
+        banks = [(np.array(data.draw(word_lists(k)), dtype=np.int64),
+                  np.array(data.draw(word_lists(k)), dtype=np.int64))
+                 for k in sizes]
+        got = [(re.copy(), im.copy()) for re, im in banks]
+        with block_size(block):
+            fxp.scale_bank(c0, c1, t, got, fxp.new_scratch())
+        for (re, im), (gre, gim) in zip(banks, got):
+            assert as_cfx(gre, gim) == scalar_scale(c0, c1, t, re, im)
+
+    def test_real_block_partial_tail(self):
+        # lengths that are not a multiple of BLOCK, for a periodic
+        # pattern (t=3), a per-block coefficient (2^16 >= BLOCK) and one
+        # coefficient for the whole bank
+        rng = np.random.default_rng(70)
+        c0, c1 = random_coeff(rng), random_coeff(rng)
+        size = fxp.BLOCK + 37
+        re, im = random_words(rng, size), random_words(rng, size)
+        for a, b, t in ((c0, c1, 3), (c0, c1, 16), (c1, c1, 0)):
+            got = (re.copy(), im.copy())
+            fxp.scale_bank(a, b, t, [got], fxp.new_scratch())
+            assert as_cfx(*got) == scalar_scale(a, b, t, re, im), t
+
+
+class TestPairBanks:
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), block=small_blocks,
+           data=st.data())
+    def test_flat_banks_match_scalar(self, m, block, data):
+        size = data.draw(st.integers(0, 40))
+        x = [np.array(data.draw(word_lists(size)), dtype=np.int64)
+             for _ in range(4)]
+        got = [a.copy() for a in x]
+        with block_size(block):
+            fxp.pair_banks(*m, *got, fxp.new_scratch())
+        xs, ys = as_cfx(x[0], x[1]), as_cfx(x[2], x[3])
+        assert as_cfx(got[0], got[1]) == [fxp.su_eval(m[0], m[1], a, b)
+                                          for a, b in zip(xs, ys)]
+        assert as_cfx(got[2], got[3]) == [fxp.su_eval(m[2], m[3], a, b)
+                                          for a, b in zip(xs, ys)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), t=st.integers(0, 4),
+           rows=st.integers(1, 4), block=small_blocks, data=st.data())
+    def test_strided_halves_match_scalar(self, m, t, rows, block, data):
+        # the pair halves (k, k + 2^t) of one bank, as 2-D strided views
+        size = rows << (t + 1)
+        re = np.array(data.draw(word_lists(size)), dtype=np.int64)
+        im = np.array(data.draw(word_lists(size)), dtype=np.int64)
+        gre, gim = re.copy(), im.copy()
+        r3, i3 = gre.reshape(rows, 2, 1 << t), gim.reshape(rows, 2, 1 << t)
+        with block_size(block):
+            fxp.pair_banks(*m, r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1],
+                           fxp.new_scratch())
+        for k in range(size):
+            if (k >> t) & 1:
+                continue
+            x = CFx(int(re[k]), int(im[k]))
+            j = k | (1 << t)
+            y = CFx(int(re[j]), int(im[j]))
+            assert (int(gre[k]), int(gim[k])) == fxp.su_eval(m[0], m[1], x, y)
+            assert (int(gre[j]), int(gim[j])) == fxp.su_eval(m[2], m[3], x, y)
+
+    def test_real_block_partial_tail(self):
+        rng = np.random.default_rng(71)
+        m = [random_coeff(rng) for _ in range(4)]
+        size = fxp.BLOCK + 37
+        x = [random_words(rng, size) for _ in range(4)]
+        got = [a.copy() for a in x]
+        fxp.pair_banks(*m, *got, fxp.new_scratch())
+        xs, ys = as_cfx(x[0], x[1]), as_cfx(x[2], x[3])
+        assert as_cfx(got[0], got[1]) == [fxp.su_eval(m[0], m[1], a, b)
+                                          for a, b in zip(xs, ys)]
+        assert as_cfx(got[2], got[3]) == [fxp.su_eval(m[2], m[3], a, b)
+                                          for a, b in zip(xs, ys)]
+
+
+class TestRoundingTies:
+    # c = a * 2^29 with a odd and x = 2k + 1 odd makes c*x an exact tie
+    # (c*x mod 2^30 == 2^29) with floor quotient of either parity
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(-(1 << 30), (1 << 30) - 1),
+           a=st.sampled_from((1, -1, 3, -3)))
+    @example(k=0, a=1)        # 0.5 -> 0, even quotient
+    @example(k=1, a=1)        # 1.5 -> 2, odd quotient
+    @example(k=-1, a=1)       # -0.5 -> 0
+    @example(k=-2, a=1)       # -1.5 -> -2
+    @example(k=(1 << 30) - 1, a=3)   # saturates after rounding
+    def test_ties_round_half_even(self, k, a):
+        c, x = a * fxp.HALF_ULP, 2 * k + 1
+        assert (c * x) % SCALE == fxp.HALF_ULP
+        want = max(RAW_MIN, min(RAW_MAX, rne(Fraction(c * x, SCALE))))
+        assert fxp.fx_mul(c, x) == want
+        for coeff, part in ((CFx(c, 0), 0), (CFx(0, c), 1)):
+            re, im = np.array([x, 0], dtype=np.int64), np.array([0, x], dtype=np.int64)
+            fxp.scale_bank(coeff, coeff, 0, [(re, im)], fxp.new_scratch())
+            # (x + 0i) * coeff puts the product in part `part` of word 0
+            assert (int(re[0]), int(im[0]))[part] == want
+            assert as_cfx(re, im) == [fxp.cfx_mul(coeff, CFx(x, 0)),
+                                      fxp.cfx_mul(coeff, CFx(0, x))]
+
+
+class TestClipElision:
+    def test_boundary(self):
+        assert not fxp.product_fits(-SCALE)
+        assert fxp.product_fits(-SCALE + 1)
+        assert fxp.product_fits(SCALE)
+        assert not fxp.product_fits(SCALE + 1)
+
+    @pytest.mark.parametrize("c", (-SCALE, -SCALE + 1, SCALE))
+    def test_boundary_coefficients_against_raw_min(self, c):
+        expected = {-SCALE: RAW_MAX, -SCALE + 1: RAW_MAX - 1, SCALE: RAW_MIN}
+        assert fxp.fx_mul(c, RAW_MIN) == expected[c]
+        re = np.array([RAW_MIN, RAW_MIN, RAW_MAX], dtype=np.int64)
+        im = np.array([RAW_MIN, 0, RAW_MIN], dtype=np.int64)
+        for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c)):
+            got = (re.copy(), im.copy())
+            fxp.scale_bank(coeff, coeff, 0, [got], fxp.new_scratch())
+            assert as_cfx(*got) == [fxp.cfx_mul(coeff, x) for x in as_cfx(re, im)]
+            got = [a.copy() for a in (re, im, im, re)]
+            fxp.pair_banks(coeff, coeff, coeff, coeff, *got, fxp.new_scratch())
+            xs, ys = as_cfx(re, im), as_cfx(im, re)
+            assert as_cfx(got[0], got[1]) == [fxp.su_eval(coeff, coeff, a, b)
+                                              for a, b in zip(xs, ys)]
+
+    @given(c=st.integers(-SCALE + 1, SCALE),
+           x=st.one_of(st.sampled_from((RAW_MIN, RAW_MAX)), raws))
+    def test_elided_clip_cannot_bite(self, c, x):
+        # the unsaturated round-half-even product already lies in range
+        assert RAW_MIN <= rne(Fraction(c * x, SCALE)) <= RAW_MAX
+
+
+def _random_state(n: int, rng) -> state.StateVector:
+    sv = state.init_basis(n, 0)
+    sv.re[:] = random_words(rng, 1 << n)
+    sv.im[:] = random_words(rng, 1 << n)
+    return sv
+
+
+def _check_gate(n: int, rng, exhaustive: bool) -> None:
+    sv0 = _random_state(n, rng)
+    pairs = 1 << (n - 1)
+    for t in range(n):
+        for sparse in (True, False):
+            m = [random_coeff(rng) for _ in range(4)]
+            if sparse:
+                m[1] = m[2] = fxp.CFX_ZERO
+            op = gateset.GateOp(kind="RZ" if sparse else "RX", target=t,
+                                matrix=tuple(m), sparse=sparse)
+            sv = sv0.copy()
+            engine.apply_single(sv, op)
+            ks = range(pairs) if exhaustive else {0, pairs - 1, *rng.integers(
+                0, pairs, 64).tolist()}
+            for k in ks:
+                i0 = ((k >> t) << (t + 1)) | (k & ((1 << t) - 1))
+                i1 = i0 | (1 << t)
+                x, y = sv0.get(i0), sv0.get(i1)
+                if sparse:
+                    want = (fxp.cfx_mul(m[0], x), fxp.cfx_mul(m[3], y))
+                else:
+                    want = (fxp.su_eval(m[0], m[1], x, y),
+                            fxp.su_eval(m[2], m[3], x, y))
+                assert (sv.get(i0), sv.get(i1)) == want, (n, t, sparse, k)
+
+
+class TestEngineEveryTarget:
+    @pytest.mark.parametrize("n", range(3, 18))
+    def test_every_target_both_modes(self, n):
+        # t <= n-4 is access mode 1, t >= n-3 mode 2; sparse and dense each
+        modes = {engine.access_mode(t, n) for t in range(n)}
+        assert modes == ({engine.MODE2} if n == 3 else {engine.MODE1, engine.MODE2})
+        _check_gate(n, np.random.default_rng(100 + n), exhaustive=n <= 10)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_small_block_exhaustive(self, n):
+        # segments of several blocks, pair halves wider than a block
+        with block_size(4):
+            _check_gate(n, np.random.default_rng(200 + n), exhaustive=True)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("block", (fxp.BLOCK, 1 << 12))
+    def test_bit_identical_across_workers(self, block):
+        # at n = 17 a segment is 2^14 words; with BLOCK = 2^12 it spans four
+        # blocks, so every worker streams several blocks per gate
+        n = 17
+        rng = np.random.default_rng(17)
+        circuit = random_circuit(n, 40, rng)
+        start = _random_state(n, rng)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with block_size(block):
+                for workers in (1, 2, 4, 8):
+                    sv, report = engine.run_circuit(start.copy(), circuit,
+                                                    workers=workers)
+                    results.append((sv.dump(), report.total_cycles))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == results[0] for r in results[1:])

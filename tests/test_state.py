@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hpqe import fxp, state
 from hpqe.perfmodel import CapacityError
@@ -175,3 +176,50 @@ class TestDumpLoad:
             state.load(b"XXXX" + good[4:])
         with pytest.raises(ValueError):
             state.load(good[:-8])
+
+    def test_short_header(self):
+        good = state.init_basis(3, 0).dump()
+        for cut in range(6):
+            with pytest.raises(ValueError, match="header"):
+                state.load(good[:cut])
+
+    def test_body_length(self):
+        good = state.init_basis(3, 0).dump()
+        for data in (good[:-1], good[:-8], good + b"\x00" * 8, good[:6]):
+            with pytest.raises(ValueError, match="must be 70 bytes"):
+                state.load(data)
+
+    def test_qubit_count_limit(self):
+        header = state.init_basis(3, 0).dump()[:4] + bytes([state.DUMP_VERSION])
+        for n in (0, 31, 255):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                state.load(header + bytes([n]) + b"\x00" * 16)
+
+
+class TestFromAmplitudes:
+    EXACT = [(k + 0.5) / fxp.SCALE for k in (-4, -3, -2, -1, 0, 1, 2, 3)] + [
+        (2 ** 31 - 1.5) / fxp.SCALE, (2 ** 31 - 0.5) / fxp.SCALE,
+        -(2 ** 31 + 0.5) / fxp.SCALE, -(2 ** 31 - 0.5) / fxp.SCALE,
+        0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.9999999, -3.9999999, 4.0, -4.0,
+        1e300, -1e300, 5e-324, -5e-324]
+
+    def test_matches_scalar_quantize_including_ties(self):
+        values = self.EXACT + [0.0] * (32 - len(self.EXACT))
+        amps = np.array(values) + 1j * np.array(values[::-1])
+        sv = state.from_amplitudes(5, amps)
+        assert sv.re.tolist() == [fxp.quantize(v) for v in values]
+        assert sv.im.tolist() == [fxp.quantize(v) for v in values[::-1]]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=64))
+    def test_quantize_array_matches_scalar(self, values):
+        got = fxp.quantize_array(values)
+        assert got.dtype == np.int64
+        assert got.tolist() == [fxp.quantize(v) for v in values]
+
+    def test_non_finite_rejected(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            amps = np.zeros(4, dtype=np.complex128)
+            amps[2] = complex(0.5, bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                state.from_amplitudes(2, amps)
