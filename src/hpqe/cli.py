@@ -255,12 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--no-wall-clock", action="store_true",
                    help="omit wall clock for byte-identical reruns")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--max-qubits", type=int, default=state.MAX_QUBITS_DEFAULT)
-    p.add_argument("--workers", type=int, default=1, choices=(1, 2, 4, 8))
+    _add_common(p, with_n=False)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="emit a circuit in the text format")

@@ -26,7 +26,9 @@ closed forms are checked against it in tests.
 
 Segment updates never overlap, so gate application may be spread over
 1..8 workers with a barrier between gates; each worker call owns its
-scratch, and results are bit-identical for any worker count.
+scratch, and results are bit-identical for any worker count. Workers
+split the segments that compute for the gate: all 8, or the 4 owners of
+a dense mode-2 gate.
 """
 
 from __future__ import annotations
@@ -300,9 +302,17 @@ def cycle_report(circuit: Circuit,
                        cx_pairs_swapped=pairs, mode2_gate_count=mode2)
 
 
-def _worker_partition(segment_count: int, workers: int):
-    return [[s for s in range(segment_count) if s % workers == w]
-            for w in range(workers)]
+def _busy_segments(op: GateOp, n: int, segment_count: int) -> list:
+    # segments that compute for a single-qubit gate: in a dense mode-2
+    # gate only the owners (target bit clear) do, writing both halves
+    if op.sparse or n < 3 or access_mode(op.target, n) == MODE1:
+        return list(range(segment_count))
+    bit = _segment_bit(op.target, n)
+    return [s for s in range(segment_count) if not (s >> bit) & 1]
+
+
+def _worker_partition(segments: list, workers: int) -> list:
+    return [segments[w::workers] for w in range(workers)]
 
 
 def run_circuit(state: StateVector, circuit: Circuit,
@@ -310,9 +320,10 @@ def run_circuit(state: StateVector, circuit: Circuit,
                 workers: int = 1):
     """Apply a base-set circuit gate by gate, accumulating cycles.
 
-    Returns (state, CycleReport). With workers > 1 the 8 segments are
-    split across a thread pool with a barrier after every gate; the
-    result is bit-identical for any worker count.
+    Returns (state, CycleReport). With workers > 1 the segments that
+    compute for each gate are split evenly across a thread pool, with a
+    barrier after every gate; the result is bit-identical for any worker
+    count. The report's memory mode comes from cfg.
     """
     if circuit.n != state.n:
         raise ValueError(f"circuit is for n={circuit.n}, state has n={state.n}")
@@ -322,7 +333,6 @@ def run_circuit(state: StateVector, circuit: Circuit,
     per_gate = []
     total = pairs = mode2 = 0
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    parts = _worker_partition(state.segment_count, workers)
     try:
         for idx, op in enumerate(circuit.ops):
             if op.kind == CX:
@@ -334,8 +344,9 @@ def run_circuit(state: StateVector, circuit: Circuit,
                 if pool is None:
                     _apply_single_segments(state, op, range(state.segment_count))
                 else:
+                    busy = _busy_segments(op, state.n, state.segment_count)
                     futures = [pool.submit(_apply_single_segments, state, op, part)
-                               for part in parts if part]
+                               for part in _worker_partition(busy, workers) if part]
                     for f in wait(futures).done:
                         f.result()   # re-raise worker errors, barrier per gate
                 cycles = perfmodel.cycles_single(state.n, cfg)
@@ -346,7 +357,7 @@ def run_circuit(state: StateVector, circuit: Circuit,
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-    report = CycleReport(n=state.n, mem_mode=state.mem_mode, per_gate=per_gate,
-                         total_cycles=total, cx_pairs_swapped=pairs,
-                         mode2_gate_count=mode2)
+    report = CycleReport(n=state.n, mem_mode=perfmodel.memory_mode(state.n, cfg),
+                         per_gate=per_gate, total_cycles=total,
+                         cx_pairs_swapped=pairs, mode2_gate_count=mode2)
     return state, report

@@ -267,20 +267,24 @@ def scale_bank(c0: CFx, c1: CFx, t: int, banks, scratch: np.ndarray) -> None:
             _sum_into(_prod(cr, xi, xi, tmp[:m]), ir, False, xi)
 
 
-def _block_slices(shape):
-    # index expressions cutting an array of this shape (1-D, or 2-D rows)
-    # into pieces of at most BLOCK elements
+def block_slices(shape, block: int):
+    """Index expressions cutting an array of this shape into pieces.
+
+    The array is 1-D, or 2-D rows of a power-of-two width; each piece
+    holds at most `block` (a power of two) elements: whole rows when a
+    row is narrower than the block, parts of one row otherwise.
+    """
     if len(shape) == 1:
-        for lo in range(0, shape[0], BLOCK):
-            yield slice(lo, lo + BLOCK)
+        for lo in range(0, shape[0], block):
+            yield slice(lo, lo + block)
         return
     rows, width = shape
-    if width >= BLOCK:
+    if width >= block:
         for r in range(rows):
-            for lo in range(0, width, BLOCK):
-                yield (r, slice(lo, lo + BLOCK))
+            for lo in range(0, width, block):
+                yield (r, slice(lo, lo + block))
         return
-    step = BLOCK // width
+    step = block // width
     for lo in range(0, rows, step):
         yield slice(lo, lo + step)
 
@@ -300,7 +304,7 @@ def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
     coefs = [tuple(_coef(v) for v in c) for c in (c00, c01, c10, c11)]
     outputs = ((coefs[0], coefs[1], xr, False), (coefs[0], coefs[1], xi, True),
                (coefs[2], coefs[3], yr, False), (coefs[2], coefs[3], yi, True))
-    for sl in _block_slices(xr.shape):
+    for sl in block_slices(xr.shape, BLOCK):
         shape = xr[sl].shape
         m = xr[sl].size
         g = [buf[:m].reshape(shape) for buf in (gxr, gxi, gyr, gyi)]

@@ -6,6 +6,27 @@ operators (ref_run_matrix, n <= 6). Both apply the circuit's tracked
 global phase at the end so transpiled circuits compare directly against
 their composite targets.
 
+ref_run works in place. A single-qubit gate on qubit q pairs the two
+strided halves x, y of amps.reshape(-1, 2, 2^q) and streams them, BLOCK
+pairs at a time, through three reused contiguous scratch buffers:
+    x <- m00*x + m01*y,    y <- m11*y + m10*x
+each product one multiply and each output one add, as a whole-array
+evaluation would (IEEE addition commutes, so the order of the two terms
+does not matter). Both outputs need both old halves, so they are built
+in scratch and copied back. A diagonal matrix (m01 == m10 == 0: RZ, S)
+skips the off-diagonal product: for finite amplitudes it is an exact
++-0, and adding +-0 to a nonzero product changes no bit. Added to a zero
+product it can change the zero's sign (-0 + +0 is +0), so a block whose
+diagonal product has a zero part still takes the full sum. The result
+is byte-identical to the whole-array form, which the tests keep as the
+reference; path and block size never show in the output.
+
+Every product has the matrix element as its first operand, e.g.
+np.multiply(m00, x, out=...). With numpy's SIMD complex loops m * x and
+x * m can differ in the last bit, while the scalar-first product into a
+separate buffer equals the whole-array one on strided and contiguous
+operands alike (a one-element product taken in place does not).
+
 Fixed-point states are converted to doubles before any metric; metrics
 are never computed in fixed point. Reductions use numpy's fixed
 pairwise summation so reported values are reproducible.
@@ -24,6 +45,7 @@ from .gateset import CX, Circuit, GateOp, matrix_of
 from .state import StateVector
 
 MATRIX_MAX_QUBITS = 6
+BLOCK = 1 << 14          # amplitude pairs per ref_run step (256 KiB per buffer)
 
 
 class SizeError(Exception):
@@ -52,12 +74,30 @@ def _exact_matrix(op: GateOp) -> np.ndarray:
     return matrix_of(op.kind, op.angle)
 
 
-def _apply_1q(amps: np.ndarray, m: np.ndarray, q: int) -> None:
+def _has_zero(v: np.ndarray) -> bool:
+    # v is contiguous complex128: is any real or imaginary part +-0?
+    return 0 in v.view(np.float64)
+
+
+def _apply_1q(amps: np.ndarray, m: np.ndarray, q: int, scratch: np.ndarray) -> None:
+    """Apply the 2x2 matrix m to qubit q of amps, in place.
+
+    scratch is a (3, block) complex128 array, block a power of two; the
+    pair halves are cut into pieces of at most block elements.
+    """
     a = amps.reshape(-1, 2, 1 << q)
-    x = a[:, 0, :].copy()
-    y = a[:, 1, :].copy()
-    a[:, 0, :] = m[0, 0] * x + m[0, 1] * y
-    a[:, 1, :] = m[1, 0] * x + m[1, 1] * y
+    x, y = a[:, 0], a[:, 1]
+    diagonal = m[0, 1] == 0 and m[1, 0] == 0
+    for sl in fxp.block_slices(x.shape, scratch.shape[1]):
+        xb, yb = x[sl], y[sl]
+        nx, ny, t = (buf[:xb.size].reshape(xb.shape) for buf in scratch)
+        np.multiply(m[0, 0], xb, out=nx)
+        np.multiply(m[1, 1], yb, out=ny)
+        for out, c, v in ((nx, m[0, 1], yb), (ny, m[1, 0], xb)):
+            if not diagonal or _has_zero(out):
+                out += np.multiply(c, v, out=t)
+        xb[...] = nx
+        yb[...] = ny
 
 
 def _apply_cx(amps: np.ndarray, control: int, target: int, n: int) -> None:
@@ -78,11 +118,12 @@ def ref_run(circuit: Circuit, init: RefState) -> RefState:
     if circuit.n != init.n:
         raise ValueError(f"circuit n={circuit.n} vs state n={init.n}")
     out = init.copy()
+    scratch = np.empty((3, min(BLOCK, out.amps.size >> 1)), dtype=np.complex128)
     for op in circuit.ops:
         if op.kind == CX:
             _apply_cx(out.amps, op.control, op.target, out.n)
         else:
-            _apply_1q(out.amps, _exact_matrix(op), op.target)
+            _apply_1q(out.amps, _exact_matrix(op), op.target, scratch)
     if circuit.global_phase:
         out.amps *= cmath.exp(1j * circuit.global_phase)
     return out
@@ -168,11 +209,22 @@ def _amplitudes(x) -> np.ndarray:
     return np.asarray(x, dtype=np.complex128)
 
 
-def fidelity(a, b) -> float:
-    """|<a|b>|^2: global-phase-invariant overlap of two state vectors."""
+def _pair(a, b):
     av, bv = _amplitudes(a), _amplitudes(b)
     if av.shape != bv.shape:
         raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
+    return av, bv
+
+
+def _sum_sq_abs(d: np.ndarray, buf: np.ndarray) -> float:
+    # sum(|d|^2), with |d|^2 built in buf
+    np.abs(d, out=buf)
+    return float(np.sum(np.square(buf, out=buf)))
+
+
+def fidelity(a, b) -> float:
+    """|<a|b>|^2: global-phase-invariant overlap of two state vectors."""
+    av, bv = _pair(a, b)
     return float(abs(np.sum(np.conj(av) * bv)) ** 2)
 
 
@@ -183,20 +235,27 @@ def mse(a, b):
     aligned error, so mse_aligned <= mse_raw always holds; for a sign
     flip it comes out as pi.
     """
-    av, bv = _amplitudes(a), _amplitudes(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
+    av, bv = _pair(a, b)
     size = av.size
-    mse_raw = float(np.sum(np.abs(av - bv) ** 2)) / size
+    # Kept as one expression: from 256 KiB up numpy's temporary elision
+    # evaluates it as conj(bv) * av in the temporary's buffer, below as
+    # av * conj(bv), and the two orders can differ in the last bit.
+    # Taken first, its temporary is gone before d and sq exist.
+    overlap = np.sum(av * np.conj(bv))
+    d = np.subtract(av, bv)
+    sq = np.empty(size, dtype=np.float64)
+    mse_raw = _sum_sq_abs(d, sq) / size
     if mse_raw == 0.0:
         return 0.0, 0.0, 0.0
-    overlap = np.sum(av * np.conj(bv))
     phase = float(np.angle(overlap)) if abs(overlap) > 0 else 0.0
-    mse_aligned = float(np.sum(np.abs(av - np.exp(1j * phase) * bv) ** 2)) / size
+    np.multiply(np.exp(1j * phase), bv, out=d)
+    mse_aligned = _sum_sq_abs(np.subtract(av, d, out=d), sq) / size
     return mse_raw, mse_aligned, phase
 
 
 def metrics(a, b) -> Metrics:
-    mse_raw, mse_aligned, phase = mse(a, b)
-    return Metrics(fidelity=fidelity(a, b), mse_raw=mse_raw,
+    """Fidelity and MSE of a against b, each state converted once."""
+    av, bv = _pair(a, b)
+    mse_raw, mse_aligned, phase = mse(av, bv)
+    return Metrics(fidelity=fidelity(av, bv), mse_raw=mse_raw,
                    mse_aligned=mse_aligned, phase=phase)

@@ -86,8 +86,12 @@ class StateVector:
         return [fxp.CFx(int(r), int(j)) for r, j in zip(self.re, self.im)]
 
     def to_complex(self) -> np.ndarray:
-        """Double-precision view of the state, for metrics only."""
-        return (self.re + 1j * self.im) / fxp.SCALE
+        """Double-precision copy of the state, for metrics only."""
+        out = np.empty(self.size, dtype=np.complex128)
+        out.real = self.re
+        out.imag = self.im
+        out /= fxp.SCALE        # a power of two: exact
+        return out
 
     def norm_sq(self) -> float:
         a = self.to_complex()

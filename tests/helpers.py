@@ -53,3 +53,29 @@ def random_circuit(n: int, gates: int, rng) -> gateset.Circuit:
 def random_ref_amplitudes(n: int, rng) -> np.ndarray:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return amps / np.linalg.norm(amps)
+
+
+def apply_1q_reference(amps: np.ndarray, m: np.ndarray, q: int) -> None:
+    """Whole-array single-qubit gate: contiguous copies of both halves.
+
+    The form ref_run used before it streamed blocks; its blocked kernel
+    must match it byte for byte.
+    """
+    a = amps.reshape(-1, 2, 1 << q)
+    x = a[:, 0, :].copy()
+    y = a[:, 1, :].copy()
+    a[:, 0, :] = m[0, 0] * x + m[0, 1] * y
+    a[:, 1, :] = m[1, 0] * x + m[1, 1] * y
+
+
+def metrics_reference(av: np.ndarray, bv: np.ndarray):
+    """(fidelity, mse_raw, mse_aligned, phase) by whole-array expressions.
+
+    The form oracle.metrics had before it reused its buffers.
+    """
+    fidelity = float(abs(np.sum(np.conj(av) * bv)) ** 2)
+    mse_raw = float(np.sum(np.abs(av - bv) ** 2)) / av.size
+    overlap = np.sum(av * np.conj(bv))
+    phase = float(np.angle(overlap)) if abs(overlap) > 0 else 0.0
+    mse_aligned = float(np.sum(np.abs(av - np.exp(1j * phase) * bv) ** 2)) / av.size
+    return fidelity, mse_raw, mse_aligned, phase

@@ -26,6 +26,17 @@ class TestRun:
         assert timing["total_s"] == pytest.approx(
             cycles["total_cycles"] / 250e6)
 
+    def test_memory_mode_follows_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"bram_qubit_limit": 5}')
+        assert run_cli("run", "--gen", "qft", "--n", 8, "--config", cfg,
+                       "--out", tmp_path) == 0
+        assert capsys.readouterr().out.rstrip().endswith("mem=HBM")
+        cycles = json.loads((tmp_path / "cycles.json").read_text())
+        timing = json.loads((tmp_path / "time.json").read_text())
+        assert cycles["mem_mode"] == "HBM"
+        assert timing["transfer_s"] > 0
+
     def test_capacity_error_exit_code(self, tmp_path, capsys):
         assert run_cli("run", "--gen", "qft", "--n", 31, "--out", tmp_path) == 3
         assert "capacity" in capsys.readouterr().err.lower()
@@ -153,6 +164,22 @@ class TestBench:
                        "--format", "json", "--out", tmp_path) == 0
         rows = json.loads((tmp_path / "bench.json").read_text())
         assert rows[0]["gates_total"] == 21
+
+
+class TestParser:
+    def test_bench_common_options(self):
+        parse = cli.build_parser().parse_args
+        args = parse(["bench", "--gen", "qft", "--n", "3..5"])
+        assert (args.n, args.seed, args.config, args.out, args.layers,
+                args.max_qubits, args.workers, args.format, args.no_wall_clock) == \
+            ("3..5", 0, None, None, 1, state.MAX_QUBITS_DEFAULT, 1, "csv", False)
+        args = parse(["bench", "--gen", "chain", "--n", "4", "--seed", "7",
+                      "--config", "c.json", "--out", "o", "--layers", "3",
+                      "--max-qubits", "20", "--workers", "4"])
+        assert (args.seed, args.config, args.out, args.layers,
+                args.max_qubits, args.workers) == (7, "c.json", "o", 3, 20, 4)
+        with pytest.raises(SystemExit):
+            parse(["bench", "--gen", "qft", "--n", "3", "--workers", "3"])
 
 
 class TestGen:

@@ -271,3 +271,30 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert all(r == results[0] for r in results[1:])
+
+    @pytest.mark.parametrize("workers", (2, 4, 8))
+    def test_segments_split_evenly(self, workers, monkeypatch):
+        # a dense mode-2 gate computes in its 4 owner segments only (target
+        # bit clear); those, or all 8 segments otherwise, are dealt out evenly
+        n = 6
+        calls = []
+        real = engine._apply_single_segments
+
+        def spy(sv, op, seg_ids):
+            calls.append(list(seg_ids))
+            real(sv, op, seg_ids)
+
+        monkeypatch.setattr(engine, "_apply_single_segments", spy)
+        for t in range(n):
+            for op in (gateset.single("H", t), gateset.single("RZ", t, 0.3)):
+                calls.clear()
+                engine.run_circuit(state.init_basis(n, 0),
+                                   gateset.Circuit(n=n, ops=[op]), workers=workers)
+                if op.sparse or engine.access_mode(t, n) == engine.MODE1:
+                    busy = list(range(8))
+                else:
+                    bit = t - (n - 3)
+                    busy = [s for s in range(8) if not (s >> bit) & 1]
+                assert sorted(s for part in calls for s in part) == busy
+                used = min(workers, len(busy))
+                assert [len(part) for part in calls] == [len(busy) // used] * used

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from hpqe import circuits, gateset, oracle, state
+from hpqe import circuits, fxp, gateset, oracle, state
 from hpqe.oracle import RefState, SizeError
 
-from helpers import random_circuit, random_ref_amplitudes
+from helpers import (apply_1q_reference, metrics_reference, random_circuit,
+                     random_ref_amplitudes)
 
 
 class TestRefRun:
@@ -41,6 +42,69 @@ class TestRefRun:
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
             oracle.ref_run(gateset.Circuit(n=3), oracle.basis_state(2, 0))
+
+
+# diagonal (RZ on both sides of pi, S), real dense (RY) and complex
+# dense (RX, H); RY(0) is diagonal with a -0 off the diagonal
+KERNEL_MATRICES = {
+    "RZ(0.7)": gateset.matrix_of("RZ", 0.7),
+    "RZ(4.1)": gateset.matrix_of("RZ", 4.1),
+    "S": gateset.matrix_of("S"),
+    "RY(1.1)": gateset.matrix_of("RY", 1.1),
+    "RY(0)": gateset.matrix_of("RY", 0.0),
+    "RX(2.3)": gateset.matrix_of("RX", 2.3),
+    "H": gateset.matrix_of("H"),
+}
+
+
+def _kernel_inputs(n: int, rng):
+    yield random_ref_amplitudes(n, rng)
+    basis = np.zeros(1 << n, dtype=np.complex128)
+    basis[rng.integers(0, 1 << n)] = 1.0
+    yield basis
+    # exact zeros of both signs next to nonzero parts
+    words = rng.choice([0.0, -0.0, 0.5, -0.25], size=2 << n)
+    yield words.view(np.complex128)
+
+
+class TestApply1q:
+    """The blocked kernel against the whole-array reference, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MATRICES))
+    @pytest.mark.parametrize("block", (1 << 3, oracle.BLOCK))
+    def test_bytes_match_reference(self, name, block):
+        # with 8-pair blocks, halves wider than a block are cut along a
+        # row and narrower ones span several rows, from n = 4 on
+        m = KERNEL_MATRICES[name]
+        rng = np.random.default_rng(73)
+        for n in range(1, 11):
+            scratch = np.empty((3, min(block, 1 << (n - 1))), dtype=np.complex128)
+            for amps in _kernel_inputs(n, rng):
+                for q in range(n):
+                    want, got = amps.copy(), amps.copy()
+                    apply_1q_reference(want, m, q)
+                    oracle._apply_1q(got, m, q, scratch)
+                    assert got.tobytes() == want.tobytes(), (n, q)
+
+    def test_ref_run_bytes_match_reference(self):
+        rng = np.random.default_rng(74)
+        c = random_circuit(9, 200, rng)
+        init = RefState(9, random_ref_amplitudes(9, rng))
+        want = init.amps.copy()
+        for op in c.ops:
+            if op.kind == "CX":
+                oracle._apply_cx(want, op.control, op.target, c.n)
+            else:
+                apply_1q_reference(want, gateset.matrix_of(op.kind, op.angle),
+                                   op.target)
+        assert oracle.ref_run(c, init).amps.tobytes() == want.tobytes()
+
+    def test_leaves_init_untouched(self):
+        rng = np.random.default_rng(75)
+        init = RefState(6, random_ref_amplitudes(6, rng))
+        before = init.amps.tobytes()
+        oracle.ref_run(random_circuit(6, 50, rng), init)
+        assert init.amps.tobytes() == before
 
 
 class TestRefRunMatrix:
@@ -174,6 +238,19 @@ class TestMetrics:
                             "n", "gates"}
         assert doc["fidelity"] == pytest.approx(1.0)
         assert doc["mse_raw"] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("n", (5, 15))
+    def test_bits_match_whole_array_formulas(self, n):
+        # n = 15 puts the arrays above numpy's 256 KiB elision threshold
+        rng = np.random.default_rng(76)
+        ref = RefState(n, random_ref_amplitudes(n, rng))
+        noisy = ref.amps + 1e-6 * random_ref_amplitudes(n, rng)
+        sv = state.from_amplitudes(n, np.exp(0.4j) * noisy)
+        converted = sv.to_complex()
+        assert converted.tobytes() == ((sv.re + 1j * sv.im) / fxp.SCALE).tobytes()
+        got = oracle.metrics(ref, sv)
+        want = metrics_reference(ref.amps, converted)
+        assert (got.fidelity, got.mse_raw, got.mse_aligned, got.phase) == want
 
     def test_equal_up_to_phase_helper(self):
         rng = np.random.default_rng(72)
