@@ -7,28 +7,33 @@ handled inside that segment (access mode 1); when the target bit selects
 the segment itself, the pair spans two PEs at the same offset and the
 owning segment computes both outputs from the exchanged values (mode 2).
 
-The arithmetic runs in fxp's blocked bank kernels, which stream each
-segment through BLOCK-element slices of one scratch array allocated per
-call, so temporaries stay bounded by the block:
-  * sparse (diagonal) gates scale contiguous blocks in place, in mode 1
-    by a periodic (m00, m11) coefficient pattern of period 2^(t+1), in
-    mode 2 by the one coefficient the segment's target bit selects;
+The arithmetic runs in fxp's bank kernels, which take each segment in
+place: their native body (`kernels.c`, built on first use) needs no
+scratch, and their numpy fallback streams BLOCK-element slices through
+one scratch array allocated per call, so temporaries stay bounded by the
+block:
+  * sparse (diagonal) gates scale contiguous banks in place, in mode 1
+    by the (m00, m11) coefficient that bit t of each word's index picks
+    (period 2^(t+1)), in mode 2 by the one coefficient the segment's
+    target bit selects;
   * dense gates hand `fxp.pair_banks` the two halves of each pair: strided
     views of one segment in mode 1, two whole segments in mode 2.
 Every rounding and saturation step of the scalar `fxp.su_eval` is kept
-(see the `fxp` docstring for the two provably inert steps it skips).
+(see the `fxp` docstring for the two provably inert steps the numpy
+body skips).
 
-CX performs no arithmetic: it swaps 2^(n-2) amplitude pairs, through
-views of each component reshaped to [2]*n. The pipelined swapper
+CX performs no arithmetic: it swaps 2^(n-2) amplitude pairs, in the
+native `hpqe_cx` loop, or through views of each component reshaped to
+[2]*n where the library is not available. The pipelined swapper
 schedule costs 2*(2^(n-2)+1)+1 cycles against the sequential baseline's
 5*2^(n-2); `simulate_swapper` steps the machine cycle by cycle and the
 closed forms are checked against it in tests.
 
 Segment updates never overlap, so gate application may be spread over
-1..8 workers with a barrier between gates; each worker call owns its
-scratch, and results are bit-identical for any worker count. Workers
-split the segments that compute for the gate: all 8, or the 4 owners of
-a dense mode-2 gate.
+1..8 workers with a barrier between gates; native calls release the
+GIL, each numpy-body worker call owns its scratch, and results are
+bit-identical for any worker count. Workers split the segments that
+compute for the gate: all 8, or the 4 owners of a dense mode-2 gate.
 """
 
 from __future__ import annotations
@@ -94,15 +99,21 @@ def cx_pair(k: int, n: int, control: int, target: int) -> tuple[int, int]:
 def apply_cx(state: StateVector, control: int, target: int) -> int:
     """Swap the control=1 amplitude pairs in place; returns cycles.
 
-    Each component is viewed as an n-axis array of shape [2]*n (qubit q
-    is axis n-1-q), so the control=1, target=0 and target=1 halves are
-    strided views and the swap needs no index arrays.
+    The native kernel swaps words i and i | 2^target for every i whose
+    control bit is set and target bit clear. Without it, each component
+    is viewed as an n-axis array of shape [2]*n (qubit q is axis n-1-q),
+    so the control=1, target=0 and target=1 halves are strided views and
+    the swap needs no index arrays.
     """
     n = state.n
     if n < 2:
         raise ValueError("CX requires n >= 2")
     if control == target or not (0 <= control < n and 0 <= target < n):
         raise ValueError(f"bad CX qubits ({control}, {target}) for n={n}")
+    lib = fxp.native_kernels()
+    if lib is not None and fxp.native_rows(state.re, state.im) == (1, 1 << n, 1 << n):
+        lib.hpqe_cx(state.re.ctypes.data, state.im.ctypes.data, n, control, target)
+        return cx_cycles(n)
     lo = [slice(None)] * n
     lo[n - 1 - control] = slice(1, 2)       # slices keep every view an array
     hi = list(lo)
@@ -234,8 +245,9 @@ def _update_cross(sv: StateVector, op: GateOp, seg_ids, scratch) -> None:
 
 
 def _apply_single_segments(sv: StateVector, op: GateOp, seg_ids) -> None:
-    # scratch is per call, so concurrent workers never share buffers
-    scratch = fxp.new_scratch()
+    # only the numpy kernel bodies use scratch; it is per call, so
+    # concurrent workers never share buffers
+    scratch = None if fxp.native_kernels() is not None else fxp.new_scratch()
     if sv.n < 3 or access_mode(op.target, sv.n) == MODE1:
         _update_intra(sv, op, seg_ids, scratch)
     else:

@@ -9,22 +9,35 @@ ties to even, so results are reproducible bit for bit.
 Scalar functions (plain Python ints) define the semantics. The bank
 kernels `scale_bank` (sparse SU step) and `pair_banks` (dense SU step)
 apply them to whole int64 arrays in place, and the test suite proves
-them bit-identical to the scalars. They stream each bank through
-BLOCK-element slices of one reused scratch array, so their temporaries
-are bounded by the block, not by the state. Each real product is
-rounded as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30, which is fx_mul's
-round-half-even, and every sum is saturated as in fx_add / fx_sub. Two
-steps are skipped only where they provably cannot change a bit: a zero
-coefficient's product (it is exactly 0), and the clip of a product
-whose coefficient lies in (-2^30, 2^30] (see `product_fits`).
-`quantize_array` is `quantize` over an array. Golden values and oracles
-use the scalars.
+them bit-identical to the scalars. Each kernel has two bodies:
+
+  * native: `kernels.c`, compiled with the system C compiler on the
+    first kernel call (never at import) and cached in the package's
+    __pycache__ under a hash of the source and the flags; see
+    `native_kernels`. It does every rounding and saturation step, which
+    cost next to nothing in C.
+  * numpy: the fallback where the library cannot be built or loaded,
+    and for arrays the native body does not take. It streams each bank
+    through BLOCK-element slices of one reused scratch array, so its
+    temporaries are bounded by the block, not by the state. Each real
+    product is rounded as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30, which
+    is fx_mul's round-half-even, and every sum is saturated as in
+    fx_add / fx_sub. Two steps are skipped only where they provably
+    cannot change a bit: a zero coefficient's product (it is exactly
+    0), and the clip of a product whose coefficient lies in
+    (-2^30, 2^30] (see `product_fits`).
+
+Which body ran never shows in the results. `quantize_array` is
+`quantize` over an array. Golden values and oracles use the scalars.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -142,11 +155,109 @@ def su_eval(c0: CFx, c1: CFx, x: CFx, y: CFx, op: str = DENSE) -> CFx:
 
 
 # ---------------------------------------------------------------------------
-# Bank kernels (numpy int64, blocked, in place) -- bit-identical to the
+# Native kernels. The library is built once per process, on the first
+# kernel call: a failed build or load (no compiler, an unwritable cache,
+# a library the loader rejects) leaves the numpy bodies in use, silently.
+# ---------------------------------------------------------------------------
+
+NATIVE_SOURCE = Path(__file__).with_name("kernels.c")
+NATIVE_CACHE = NATIVE_SOURCE.parent / "__pycache__"
+NATIVE_CC = "cc"
+NATIVE_FLAGS = ("-O3", "-shared", "-fPIC")
+
+_native_lock = threading.Lock()
+_native: list = []       # empty until the first call, then [CDLL or None]
+
+
+def native_kernels():
+    """The compiled kernels as a ctypes.CDLL, or None.
+
+    The first call builds `kernels.c` with NATIVE_CC and NATIVE_FLAGS
+    into NATIVE_CACHE, unless a library built from the same source and
+    flags is already there, and loads it. The result, library or None,
+    is kept for the life of the process. ctypes releases the GIL during
+    a call, so worker threads run the kernels in parallel.
+    """
+    with _native_lock:
+        if not _native:
+            _native.append(_load_native())
+        return _native[0]
+
+
+def _load_native():
+    import ctypes
+    import hashlib
+
+    try:
+        key = hashlib.sha256(NATIVE_SOURCE.read_bytes())
+        key.update(repr(NATIVE_FLAGS).encode())
+        path = NATIVE_CACHE / f"kernels-{key.hexdigest()[:16]}.so"
+        if not path.is_file() and not _build_native(path):
+            return None
+        lib = ctypes.CDLL(str(path))
+    except OSError:
+        return None
+    ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
+    lib.hpqe_scale_bank.argtypes = [ptr, ptr, i64, i32, i64, i64, i64, i64]
+    lib.hpqe_pair_banks.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, ptr]
+    lib.hpqe_cx.argtypes = [ptr, ptr, i32, i32, i32]
+    for fn in (lib.hpqe_scale_bank, lib.hpqe_pair_banks, lib.hpqe_cx):
+        fn.restype = None
+    return lib
+
+
+def _build_native(path: Path) -> bool:
+    # compile kernels.c into path; False if the compiler fails, OSError if
+    # it cannot run or the cache cannot be written
+    import subprocess
+    import tempfile
+
+    NATIVE_CACHE.mkdir(parents=True, exist_ok=True)
+    # build under a unique name and move it into place, so that processes
+    # building at once never load a half-written file
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=NATIVE_CACHE)
+    os.close(fd)
+    try:
+        subprocess.run([NATIVE_CC, *NATIVE_FLAGS, "-o", tmp, str(NATIVE_SOURCE)],
+                       check=True, timeout=300, stdin=subprocess.DEVNULL,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        os.chmod(tmp, 0o755)     # mkstemp made it private to this user
+        os.replace(tmp, path)
+        return True
+    except subprocess.SubprocessError:
+        return False
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def native_rows(*arrays):
+    """(rows, width, row stride in words) of arrays the native kernels take.
+
+    The arrays must be writable native int64, of one shape and strides,
+    1-D (one row) or 2-D, with unit stride inside a row. None otherwise:
+    the caller then runs its numpy body.
+    """
+    a = arrays[0]
+    for b in arrays:
+        if not (isinstance(b, np.ndarray) and b.dtype == np.int64
+                and b.flags.writeable and b.ndim in (1, 2)
+                and b.shape == a.shape and b.strides == a.strides
+                and (b.strides[-1] == 8 or b.shape[-1] <= 1)):
+            return None
+    if a.ndim == 1:
+        return 1, a.size, a.size
+    if a.strides[0] % 8:
+        return None
+    return a.shape[0], a.shape[1], a.strides[0] // 8
+
+
+# ---------------------------------------------------------------------------
+# Numpy bank kernels (int64, blocked, in place) -- bit-identical to the
 # scalar forms. Products of two in-range raws fit in 62 bits, so int64
 # is exact. A bank is processed BLOCK elements at a time inside a
-# caller-owned scratch array of SCRATCH_ROWS x BLOCK words, so the
-# temporaries stay bounded by the block whatever the bank size.
+# scratch array of SCRATCH_ROWS x BLOCK words, so the temporaries stay
+# bounded by the block whatever the bank size.
 # ---------------------------------------------------------------------------
 
 BLOCK = 1 << 16          # elements per kernel step
@@ -154,7 +265,7 @@ SCRATCH_ROWS = 8         # int64 buffers of BLOCK words each kernel may use
 
 
 def new_scratch() -> np.ndarray:
-    """Scratch for the bank kernels; give each concurrent caller its own."""
+    """Scratch for the numpy kernel bodies; one per concurrent caller."""
     return np.empty((SCRATCH_ROWS, BLOCK), dtype=np.int64)
 
 
@@ -231,19 +342,31 @@ def _cmul_part(c, xr, xi, imag: bool, out, s, t):
                      True, out)
 
 
-def scale_bank(c0: CFx, c1: CFx, t: int, banks, scratch: np.ndarray) -> None:
+def scale_bank(c0: CFx, c1: CFx, t: int, banks,
+               scratch: np.ndarray | None = None) -> None:
     """Sparse SU step over banks, in place: x[k] <- cfx_mul(c, x[k]).
 
     c is c1 where bit t of k is set and c0 elsewhere: a diagonal gate on
     qubit t of banks whose first index has bit t clear. One coefficient
-    for a whole bank is scale_bank(c, c, 0, ...). When the period
+    for a whole bank is scale_bank(c, c, 0, ...). `banks` holds (re, im)
+    pairs of 1-D int64 arrays of any length.
+
+    The native body takes each bank whole. The numpy body uses scratch
+    (from `new_scratch`, allocated here when None): when the period
     2^(t+1) fits a block, every block is scaled by one periodic (c0, c1)
     pattern, built once per call; otherwise 2^t is a multiple of BLOCK
-    and bit t is constant within each block. `banks` holds (re, im)
-    pairs of 1-D int64 arrays of any length.
+    and bit t is constant within each block.
     """
-    s_ir, s, tmp = scratch[:3]
     banks = list(banks)
+    lib = native_kernels()
+    if lib is not None and all(native_rows(re, im) and re.ndim == 1
+                               for re, im in banks):
+        for re, im in banks:
+            lib.hpqe_scale_bank(re.ctypes.data, im.ctypes.data, re.size, t, *c0, *c1)
+        return
+    if scratch is None:
+        scratch = new_scratch()
+    s_ir, s, tmp = scratch[:3]
     fixed = [[_coef(v) for v in c] for c in (c0, c1)]
     periodic = c0 != c1 and (2 << t) <= BLOCK
     if periodic:
@@ -270,36 +393,48 @@ def scale_bank(c0: CFx, c1: CFx, t: int, banks, scratch: np.ndarray) -> None:
 def block_slices(shape, block: int):
     """Index expressions cutting an array of this shape into pieces.
 
-    The array is 1-D, or 2-D rows of a power-of-two width; each piece
-    holds at most `block` (a power of two) elements: whole rows when a
-    row is narrower than the block, parts of one row otherwise.
+    Every axis after the first has a power-of-two length; each piece
+    holds at most `block` (a power of two) elements: whole rows along
+    the first axis while a row is narrower than the block, pieces of
+    one row otherwise.
     """
     if len(shape) == 1:
         for lo in range(0, shape[0], block):
             yield slice(lo, lo + block)
         return
-    rows, width = shape
+    width = math.prod(shape[1:])
     if width >= block:
-        for r in range(rows):
-            for lo in range(0, width, block):
-                yield (r, slice(lo, lo + block))
+        for r in range(shape[0]):
+            for sl in block_slices(shape[1:], block):
+                yield (r, *sl) if isinstance(sl, tuple) else (r, sl)
         return
     step = block // width
-    for lo in range(0, rows, step):
+    for lo in range(0, shape[0], step):
         yield slice(lo, lo + step)
 
 
 def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
                xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray,
-               scratch: np.ndarray) -> None:
+               scratch: np.ndarray | None = None) -> None:
     """Dense SU step over paired banks, in place.
 
     x <- su_eval(c00, c01, x, y) and y <- su_eval(c10, c11, x, y), both
     from the old x and y. The four arrays share one shape: 1-D of any
     length, or 2-D (strided views of the pair halves inside a bank).
-    Each block of x and y is first copied into scratch, so results are
+    The native body reads all four words of a pair before it writes
+    one. The numpy body first copies each block of x and y into scratch
+    (from `new_scratch`, allocated here when None), so results are
     written straight back to the banks.
     """
+    lib = native_kernels()
+    rows = native_rows(xr, xi, yr, yi) if lib is not None else None
+    if rows is not None:
+        coefs = np.array([*c00, *c01, *c10, *c11], dtype=np.int64)
+        lib.hpqe_pair_banks(xr.ctypes.data, xi.ctypes.data, yr.ctypes.data,
+                            yi.ctypes.data, *rows, coefs.ctypes.data)
+        return
+    if scratch is None:
+        scratch = new_scratch()
     gxr, gxi, gyr, gyi, acc, y, s, tmp = scratch
     coefs = [tuple(_coef(v) for v in c) for c in (c00, c01, c10, c11)]
     outputs = ((coefs[0], coefs[1], xr, False), (coefs[0], coefs[1], xi, True),

@@ -6,7 +6,8 @@ operators (ref_run_matrix, n <= 6). Both apply the circuit's tracked
 global phase at the end so transpiled circuits compare directly against
 their composite targets.
 
-ref_run works in place. A single-qubit gate on qubit q pairs the two
+ref_run works in place, in numpy alone: it shares no kernel with the
+fixed-point engine. A single-qubit gate on qubit q pairs the two
 strided halves x, y of amps.reshape(-1, 2, 2^q) and streams them, BLOCK
 pairs at a time, through three reused contiguous scratch buffers:
     x <- m00*x + m01*y,    y <- m11*y + m10*x
@@ -100,17 +101,25 @@ def _apply_1q(amps: np.ndarray, m: np.ndarray, q: int, scratch: np.ndarray) -> N
         yb[...] = ny
 
 
-def _apply_cx(amps: np.ndarray, control: int, target: int, n: int) -> None:
-    t = amps.reshape([2] * n)
-    sel0 = [slice(None)] * n
-    sel1 = [slice(None)] * n
-    sel0[n - 1 - control] = 1
-    sel1[n - 1 - control] = 1
-    sel0[n - 1 - target] = 0
-    sel1[n - 1 - target] = 1
-    tmp = t[tuple(sel0)].copy()
-    t[tuple(sel0)] = t[tuple(sel1)]
-    t[tuple(sel1)] = tmp
+def _apply_cx(amps: np.ndarray, control: int, target: int,
+              scratch: np.ndarray) -> None:
+    """Swap the target=0 and target=1 halves where the control bit is 1.
+
+    The halves are 3-D views of amps (no copy, so writes land in amps);
+    they are swapped block by block through scratch[0].
+    """
+    lo, hi = sorted((control, target))
+    # axis 1 is bit hi of the index, axis 3 bit lo
+    grid = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    a = grid[:, 1, :, 0, :] if control == hi else grid[:, 0, :, 1, :]
+    b = grid[:, 1, :, 1, :]
+    buf = scratch[0]
+    for sl in fxp.block_slices(a.shape, buf.size):
+        ab, bb = a[sl], b[sl]
+        t = buf[:ab.size].reshape(ab.shape)
+        np.copyto(t, ab)
+        ab[...] = bb
+        bb[...] = t
 
 
 def ref_run(circuit: Circuit, init: RefState) -> RefState:
@@ -121,7 +130,7 @@ def ref_run(circuit: Circuit, init: RefState) -> RefState:
     scratch = np.empty((3, min(BLOCK, out.amps.size >> 1)), dtype=np.complex128)
     for op in circuit.ops:
         if op.kind == CX:
-            _apply_cx(out.amps, op.control, op.target, out.n)
+            _apply_cx(out.amps, op.control, op.target, scratch)
         else:
             _apply_1q(out.amps, _exact_matrix(op), op.target, scratch)
     if circuit.global_phase:

@@ -68,6 +68,24 @@ def apply_1q_reference(amps: np.ndarray, m: np.ndarray, q: int) -> None:
     a[:, 1, :] = m[1, 0] * x + m[1, 1] * y
 
 
+def apply_cx_reference(amps: np.ndarray, control: int, target: int, n: int) -> None:
+    """CX by swapping through a copy of one whole control=1 half.
+
+    The form ref_run used before it swapped block by block; its blocked
+    swap must match it byte for byte.
+    """
+    t = amps.reshape([2] * n)
+    sel0 = [slice(None)] * n
+    sel1 = [slice(None)] * n
+    sel0[n - 1 - control] = 1
+    sel1[n - 1 - control] = 1
+    sel0[n - 1 - target] = 0
+    sel1[n - 1 - target] = 1
+    tmp = t[tuple(sel0)].copy()
+    t[tuple(sel0)] = t[tuple(sel1)]
+    t[tuple(sel1)] = tmp
+
+
 def metrics_reference(av: np.ndarray, bv: np.ndarray):
     """(fidelity, mse_raw, mse_aligned, phase) by whole-array expressions.
 

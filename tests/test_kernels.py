@@ -1,11 +1,14 @@
-"""Blocked bank kernels and the engine's gate paths against the scalar spec.
+"""Bank kernels and the engine's gate paths against the scalar spec.
 
 `fxp.scale_bank` and `fxp.pair_banks` are driven with full-range words and
 coefficients (RAW_MIN, RAW_MAX, exact rounding ties, the clip-elision
 boundary) and every element is compared with `fxp.su_eval` / `fxp.fx_mul`.
+Each such test runs twice: its class pins the native kernels (skipped
+only where they cannot be built or loaded), and a `...Numpy` subclass
+reruns it on the numpy ones.
 Most property tests shrink BLOCK to a few elements, so a bank spans many
-blocks and ends in a partial one while staying small enough for the scalar
-reference; the rest run at the real BLOCK.
+blocks of the numpy body and ends in a partial one while staying small
+enough for the scalar reference; the rest run at the real BLOCK.
 """
 
 import contextlib
@@ -14,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hpqe import engine, fxp, gateset, state
 from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
@@ -28,6 +31,34 @@ EDGES = (RAW_MIN, RAW_MIN + 1, -SCALE - 1, -SCALE, -SCALE + 1, -fxp.HALF_ULP,
 raws = st.one_of(st.sampled_from(EDGES), st.integers(RAW_MIN, RAW_MAX))
 cfxs = st.builds(CFx, raws, raws)
 small_blocks = st.sampled_from((1, 2, 4, 8, 16))
+# the ...Numpy subclasses rerun each hypothesis test with a `self` of
+# another class, which hypothesis otherwise reports as a health failure
+INHERITED = [HealthCheck.differing_executors]
+
+
+@pytest.fixture(scope="class", autouse=True)
+def kernel_body(request):
+    """Pin the kernel body a test class names in BODY: "native" or "numpy".
+
+    Under "native" the numpy bodies cannot run unnoticed: their scratch
+    allocation fails the test.
+    """
+    body = getattr(request.cls, "BODY", None)
+    mp = pytest.MonkeyPatch()
+    if body == "native":
+        if fxp.native_kernels() is None:
+            pytest.skip("the native kernels cannot be built or loaded on this host")
+
+        def no_scratch():
+            raise AssertionError("a numpy kernel body ran under the native one")
+
+        mp.setattr(fxp, "new_scratch", no_scratch)
+    elif body == "numpy":
+        mp.setattr(fxp, "native_kernels", lambda: None)
+    try:
+        yield body
+    finally:
+        mp.undo()
 
 
 @contextlib.contextmanager
@@ -66,7 +97,9 @@ def random_coeff(rng) -> CFx:
 
 
 class TestScaleBank:
-    @settings(max_examples=100, deadline=None)
+    BODY = "native"
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=INHERITED)
     @given(c0=cfxs, c1=cfxs, t=st.integers(0, 5), block=small_blocks,
            data=st.data())
     def test_matches_scalar(self, c0, c1, t, block, data):
@@ -76,7 +109,7 @@ class TestScaleBank:
                  for k in sizes]
         got = [(re.copy(), im.copy()) for re, im in banks]
         with block_size(block):
-            fxp.scale_bank(c0, c1, t, got, fxp.new_scratch())
+            fxp.scale_bank(c0, c1, t, got)
         for (re, im), (gre, gim) in zip(banks, got):
             assert as_cfx(gre, gim) == scalar_scale(c0, c1, t, re, im)
 
@@ -90,12 +123,14 @@ class TestScaleBank:
         re, im = random_words(rng, size), random_words(rng, size)
         for a, b, t in ((c0, c1, 3), (c0, c1, 16), (c1, c1, 0)):
             got = (re.copy(), im.copy())
-            fxp.scale_bank(a, b, t, [got], fxp.new_scratch())
+            fxp.scale_bank(a, b, t, [got])
             assert as_cfx(*got) == scalar_scale(a, b, t, re, im), t
 
 
 class TestPairBanks:
-    @settings(max_examples=100, deadline=None)
+    BODY = "native"
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=INHERITED)
     @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), block=small_blocks,
            data=st.data())
     def test_flat_banks_match_scalar(self, m, block, data):
@@ -104,14 +139,14 @@ class TestPairBanks:
              for _ in range(4)]
         got = [a.copy() for a in x]
         with block_size(block):
-            fxp.pair_banks(*m, *got, fxp.new_scratch())
+            fxp.pair_banks(*m, *got)
         xs, ys = as_cfx(x[0], x[1]), as_cfx(x[2], x[3])
         assert as_cfx(got[0], got[1]) == [fxp.su_eval(m[0], m[1], a, b)
                                           for a, b in zip(xs, ys)]
         assert as_cfx(got[2], got[3]) == [fxp.su_eval(m[2], m[3], a, b)
                                           for a, b in zip(xs, ys)]
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, suppress_health_check=INHERITED)
     @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), t=st.integers(0, 4),
            rows=st.integers(1, 4), block=small_blocks, data=st.data())
     def test_strided_halves_match_scalar(self, m, t, rows, block, data):
@@ -122,8 +157,7 @@ class TestPairBanks:
         gre, gim = re.copy(), im.copy()
         r3, i3 = gre.reshape(rows, 2, 1 << t), gim.reshape(rows, 2, 1 << t)
         with block_size(block):
-            fxp.pair_banks(*m, r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1],
-                           fxp.new_scratch())
+            fxp.pair_banks(*m, r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1])
         for k in range(size):
             if (k >> t) & 1:
                 continue
@@ -139,7 +173,7 @@ class TestPairBanks:
         size = fxp.BLOCK + 37
         x = [random_words(rng, size) for _ in range(4)]
         got = [a.copy() for a in x]
-        fxp.pair_banks(*m, *got, fxp.new_scratch())
+        fxp.pair_banks(*m, *got)
         xs, ys = as_cfx(x[0], x[1]), as_cfx(x[2], x[3])
         assert as_cfx(got[0], got[1]) == [fxp.su_eval(m[0], m[1], a, b)
                                           for a, b in zip(xs, ys)]
@@ -150,7 +184,9 @@ class TestPairBanks:
 class TestRoundingTies:
     # c = a * 2^29 with a odd and x = 2k + 1 odd makes c*x an exact tie
     # (c*x mod 2^30 == 2^29) with floor quotient of either parity
-    @settings(max_examples=200, deadline=None)
+    BODY = "native"
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=INHERITED)
     @given(k=st.integers(-(1 << 30), (1 << 30) - 1),
            a=st.sampled_from((1, -1, 3, -3)))
     @example(k=0, a=1)        # 0.5 -> 0, even quotient
@@ -165,7 +201,7 @@ class TestRoundingTies:
         assert fxp.fx_mul(c, x) == want
         for coeff, part in ((CFx(c, 0), 0), (CFx(0, c), 1)):
             re, im = np.array([x, 0], dtype=np.int64), np.array([0, x], dtype=np.int64)
-            fxp.scale_bank(coeff, coeff, 0, [(re, im)], fxp.new_scratch())
+            fxp.scale_bank(coeff, coeff, 0, [(re, im)])
             # (x + 0i) * coeff puts the product in part `part` of word 0
             assert (int(re[0]), int(im[0]))[part] == want
             assert as_cfx(re, im) == [fxp.cfx_mul(coeff, CFx(x, 0)),
@@ -173,6 +209,8 @@ class TestRoundingTies:
 
 
 class TestClipElision:
+    BODY = "native"
+
     def test_boundary(self):
         assert not fxp.product_fits(-SCALE)
         assert fxp.product_fits(-SCALE + 1)
@@ -187,14 +225,15 @@ class TestClipElision:
         im = np.array([RAW_MIN, 0, RAW_MIN], dtype=np.int64)
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c)):
             got = (re.copy(), im.copy())
-            fxp.scale_bank(coeff, coeff, 0, [got], fxp.new_scratch())
+            fxp.scale_bank(coeff, coeff, 0, [got])
             assert as_cfx(*got) == [fxp.cfx_mul(coeff, x) for x in as_cfx(re, im)]
             got = [a.copy() for a in (re, im, im, re)]
-            fxp.pair_banks(coeff, coeff, coeff, coeff, *got, fxp.new_scratch())
+            fxp.pair_banks(coeff, coeff, coeff, coeff, *got)
             xs, ys = as_cfx(re, im), as_cfx(im, re)
             assert as_cfx(got[0], got[1]) == [fxp.su_eval(coeff, coeff, a, b)
                                               for a, b in zip(xs, ys)]
 
+    @settings(suppress_health_check=INHERITED)
     @given(c=st.integers(-SCALE + 1, SCALE),
            x=st.one_of(st.sampled_from((RAW_MIN, RAW_MAX)), raws))
     def test_elided_clip_cannot_bite(self, c, x):
@@ -236,6 +275,8 @@ def _check_gate(n: int, rng, exhaustive: bool) -> None:
 
 
 class TestEngineEveryTarget:
+    BODY = "native"
+
     @pytest.mark.parametrize("n", range(3, 18))
     def test_every_target_both_modes(self, n):
         # t <= n-4 is access mode 1, t >= n-3 mode 2; sparse and dense each
@@ -251,6 +292,8 @@ class TestEngineEveryTarget:
 
 
 class TestWorkers:
+    BODY = "native"
+
     @pytest.mark.parametrize("block", (fxp.BLOCK, 1 << 12))
     def test_bit_identical_across_workers(self, block):
         # at n = 17 a segment is 2^14 words; with BLOCK = 2^12 it spans four
@@ -298,3 +341,54 @@ class TestWorkers:
                 assert sorted(s for part in calls for s in part) == busy
                 used = min(workers, len(busy))
                 assert [len(part) for part in calls] == [len(busy) // used] * used
+
+
+# The same tests on the numpy body.
+
+class TestScaleBankNumpy(TestScaleBank):
+    BODY = "numpy"
+
+
+class TestPairBanksNumpy(TestPairBanks):
+    BODY = "numpy"
+
+
+class TestRoundingTiesNumpy(TestRoundingTies):
+    BODY = "numpy"
+
+
+class TestClipElisionNumpy(TestClipElision):
+    BODY = "numpy"
+
+
+class TestEngineEveryTargetNumpy(TestEngineEveryTarget):
+    BODY = "numpy"
+
+
+class TestWorkersNumpy(TestWorkers):
+    BODY = "numpy"
+
+
+class TestCx:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_native_matches_views(self, n, monkeypatch):
+        # the native swap against the [2]*n view swap, for every pair
+        if fxp.native_kernels() is None:
+            pytest.skip("the native kernels cannot be built or loaded on this host")
+        rng = np.random.default_rng(300 + n)
+        sv0 = state.init_basis(n, 0)
+        sv0.re[:] = random_words(rng, 1 << n)
+        sv0.im[:] = random_words(rng, 1 << n)
+        native = {}
+        for control in range(n):
+            for target in range(n):
+                if control != target:
+                    sv = sv0.copy()
+                    engine.apply_cx(sv, control, target)
+                    native[control, target] = sv.dump()
+        monkeypatch.setattr(fxp, "native_kernels", lambda: None)
+        for (control, target), got in native.items():
+            sv = sv0.copy()
+            engine.apply_cx(sv, control, target)
+            assert got == sv.dump(), (n, control, target)
+            assert got != sv0.dump()

@@ -7,8 +7,8 @@ import pytest
 from hpqe import circuits, fxp, gateset, oracle, state
 from hpqe.oracle import RefState, SizeError
 
-from helpers import (apply_1q_reference, metrics_reference, random_circuit,
-                     random_ref_amplitudes)
+from helpers import (apply_1q_reference, apply_cx_reference, metrics_reference,
+                     random_circuit, random_ref_amplitudes)
 
 
 class TestRefRun:
@@ -93,11 +93,28 @@ class TestApply1q:
         want = init.amps.copy()
         for op in c.ops:
             if op.kind == "CX":
-                oracle._apply_cx(want, op.control, op.target, c.n)
+                apply_cx_reference(want, op.control, op.target, c.n)
             else:
                 apply_1q_reference(want, gateset.matrix_of(op.kind, op.angle),
                                    op.target)
         assert oracle.ref_run(c, init).amps.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", (1 << 3, oracle.BLOCK))
+    def test_cx_bytes_match_reference(self, block):
+        # with 8-pair blocks the swapped halves (2^(n-2) words) are cut
+        # into several pieces from n = 6 on
+        rng = np.random.default_rng(76)
+        for n in range(2, 10):
+            scratch = np.empty((3, min(block, 1 << (n - 1))), dtype=np.complex128)
+            for amps in _kernel_inputs(n, rng):
+                for control in range(n):
+                    for target in range(n):
+                        if control == target:
+                            continue
+                        want, got = amps.copy(), amps.copy()
+                        apply_cx_reference(want, control, target, n)
+                        oracle._apply_cx(got, control, target, scratch)
+                        assert got.tobytes() == want.tobytes(), (n, control, target)
 
     def test_leaves_init_untouched(self):
         rng = np.random.default_rng(75)
