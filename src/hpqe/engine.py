@@ -245,9 +245,8 @@ def _update_cross(sv: StateVector, op: GateOp, seg_ids, scratch) -> None:
 
 
 def _apply_single_segments(sv: StateVector, op: GateOp, seg_ids) -> None:
-    # only the numpy kernel bodies use scratch; it is per call, so
-    # concurrent workers never share buffers
-    scratch = None if fxp.native_kernels() is not None else fxp.new_scratch()
+    # scratch is per call, so concurrent workers never share buffers
+    scratch = fxp.scratch_for_call()
     if sv.n < 3 or access_mode(op.target, sv.n) == MODE1:
         _update_intra(sv, op, seg_ids, scratch)
     else:

@@ -269,6 +269,15 @@ def new_scratch() -> np.ndarray:
     return np.empty((SCRATCH_ROWS, BLOCK), dtype=np.int64)
 
 
+def scratch_for_call() -> np.ndarray | None:
+    """Scratch for one caller of the kernels, or None when none is needed.
+
+    Only the numpy bodies use scratch, so while the native library is
+    loaded this allocates nothing.
+    """
+    return None if native_kernels() is not None else new_scratch()
+
+
 def product_fits(c: int) -> bool:
     """True when fx_mul(c, x) needs no saturation for any in-range x.
 

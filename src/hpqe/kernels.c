@@ -17,7 +17,7 @@
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 /* one build for every x86-64 host: the loader picks the clone the CPU runs */
-#define KERNEL __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define KERNEL __attribute__((target_clones("arch=x86-64-v4", "default")))
 #else
 #define KERNEL
 #endif
@@ -65,42 +65,27 @@ KERNEL void hpqe_scale_bank(int64_t *re, int64_t *im, int64_t len, int t,
     }
 }
 
-/* su_eval on the pair (x, y) = (w[i], w[j]) of each component */
+/* su_eval on the pair (x[k], y[k]) of each component */
 static inline void su_pair(int64_t *xr, int64_t *xi, int64_t *yr, int64_t *yi,
-                           int64_t i, int64_t j, const int64_t *m)
+                           int64_t k, const int64_t *m)
 {
-    int64_t ar = xr[i], ai = xi[i], br = yr[j], bi = yi[j];
-    xr[i] = sat(cmul_re(m[0], m[1], ar, ai) + cmul_re(m[2], m[3], br, bi));
-    xi[i] = sat(cmul_im(m[0], m[1], ar, ai) + cmul_im(m[2], m[3], br, bi));
-    yr[j] = sat(cmul_re(m[4], m[5], ar, ai) + cmul_re(m[6], m[7], br, bi));
-    yi[j] = sat(cmul_im(m[4], m[5], ar, ai) + cmul_im(m[6], m[7], br, bi));
+    int64_t ar = xr[k], ai = xi[k], br = yr[k], bi = yi[k];
+    xr[k] = sat(cmul_re(m[0], m[1], ar, ai) + cmul_re(m[2], m[3], br, bi));
+    xi[k] = sat(cmul_im(m[0], m[1], ar, ai) + cmul_im(m[2], m[3], br, bi));
+    yr[k] = sat(cmul_re(m[4], m[5], ar, ai) + cmul_re(m[6], m[7], br, bi));
+    yi[k] = sat(cmul_im(m[4], m[5], ar, ai) + cmul_im(m[6], m[7], br, bi));
 }
 
-/* the rows of x and y interleave in one bank: row r of x at word 2*w*r */
-static inline void su_interleaved(int64_t *re, int64_t *im, int64_t rows,
-                                  int64_t w, const int64_t *c)
-{
-    const int64_t m[8] = {c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]};
-    for (int64_t r = 0; r < rows; r++)
-        for (int64_t k = 2 * w * r; k < 2 * w * r + w; k++)
-            su_pair(re, im, re, im, k, k + w, m);
-}
-
+/* Dense SU step over pair views: for each row r and each k in
+ * [r*stride, r*stride + width), (x[k], y[k]) <- su_eval of the pair. */
 KERNEL void hpqe_pair_banks(int64_t *xr, int64_t *xi, int64_t *yr, int64_t *yi,
                             int64_t rows, int64_t width, int64_t stride,
                             const int64_t *c)
 {
-    if (stride == 2 * width && yr == xr + width && yi == xi + width) {
-        switch (width) {    /* constant widths let narrow rows vectorize */
-        case 1: su_interleaved(xr, xi, rows, 1, c); return;
-        case 2: su_interleaved(xr, xi, rows, 2, c); return;
-        case 4: su_interleaved(xr, xi, rows, 4, c); return;
-        }
-    }
     const int64_t m[8] = {c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]};
     for (int64_t r = 0; r < rows; r++)
         for (int64_t k = r * stride; k < r * stride + width; k++)
-            su_pair(xr, xi, yr, yi, k, k, m);
+            su_pair(xr, xi, yr, yi, k, m);
 }
 
 /* CX on an n-qubit state: swap word i with word i | 2^target for every i

@@ -5,7 +5,9 @@ coefficients (RAW_MIN, RAW_MAX, exact rounding ties, the clip-elision
 boundary) and every element is compared with `fxp.su_eval` / `fxp.fx_mul`.
 Each such test runs twice: its class pins the native kernels (skipped
 only where they cannot be built or loaded), and a `...Numpy` subclass
-reruns it on the numpy ones.
+reruns it on the numpy ones. `TestClipElision` and `TestWorkers` also
+hold tests that run no kernel or count calls only; those run once, in
+the numpy-pinned class, and a `...Native` class reruns the kernel tests.
 Most property tests shrink BLOCK to a few elements, so a bank spans many
 blocks of the numpy body and ends in a partial one while staying small
 enough for the scalar reference; the rest run at the real BLOCK.
@@ -208,15 +210,7 @@ class TestRoundingTies:
                                       fxp.cfx_mul(coeff, CFx(0, x))]
 
 
-class TestClipElision:
-    BODY = "native"
-
-    def test_boundary(self):
-        assert not fxp.product_fits(-SCALE)
-        assert fxp.product_fits(-SCALE + 1)
-        assert fxp.product_fits(SCALE)
-        assert not fxp.product_fits(SCALE + 1)
-
+class ClipElisionKernels:
     @pytest.mark.parametrize("c", (-SCALE, -SCALE + 1, SCALE))
     def test_boundary_coefficients_against_raw_min(self, c):
         expected = {-SCALE: RAW_MAX, -SCALE + 1: RAW_MAX - 1, SCALE: RAW_MIN}
@@ -233,12 +227,25 @@ class TestClipElision:
             assert as_cfx(got[0], got[1]) == [fxp.su_eval(coeff, coeff, a, b)
                                               for a, b in zip(xs, ys)]
 
-    @settings(suppress_health_check=INHERITED)
+
+class TestClipElision(ClipElisionKernels):
+    BODY = "numpy"
+
+    def test_boundary(self):
+        assert not fxp.product_fits(-SCALE)
+        assert fxp.product_fits(-SCALE + 1)
+        assert fxp.product_fits(SCALE)
+        assert not fxp.product_fits(SCALE + 1)
+
     @given(c=st.integers(-SCALE + 1, SCALE),
            x=st.one_of(st.sampled_from((RAW_MIN, RAW_MAX)), raws))
     def test_elided_clip_cannot_bite(self, c, x):
         # the unsaturated round-half-even product already lies in range
         assert RAW_MIN <= rne(Fraction(c * x, SCALE)) <= RAW_MAX
+
+
+class TestClipElisionNative(ClipElisionKernels):
+    BODY = "native"
 
 
 def _random_state(n: int, rng) -> state.StateVector:
@@ -291,9 +298,7 @@ class TestEngineEveryTarget:
             _check_gate(n, np.random.default_rng(200 + n), exhaustive=True)
 
 
-class TestWorkers:
-    BODY = "native"
-
+class WorkersKernels:
     @pytest.mark.parametrize("block", (fxp.BLOCK, 1 << 12))
     def test_bit_identical_across_workers(self, block):
         # at n = 17 a segment is 2^14 words; with BLOCK = 2^12 it spans four
@@ -314,6 +319,10 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert all(r == results[0] for r in results[1:])
+
+
+class TestWorkers(WorkersKernels):
+    BODY = "numpy"
 
     @pytest.mark.parametrize("workers", (2, 4, 8))
     def test_segments_split_evenly(self, workers, monkeypatch):
@@ -343,6 +352,10 @@ class TestWorkers:
                 assert [len(part) for part in calls] == [len(busy) // used] * used
 
 
+class TestWorkersNative(WorkersKernels):
+    BODY = "native"
+
+
 # The same tests on the numpy body.
 
 class TestScaleBankNumpy(TestScaleBank):
@@ -357,15 +370,7 @@ class TestRoundingTiesNumpy(TestRoundingTies):
     BODY = "numpy"
 
 
-class TestClipElisionNumpy(TestClipElision):
-    BODY = "numpy"
-
-
 class TestEngineEveryTargetNumpy(TestEngineEveryTarget):
-    BODY = "numpy"
-
-
-class TestWorkersNumpy(TestWorkers):
     BODY = "numpy"
 
 
