@@ -7,20 +7,19 @@ handled inside that segment (access mode 1); when the target bit selects
 the segment itself, the pair spans two PEs at the same offset and the
 owning segment computes both outputs from the exchanged values (mode 2).
 
-The arithmetic runs in fxp's bank kernels, which take each segment in
-place: their native body (`kernels.c`, built on first use) needs no
-scratch, and their numpy fallback streams BLOCK-element slices through
-one scratch array allocated per call, so temporaries stay bounded by the
-block:
+The state holds the machine's 32-bit words (`fxp.WORD`). The arithmetic
+runs in fxp's bank kernels, which take each segment in place: their
+native body (`kernels.c`, built on first use) needs no scratch, and
+their numpy fallback widens BLOCK-element slices into one int64 scratch
+array allocated per call, so temporaries stay bounded by the block:
   * sparse (diagonal) gates scale contiguous banks in place, in mode 1
     by the (m00, m11) coefficient that bit t of each word's index picks
     (period 2^(t+1)), in mode 2 by the one coefficient the segment's
     target bit selects;
   * dense gates hand `fxp.pair_banks` the two halves of each pair: strided
     views of one segment in mode 1, two whole segments in mode 2.
-Every rounding and saturation step of the scalar `fxp.su_eval` is kept
-(see the `fxp` docstring for the two provably inert steps the numpy
-body skips).
+Every rounding and saturation step of the scalar `fxp.su_eval` is kept,
+except the provably inert ones the `fxp` docstring lists.
 
 CX performs no arithmetic: it swaps 2^(n-2) amplitude pairs, in the
 native `hpqe_cx` loop, or through views of each component reshaped to

@@ -8,24 +8,27 @@ ties to even, so results are reproducible bit for bit.
 
 Scalar functions (plain Python ints) define the semantics. The bank
 kernels `scale_bank` (sparse SU step) and `pair_banks` (dense SU step)
-apply them to whole int64 arrays in place, and the test suite proves
-them bit-identical to the scalars. Each kernel has two bodies:
+apply them in place to whole arrays of WORD, the machine's 32-bit word,
+and the test suite proves them bit-identical to the scalars. Each
+kernel has two bodies:
 
   * native: `kernels.c`, compiled with the system C compiler on the
     first kernel call (never at import) and cached in the package's
     __pycache__ under a hash of the source and the flags; see
-    `native_kernels`. It does every rounding and saturation step, which
-    cost next to nothing in C.
+    `native_kernels`. It widens each word to int64 inside its loop.
   * numpy: the fallback where the library cannot be built or loaded,
-    and for arrays the native body does not take. It streams each bank
-    through BLOCK-element slices of one reused scratch array, so its
-    temporaries are bounded by the block, not by the state. Each real
-    product is rounded as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30, which
-    is fx_mul's round-half-even, and every sum is saturated as in
-    fx_add / fx_sub. Two steps are skipped only where they provably
-    cannot change a bit: a zero coefficient's product (it is exactly
-    0), and the clip of a product whose coefficient lies in
-    (-2^30, 2^30] (see `product_fits`).
+    and for arrays the native body does not take. It copies each bank
+    BLOCK elements at a time into int64 rows of one reused scratch
+    array, computes there and narrows on write-back, so its temporaries
+    are bounded by the block, not by the state.
+
+Both round each real product as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30,
+which is fx_mul's round-half-even, and saturate every sum as fx_add /
+fx_sub do. They skip a product's clip only where it provably cannot
+change a bit: when its coefficient lies in (-2^30, 2^30] (see
+`product_fits`; the numpy body decides per coefficient, the native one
+once per call for all of them). The numpy body also skips a zero
+coefficient's product, which is exactly 0.
 
 Which body ran never shows in the results. `quantize_array` is
 `quantize` over an array. Golden values and oracles use the scalars.
@@ -33,6 +36,7 @@ Which body ran never shows in the results. `quantize_array` is
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -48,6 +52,8 @@ RAW_MIN = -(1 << 31)
 RAW_MAX = (1 << 31) - 1
 FRAC_MASK = SCALE - 1
 HALF_ULP = 1 << (FRAC - 1)
+
+WORD = np.int32           # the stored word of a state or a bank
 
 RAW_ONE = SCALE                  # quantize(1.0)
 RAW_SQRT_HALF = 759250125        # quantize(1/sqrt(2)), frozen golden value
@@ -223,41 +229,51 @@ def _build_native(path: Path) -> bool:
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         os.chmod(tmp, 0o755)     # mkstemp made it private to this user
         os.replace(tmp, path)
-        return True
     except subprocess.SubprocessError:
         return False
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # drop the libraries of earlier sources or flags; the mkstemp names of
+    # builds still running elsewhere do not match the pattern
+    for stale in NATIVE_CACHE.glob("kernels-*.so"):
+        if stale != path:
+            with contextlib.suppress(OSError):
+                stale.unlink()
+    return True
 
 
 def native_rows(*arrays):
     """(rows, width, row stride in words) of arrays the native kernels take.
 
-    The arrays must be writable native int64, of one shape and strides,
-    1-D (one row) or 2-D, with unit stride inside a row. None otherwise:
-    the caller then runs its numpy body.
+    The arrays must be writable native WORD, of one shape and strides,
+    1-D (one row) or 2-D, with unit stride inside a row. None otherwise
+    (a wider integer array included): the caller then runs its numpy body.
     """
     a = arrays[0]
+    size = np.dtype(WORD).itemsize
     for b in arrays:
-        if not (isinstance(b, np.ndarray) and b.dtype == np.int64
+        if not (isinstance(b, np.ndarray) and b.dtype == WORD
                 and b.flags.writeable and b.ndim in (1, 2)
                 and b.shape == a.shape and b.strides == a.strides
-                and (b.strides[-1] == 8 or b.shape[-1] <= 1)):
+                and (b.strides[-1] == size or b.shape[-1] <= 1)):
             return None
     if a.ndim == 1:
         return 1, a.size, a.size
-    if a.strides[0] % 8:
+    if a.strides[0] % size:
         return None
-    return a.shape[0], a.shape[1], a.strides[0] // 8
+    return a.shape[0], a.shape[1], a.strides[0] // size
 
 
 # ---------------------------------------------------------------------------
-# Numpy bank kernels (int64, blocked, in place) -- bit-identical to the
-# scalar forms. Products of two in-range raws fit in 62 bits, so int64
-# is exact. A bank is processed BLOCK elements at a time inside a
-# scratch array of SCRATCH_ROWS x BLOCK words, so the temporaries stay
-# bounded by the block whatever the bank size.
+# Numpy bank kernels (blocked, in place) -- bit-identical to the scalar
+# forms. Products of two in-range raws fit in 62 bits, so int64 is exact.
+# A bank is processed BLOCK elements at a time: each block is copied into
+# int64 rows of a scratch array of SCRATCH_ROWS x BLOCK words, computed
+# there and narrowed back to the bank only after its final clip. Writing
+# an int64 result into a WORD bank through a ufunc's `out=` would wrap
+# silently before any clip. The temporaries stay bounded by the block
+# whatever the bank size.
 # ---------------------------------------------------------------------------
 
 BLOCK = 1 << 16          # elements per kernel step
@@ -358,7 +374,7 @@ def scale_bank(c0: CFx, c1: CFx, t: int, banks,
     c is c1 where bit t of k is set and c0 elsewhere: a diagonal gate on
     qubit t of banks whose first index has bit t clear. One coefficient
     for a whole bank is scale_bank(c, c, 0, ...). `banks` holds (re, im)
-    pairs of 1-D int64 arrays of any length.
+    pairs of 1-D WORD arrays of any length.
 
     The native body takes each bank whole. The numpy body uses scratch
     (from `new_scratch`, allocated here when None): when the period
@@ -375,7 +391,7 @@ def scale_bank(c0: CFx, c1: CFx, t: int, banks,
         return
     if scratch is None:
         scratch = new_scratch()
-    s_ir, s, tmp = scratch[:3]
+    gr, gi, s_ir, s, tmp = scratch[:5]
     fixed = [[_coef(v) for v in c] for c in (c0, c1)]
     periodic = c0 != c1 and (2 << t) <= BLOCK
     if periodic:
@@ -386,17 +402,21 @@ def scale_bank(c0: CFx, c1: CFx, t: int, banks,
                    for pair in zip(c0, c1)]
     for re, im in banks:
         for lo in range(0, len(re), BLOCK):
-            xr, xi = re[lo:lo + BLOCK], im[lo:lo + BLOCK]
-            m = len(xr)
+            m = min(BLOCK, len(re) - lo)
+            xr, xi = gr[:m], gi[:m]
+            np.copyto(xr, re[lo:lo + m])
+            np.copyto(xi, im[lo:lo + m])
             if periodic:
                 cr, ci = (c._replace(value=c.value[:m]) for c in pattern)
             else:
                 cr, ci = fixed[(lo >> t) & 1]
-            # keep fx_mul(ci, xr) for the imaginary part, then write both
-            # parts straight back: re <- cr*xr - ci*xi, im <- cr*xi + ci*xr
+            # keep fx_mul(ci, xr) for the imaginary part, then overwrite
+            # the copies: xr <- cr*xr - ci*xi, xi <- cr*xi + ci*xr
             ir = _prod(ci, xr, s_ir[:m], tmp[:m])
             _cmul_part((cr, ci), xr, xi, False, xr, s[:m], tmp[:m])
             _sum_into(_prod(cr, xi, xi, tmp[:m]), ir, False, xi)
+            re[lo:lo + m] = xr      # in range after the clips: narrows exactly
+            im[lo:lo + m] = xi
 
 
 def block_slices(shape, block: int):
@@ -428,12 +448,12 @@ def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
     """Dense SU step over paired banks, in place.
 
     x <- su_eval(c00, c01, x, y) and y <- su_eval(c10, c11, x, y), both
-    from the old x and y. The four arrays share one shape: 1-D of any
-    length, or 2-D (strided views of the pair halves inside a bank).
+    from the old x and y. The four WORD arrays share one shape: 1-D of
+    any length, or 2-D (strided views of the pair halves inside a bank).
     The native body reads all four words of a pair before it writes
-    one. The numpy body first copies each block of x and y into scratch
-    (from `new_scratch`, allocated here when None), so results are
-    written straight back to the banks.
+    one. The numpy body first copies each block of x and y into int64
+    scratch (from `new_scratch`, allocated here when None), sums each
+    output there and narrows it on write-back.
     """
     lib = native_kernels()
     rows = native_rows(xr, xi, yr, yi) if lib is not None else None
@@ -457,9 +477,9 @@ def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
         a, b, s_, t_ = (buf[:m].reshape(shape) for buf in (acc, y, s, tmp))
         for ca, cb, out, imag in outputs:
             # one part of su_eval: fx_add(cfx_mul(ca, x), cfx_mul(cb, y))
-            _sum_into(_cmul_part(ca, g[0], g[1], imag, a, s_, t_),
-                      _cmul_part(cb, g[2], g[3], imag, b, s_, t_),
-                      False, out[sl])
+            out[sl] = _sum_into(_cmul_part(ca, g[0], g[1], imag, a, s_, t_),
+                                _cmul_part(cb, g[2], g[3], imag, b, s_, t_),
+                                False, a)
 
 
 # ---------------------------------------------------------------------------

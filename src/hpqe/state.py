@@ -1,10 +1,11 @@
 """Partitioned fixed-point state vector.
 
-2^n amplitudes live in two int64 numpy arrays (raw Q2.30 re/im) kept in
-global-index order, qubit 0 being the least-significant index bit. The
-top three index bits select one of 8 segments (2 processing-element
-arrays x 4 processing elements), so each segment is a contiguous slice
-and the layout doubles as both the flat vector and the per-PE banks.
+2^n amplitudes live in two numpy arrays of the machine's 32-bit word
+(`fxp.WORD`, raw Q2.30 re/im) kept in global-index order, qubit 0 being
+the least-significant index bit. The top three index bits select one of
+8 segments (2 processing-element arrays x 4 processing elements), so
+each segment is a contiguous slice and the layout doubles as both the
+flat vector and the per-PE banks.
 Below 3 qubits the split is meaningless and a single segment is used.
 """
 
@@ -52,9 +53,8 @@ def segment_of(i: int, n: int) -> SegmentAddress:
 @dataclass
 class StateVector:
     n: int
-    re: np.ndarray          # int64 raw Q2.30, length 2^n, global-index order
+    re: np.ndarray          # fxp.WORD raw Q2.30, length 2^n, global-index order
     im: np.ndarray
-    mem_mode: str
 
     @property
     def size(self) -> int:
@@ -98,19 +98,24 @@ class StateVector:
         return float(np.sum(a.real * a.real + a.imag * a.imag))
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n, self.re.copy(), self.im.copy(), self.mem_mode)
+        return StateVector(self.n, self.re.copy(), self.im.copy())
 
-    def dump(self) -> bytes:
-        """Binary dump: magic, version byte, n byte, then (re, im) int32 LE."""
-        header = DUMP_MAGIC + struct.pack("<BB", DUMP_VERSION, self.n)
-        body = np.empty(2 * self.size, dtype="<i4")
+    def dump(self) -> bytearray:
+        """Binary dump: magic, version byte, n byte, then (re, im) int32 LE.
+
+        Header and body share one buffer, so the dump holds one copy of
+        the state, not two.
+        """
+        out = bytearray(HEADER_BYTES + perfmodel.AMPLITUDE_BYTES * self.size)
+        out[:HEADER_BYTES] = DUMP_MAGIC + struct.pack("<BB", DUMP_VERSION, self.n)
+        body = np.frombuffer(out, dtype="<i4", offset=HEADER_BYTES)
         body[0::2] = self.re
         body[1::2] = self.im
-        return b"".join((header, body.data))     # one copy of the body, not two
+        return out
 
 
 def init_basis(n: int, k: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVector:
-    """Computational basis state |k> with the memory mode annotated."""
+    """Computational basis state |k>."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     perfmodel.check_capacity(n)
@@ -119,12 +124,8 @@ def init_basis(n: int, k: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVec
             f"{n} qubits exceeds the configured max_qubits={max_qubits}")
     if not 0 <= k < (1 << n):
         raise ValueError(f"basis index {k} out of range for n={n}")
-    sv = StateVector(
-        n=n,
-        re=np.zeros(1 << n, dtype=np.int64),
-        im=np.zeros(1 << n, dtype=np.int64),
-        mem_mode=perfmodel.memory_mode(n),
-    )
+    sv = StateVector(n=n, re=np.zeros(1 << n, dtype=fxp.WORD),
+                     im=np.zeros(1 << n, dtype=fxp.WORD))
     sv.re[k] = fxp.RAW_ONE
     return sv
 
@@ -156,10 +157,5 @@ def load(data: bytes) -> StateVector:
     if len(data) != want:
         raise ValueError(f"state dump for n={n} must be {want} bytes, got {len(data)}")
     body = np.frombuffer(data, dtype="<i4", offset=HEADER_BYTES)
-    sv = StateVector(
-        n=n,
-        re=body[0::2].astype(np.int64),
-        im=body[1::2].astype(np.int64),
-        mem_mode=perfmodel.memory_mode(n),
-    )
-    return sv
+    return StateVector(n=n, re=body[0::2].astype(fxp.WORD),
+                       im=body[1::2].astype(fxp.WORD))

@@ -1,8 +1,9 @@
 """Bank kernels and the engine's gate paths against the scalar spec.
 
-`fxp.scale_bank` and `fxp.pair_banks` are driven with full-range words and
-coefficients (RAW_MIN, RAW_MAX, exact rounding ties, the clip-elision
-boundary) and every element is compared with `fxp.su_eval` / `fxp.fx_mul`.
+`fxp.scale_bank` and `fxp.pair_banks` are driven with banks of the stored
+word (`fxp.WORD`) holding full-range values, and full-range coefficients
+(RAW_MIN, RAW_MAX, exact rounding ties, the clip-elision boundary), and
+every element is compared with `fxp.su_eval` / `fxp.fx_mul`.
 Each such test runs twice: its class pins the native kernels (skipped
 only where they cannot be built or loaded), and a `...Numpy` subclass
 reruns it on the numpy ones. `TestClipElision` and `TestWorkers` also
@@ -89,7 +90,7 @@ def scalar_scale(c0, c1, t, re, im) -> list:
 
 
 def random_words(rng, size: int) -> np.ndarray:
-    return rng.integers(RAW_MIN, RAW_MAX + 1, size, dtype=np.int64)
+    return rng.integers(RAW_MIN, RAW_MAX + 1, size, dtype=fxp.WORD)
 
 
 def random_coeff(rng) -> CFx:
@@ -106,8 +107,8 @@ class TestScaleBank:
            data=st.data())
     def test_matches_scalar(self, c0, c1, t, block, data):
         sizes = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))
-        banks = [(np.array(data.draw(word_lists(k)), dtype=np.int64),
-                  np.array(data.draw(word_lists(k)), dtype=np.int64))
+        banks = [(np.array(data.draw(word_lists(k)), dtype=fxp.WORD),
+                  np.array(data.draw(word_lists(k)), dtype=fxp.WORD))
                  for k in sizes]
         got = [(re.copy(), im.copy()) for re, im in banks]
         with block_size(block):
@@ -137,7 +138,7 @@ class TestPairBanks:
            data=st.data())
     def test_flat_banks_match_scalar(self, m, block, data):
         size = data.draw(st.integers(0, 40))
-        x = [np.array(data.draw(word_lists(size)), dtype=np.int64)
+        x = [np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
              for _ in range(4)]
         got = [a.copy() for a in x]
         with block_size(block):
@@ -154,8 +155,8 @@ class TestPairBanks:
     def test_strided_halves_match_scalar(self, m, t, rows, block, data):
         # the pair halves (k, k + 2^t) of one bank, as 2-D strided views
         size = rows << (t + 1)
-        re = np.array(data.draw(word_lists(size)), dtype=np.int64)
-        im = np.array(data.draw(word_lists(size)), dtype=np.int64)
+        re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
+        im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
         gre, gim = re.copy(), im.copy()
         r3, i3 = gre.reshape(rows, 2, 1 << t), gim.reshape(rows, 2, 1 << t)
         with block_size(block):
@@ -202,7 +203,7 @@ class TestRoundingTies:
         want = max(RAW_MIN, min(RAW_MAX, rne(Fraction(c * x, SCALE))))
         assert fxp.fx_mul(c, x) == want
         for coeff, part in ((CFx(c, 0), 0), (CFx(0, c), 1)):
-            re, im = np.array([x, 0], dtype=np.int64), np.array([0, x], dtype=np.int64)
+            re, im = np.array([x, 0], dtype=fxp.WORD), np.array([0, x], dtype=fxp.WORD)
             fxp.scale_bank(coeff, coeff, 0, [(re, im)])
             # (x + 0i) * coeff puts the product in part `part` of word 0
             assert (int(re[0]), int(im[0]))[part] == want
@@ -215,8 +216,8 @@ class ClipElisionKernels:
     def test_boundary_coefficients_against_raw_min(self, c):
         expected = {-SCALE: RAW_MAX, -SCALE + 1: RAW_MAX - 1, SCALE: RAW_MIN}
         assert fxp.fx_mul(c, RAW_MIN) == expected[c]
-        re = np.array([RAW_MIN, RAW_MIN, RAW_MAX], dtype=np.int64)
-        im = np.array([RAW_MIN, 0, RAW_MIN], dtype=np.int64)
+        re = np.array([RAW_MIN, RAW_MIN, RAW_MAX], dtype=fxp.WORD)
+        im = np.array([RAW_MIN, 0, RAW_MIN], dtype=fxp.WORD)
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c)):
             got = (re.copy(), im.copy())
             fxp.scale_bank(coeff, coeff, 0, [got])
@@ -246,6 +247,51 @@ class TestClipElision(ClipElisionKernels):
 
 class TestClipElisionNative(ClipElisionKernels):
     BODY = "native"
+
+
+class TestNarrowing:
+    # the numpy body computes in int64 scratch and narrows to the word only
+    # after the final clip: an int64 result written into a WORD bank
+    # through a ufunc's out= would wrap 2^31 to RAW_MIN instead
+    BODY = "numpy"
+    WORDS = (RAW_MIN, RAW_MAX, -SCALE, SCALE, -1, 0)
+
+    def test_edge_words_saturate_before_narrowing(self):
+        pairs = [(a, b) for a in self.WORDS for b in self.WORDS]
+        re = np.array([a for a, _ in pairs], dtype=fxp.WORD)
+        im = np.array([b for _, b in pairs], dtype=fxp.WORD)
+        xs = as_cfx(re, im)
+        ys = xs[::-1]
+        c = -SCALE
+        assert fxp.fx_mul(c, RAW_MIN) == RAW_MAX        # 2^31, clipped
+        for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c), CFx(c, SCALE)):
+            got = (re.copy(), im.copy())
+            fxp.scale_bank(coeff, fxp.CFX_ONE, 0, [got])
+            assert as_cfx(*got) == scalar_scale(coeff, fxp.CFX_ONE, 0, re, im)
+            got = [re.copy(), im.copy(), re[::-1].copy(), im[::-1].copy()]
+            fxp.pair_banks(coeff, coeff, coeff, fxp.CFX_ONE, *got)
+            assert all(a.dtype == fxp.WORD for a in got)
+            assert as_cfx(got[0], got[1]) == [fxp.su_eval(coeff, coeff, a, b)
+                                              for a, b in zip(xs, ys)]
+            assert as_cfx(got[2], got[3]) == [fxp.su_eval(coeff, fxp.CFX_ONE, a, b)
+                                              for a, b in zip(xs, ys)]
+
+
+class TestNativeRows:
+    def test_takes_only_the_word(self):
+        a = np.zeros(16, dtype=fxp.WORD)
+        assert fxp.native_rows(a, a.copy()) == (1, 16, 16)
+        half = a.reshape(2, 2, 4)[:, 0]
+        assert fxp.native_rows(half, half) == (2, 4, 8)
+        # a wide bank never reaches the int32_t * C code
+        for wide in (np.int64, np.uint32, np.float32):
+            b = np.zeros(16, dtype=wide)
+            assert fxp.native_rows(b, b.copy()) is None
+            assert fxp.native_rows(a, b) is None
+            # one word per row passes every stride rule: only the type refuses it
+            for c in (b[:1], b.reshape(16, 1)[::2]):
+                assert fxp.native_rows(c, c) is None
+        assert fxp.native_rows(a[::2], a[1::2]) is None     # 8-byte word stride
 
 
 def _random_state(n: int, rng) -> state.StateVector:

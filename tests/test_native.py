@@ -96,6 +96,23 @@ class TestCache:
         assert list(cache.iterdir()) == built
         assert built[0].stat().st_mtime_ns == stamp
 
+    def test_build_prunes_stale_libraries(self, tmp_path, monkeypatch):
+        # a library of an earlier source goes; another build's temporary stays
+        if shutil.which(fxp.NATIVE_CC) is None:
+            pytest.skip(f"no C compiler {fxp.NATIVE_CC!r} on this host")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        stale = cache / "kernels-0000000000000000.so"
+        stale.write_bytes(b"an earlier build")
+        pending = cache / "tmpk2x9q_1a.so"
+        pending.write_bytes(b"")
+        reset_loader(monkeypatch, cache)
+        if fxp.native_kernels() is None:
+            pytest.skip("the native kernels cannot be built or loaded on this host")
+        libs = sorted(cache.glob("kernels-*.so"))
+        assert len(libs) == 1 and libs[0] != stale
+        assert sorted(cache.iterdir()) == sorted([libs[0], pending])
+
     def test_concurrent_builds_do_not_collide(self, tmp_path):
         if shutil.which(fxp.NATIVE_CC) is None:
             pytest.skip(f"no C compiler {fxp.NATIVE_CC!r} on this host")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hpqe import fxp, state
+from hpqe import fxp, perfmodel, state
 from hpqe.perfmodel import CapacityError
 
 from helpers import random_ref_amplitudes
@@ -36,10 +36,10 @@ class TestInitBasis:
         with pytest.raises(CapacityError):
             state.init_basis(27, 0)          # default max_qubits = 26
         sv = state.init_basis(20, 0, max_qubits=20)
-        assert sv.mem_mode == "HBM"
+        assert perfmodel.memory_mode(sv.n) == "HBM"
 
     def test_mem_mode_annotation(self):
-        assert state.init_basis(10, 0).mem_mode == "BRAM"
+        assert perfmodel.memory_mode(state.init_basis(10, 0).n) == "BRAM"
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
@@ -166,9 +166,31 @@ class TestDumpLoad:
         sv = state.from_amplitudes(6, random_ref_amplitudes(6, rng))
         back = state.load(sv.dump())
         assert back.n == 6
-        assert back.mem_mode == sv.mem_mode
+        assert perfmodel.memory_mode(back.n) == perfmodel.memory_mode(sv.n) == "BRAM"
         assert np.array_equal(back.re, sv.re)
         assert np.array_equal(back.im, sv.im)
+
+    def test_every_constructor_stores_the_word(self):
+        rng = np.random.default_rng(27)
+        states = [state.init_basis(5, 3),
+                  state.from_amplitudes(5, random_ref_amplitudes(5, rng))]
+        states.append(state.load(states[1].dump()))
+        states.append(states[1].copy())
+        for sv in states:
+            for a in (sv.re, sv.im):
+                assert a.dtype == fxp.WORD == np.int32
+                assert a.flags.c_contiguous and a.flags.writeable
+        assert states[2].dump() == states[1].dump()
+        assert np.array_equal(states[2].re, states[1].re)
+        assert np.array_equal(states[2].im, states[1].im)
+        assert states[3].re is not states[1].re
+        # full-range words survive the round trip unwidened and unwrapped
+        sv = state.init_basis(3, 0)
+        sv.re[:] = [fxp.RAW_MIN, fxp.RAW_MAX, -1, 0, 1, fxp.SCALE, -fxp.SCALE, 7]
+        sv.im[:] = sv.re[::-1]
+        back = state.load(bytes(sv.dump()))
+        assert back.re.tolist() == sv.re.tolist()
+        assert back.im.tolist() == sv.im.tolist()
 
     def test_corrupt_input(self):
         good = state.init_basis(3, 0).dump()
