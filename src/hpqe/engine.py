@@ -328,46 +328,35 @@ def _worker_partition(segments: list, workers: int) -> list:
 def run_circuit(state: StateVector, circuit: Circuit,
                 cfg: perfmodel.PerfConfig = perfmodel.DEFAULT_CONFIG,
                 workers: int = 1):
-    """Apply a base-set circuit gate by gate, accumulating cycles.
+    """Apply a base-set circuit gate by gate.
 
-    Returns (state, CycleReport). With workers > 1 the segments that
-    compute for each gate are split evenly across a thread pool, with a
-    barrier after every gate; the result is bit-identical for any worker
-    count. The report's memory mode comes from cfg.
+    Returns (state, cycle_report(circuit, cfg)). With workers > 1 the
+    segments that compute for each gate are split evenly across a thread
+    pool, with a barrier after every gate; the result is bit-identical
+    for any worker count.
     """
     if circuit.n != state.n:
         raise ValueError(f"circuit is for n={circuit.n}, state has n={state.n}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, state.segment_count)
-    per_gate = []
-    total = pairs = mode2 = 0
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for idx, op in enumerate(circuit.ops):
             if op.kind == CX:
-                cycles = apply_cx(state, op.control, op.target)
-                pairs += 1 << (state.n - 2)
+                apply_cx(state, op.control, op.target)
+                continue
+            if op.matrix is None:
+                raise ValueError(f"gate {idx} has no quantized matrix")
+            if pool is None:
+                _apply_single_segments(state, op, range(state.segment_count))
             else:
-                if op.matrix is None:
-                    raise ValueError(f"gate {idx} has no quantized matrix")
-                if pool is None:
-                    _apply_single_segments(state, op, range(state.segment_count))
-                else:
-                    busy = _busy_segments(op, state.n, state.segment_count)
-                    futures = [pool.submit(_apply_single_segments, state, op, part)
-                               for part in _worker_partition(busy, workers) if part]
-                    for f in wait(futures).done:
-                        f.result()   # re-raise worker errors, barrier per gate
-                cycles = perfmodel.cycles_single(state.n, cfg)
-                if state.n >= 3 and access_mode(op.target, state.n) == MODE2:
-                    mode2 += 1
-            per_gate.append((idx, op.kind, cycles))
-            total += cycles
+                busy = _busy_segments(op, state.n, state.segment_count)
+                futures = [pool.submit(_apply_single_segments, state, op, part)
+                           for part in _worker_partition(busy, workers) if part]
+                for f in wait(futures).done:
+                    f.result()   # re-raise worker errors, barrier per gate
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-    report = CycleReport(n=state.n, mem_mode=perfmodel.memory_mode(state.n, cfg),
-                         per_gate=per_gate, total_cycles=total,
-                         cx_pairs_swapped=pairs, mode2_gate_count=mode2)
-    return state, report
+    return state, cycle_report(circuit, cfg)

@@ -25,6 +25,7 @@ MAX_QUBITS_DEFAULT = 26   # desk-scale ceiling; device hard limit is 30
 DUMP_MAGIC = b"HPQE"
 DUMP_VERSION = 1
 HEADER_BYTES = 6          # magic, version byte, n byte
+DUMP_BLOCK = 1 << 16      # amplitudes interleaved per written chunk (512 KiB)
 
 
 class SegmentAddress(NamedTuple):
@@ -100,18 +101,40 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.re.copy(), self.im.copy())
 
-    def dump(self) -> bytearray:
+    def dump(self, f=None) -> bytearray | None:
         """Binary dump: magic, version byte, n byte, then (re, im) int32 LE.
 
-        Header and body share one buffer, so the dump holds one copy of
-        the state, not two.
+        With a binary file f, the dump is written to it DUMP_BLOCK
+        amplitudes at a time, so it never holds a second copy of the
+        state; None is returned. Without one, the same writer fills one
+        buffer of the dump's size, which is returned.
         """
+        if f is not None:
+            self._write_dump(f.write)
+            return None
         out = bytearray(HEADER_BYTES + perfmodel.AMPLITUDE_BYTES * self.size)
-        out[:HEADER_BYTES] = DUMP_MAGIC + struct.pack("<BB", DUMP_VERSION, self.n)
-        body = np.frombuffer(out, dtype="<i4", offset=HEADER_BYTES)
-        body[0::2] = self.re
-        body[1::2] = self.im
+        rest = memoryview(out)
+
+        def put(chunk) -> None:
+            nonlocal rest
+            rest[:len(chunk)] = chunk
+            rest = rest[len(chunk):]
+
+        self._write_dump(put)
         return out
+
+    def _write_dump(self, write) -> None:
+        # write takes the header, then each block's interleaved words in one
+        # reused buffer; the size and DUMP_BLOCK are powers of two, so the
+        # blocks are whole
+        write(DUMP_MAGIC + struct.pack("<BB", DUMP_VERSION, self.n))
+        step = min(self.size, DUMP_BLOCK)
+        chunk = bytearray(perfmodel.AMPLITUDE_BYTES * step)
+        words = np.frombuffer(chunk, dtype="<i4")
+        for lo in range(0, self.size, step):
+            words[0::2] = self.re[lo:lo + step]
+            words[1::2] = self.im[lo:lo + step]
+            write(chunk)
 
 
 def init_basis(n: int, k: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVector:

@@ -1,10 +1,12 @@
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from hpqe import cli, gateset, state
+from hpqe import cli, engine, gateset, oracle, state
+from hpqe.perfmodel import CapacityError
 
 
 def run_cli(*argv):
@@ -87,6 +89,72 @@ class TestCompare:
         doc = json.loads((tmp_path / "metrics.json").read_text())
         assert doc["fidelity"] >= 0.9999
         assert doc["n"] == 8 and doc["gates"] == 160
+
+
+class TestCompareOverlap:
+    """compare runs the engine on a helper thread beside the oracle."""
+
+    def test_engine_and_oracle_in_flight_together(self, tmp_path, monkeypatch):
+        started = {"engine": threading.Event(), "oracle": threading.Event()}
+        met = {}
+
+        def meets(name, other, orig):
+            def wrapped(*args, **kwargs):
+                started[name].set()
+                met[name] = started[other].wait(timeout=5)
+                return orig(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli.engine, "run_circuit",
+                            meets("engine", "oracle", engine.run_circuit))
+        monkeypatch.setattr(cli.oracle, "ref_run",
+                            meets("oracle", "engine", oracle.ref_run))
+        assert run_cli("compare", "--gen", "qft", "--n", 4, "--out", tmp_path) == 0
+        assert met == {"engine": True, "oracle": True}
+
+    @pytest.mark.parametrize("argv", [
+        ("--gen", "chain", "--n", 10, "--layers", 3, "--workers", 1),
+        ("--gen", "chain", "--n", 10, "--layers", 3, "--workers", 2),
+        ("--gen", "qft", "--n", 8, "--workers", 1),
+    ])
+    def test_metrics_match_sequential_composition(self, tmp_path, argv):
+        assert run_cli("compare", *argv, "--out", tmp_path) == 0
+        args = cli.build_parser().parse_args(["compare", *map(str, argv)])
+        _, circuit = cli._build_circuit(args)
+        sv, _ = engine.run_circuit(state.init_basis(circuit.n, 0), circuit,
+                                   workers=args.workers)
+        ref = oracle.ref_run(circuit, oracle.basis_state(circuit.n, 0))
+        doc = oracle.metrics(ref, sv).to_json(n=circuit.n, gates=len(circuit.ops))
+        assert (tmp_path / "metrics.json").read_text(encoding="utf-8") == doc + "\n"
+
+    def test_engine_error_outranks_oracle_error(self, tmp_path, monkeypatch, capsys):
+        oracle_failed = threading.Event()
+
+        def engine_fails(*args, **kwargs):
+            # raise only once the oracle has already raised
+            assert oracle_failed.wait(timeout=5)
+            raise CapacityError("engine out of room")
+
+        def oracle_fails(*args, **kwargs):
+            oracle_failed.set()
+            raise ValueError("oracle broke")
+
+        monkeypatch.setattr(cli.engine, "run_circuit", engine_fails)
+        monkeypatch.setattr(cli.oracle, "ref_run", oracle_fails)
+        assert run_cli("compare", "--gen", "qft", "--n", 3, "--out", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err == "capacity error: engine out of room\n"
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_oracle_error_alone_exits_4(self, tmp_path, monkeypatch, capsys):
+        def oracle_fails(*args, **kwargs):
+            raise ValueError("oracle broke")
+
+        monkeypatch.setattr(cli.oracle, "ref_run", oracle_fails)
+        assert run_cli("compare", "--gen", "qft", "--n", 3, "--out", tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err == "error: oracle broke\n"      # one line, no traceback
+        assert not (tmp_path / "metrics.json").exists()
 
 
 class TestBench:

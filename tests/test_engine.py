@@ -245,6 +245,13 @@ class TestRunCircuit:
         with pytest.raises(ValueError):
             engine.run_circuit(state.init_basis(3, 0), gateset.Circuit(n=4))
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_requires_quantized_matrix(self, workers):
+        c = gateset.Circuit(n=3, ops=[gateset.cx(0, 1),
+                                      gateset.GateOp(kind="H", target=0)])
+        with pytest.raises(ValueError, match="gate 1 has no quantized matrix"):
+            engine.run_circuit(state.init_basis(3, 0), c, workers=workers)
+
 
 class TestCycleReport:
     def test_accounting_only_matches_execution(self):

@@ -192,6 +192,37 @@ class TestDumpLoad:
         assert back.re.tolist() == sv.re.tolist()
         assert back.im.tolist() == sv.im.tolist()
 
+    @pytest.mark.parametrize("block", (1, 4, 16, state.DUMP_BLOCK))
+    def test_file_dump_is_written_in_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(state, "DUMP_BLOCK", block)
+        rng = np.random.default_rng(28)
+        sv = state.init_basis(4, 0)
+        for a in (sv.re, sv.im):
+            a[:] = rng.integers(fxp.RAW_MIN, fxp.RAW_MAX, a.size, endpoint=True)
+        whole = (b"HPQE\x01\x04"
+                 + np.column_stack((sv.re, sv.im)).astype("<i4").tobytes())
+
+        class Chunks:
+            def __init__(self):
+                self.sizes = []
+                self.data = bytearray()
+
+            def write(self, chunk):
+                chunk = bytes(chunk)
+                self.sizes.append(len(chunk))
+                self.data += chunk
+
+        f = Chunks()
+        assert sv.dump(f) is None
+        assert f.data == whole == sv.dump()
+        body = f.sizes[1:]
+        assert f.sizes[0] == state.HEADER_BYTES
+        assert body == [8 * min(block, sv.size)] * (sv.size // min(block, sv.size))
+        path = tmp_path / "state.bin"
+        with open(path, "wb") as fh:
+            sv.dump(fh)
+        assert path.read_bytes() == whole
+
     def test_corrupt_input(self):
         good = state.init_basis(3, 0).dump()
         with pytest.raises(ValueError):
