@@ -28,9 +28,14 @@ schedule costs 2*(2^(n-2)+1)+1 cycles against the sequential baseline's
 5*2^(n-2); `simulate_swapper` steps the machine cycle by cycle and the
 closed forms are checked against it in tests.
 
-Segment updates never overlap, so gate application may be spread over
-1..8 workers with a barrier between gates; native calls release the
-GIL, each numpy-body worker call owns its scratch, and results are
+With one worker, a single-qubit gate is one kernel call on the whole
+state, in either access mode: `scale_bank` with bit t for a sparse gate,
+`pair_banks` on the (-1, 2, 2^t) halves for a dense one. Each pair's
+words depend on that pair alone, so this gives the segment walk's bits.
+The segment split remains the partition for several workers. Segment
+updates never overlap, so gate application may be spread over 1..8
+workers with a barrier between gates; native calls release the GIL,
+each numpy-body worker call owns its scratch, and results are
 bit-identical for any worker count. Workers split the segments that
 compute for the gate: all 8, or the 4 owners of a dense mode-2 gate.
 """
@@ -213,16 +218,17 @@ def _segment_bit(t: int, n: int) -> int:
     return t - (n - 3)
 
 
-def _update_intra(sv: StateVector, op: GateOp, seg_ids, scratch) -> None:
-    # both pair members inside one segment (or the whole state for n < 3)
+def _update_intra(op: GateOp, banks, scratch) -> None:
+    # both pair members inside each (re, im) bank: a segment in access
+    # mode 1, or the whole state
     t = op.target
     m00, m01, m10, m11 = op.matrix
     if op.sparse:
         # diagonal: scale by the periodic (m00, m11) pattern, no exchange
-        fxp.scale_bank(m00, m11, t, map(sv.segment, seg_ids), scratch)
+        fxp.scale_bank(m00, m11, t, banks, scratch)
         return
-    for sid in seg_ids:
-        r3, i3 = (a.reshape(-1, 2, 1 << t) for a in sv.segment(sid))
+    for re, im in banks:
+        r3, i3 = (a.reshape(-1, 2, 1 << t) for a in (re, im))
         fxp.pair_banks(m00, m01, m10, m11, r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1],
                        scratch)
 
@@ -247,9 +253,17 @@ def _apply_single_segments(sv: StateVector, op: GateOp, seg_ids) -> None:
     # scratch is per call, so concurrent workers never share buffers
     scratch = fxp.scratch_for_call()
     if sv.n < 3 or access_mode(op.target, sv.n) == MODE1:
-        _update_intra(sv, op, seg_ids, scratch)
+        _update_intra(op, map(sv.segment, seg_ids), scratch)
     else:
         _update_cross(sv, op, seg_ids, scratch)
+
+
+def _apply_single_whole(sv: StateVector, op: GateOp) -> None:
+    # one kernel call for the whole state: every pair (i, i + 2^t) lies in
+    # it, in either access mode, and each pair's words depend on that pair
+    # alone, so the bits equal the segment walk's; a numpy body allocates
+    # its own scratch for the one call
+    _update_intra(op, [(sv.re, sv.im)], None)
 
 
 def apply_single(state: StateVector, gate: GateOp,
@@ -261,7 +275,7 @@ def apply_single(state: StateVector, gate: GateOp,
         raise ValueError("gate matrix not quantized (use gateset.single)")
     if not 0 <= gate.target < state.n:
         raise ValueError(f"target {gate.target} out of range for n={state.n}")
-    _apply_single_segments(state, gate, range(state.segment_count))
+    _apply_single_whole(state, gate)
     return perfmodel.cycles_single(state.n, cfg)
 
 
@@ -349,7 +363,7 @@ def run_circuit(state: StateVector, circuit: Circuit,
             if op.matrix is None:
                 raise ValueError(f"gate {idx} has no quantized matrix")
             if pool is None:
-                _apply_single_segments(state, op, range(state.segment_count))
+                _apply_single_whole(state, op)
             else:
                 busy = _busy_segments(op, state.n, state.segment_count)
                 futures = [pool.submit(_apply_single_segments, state, op, part)

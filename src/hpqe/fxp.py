@@ -15,7 +15,8 @@ kernel has two bodies:
   * native: `kernels.c`, compiled with the system C compiler on the
     first kernel call (never at import) and cached in the package's
     __pycache__ under a hash of the source and the flags; see
-    `native_kernels`. It widens each word to int64 inside its loop.
+    `native_kernels`. It holds an AVX-512F body, taken per call on a
+    CPU that has it, and portable C loops for every other host.
   * numpy: the fallback where the library cannot be built or loaded,
     and for arrays the native body does not take. It copies each bank
     BLOCK elements at a time into int64 rows of one reused scratch

@@ -8,22 +8,27 @@
  * proof is fxp.product_fits). That choice is made once per call, and
  * each loop body is compiled twice, with and without the product clips.
  * fxp.py builds this file on first use and falls back to its numpy
- * kernels when the build or the load fails; the tests hold both to the
- * scalar functions.
+ * kernels when the build or the load fails; the tests hold every body
+ * to the scalar functions.
  *
  * Arrays are int32 words, the machine's own, with unit stride inside a
- * row; each word is widened to int64 inside the loop and narrowed only
- * after its final clip. Kernels update in place; every output of one
- * element is computed from values read before any of them is written.
+ * row. Kernels update in place; every output of one element is computed
+ * from values read before any of them is written.
+ *
+ * Each kernel has two bodies with the same bits. The portable one is
+ * plain C loops that widen each word to int64 and narrow it only after
+ * its final clip. On x86-64 with GCC an AVX-512F body is compiled too,
+ * without any extra compiler flag, and a call takes it when the CPU
+ * has AVX-512F and every coefficient is a 32-bit raw; every other call
+ * takes the portable one. Defining HPQE_PORTABLE leaves the AVX-512F
+ * body out, which is how the tests reach the portable body on any host.
  */
 
 #include <stdint.h>
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-/* one build for every x86-64 host: the loader picks the clone the CPU runs */
-#define KERNEL __attribute__((target_clones("arch=x86-64-v4", "default")))
-#else
-#define KERNEL
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && !defined(HPQE_PORTABLE)
+#define HPQE_AVX512 1
 #endif
 
 #define BODY static inline __attribute__((always_inline))
@@ -61,31 +66,18 @@ BODY int64_t cmul_im(int64_t cr, int64_t ci, int64_t xr, int64_t xi, const int c
     return sat(mul(cr, xi, clip) + mul(ci, xr, clip));
 }
 
-BODY void scale_body(int32_t *re, int32_t *im, int64_t len, int t,
+/* the sparse step on words from..len-1 of a bank */
+BODY void scale_body(int32_t *re, int32_t *im, int64_t from, int64_t len, int t,
                      int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
                      const int clip)
 {
-    for (int64_t k = 0; k < len; k++) {
+    for (int64_t k = from; k < len; k++) {
         int64_t odd = -((k >> t) & 1);
         int64_t cr = c0r ^ ((c0r ^ c1r) & odd), ci = c0i ^ ((c0i ^ c1i) & odd);
         int64_t xr = re[k], xi = im[k];
         re[k] = (int32_t)cmul_re(cr, ci, xr, xi, clip);
         im[k] = (int32_t)cmul_im(cr, ci, xr, xi, clip);
     }
-}
-
-/* Sparse SU step over one bank of len words: x[k] <- cfx_mul(c, x[k]),
- * c = (c1r, c1i) where bit t of k is set and (c0r, c0i) elsewhere. The
- * coefficient is picked by a mask, so every t runs one vector loop. */
-KERNEL void hpqe_scale_bank(int32_t *re, int32_t *im, int64_t len, int t,
-                            int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i)
-{
-    if (t > 62)         /* len < 2^62: bit t of every k is clear */
-        t = 62;
-    if (fits(c0r) && fits(c0i) && fits(c1r) && fits(c1i))
-        scale_body(re, im, len, t, c0r, c0i, c1r, c1i, 0);
-    else
-        scale_body(re, im, len, t, c0r, c0i, c1r, c1i, 1);
 }
 
 BODY void pair_body(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
@@ -107,25 +99,29 @@ BODY void pair_body(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
         }
 }
 
-/* Dense SU step over pair views: for each row r and each k in
- * [r*stride, r*stride + width), (x[k], y[k]) <- su_eval of the pair. */
-KERNEL void hpqe_pair_banks(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
-                            int64_t rows, int64_t width, int64_t stride,
-                            const int64_t *c)
+/* the portable bodies, one instantiation each for clip 0 and 1; the
+ * vector body calls them for its remaining words */
+static __attribute__((noinline)) void
+scale_portable(int32_t *re, int32_t *im, int64_t from, int64_t len, int t,
+               int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i, int clip)
 {
-    const int64_t m[8] = {c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]};
-    int all_fit = 1;
-    for (int j = 0; j < 8; j++)
-        all_fit &= fits(m[j]);
-    if (all_fit)
-        pair_body(xr, xi, yr, yi, rows, width, stride, m, 0);
+    if (clip)
+        scale_body(re, im, from, len, t, c0r, c0i, c1r, c1i, 1);
     else
-        pair_body(xr, xi, yr, yi, rows, width, stride, m, 1);
+        scale_body(re, im, from, len, t, c0r, c0i, c1r, c1i, 0);
 }
 
-/* CX on an n-qubit state: swap word i with word i | 2^target for every i
- * whose control bit is set and target bit is clear, in re and in im. */
-KERNEL void hpqe_cx(int32_t *re, int32_t *im, int n, int control, int target)
+static __attribute__((noinline)) void
+pair_portable(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
+              int64_t rows, int64_t width, int64_t stride, const int64_t *m, int clip)
+{
+    if (clip)
+        pair_body(xr, xi, yr, yi, rows, width, stride, m, 1);
+    else
+        pair_body(xr, xi, yr, yi, rows, width, stride, m, 0);
+}
+
+static void cx_body(int32_t *re, int32_t *im, int n, int control, int target)
 {
     int lo = control < target ? control : target;
     int hi = control < target ? target : control;
@@ -138,4 +134,328 @@ KERNEL void hpqe_cx(int32_t *re, int32_t *im, int n, int control, int target)
                 v = re[i]; re[i] = re[j]; re[j] = v;
                 v = im[i]; im[i] = im[j]; im[j] = v;
             }
+}
+
+#ifdef HPQE_AVX512
+/* AVX-512F body. A vector holds 16 words; word l of it is word k + l of
+ * the bank, k a multiple of 16. vpmuldq (_mm512_mul_epi32) multiplies the
+ * signed low halves of the eight 64-bit lanes, so one product vector
+ * covers the even words, and the same instruction after a 32-bit right
+ * shift of each lane covers the odd ones. Each product is rounded, and
+ * with clip clipped, in int64 as in mul(); sums are formed in int64, and
+ * the final sat of each output is vpmovsqd (_mm512_cvtsepi64_epi32),
+ * whose signed saturation to int32 is exactly [RAW_MIN, RAW_MAX].
+ *
+ * The body is written with GCC's vector extensions and the builtins the
+ * <immintrin.h> intrinsics wrap, because parsing that header alone takes
+ * longer than building the rest of this file. */
+
+#define VTARGET __attribute__((target("avx512f")))
+#define VBODY static inline __attribute__((always_inline, target("avx512f")))
+
+typedef long long v8q __attribute__((vector_size(64)));     /* __m512i lanes */
+typedef int v16d __attribute__((vector_size(64)));
+typedef int v8d __attribute__((vector_size(32)));
+
+VBODY v16d vload(const int32_t *p)
+{
+    v16d v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
+
+VBODY void vstore(int32_t *p, v16d v)
+{
+    __builtin_memcpy(p, &v, sizeof v);
+}
+
+/* one complex coefficient per word: [0] for the even words, [1] for the
+ * odd words, each in the low half of a 64-bit lane */
+typedef struct {
+    v8q re[2], im[2];
+} vcoef;
+
+/* sat() of each lane (vpmaxsq, vpminsq) */
+VBODY v8q vsat(v8q v)
+{
+    const v8q zero = {0};
+    return __builtin_ia32_pminsq512_mask(
+        __builtin_ia32_pmaxsq512_mask(v, zero + RAW_MIN, v, -1), zero + RAW_MAX, v, -1);
+}
+
+/* mul() on the low halves of each lane: vpmuldq, then +1 under the
+ * mask of lanes whose tie bit 30 is set (vptestmq, masked vpaddq) */
+VBODY v8q vmul(v8q c, v8q x, const int clip)
+{
+    const v8q zero = {0};
+    v8q p = __builtin_ia32_pmuldq512_mask((v16d)c, (v16d)x, zero, -1);
+    unsigned char tie = __builtin_ia32_ptestmq512(p, zero + (1LL << 30), -1);
+    v8q q = p + ((1LL << 29) - 1);
+    q = __builtin_ia32_paddq512_mask(q, zero + 1, q, tie) >> 30;
+    return clip ? vsat(q) : q;
+}
+
+/* cfx_mul(c, x) on the words of half h, before the sat of each part */
+VBODY void vcmul(const vcoef *c, int h, v8q xr, v8q xi, v8q *re, v8q *im,
+                 const int clip)
+{
+    *re = vmul(c->re[h], xr, clip) - vmul(c->im[h], xi, clip);
+    *im = vmul(c->re[h], xi, clip) + vmul(c->im[h], xr, clip);
+}
+
+/* the even and odd halves narrowed with saturation, back in word order */
+VBODY v16d vnarrow(v8q even, v8q odd)
+{
+    const v8d any = {0};
+    v8d e = __builtin_ia32_pmovsqd512_mask(even, any, -1);
+    v8d o = __builtin_ia32_pmovsqd512_mask(odd, any, -1);
+    return __builtin_shufflevector(e, o, 0, 8, 1, 9, 2, 10, 3, 11,
+                                   4, 12, 5, 13, 6, 14, 7, 15);
+}
+
+/* word l takes c1 where bit t of l is set and c0 elsewhere; c0 every
+ * word for t >= 4 */
+static VTARGET void vlanes(vcoef *v, int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
+                           int t)
+{
+    v16d r, i;
+    for (int l = 0; l < 16; l++) {
+        int one = t < 4 && ((l >> t) & 1);
+        r[l] = (int32_t)(one ? c1r : c0r);
+        i[l] = (int32_t)(one ? c1i : c0i);
+    }
+    v->re[0] = (v8q)r;
+    v->im[0] = (v8q)i;
+    v->re[1] = (v8q)r >> 32;
+    v->im[1] = (v8q)i >> 32;
+}
+
+/* the sparse step on 16 words */
+VBODY void vscale16(int32_t *re, int32_t *im, const vcoef *c, const int clip)
+{
+    v8q xr = (v8q)vload(re), xi = (v8q)vload(im);
+    v8q or_[2], oi[2];
+    vcmul(c, 0, xr, xi, &or_[0], &oi[0], clip);
+    vcmul(c, 1, xr >> 32, xi >> 32, &or_[1], &oi[1], clip);
+    vstore(re, vnarrow(or_[0], or_[1]));
+    vstore(im, vnarrow(oi[0], oi[1]));
+}
+
+/* su_eval on 16 words as sat(cfx_mul(a, own) + cfx_mul(b, other)), one
+ * (a, b) per word, stored to (outr, outi) */
+VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
+                    const vcoef *a, const vcoef *b,
+                    int32_t *outr, int32_t *outi, const int clip)
+{
+    v8q xr = (v8q)own_r, xi = (v8q)own_i, yr = (v8q)oth_r, yi = (v8q)oth_i;
+    v8q or_[2], oi[2];
+    for (int h = 0; h < 2; h++) {
+        v8q ar, ai, br, bi;
+        vcmul(a, h, xr, xi, &ar, &ai, clip);
+        vcmul(b, h, yr, yi, &br, &bi, clip);
+        or_[h] = vsat(ar) + vsat(br);
+        oi[h] = vsat(ai) + vsat(bi);
+        xr >>= 32;
+        xi >>= 32;
+        yr >>= 32;
+        yi >>= 32;
+    }
+    vstore(outr, vnarrow(or_[0], or_[1]));
+    vstore(outi, vnarrow(oi[0], oi[1]));
+}
+
+/* Sparse: for t < 4 every vector holds the same (c0, c1) pattern; for
+ * t >= 4 bit t is constant across a vector, which takes c0 or c1 whole.
+ * The words after the last whole vector run the portable loop. */
+VBODY void scale_vbody(int32_t *re, int32_t *im, int64_t len, int t,
+                       int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
+                       const int clip)
+{
+    vcoef c[2];
+    vlanes(&c[0], c0r, c0i, c1r, c1i, t);
+    vlanes(&c[1], t < 4 ? c0r : c1r, t < 4 ? c0i : c1i, c1r, c1i, t);
+    int64_t k = 0;
+    for (; k + 16 <= len; k += 16)
+        vscale16(re + k, im + k, &c[(k >> t) & 1], clip);
+    scale_portable(re, im, k, len, t, c0r, c0i, c1r, c1i, clip);
+}
+
+static VTARGET void scale_avx512(int32_t *re, int32_t *im, int64_t len, int t,
+                                 int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
+                                 int clip)
+{
+    if (clip)
+        scale_vbody(re, im, len, t, c0r, c0i, c1r, c1i, 1);
+    else
+        scale_vbody(re, im, len, t, c0r, c0i, c1r, c1i, 0);
+}
+
+/* the word indices 0..15 of a vector */
+#define LANES {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
+/* Dense: y <- su_eval(m10, m11, x, y) is sat(cfx_mul(m11, y) +
+ * cfx_mul(m10, x)), so each output word is sat(cfx_mul(a, own) +
+ * cfx_mul(b, partner)) with (a, b) = (m00, m01) for x and (m11, m10)
+ * for y. Rows of 16 words or more run whole vectors of x and of y. When
+ * x and y are the two halves of one contiguous bank (stride 2*width,
+ * width 1, 2, 4 or 8, y = x + width), each vector holds whole pairs, the
+ * partner of word l is word l ^ width and (a, b) alternate with bit t
+ * of l, width = 2^t. Other rows and the remaining words run the
+ * portable loop. */
+VBODY void pair_vbody(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
+                      int64_t rows, int64_t width, int64_t stride,
+                      const int64_t *m, const int clip)
+{
+    vcoef c[2][2];          /* (a, b) of the x words and of the y words */
+    int t = width == 1 ? 0 : width == 2 ? 1 : width == 4 ? 2 : width == 8 ? 3 : 4;
+    int64_t run = width;
+    int outputs = 2;
+    if (t < 4) {
+        if (stride != 2 * width || yr != xr + width || yi != xi + width) {
+            pair_portable(xr, xi, yr, yi, rows, width, stride, m, clip);
+            return;
+        }
+        run = rows * stride;        /* one row of whole pairs, written as x */
+        rows = 1;
+        outputs = 1;
+    }
+    vlanes(&c[0][0], m[0], m[1], m[6], m[7], t);
+    vlanes(&c[0][1], m[2], m[3], m[4], m[5], t);
+    vlanes(&c[1][0], m[6], m[7], 0, 0, 4);
+    vlanes(&c[1][1], m[4], m[5], 0, 0, 4);
+    const v16d partner = (v16d)LANES ^ (int)width;
+    int64_t whole = run & ~(int64_t)15;
+    for (int64_t r = 0; r < rows; r++) {
+        int64_t k = r * stride;
+        for (int64_t end = k + whole; k < end; k += 16) {
+            int32_t *out[2][2] = {{xr + k, xi + k}, {yr + k, yi + k}};
+            v16d v[2][2];
+            v[0][0] = vload(xr + k);
+            v[0][1] = vload(xi + k);
+            for (int p = 0; p < 2; p++)
+                v[1][p] = t < 4 ? __builtin_shuffle(v[0][p], partner) : vload(out[1][p]);
+            /* a loop, not two calls: one copy of the dense step per clip
+             * variant halves the compile time of this body */
+#pragma GCC unroll 1
+            for (int o = 0; o < outputs; o++)
+                vdense16(v[o][0], v[o][1], v[!o][0], v[!o][1], &c[o][0], &c[o][1],
+                         out[o][0], out[o][1], clip);
+        }
+        if (t < 4)
+            pair_portable(xr + k, xi + k, yr + k, yi + k, (run - whole) / stride,
+                          width, stride, m, clip);
+        else
+            pair_portable(xr + k, xi + k, yr + k, yi + k, 1, width - whole, 0, m, clip);
+    }
+}
+
+static VTARGET void pair_avx512(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
+                                int64_t rows, int64_t width, int64_t stride,
+                                const int64_t *m, int clip)
+{
+    if (clip)
+        pair_vbody(xr, xi, yr, yi, rows, width, stride, m, 1);
+    else
+        pair_vbody(xr, xi, yr, yi, rows, width, stride, m, 0);
+}
+
+/* CX on 16-word blocks, n >= 4. With 2^target >= 16 a block whose target
+ * bit is clear swaps with the block 2^target above it; with a smaller
+ * target each word of a block takes word l ^ 2^target of the same block.
+ * With 2^control >= 16 only blocks whose control bit is set change;
+ * with a smaller control only their words whose control bit is set
+ * (`on`: -1 on those words, 0 elsewhere). */
+static VTARGET void cx_avx512(int32_t *re, int32_t *im, int n, int control, int target)
+{
+    const v16d lane = LANES;
+    int64_t size = 1LL << n, cbit = 1LL << control, tbit = 1LL << target;
+    v16d on = control < 4 ? (lane & (int)cbit) != 0 : lane >= 0;
+    int64_t clear = target >= 4 ? tbit : 0, set = control >= 4 ? cbit : 0;
+    int32_t *comp[2] = {re, im};
+    for (int64_t i = 0; i < size;) {
+        if (i & clear) {                        /* skip the run with the target bit set */
+            i = (i | (clear - 1)) + 1;
+            continue;
+        }
+        if ((i & set) != set) {                 /* skip the run with the control bit clear */
+            i = (i | (set - 1)) + 1;
+            continue;
+        }
+        for (int c = 0; c < 2; c++) {
+            v16d a = vload(comp[c] + i);
+            if (target < 4) {
+                v16d b = __builtin_shuffle(a, lane ^ (int)tbit);
+                vstore(comp[c] + i, (b & on) | (a & ~on));
+            } else {
+                v16d b = vload(comp[c] + i + tbit);
+                vstore(comp[c] + i, (b & on) | (a & ~on));
+                vstore(comp[c] + i + tbit, (a & on) | (b & ~on));
+            }
+        }
+        i += 16;
+    }
+}
+
+static int have_avx512(void)
+{
+    return __builtin_cpu_supports("avx512f");
+}
+
+/* a raw of the 32-bit word, as vpmuldq reads a coefficient */
+static inline int is_word(int64_t c)
+{
+    return RAW_MIN <= c && c <= RAW_MAX;
+}
+#endif
+
+/* Sparse SU step over one bank of len words: x[k] <- cfx_mul(c, x[k]),
+ * c = (c1r, c1i) where bit t of k is set and (c0r, c0i) elsewhere. */
+void hpqe_scale_bank(int32_t *re, int32_t *im, int64_t len, int t,
+                     int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i)
+{
+    if (t > 62)         /* len < 2^62: bit t of every k is clear */
+        t = 62;
+    int clip = !(fits(c0r) && fits(c0i) && fits(c1r) && fits(c1i));
+#ifdef HPQE_AVX512
+    if (have_avx512() && is_word(c0r) && is_word(c0i) && is_word(c1r) && is_word(c1i)) {
+        scale_avx512(re, im, len, t, c0r, c0i, c1r, c1i, clip);
+        return;
+    }
+#endif
+    scale_portable(re, im, 0, len, t, c0r, c0i, c1r, c1i, clip);
+}
+
+/* Dense SU step over pair views: for each row r and each k in
+ * [r*stride, r*stride + width), (x[k], y[k]) <- su_eval of the pair. */
+void hpqe_pair_banks(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
+                     int64_t rows, int64_t width, int64_t stride,
+                     const int64_t *c)
+{
+    const int64_t m[8] = {c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]};
+    int all_fit = 1;
+    for (int j = 0; j < 8; j++)
+        all_fit &= fits(m[j]);
+#ifdef HPQE_AVX512
+    int all_words = 1;
+    for (int j = 0; j < 8; j++)
+        all_words &= is_word(m[j]);
+    if (have_avx512() && all_words) {
+        pair_avx512(xr, xi, yr, yi, rows, width, stride, m, !all_fit);
+        return;
+    }
+#endif
+    pair_portable(xr, xi, yr, yi, rows, width, stride, m, !all_fit);
+}
+
+/* CX on an n-qubit state: swap word i with word i | 2^target for every i
+ * whose control bit is set and target bit is clear, in re and in im. */
+void hpqe_cx(int32_t *re, int32_t *im, int n, int control, int target)
+{
+#ifdef HPQE_AVX512
+    if (n >= 4 && have_avx512()) {
+        cx_avx512(re, im, n, control, target);
+        return;
+    }
+#endif
+    cx_body(re, im, n, control, target);
 }

@@ -7,6 +7,9 @@ import numpy as np
 from hpqe import fxp, gateset
 
 ALL_KINDS = ("H", "S", "RX", "RY", "RZ", "CX")
+# built with this flag, kernels.c leaves out its AVX-512F body, so every
+# call runs the portable C loops whatever the host
+PORTABLE_FLAG = "-DHPQE_PORTABLE"
 
 
 def rne(value: Fraction) -> int:

@@ -245,6 +245,32 @@ class TestRunCircuit:
         with pytest.raises(ValueError):
             engine.run_circuit(state.init_basis(3, 0), gateset.Circuit(n=4))
 
+    def test_one_kernel_call_per_gate_with_one_worker(self, monkeypatch):
+        # every single-qubit gate, in either access mode, is one call on
+        # the whole state, from run_circuit and from apply_single
+        n = 6
+        calls = []
+        real_scale, real_pair = fxp.scale_bank, fxp.pair_banks
+
+        def spy_scale(c0, c1, t, banks, scratch=None):
+            banks = list(banks)
+            calls.append(("scale_bank", [re.size for re, _ in banks]))
+            real_scale(c0, c1, t, banks, scratch)
+
+        def spy_pair(*args):
+            calls.append(("pair_banks", [args[4].size]))
+            real_pair(*args)
+
+        monkeypatch.setattr(fxp, "scale_bank", spy_scale)
+        monkeypatch.setattr(fxp, "pair_banks", spy_pair)
+        for t in range(n):
+            for op, want in ((gateset.single("RZ", t, 0.3), ("scale_bank", [1 << n])),
+                             (gateset.single("H", t), ("pair_banks", [1 << (n - 1)]))):
+                calls.clear()
+                engine.run_circuit(state.init_basis(n, 0), gateset.Circuit(n=n, ops=[op]))
+                engine.apply_single(state.init_basis(n, 0), op)
+                assert calls == [want] * 2, (t, op.kind)
+
     @pytest.mark.parametrize("workers", (1, 2))
     def test_requires_quantized_matrix(self, workers):
         c = gateset.Circuit(n=3, ops=[gateset.cx(0, 1),

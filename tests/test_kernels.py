@@ -4,9 +4,12 @@
 word (`fxp.WORD`) holding full-range values, and full-range coefficients
 (RAW_MIN, RAW_MAX, exact rounding ties, the clip-elision boundary), and
 every element is compared with `fxp.su_eval` / `fxp.fx_mul`.
-Each such test runs twice: its class pins the native kernels (skipped
-only where they cannot be built or loaded), and a `...Numpy` subclass
-reruns it on the numpy ones. `TestClipElision` and `TestWorkers` also
+Each such test runs three times: its class pins the native kernels as
+built for this host (on an AVX-512F CPU their vector body), a
+`...Portable` subclass pins the same library built without the vector
+body, so that its portable C loops run (both skipped only where the
+library cannot be built or loaded), and a `...Numpy` subclass reruns it
+on the numpy bodies. `TestClipElision` and `TestWorkers` also
 hold tests that run no kernel or count calls only; those run once, in
 the numpy-pinned class, and a `...Native` class reruns the kernel tests.
 Most property tests shrink BLOCK to a few elements, so a bank spans many
@@ -25,7 +28,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hpqe import engine, fxp, gateset, state
 from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
 
-from helpers import random_circuit, rne
+from helpers import PORTABLE_FLAG, random_circuit, rne
 
 EDGES = (RAW_MIN, RAW_MIN + 1, -SCALE - 1, -SCALE, -SCALE + 1, -fxp.HALF_ULP,
          -1, 0, 1, fxp.HALF_ULP, SCALE - 1, SCALE, SCALE + 1, RAW_MAX - 1,
@@ -39,18 +42,39 @@ small_blocks = st.sampled_from((1, 2, 4, 8, 16))
 INHERITED = [HealthCheck.differing_executors]
 
 
+@pytest.fixture(scope="session")
+def portable_kernels(tmp_path_factory):
+    """The native library built with PORTABLE_FLAG, or None.
+
+    It is built into a cache of its own, because a build deletes every
+    other library in its cache; the loader's state is restored after.
+    """
+    mp = pytest.MonkeyPatch()
+    mp.setattr(fxp, "NATIVE_FLAGS", (*fxp.NATIVE_FLAGS, PORTABLE_FLAG))
+    mp.setattr(fxp, "NATIVE_CACHE", tmp_path_factory.mktemp("portable-kernels"))
+    mp.setattr(fxp, "_native", [])
+    try:
+        return fxp.native_kernels()
+    finally:
+        mp.undo()
+
+
 @pytest.fixture(scope="class", autouse=True)
 def kernel_body(request):
-    """Pin the kernel body a test class names in BODY: "native" or "numpy".
+    """Pin the kernel body a test class names in BODY: "native",
+    "portable" or "numpy".
 
-    Under "native" the numpy bodies cannot run unnoticed: their scratch
-    allocation fails the test.
+    Under "native" and "portable" the numpy bodies cannot run unnoticed:
+    their scratch allocation fails the test.
     """
     body = getattr(request.cls, "BODY", None)
     mp = pytest.MonkeyPatch()
-    if body == "native":
-        if fxp.native_kernels() is None:
+    if body in ("native", "portable"):
+        lib = (fxp.native_kernels() if body == "native"
+               else request.getfixturevalue("portable_kernels"))
+        if lib is None:
             pytest.skip("the native kernels cannot be built or loaded on this host")
+        mp.setattr(fxp, "_native", [lib])
 
         def no_scratch():
             raise AssertionError("a numpy kernel body ran under the native one")
@@ -99,6 +123,39 @@ def random_coeff(rng) -> CFx:
     return CFx(pick(), pick())
 
 
+# Lane boundaries of the vector body: a vector holds 16 words, even words
+# and odd words take separate products, and the words after the last
+# whole vector run the scalar loop. Banks of these lengths end in every
+# kind of remainder; the last one also crosses the numpy body's BLOCK.
+LANE_SIZES = (15, 16, 17, 31, 33, (1 << 16) + 37)
+TIE = fxp.HALF_ULP
+# every EDGES word, and odd words that make exact ties with the TIE
+# coefficients below; the cycle of 19 words is prime to 16, so each word
+# falls on every lane of a vector, even and odd, and into the tails
+LANE_WORDS = np.array(EDGES + (3, -3, SCALE + 3, -SCALE + 3), dtype=fxp.WORD)
+LANE_COEFFS = (
+    (CFx(TIE, -3 * TIE), CFx(-TIE, 3 * TIE)),       # a tie for every odd word
+    (CFx(-SCALE, 0), CFx(0, -SCALE)),               # -2^30 * RAW_MIN saturates
+    (CFx(RAW_MIN, RAW_MAX), CFx(SCALE + 1, -SCALE - 1)),
+    (CFx(fxp.RAW_SQRT_HALF, -fxp.RAW_SQRT_HALF), CFx(SCALE, SCALE - 1)),   # no clips
+)
+
+
+def lane_bank(size: int) -> tuple:
+    # re and im cycle LANE_WORDS from different starts
+    return (np.resize(LANE_WORDS, size), np.resize(np.roll(LANE_WORDS, 7), size))
+
+
+def lane_checked(size: int) -> range | list:
+    # every word of a small bank; the ends, the BLOCK boundary and a fixed
+    # sample of a large one
+    if size <= 64:
+        return range(size)
+    rng = np.random.default_rng(size)
+    return sorted({*range(48), *range(fxp.BLOCK - 48, min(size, fxp.BLOCK + 48)),
+                   *range(size - 48, size), *rng.integers(0, size, 256).tolist()})
+
+
 class TestScaleBank:
     BODY = "native"
 
@@ -128,6 +185,21 @@ class TestScaleBank:
             got = (re.copy(), im.copy())
             fxp.scale_bank(a, b, t, [got])
             assert as_cfx(*got) == scalar_scale(a, b, t, re, im), t
+
+    @pytest.mark.parametrize("size", LANE_SIZES)
+    def test_lane_boundaries(self, size):
+        # t = 0..3 give each vector one (c0, c1) pattern, t >= 4 switch
+        # whole vectors between c0 and c1
+        re, im = lane_bank(size)
+        ks = lane_checked(size)
+        for c0, c1 in LANE_COEFFS:
+            for a, b in ((c0, c1), (c1, c0)):
+                for t in range(7):
+                    got = (re.copy(), im.copy())
+                    fxp.scale_bank(a, b, t, [got])
+                    want = [fxp.cfx_mul(b if (k >> t) & 1 else a,
+                                        CFx(int(re[k]), int(im[k]))) for k in ks]
+                    assert as_cfx(got[0][ks], got[1][ks]) == want, (a, b, t)
 
 
 class TestPairBanks:
@@ -182,6 +254,44 @@ class TestPairBanks:
                                           for a, b in zip(xs, ys)]
         assert as_cfx(got[2], got[3]) == [fxp.su_eval(m[2], m[3], a, b)
                                           for a, b in zip(xs, ys)]
+
+
+    @pytest.mark.parametrize("size", LANE_SIZES)
+    def test_lane_boundaries_flat(self, size):
+        re, im = lane_bank(size)
+        ks = lane_checked(size)
+        for (a, b), (c, d) in zip(LANE_COEFFS, LANE_COEFFS[1:] + LANE_COEFFS[:1]):
+            m = (a, c, d, b)
+            x = [re, im, im[::-1].copy(), re[::-1].copy()]
+            got = [v.copy() for v in x]
+            fxp.pair_banks(*m, *got)
+            xs = [CFx(int(x[0][k]), int(x[1][k])) for k in ks]
+            ys = [CFx(int(x[2][k]), int(x[3][k])) for k in ks]
+            assert as_cfx(got[0][ks], got[1][ks]) == [fxp.su_eval(m[0], m[1], p, q)
+                                                      for p, q in zip(xs, ys)]
+            assert as_cfx(got[2][ks], got[3][ks]) == [fxp.su_eval(m[2], m[3], p, q)
+                                                      for p, q in zip(xs, ys)]
+
+    @pytest.mark.parametrize("t", range(7))
+    @pytest.mark.parametrize("large", (False, True))
+    def test_lane_boundaries_halves(self, t, large):
+        # the mode-1 views: rows of 1 to 8 words pack whole pairs into a
+        # vector, wider rows run whole vectors; some rows lie past the
+        # last whole vector
+        rows = ((1 << 16) if large else 48) // (2 << t) + 3
+        size = rows << (t + 1)
+        re, im = lane_bank(size)
+        ks = [k for k in lane_checked(size) if not (k >> t) & 1]
+        for (a, b), (c, d) in zip(LANE_COEFFS, LANE_COEFFS[1:] + LANE_COEFFS[:1]):
+            m = (a, c, d, b)
+            gre, gim = re.copy(), im.copy()
+            r3, i3 = gre.reshape(rows, 2, 1 << t), gim.reshape(rows, 2, 1 << t)
+            fxp.pair_banks(*m, r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1])
+            for k in ks:
+                j = k | (1 << t)
+                x, y = CFx(int(re[k]), int(im[k])), CFx(int(re[j]), int(im[j]))
+                assert (int(gre[k]), int(gim[k])) == fxp.su_eval(m[0], m[1], x, y), (m, k)
+                assert (int(gre[j]), int(gim[j])) == fxp.su_eval(m[2], m[3], x, y), (m, k)
 
 
 class TestRoundingTies:
@@ -421,11 +531,13 @@ class TestEngineEveryTargetNumpy(TestEngineEveryTarget):
 
 
 class TestCx:
-    @pytest.mark.parametrize("n", range(2, 11))
+    BODY = "native"
+
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_native_matches_views(self, n, monkeypatch):
-        # the native swap against the [2]*n view swap, for every pair
-        if fxp.native_kernels() is None:
-            pytest.skip("the native kernels cannot be built or loaded on this host")
+        # the native swap against the [2]*n view swap, for every pair; from
+        # n = 4 the vector body takes 16-word blocks, and control and target
+        # each fall below or above a block
         rng = np.random.default_rng(300 + n)
         sv0 = state.init_basis(n, 0)
         sv0.re[:] = random_words(rng, 1 << n)
@@ -443,3 +555,25 @@ class TestCx:
             engine.apply_cx(sv, control, target)
             assert got == sv.dump(), (n, control, target)
             assert got != sv0.dump()
+
+
+# The same tests on the portable C body.
+
+class TestScaleBankPortable(TestScaleBank):
+    BODY = "portable"
+
+
+class TestPairBanksPortable(TestPairBanks):
+    BODY = "portable"
+
+
+class TestRoundingTiesPortable(TestRoundingTies):
+    BODY = "portable"
+
+
+class TestEngineEveryTargetPortable(TestEngineEveryTarget):
+    BODY = "portable"
+
+
+class TestCxPortable(TestCx):
+    BODY = "portable"

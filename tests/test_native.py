@@ -16,6 +16,8 @@ import pytest
 
 from hpqe import cli, fxp
 
+from helpers import PORTABLE_FLAG
+
 SRC = Path(fxp.__file__).resolve().parents[1]
 ROOT = SRC.parent
 OUTPUTS = ("state.bin", "cycles.json", "time.json")
@@ -130,6 +132,19 @@ class TestCache:
     def test_import_builds_nothing(self):
         proc = python("import sys; import hpqe, hpqe.cli, hpqe.engine; from hpqe import fxp; "
                       "sys.exit(0 if fxp._native == [] else 3)")
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("extra", ((), (PORTABLE_FLAG,)), ids=("host", "portable"))
+    def test_builds_without_warnings(self, extra, tmp_path):
+        # the library as fxp builds it, and without its vector body
+        if shutil.which(fxp.NATIVE_CC) is None:
+            pytest.skip(f"no C compiler {fxp.NATIVE_CC!r} on this host")
+        proc = subprocess.run([fxp.NATIVE_CC, *fxp.NATIVE_FLAGS, "-Wall", "-Wextra", "-Werror",
+                               *extra, "-o", str(tmp_path / "kernels.so"),
+                               str(fxp.NATIVE_SOURCE)],
+                              capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
 
