@@ -200,7 +200,9 @@ def cmd_bench(args) -> int:
     out = _out_dir(args)
     ext = "json" if args.format == "json" else "csv"
     _write_table(rows, BENCH_COLUMNS, args.format, out / f"bench.{ext}")
-    _write_table(_cx_table(n_range), ("n", "legacy_cycles", "new_cycles", "ratio"),
+    # CX needs two qubits: the CX table keeps the n >= 2 of the range
+    _write_table(_cx_table(n for n in n_range if n >= 2),
+                 ("n", "legacy_cycles", "new_cycles", "ratio"),
                  args.format, out / f"cx_compare.{ext}")
     failed = sum(1 for r in rows if r["error"])
     print(f"bench: {len(rows)} rows ({failed} failed) -> {out / f'bench.{ext}'}")
@@ -220,7 +222,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cx_compare(args) -> int:
-    rows = _cx_table(_parse_range(args.n))
+    n_range = _parse_range(args.n)
+    if n_range[0] < 2:
+        raise UsageError(f"--n {args.n!r}: CX requires n >= 2")
+    rows = _cx_table(n_range)
     out = _out_dir(args)
     ext = "json" if args.format == "json" else "csv"
     path = out / f"cx_compare.{ext}"
@@ -240,7 +245,7 @@ def _add_common(p, with_n: bool = True) -> None:
     p.add_argument("--max-qubits", type=int, default=state.MAX_QUBITS_DEFAULT,
                    help="desk-scale qubit ceiling")
     p.add_argument("--workers", type=int, default=1, choices=(1, 2, 4, 8),
-                   help="segment workers")
+                   help="threads that share each gate (bit-identical results)")
 
 
 def build_parser() -> argparse.ArgumentParser:

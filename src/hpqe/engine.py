@@ -1,25 +1,30 @@
 """Fixed-point gate application and the pipelined CX swapper.
 
-Single-qubit gates walk amplitude pairs (i, i + 2^t) and push each pair
-through the SU dataflow, overwriting in place after a read-before-write
-of the pair (no shadow buffer). Pairs whose members share a segment are
-handled inside that segment (access mode 1); when the target bit selects
-the segment itself, the pair spans two PEs at the same offset and the
-owning segment computes both outputs from the exchanged values (mode 2).
-
-The state holds the machine's 32-bit words (`fxp.WORD`). The arithmetic
-runs in fxp's bank kernels, which take each segment in place: their
-native body (`kernels.c`, built on first use) needs no scratch, and
-their numpy fallback widens BLOCK-element slices into one int64 scratch
-array allocated per call, so temporaries stay bounded by the block:
-  * sparse (diagonal) gates scale contiguous banks in place, in mode 1
-    by the (m00, m11) coefficient that bit t of each word's index picks
-    (period 2^(t+1)), in mode 2 by the one coefficient the segment's
-    target bit selects;
-  * dense gates hand `fxp.pair_banks` the two halves of each pair: strided
-    views of one segment in mode 1, two whole segments in mode 2.
+A single-qubit gate on qubit t pushes every amplitude pair (i, i + 2^t)
+through the SU dataflow, in place: the kernels read both words of a
+pair before they write either, so no shadow buffer is needed. The state
+holds the machine's 32-bit words (`fxp.WORD`), and the arithmetic runs
+in fxp's bank kernels:
+  * a sparse (diagonal) gate scales contiguous banks by the (m00, m11)
+    coefficient that bit t of each word's index picks (`scale_bank`);
+  * a dense gate hands `pair_banks` the two halves of each pair, strided
+    views of the state reshaped to (-1, 2, 2^t).
 Every rounding and saturation step of the scalar `fxp.su_eval` is kept,
 except the provably inert ones the `fxp` docstring lists.
+
+Each pair's words depend on that pair alone, so a gate may be cut into
+contiguous pieces of pairs computed in any order, or at once, with the
+same bits. `apply_single` makes one kernel call on the whole state.
+`run_circuit` cuts each gate into one piece per thread of its pool,
+with a barrier between gates; native calls release the GIL and each
+numpy-body call allocates its own scratch, so results are bit-identical
+for any worker count.
+
+The machine's 8 segments (2 PE arrays x 4 PEs, `state.segment_of`) and
+its access modes (Mode1: a pair inside one segment; Mode2: a pair
+across two PEs at equal offsets, `access_mode`) matter to its timing
+only: `cycle_report` counts the mode-2 gates, and no kernel call
+follows the segments.
 
 CX performs no arithmetic: it swaps 2^(n-2) amplitude pairs, in the
 native `hpqe_cx` loop, or through views of each component reshaped to
@@ -27,25 +32,14 @@ native `hpqe_cx` loop, or through views of each component reshaped to
 schedule costs 2*(2^(n-2)+1)+1 cycles against the sequential baseline's
 5*2^(n-2); `simulate_swapper` steps the machine cycle by cycle and the
 closed forms are checked against it in tests.
-
-With one worker, a single-qubit gate is one kernel call on the whole
-state, in either access mode: `scale_bank` with bit t for a sparse gate,
-`pair_banks` on the (-1, 2, 2^t) halves for a dense one. Each pair's
-words depend on that pair alone, so this gives the segment walk's bits.
-The segment split remains the partition for several workers. Segment
-updates never overlap, so gate application may be spread over 1..8
-workers with a barrier between gates; native calls release the GIL,
-each numpy-body worker call owns its scratch, and results are
-bit-identical for any worker count. Workers split the segments that
-compute for the gate: all 8, or the 4 owners of a dense mode-2 gate.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 import json
-
 
 from . import fxp, perfmodel
 from .gateset import Circuit, GateOp, CX
@@ -100,8 +94,8 @@ def cx_pair(k: int, n: int, control: int, target: int) -> tuple[int, int]:
     return i0, i0 | (1 << target)
 
 
-def apply_cx(state: StateVector, control: int, target: int) -> int:
-    """Swap the control=1 amplitude pairs in place; returns cycles.
+def apply_cx(state: StateVector, control: int, target: int) -> None:
+    """Swap the control=1 amplitude pairs in place (cycles: `cx_cycles`).
 
     The native kernel swaps words i and i | 2^target for every i whose
     control bit is set and target bit clear. Without it, each component
@@ -117,7 +111,7 @@ def apply_cx(state: StateVector, control: int, target: int) -> int:
     lib = fxp.native_kernels()
     if lib is not None and fxp.native_rows(state.re, state.im) == (1, 1 << n, 1 << n):
         lib.hpqe_cx(state.re.ctypes.data, state.im.ctypes.data, n, control, target)
-        return cx_cycles(n)
+        return
     lo = [slice(None)] * n
     lo[n - 1 - control] = slice(1, 2)       # slices keep every view an array
     hi = list(lo)
@@ -129,7 +123,6 @@ def apply_cx(state: StateVector, control: int, target: int) -> int:
         tmp = a.copy()
         a[...] = b
         b[...] = tmp
-    return cx_cycles(n)
 
 
 # ---------------------------------------------------------------------------
@@ -214,69 +207,49 @@ def simulate_swapper(n: int, control: int | None = None,
 # Single-qubit application.
 # ---------------------------------------------------------------------------
 
-def _segment_bit(t: int, n: int) -> int:
-    return t - (n - 3)
-
-
-def _update_intra(op: GateOp, banks, scratch) -> None:
-    # both pair members inside each (re, im) bank: a segment in access
-    # mode 1, or the whole state
+def _kernel_calls(sv: StateVector, op: GateOp, p: int) -> list:
+    # the kernel calls of a single-qubit gate over p contiguous pieces of
+    # 2^(n-1)/p pairs each (p a power of two, at most 2^(n-1)); the pieces
+    # share no word, so the calls may run in any order or at once
     t = op.target
     m00, m01, m10, m11 = op.matrix
     if op.sparse:
-        # diagonal: scale by the periodic (m00, m11) pattern, no exchange
-        fxp.scale_bank(m00, m11, t, banks, scratch)
-        return
-    for re, im in banks:
-        r3, i3 = (a.reshape(-1, 2, 1 << t) for a in (re, im))
-        fxp.pair_banks(m00, m01, m10, m11, r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1],
-                       scratch)
-
-
-def _update_cross(sv: StateVector, op: GateOp, seg_ids, scratch) -> None:
-    # pair spans two segments at equal offsets; a segment with the target
-    # bit clear owns the pair and writes both halves
-    bit = _segment_bit(op.target, sv.n)
-    m00, m01, m10, m11 = op.matrix
-    for sid in seg_ids:
-        if op.sparse:
-            # diagonal gates touch no partner data: scale the whole segment
-            coeff = m11 if (sid >> bit) & 1 else m00
-            fxp.scale_bank(coeff, coeff, 0, [sv.segment(sid)], scratch)
-        elif not (sid >> bit) & 1:
-            xr, xi = sv.segment(sid)
-            yr, yi = sv.segment(sid | (1 << bit))
-            fxp.pair_banks(m00, m01, m10, m11, xr, xi, yr, yi, scratch)
-
-
-def _apply_single_segments(sv: StateVector, op: GateOp, seg_ids) -> None:
-    # scratch is per call, so concurrent workers never share buffers
-    scratch = fxp.scratch_for_call()
-    if sv.n < 3 or access_mode(op.target, sv.n) == MODE1:
-        _update_intra(op, map(sv.segment, seg_ids), scratch)
+        # bit t of a piece's first index is clear, unless the piece is
+        # shorter than the period 2^(t+1): it then lies inside one half,
+        # whose coefficient that bit picks for all its words
+        step = sv.size // p
+        return [partial(fxp.scale_bank, m11 if (lo >> t) & 1 else m00, m11, t,
+                        sv.re[lo:lo + step], sv.im[lo:lo + step])
+                for lo in range(0, sv.size, step)]
+    rows = sv.size >> (t + 1)
+    if rows >= p:
+        step = rows // p
+        cuts = [(slice(lo, lo + step), slice(None)) for lo in range(0, rows, step)]
     else:
-        _update_cross(sv, op, seg_ids, scratch)
-
-
-def _apply_single_whole(sv: StateVector, op: GateOp) -> None:
-    # one kernel call for the whole state: every pair (i, i + 2^t) lies in
-    # it, in either access mode, and each pair's words depend on that pair
-    # alone, so the bits equal the segment walk's; a numpy body allocates
-    # its own scratch for the one call
-    _update_intra(op, [(sv.re, sv.im)], None)
+        step = (rows << t) // p
+        cuts = [(r, slice(lo, lo + step)) for r in range(rows)
+                for lo in range(0, 1 << t, step)]
+    halves = [a.reshape(rows, 2, 1 << t)[:, h]          # xr, xi, yr, yi
+              for h in (0, 1) for a in (sv.re, sv.im)]
+    return [partial(fxp.pair_banks, m00, m01, m10, m11, *(v[cut] for v in halves))
+            for cut in cuts]
 
 
 def apply_single(state: StateVector, gate: GateOp,
-                 cfg: perfmodel.PerfConfig = perfmodel.DEFAULT_CONFIG) -> int:
-    """Apply one quantized single-qubit gate in place; returns cycles."""
+                 cfg: perfmodel.PerfConfig = perfmodel.DEFAULT_CONFIG) -> None:
+    """Apply one quantized single-qubit gate in place, as one kernel call.
+
+    `cfg` is unused; it is kept for callers that pass it positionally.
+    The gate's modeled cycles come from `cycle_report`.
+    """
     if gate.kind == CX:
         raise ValueError("apply_single does not take CX")
     if gate.matrix is None:
         raise ValueError("gate matrix not quantized (use gateset.single)")
     if not 0 <= gate.target < state.n:
         raise ValueError(f"target {gate.target} out of range for n={state.n}")
-    _apply_single_whole(state, gate)
-    return perfmodel.cycles_single(state.n, cfg)
+    for call in _kernel_calls(state, gate, 1):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -326,35 +299,23 @@ def cycle_report(circuit: Circuit,
                        cx_pairs_swapped=pairs, mode2_gate_count=mode2)
 
 
-def _busy_segments(op: GateOp, n: int, segment_count: int) -> list:
-    # segments that compute for a single-qubit gate: in a dense mode-2
-    # gate only the owners (target bit clear) do, writing both halves
-    if op.sparse or n < 3 or access_mode(op.target, n) == MODE1:
-        return list(range(segment_count))
-    bit = _segment_bit(op.target, n)
-    return [s for s in range(segment_count) if not (s >> bit) & 1]
-
-
-def _worker_partition(segments: list, workers: int) -> list:
-    return [segments[w::workers] for w in range(workers)]
-
-
 def run_circuit(state: StateVector, circuit: Circuit,
                 cfg: perfmodel.PerfConfig = perfmodel.DEFAULT_CONFIG,
                 workers: int = 1):
     """Apply a base-set circuit gate by gate.
 
-    Returns (state, cycle_report(circuit, cfg)). With workers > 1 the
-    segments that compute for each gate are split evenly across a thread
-    pool, with a barrier after every gate; the result is bit-identical
-    for any worker count.
+    Returns (state, cycle_report(circuit, cfg)). A single-qubit gate is
+    cut into p contiguous pieces, p the largest power of two no greater
+    than `workers` and 2^(n-1), and a pool of p threads runs one kernel
+    call per piece, with a barrier after every gate; the result is
+    bit-identical for any worker count.
     """
     if circuit.n != state.n:
         raise ValueError(f"circuit is for n={circuit.n}, state has n={state.n}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, state.segment_count)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pieces = 1 << (min(workers, state.size >> 1).bit_length() - 1)
+    pool = ThreadPoolExecutor(max_workers=pieces) if pieces > 1 else None
     try:
         for idx, op in enumerate(circuit.ops):
             if op.kind == CX:
@@ -362,12 +323,11 @@ def run_circuit(state: StateVector, circuit: Circuit,
                 continue
             if op.matrix is None:
                 raise ValueError(f"gate {idx} has no quantized matrix")
+            calls = _kernel_calls(state, op, pieces)
             if pool is None:
-                _apply_single_whole(state, op)
+                calls[0]()
             else:
-                busy = _busy_segments(op, state.n, state.segment_count)
-                futures = [pool.submit(_apply_single_segments, state, op, part)
-                           for part in _worker_partition(busy, workers) if part]
+                futures = [pool.submit(call) for call in calls]
                 for f in wait(futures).done:
                     f.result()   # re-raise worker errors, barrier per gate
     finally:

@@ -19,9 +19,10 @@ kernel has two bodies:
     CPU that has it, and portable C loops for every other host.
   * numpy: the fallback where the library cannot be built or loaded,
     and for arrays the native body does not take. It copies each bank
-    BLOCK elements at a time into int64 rows of one reused scratch
-    array, computes there and narrows on write-back, so its temporaries
-    are bounded by the block, not by the state.
+    BLOCK elements at a time into int64 rows of one scratch array,
+    allocated per call so that concurrent calls share none, computes
+    there and narrows on write-back; its temporaries are bounded by the
+    block, not by the state.
 
 Both round each real product as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30,
 which is fx_mul's round-half-even, and saturate every sum as fx_add /
@@ -270,11 +271,11 @@ def native_rows(*arrays):
 # Numpy bank kernels (blocked, in place) -- bit-identical to the scalar
 # forms. Products of two in-range raws fit in 62 bits, so int64 is exact.
 # A bank is processed BLOCK elements at a time: each block is copied into
-# int64 rows of a scratch array of SCRATCH_ROWS x BLOCK words, computed
-# there and narrowed back to the bank only after its final clip. Writing
-# an int64 result into a WORD bank through a ufunc's `out=` would wrap
-# silently before any clip. The temporaries stay bounded by the block
-# whatever the bank size.
+# int64 rows of the call's scratch array of SCRATCH_ROWS x BLOCK words,
+# computed there and narrowed back to the bank only after its final clip.
+# Writing an int64 result into a WORD bank through a ufunc's `out=` would
+# wrap silently before any clip. The temporaries stay bounded by the
+# block whatever the bank size.
 # ---------------------------------------------------------------------------
 
 BLOCK = 1 << 16          # elements per kernel step
@@ -282,17 +283,8 @@ SCRATCH_ROWS = 8         # int64 buffers of BLOCK words each kernel may use
 
 
 def new_scratch() -> np.ndarray:
-    """Scratch for the numpy kernel bodies; one per concurrent caller."""
+    """Scratch for one call of a numpy kernel body."""
     return np.empty((SCRATCH_ROWS, BLOCK), dtype=np.int64)
-
-
-def scratch_for_call() -> np.ndarray | None:
-    """Scratch for one caller of the kernels, or None when none is needed.
-
-    Only the numpy bodies use scratch, so while the native library is
-    loaded this allocates nothing.
-    """
-    return None if native_kernels() is not None else new_scratch()
 
 
 def product_fits(c: int) -> bool:
@@ -368,56 +360,49 @@ def _cmul_part(c, xr, xi, imag: bool, out, s, t):
                      True, out)
 
 
-def scale_bank(c0: CFx, c1: CFx, t: int, banks,
-               scratch: np.ndarray | None = None) -> None:
-    """Sparse SU step over banks, in place: x[k] <- cfx_mul(c, x[k]).
+def scale_bank(c0: CFx, c1: CFx, t: int, re: np.ndarray, im: np.ndarray) -> None:
+    """Sparse SU step over one bank, in place: x[k] <- cfx_mul(c, x[k]).
 
     c is c1 where bit t of k is set and c0 elsewhere: a diagonal gate on
-    qubit t of banks whose first index has bit t clear. One coefficient
-    for a whole bank is scale_bank(c, c, 0, ...). `banks` holds (re, im)
-    pairs of 1-D WORD arrays of any length.
+    qubit t of a bank whose first index has bit t clear. One coefficient
+    for a whole bank is scale_bank(c, c, 0, ...). re and im are 1-D WORD
+    arrays of one length, any length.
 
-    The native body takes each bank whole. The numpy body uses scratch
-    (from `new_scratch`, allocated here when None): when the period
-    2^(t+1) fits a block, every block is scaled by one periodic (c0, c1)
-    pattern, built once per call; otherwise 2^t is a multiple of BLOCK
-    and bit t is constant within each block.
+    The native body takes the bank whole. The numpy body allocates its
+    scratch (`new_scratch`) per call: when the period 2^(t+1) fits a
+    block, every block is scaled by one periodic (c0, c1) pattern, built
+    once per call; otherwise 2^t is a multiple of BLOCK and bit t is
+    constant within each block.
     """
-    banks = list(banks)
     lib = native_kernels()
-    if lib is not None and all(native_rows(re, im) and re.ndim == 1
-                               for re, im in banks):
-        for re, im in banks:
-            lib.hpqe_scale_bank(re.ctypes.data, im.ctypes.data, re.size, t, *c0, *c1)
+    if lib is not None and native_rows(re, im) and re.ndim == 1:
+        lib.hpqe_scale_bank(re.ctypes.data, im.ctypes.data, re.size, t, *c0, *c1)
         return
-    if scratch is None:
-        scratch = new_scratch()
-    gr, gi, s_ir, s, tmp = scratch[:5]
+    gr, gi, s_ir, s, tmp = new_scratch()[:5]
     fixed = [[_coef(v) for v in c] for c in (c0, c1)]
     periodic = c0 != c1 and (2 << t) <= BLOCK
     if periodic:
-        size = min(BLOCK, max(len(re) for re, _ in banks))
+        size = min(BLOCK, len(re))
         reps = -(-size >> (t + 1))
         pattern = [_coef(np.tile(np.repeat(np.array(pair, dtype=np.int64), 1 << t),
                                  reps)[:size], *pair)
                    for pair in zip(c0, c1)]
-    for re, im in banks:
-        for lo in range(0, len(re), BLOCK):
-            m = min(BLOCK, len(re) - lo)
-            xr, xi = gr[:m], gi[:m]
-            np.copyto(xr, re[lo:lo + m])
-            np.copyto(xi, im[lo:lo + m])
-            if periodic:
-                cr, ci = (c._replace(value=c.value[:m]) for c in pattern)
-            else:
-                cr, ci = fixed[(lo >> t) & 1]
-            # keep fx_mul(ci, xr) for the imaginary part, then overwrite
-            # the copies: xr <- cr*xr - ci*xi, xi <- cr*xi + ci*xr
-            ir = _prod(ci, xr, s_ir[:m], tmp[:m])
-            _cmul_part((cr, ci), xr, xi, False, xr, s[:m], tmp[:m])
-            _sum_into(_prod(cr, xi, xi, tmp[:m]), ir, False, xi)
-            re[lo:lo + m] = xr      # in range after the clips: narrows exactly
-            im[lo:lo + m] = xi
+    for lo in range(0, len(re), BLOCK):
+        m = min(BLOCK, len(re) - lo)
+        xr, xi = gr[:m], gi[:m]
+        np.copyto(xr, re[lo:lo + m])
+        np.copyto(xi, im[lo:lo + m])
+        if periodic:
+            cr, ci = (c._replace(value=c.value[:m]) for c in pattern)
+        else:
+            cr, ci = fixed[(lo >> t) & 1]
+        # keep fx_mul(ci, xr) for the imaginary part, then overwrite the
+        # copies: xr <- cr*xr - ci*xi, xi <- cr*xi + ci*xr
+        ir = _prod(ci, xr, s_ir[:m], tmp[:m])
+        _cmul_part((cr, ci), xr, xi, False, xr, s[:m], tmp[:m])
+        _sum_into(_prod(cr, xi, xi, tmp[:m]), ir, False, xi)
+        re[lo:lo + m] = xr      # in range after the clips: narrows exactly
+        im[lo:lo + m] = xi
 
 
 def block_slices(shape, block: int):
@@ -444,17 +429,16 @@ def block_slices(shape, block: int):
 
 
 def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
-               xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray,
-               scratch: np.ndarray | None = None) -> None:
+               xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray) -> None:
     """Dense SU step over paired banks, in place.
 
     x <- su_eval(c00, c01, x, y) and y <- su_eval(c10, c11, x, y), both
     from the old x and y. The four WORD arrays share one shape: 1-D of
     any length, or 2-D (strided views of the pair halves inside a bank).
     The native body reads all four words of a pair before it writes
-    one. The numpy body first copies each block of x and y into int64
-    scratch (from `new_scratch`, allocated here when None), sums each
-    output there and narrows it on write-back.
+    one. The numpy body allocates its scratch (`new_scratch`) per call,
+    copies each block of x and y into it as int64, sums each output
+    there and narrows it on write-back.
     """
     lib = native_kernels()
     rows = native_rows(xr, xi, yr, yi) if lib is not None else None
@@ -463,9 +447,7 @@ def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
         lib.hpqe_pair_banks(xr.ctypes.data, xi.ctypes.data, yr.ctypes.data,
                             yi.ctypes.data, *rows, coefs.ctypes.data)
         return
-    if scratch is None:
-        scratch = new_scratch()
-    gxr, gxi, gyr, gyi, acc, y, s, tmp = scratch
+    gxr, gxi, gyr, gyi, acc, y, s, tmp = new_scratch()
     coefs = [tuple(_coef(v) for v in c) for c in (c00, c01, c10, c11)]
     outputs = ((coefs[0], coefs[1], xr, False), (coefs[0], coefs[1], xi, True),
                (coefs[2], coefs[3], yr, False), (coefs[2], coefs[3], yi, True))

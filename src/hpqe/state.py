@@ -1,12 +1,12 @@
-"""Partitioned fixed-point state vector.
+"""Fixed-point state vector.
 
 2^n amplitudes live in two numpy arrays of the machine's 32-bit word
 (`fxp.WORD`, raw Q2.30 re/im) kept in global-index order, qubit 0 being
-the least-significant index bit. The top three index bits select one of
-8 segments (2 processing-element arrays x 4 processing elements), so
-each segment is a contiguous slice and the layout doubles as both the
-flat vector and the per-PE banks.
-Below 3 qubits the split is meaningless and a single segment is used.
+the least-significant index bit. On the modeled machine the top three
+index bits select one of 8 segments (2 processing-element arrays x 4
+processing elements), so each segment is a contiguous slice of the flat
+vector; `segment_of` maps an index to it for n >= 3. The layout serves
+the timing model; the engine computes on the flat arrays.
 """
 
 from __future__ import annotations
@@ -60,20 +60,6 @@ class StateVector:
     @property
     def size(self) -> int:
         return 1 << self.n
-
-    @property
-    def segment_count(self) -> int:
-        return 8 if self.n >= 3 else 1
-
-    @property
-    def segment_len(self) -> int:
-        return self.size // self.segment_count
-
-    def segment(self, sid: int):
-        """Views of one segment's components (writes hit the state)."""
-        lo = sid * self.segment_len
-        hi = lo + self.segment_len
-        return self.re[lo:hi], self.im[lo:hi]
 
     def get(self, i: int) -> fxp.CFx:
         return fxp.CFx(int(self.re[i]), int(self.im[i]))

@@ -6,7 +6,7 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail a test that leaves a thread running: every pool it starts,
-    the engine's segment pool and the compare helper included, must be
+    the engine's gate pool and the compare helper included, must be
     shut down before the test returns."""
     before = set(threading.enumerate())
     yield

@@ -181,6 +181,15 @@ class TestBench:
         assert int(cx_rows[0]["legacy_cycles"]) == 10
         assert int(cx_rows[0]["new_cycles"]) == 7
 
+    def test_cx_table_keeps_n_from_two(self, tmp_path):
+        # a one-qubit row is a valid bench row; CX needs two qubits
+        assert run_cli("bench", "--gen", "qft", "--n", "1..3", "--format", "json",
+                       "--out", tmp_path) == 0
+        rows = json.loads((tmp_path / "bench.json").read_text())
+        assert [(r["n"], r["error"]) for r in rows] == [(1, ""), (2, ""), (3, "")]
+        cx_rows = json.loads((tmp_path / "cx_compare.json").read_text())
+        assert [r["n"] for r in cx_rows] == [2, 3]
+
     def test_partial_failure_continues(self, tmp_path):
         assert run_cli("bench", "--gen", "qft", "--n", "4..6",
                        "--max-qubits", 4, "--out", tmp_path) == 0
@@ -324,6 +333,15 @@ class TestInputErrors:
         assert exc.value.code == 2
         assert "empty" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
+
+    def test_cx_compare_below_two_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cx-compare", "--n", "1..3", "--out", tmp_path)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "n >= 2" in errors[0]
+        assert not (tmp_path / "cx_compare.csv").exists()
 
     @pytest.mark.parametrize("command", ("run", "compare"))
     @pytest.mark.parametrize("init", (8, -1))

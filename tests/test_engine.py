@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hpqe import engine, fxp, gateset, oracle, perfmodel, state
+from hpqe import engine, fxp, gateset, oracle, state
 from hpqe.fxp import CFx
 
 from helpers import random_circuit, random_ref_amplitudes
@@ -43,10 +43,9 @@ class TestAccessMode:
 class TestApplySingle:
     def test_hadamard_on_zero(self):
         sv = state.init_basis(1, 0)
-        cycles = engine.apply_single(sv, gateset.single("H", 0))
+        engine.apply_single(sv, gateset.single("H", 0))
         r = fxp.RAW_SQRT_HALF
         assert sv.flatten() == [CFx(r, 0), CFx(r, 0)]
-        assert cycles == perfmodel.cycles_single(1)
 
     def test_rz_pi_on_one(self):
         sv = state.init_basis(1, 1)
@@ -130,7 +129,7 @@ class TestApplyCx:
                 assert sv.re[j] == expect_re[i] and sv.im[j] == expect_im[i]
 
     def test_cycle_formula(self):
-        assert engine.apply_cx(state.init_basis(2, 0), 1, 0) == 5
+        assert engine.cx_cycles(2) == 5
         assert engine.cx_cycles(17) == 65539 == 2 * (2 ** 15 + 1) + 1
 
     def test_validation(self):
@@ -247,29 +246,41 @@ class TestRunCircuit:
 
     def test_one_kernel_call_per_gate_with_one_worker(self, monkeypatch):
         # every single-qubit gate, in either access mode, is one call on
-        # the whole state, from run_circuit and from apply_single
-        n = 6
+        # the whole state from apply_single and from one worker; w workers
+        # make p = min(w, 2^(n-1)) calls of equal size that cover every pair
         calls = []
         real_scale, real_pair = fxp.scale_bank, fxp.pair_banks
 
-        def spy_scale(c0, c1, t, banks, scratch=None):
-            banks = list(banks)
-            calls.append(("scale_bank", [re.size for re, _ in banks]))
-            real_scale(c0, c1, t, banks, scratch)
+        def spy_scale(c0, c1, t, re, im):
+            calls.append(("scale_bank", re.size // 2, re))
+            real_scale(c0, c1, t, re, im)
 
         def spy_pair(*args):
-            calls.append(("pair_banks", [args[4].size]))
+            calls.append(("pair_banks", args[4].size, args[4]))
             real_pair(*args)
 
         monkeypatch.setattr(fxp, "scale_bank", spy_scale)
         monkeypatch.setattr(fxp, "pair_banks", spy_pair)
-        for t in range(n):
-            for op, want in ((gateset.single("RZ", t, 0.3), ("scale_bank", [1 << n])),
-                             (gateset.single("H", t), ("pair_banks", [1 << (n - 1)]))):
-                calls.clear()
-                engine.run_circuit(state.init_basis(n, 0), gateset.Circuit(n=n, ops=[op]))
-                engine.apply_single(state.init_basis(n, 0), op)
-                assert calls == [want] * 2, (t, op.kind)
+        for n in (1, 2, 6):
+            for t in range(n):
+                for op in (gateset.single("RZ", t, 0.3), gateset.single("H", t)):
+                    kernel = "scale_bank" if op.sparse else "pair_banks"
+                    calls.clear()
+                    engine.apply_single(state.init_basis(n, 0), op)
+                    assert [c[:2] for c in calls] == [(kernel, 1 << (n - 1))]
+                    for workers in (1, 2, 4, 8):
+                        sv = state.init_basis(n, 0)
+                        calls.clear()
+                        engine.run_circuit(sv, gateset.Circuit(n=n, ops=[op]),
+                                           workers=workers)
+                        p = min(workers, 1 << (n - 1))
+                        want = [(kernel, (1 << (n - 1)) // p)] * p
+                        assert sorted(c[:2] for c in calls) == want, (n, t, op.kind)
+                        # the pieces are views of the state that share no word
+                        pieces = [c[2] for c in calls]
+                        assert all(np.shares_memory(a, sv.re) for a in pieces)
+                        assert not any(np.shares_memory(a, b)
+                                       for i, a in enumerate(pieces) for b in pieces[:i])
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_requires_quantized_matrix(self, workers):

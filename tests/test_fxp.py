@@ -199,10 +199,9 @@ class TestVectorizedKernels:
                                           dtype=np.int64), edges[::-1]])
         coeffs = [CFx(a, b) for a in edges for b in edges[::3]]
         coeffs += [CFx(*random_raws(rng, 2)) for _ in range(6)]
-        scratch = fxp.new_scratch()
         for c in coeffs:
             got_re, got_im = re.copy(), im.copy()
-            fxp.scale_bank(c, c, 0, [(got_re, got_im)], scratch)
+            fxp.scale_bank(c, c, 0, got_re, got_im)
             want = [fxp.cfx_mul(c, CFx(int(x), int(y))) for x, y in zip(re, im)]
             assert [CFx(int(x), int(y)) for x, y in zip(got_re, got_im)] == want, c
 
@@ -213,7 +212,7 @@ class TestVectorizedKernels:
         xr, xi, yr, yi = (rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, size,
                                        dtype=np.int64) for _ in range(4))
         banks = [a.copy() for a in (xr, xi, yr, yi)]
-        fxp.pair_banks(c00, c01, c10, c11, *banks, fxp.new_scratch())
+        fxp.pair_banks(c00, c01, c10, c11, *banks)
         for k in range(size):
             x, y = CFx(int(xr[k]), int(xi[k])), CFx(int(yr[k]), int(yi[k]))
             assert (int(banks[0][k]), int(banks[1][k])) == fxp.su_eval(c00, c01, x, y)

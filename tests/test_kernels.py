@@ -9,9 +9,9 @@ built for this host (on an AVX-512F CPU their vector body), a
 `...Portable` subclass pins the same library built without the vector
 body, so that its portable C loops run (both skipped only where the
 library cannot be built or loaded), and a `...Numpy` subclass reruns it
-on the numpy bodies. `TestClipElision` and `TestWorkers` also
-hold tests that run no kernel or count calls only; those run once, in
-the numpy-pinned class, and a `...Native` class reruns the kernel tests.
+on the numpy bodies. `TestClipElision` and `TestWorkers` are pinned to
+numpy, and a `...Native` subclass reruns their kernel tests; the tests
+of `TestClipElision` that run no kernel run once.
 Most property tests shrink BLOCK to a few elements, so a bank spans many
 blocks of the numpy body and ends in a partial one while staying small
 enough for the scalar reference; the rest run at the real BLOCK.
@@ -163,15 +163,13 @@ class TestScaleBank:
     @given(c0=cfxs, c1=cfxs, t=st.integers(0, 5), block=small_blocks,
            data=st.data())
     def test_matches_scalar(self, c0, c1, t, block, data):
-        sizes = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))
-        banks = [(np.array(data.draw(word_lists(k)), dtype=fxp.WORD),
-                  np.array(data.draw(word_lists(k)), dtype=fxp.WORD))
-                 for k in sizes]
-        got = [(re.copy(), im.copy()) for re, im in banks]
+        size = data.draw(st.integers(0, 40))
+        re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
+        im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
+        gre, gim = re.copy(), im.copy()
         with block_size(block):
-            fxp.scale_bank(c0, c1, t, got)
-        for (re, im), (gre, gim) in zip(banks, got):
-            assert as_cfx(gre, gim) == scalar_scale(c0, c1, t, re, im)
+            fxp.scale_bank(c0, c1, t, gre, gim)
+        assert as_cfx(gre, gim) == scalar_scale(c0, c1, t, re, im)
 
     def test_real_block_partial_tail(self):
         # lengths that are not a multiple of BLOCK, for a periodic
@@ -183,7 +181,7 @@ class TestScaleBank:
         re, im = random_words(rng, size), random_words(rng, size)
         for a, b, t in ((c0, c1, 3), (c0, c1, 16), (c1, c1, 0)):
             got = (re.copy(), im.copy())
-            fxp.scale_bank(a, b, t, [got])
+            fxp.scale_bank(a, b, t, *got)
             assert as_cfx(*got) == scalar_scale(a, b, t, re, im), t
 
     @pytest.mark.parametrize("size", LANE_SIZES)
@@ -196,7 +194,7 @@ class TestScaleBank:
             for a, b in ((c0, c1), (c1, c0)):
                 for t in range(7):
                     got = (re.copy(), im.copy())
-                    fxp.scale_bank(a, b, t, [got])
+                    fxp.scale_bank(a, b, t, *got)
                     want = [fxp.cfx_mul(b if (k >> t) & 1 else a,
                                         CFx(int(re[k]), int(im[k]))) for k in ks]
                     assert as_cfx(got[0][ks], got[1][ks]) == want, (a, b, t)
@@ -314,7 +312,7 @@ class TestRoundingTies:
         assert fxp.fx_mul(c, x) == want
         for coeff, part in ((CFx(c, 0), 0), (CFx(0, c), 1)):
             re, im = np.array([x, 0], dtype=fxp.WORD), np.array([0, x], dtype=fxp.WORD)
-            fxp.scale_bank(coeff, coeff, 0, [(re, im)])
+            fxp.scale_bank(coeff, coeff, 0, re, im)
             # (x + 0i) * coeff puts the product in part `part` of word 0
             assert (int(re[0]), int(im[0]))[part] == want
             assert as_cfx(re, im) == [fxp.cfx_mul(coeff, CFx(x, 0)),
@@ -330,7 +328,7 @@ class ClipElisionKernels:
         im = np.array([RAW_MIN, 0, RAW_MIN], dtype=fxp.WORD)
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c)):
             got = (re.copy(), im.copy())
-            fxp.scale_bank(coeff, coeff, 0, [got])
+            fxp.scale_bank(coeff, coeff, 0, *got)
             assert as_cfx(*got) == [fxp.cfx_mul(coeff, x) for x in as_cfx(re, im)]
             got = [a.copy() for a in (re, im, im, re)]
             fxp.pair_banks(coeff, coeff, coeff, coeff, *got)
@@ -376,7 +374,7 @@ class TestNarrowing:
         assert fxp.fx_mul(c, RAW_MIN) == RAW_MAX        # 2^31, clipped
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c), CFx(c, SCALE)):
             got = (re.copy(), im.copy())
-            fxp.scale_bank(coeff, fxp.CFX_ONE, 0, [got])
+            fxp.scale_bank(coeff, fxp.CFX_ONE, 0, *got)
             assert as_cfx(*got) == scalar_scale(coeff, fxp.CFX_ONE, 0, re, im)
             got = [re.copy(), im.copy(), re[::-1].copy(), im[::-1].copy()]
             fxp.pair_banks(coeff, coeff, coeff, fxp.CFX_ONE, *got)
@@ -411,7 +409,9 @@ def _random_state(n: int, rng) -> state.StateVector:
     return sv
 
 
-def _check_gate(n: int, rng, exhaustive: bool) -> None:
+def _check_gate(n: int, rng, exhaustive: bool, workers=(None,)) -> None:
+    # one gate per target, sparse and dense, through apply_single (None)
+    # or through run_circuit on each worker count in `workers`
     sv0 = _random_state(n, rng)
     pairs = 1 << (n - 1)
     for t in range(n):
@@ -421,20 +421,26 @@ def _check_gate(n: int, rng, exhaustive: bool) -> None:
                 m[1] = m[2] = fxp.CFX_ZERO
             op = gateset.GateOp(kind="RZ" if sparse else "RX", target=t,
                                 matrix=tuple(m), sparse=sparse)
-            sv = sv0.copy()
-            engine.apply_single(sv, op)
             ks = range(pairs) if exhaustive else {0, pairs - 1, *rng.integers(
                 0, pairs, 64).tolist()}
+            index, want = [], []
             for k in ks:
                 i0 = ((k >> t) << (t + 1)) | (k & ((1 << t) - 1))
                 i1 = i0 | (1 << t)
                 x, y = sv0.get(i0), sv0.get(i1)
+                index += [i0, i1]
                 if sparse:
-                    want = (fxp.cfx_mul(m[0], x), fxp.cfx_mul(m[3], y))
+                    want += [fxp.cfx_mul(m[0], x), fxp.cfx_mul(m[3], y)]
                 else:
-                    want = (fxp.su_eval(m[0], m[1], x, y),
-                            fxp.su_eval(m[2], m[3], x, y))
-                assert (sv.get(i0), sv.get(i1)) == want, (n, t, sparse, k)
+                    want += [fxp.su_eval(m[0], m[1], x, y),
+                             fxp.su_eval(m[2], m[3], x, y)]
+            for w in workers:
+                sv = sv0.copy()
+                if w is None:
+                    engine.apply_single(sv, op)
+                else:
+                    engine.run_circuit(sv, gateset.Circuit(n=n, ops=[op]), workers=w)
+                assert as_cfx(sv.re[index], sv.im[index]) == want, (n, t, sparse, w)
 
 
 class TestEngineEveryTarget:
@@ -449,16 +455,26 @@ class TestEngineEveryTarget:
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_small_block_exhaustive(self, n):
-        # segments of several blocks, pair halves wider than a block
+        # banks of several blocks, pair halves wider than a block
         with block_size(4):
             _check_gate(n, np.random.default_rng(200 + n), exhaustive=True)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_cut(self, n):
+        # p = min(workers, 2^(n-1)) pieces: sparse pieces shorter than the
+        # period 2^(t+1), inside one half, and dense rows cut into parts
+        # when the 2^(n-1-t) rows are fewer than p
+        _check_gate(n, np.random.default_rng(400 + n), exhaustive=True,
+                    workers=(2, 4, 8))
 
-class WorkersKernels:
+
+class TestWorkers:
+    BODY = "numpy"
+
     @pytest.mark.parametrize("block", (fxp.BLOCK, 1 << 12))
     def test_bit_identical_across_workers(self, block):
-        # at n = 17 a segment is 2^14 words; with BLOCK = 2^12 it spans four
-        # blocks, so every worker streams several blocks per gate
+        # at n = 17 a piece is 2^14 to 2^17 words; with BLOCK = 2^12 it
+        # spans several blocks, so every worker streams several blocks per gate
         n = 17
         rng = np.random.default_rng(17)
         circuit = random_circuit(n, 40, rng)
@@ -477,38 +493,7 @@ class WorkersKernels:
         assert all(r == results[0] for r in results[1:])
 
 
-class TestWorkers(WorkersKernels):
-    BODY = "numpy"
-
-    @pytest.mark.parametrize("workers", (2, 4, 8))
-    def test_segments_split_evenly(self, workers, monkeypatch):
-        # a dense mode-2 gate computes in its 4 owner segments only (target
-        # bit clear); those, or all 8 segments otherwise, are dealt out evenly
-        n = 6
-        calls = []
-        real = engine._apply_single_segments
-
-        def spy(sv, op, seg_ids):
-            calls.append(list(seg_ids))
-            real(sv, op, seg_ids)
-
-        monkeypatch.setattr(engine, "_apply_single_segments", spy)
-        for t in range(n):
-            for op in (gateset.single("H", t), gateset.single("RZ", t, 0.3)):
-                calls.clear()
-                engine.run_circuit(state.init_basis(n, 0),
-                                   gateset.Circuit(n=n, ops=[op]), workers=workers)
-                if op.sparse or engine.access_mode(t, n) == engine.MODE1:
-                    busy = list(range(8))
-                else:
-                    bit = t - (n - 3)
-                    busy = [s for s in range(8) if not (s >> bit) & 1]
-                assert sorted(s for part in calls for s in part) == busy
-                used = min(workers, len(busy))
-                assert [len(part) for part in calls] == [len(busy) // used] * used
-
-
-class TestWorkersNative(WorkersKernels):
+class TestWorkersNative(TestWorkers):
     BODY = "native"
 
 

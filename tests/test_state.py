@@ -21,9 +21,8 @@ class TestInitBasis:
 
     def test_three_qubit_index_five(self):
         sv = state.init_basis(3, 5)
-        assert state.segment_of(5, 3) == (1, 1, 0)
-        re, im = sv.segment(5)           # segment id 5 = pea*4 + pe
-        assert (int(re[0]), int(im[0])) == fxp.CFX_ONE
+        assert state.segment_of(5, 3) == (1, 1, 0)   # segment id 5 = pea*4 + pe
+        assert sv.get(5) == fxp.CFX_ONE
         assert sv.norm_sq() == 1.0
 
     def test_hard_ceiling(self):
@@ -124,8 +123,8 @@ class TestFlatten:
         flat = sv.flatten()
         for i in range(sv.size):
             pea, pe, off = state.segment_of(i, 5)
-            re, im = sv.segment(pea * 4 + pe)
-            assert flat[i] == (int(re[off]), int(im[off]))
+            j = (pea * 4 + pe) << 2 | off    # segment s starts at s * 2^(n-3)
+            assert flat[i] == (int(sv.re[j]), int(sv.im[j]))
             assert flat[i] == sv.get(i)
 
     def test_flatten_then_resegment_is_identity(self):
@@ -138,10 +137,11 @@ class TestFlatten:
         assert np.array_equal(rebuilt.im, sv.im)
 
     def test_segments_concatenate_to_flat_order(self):
-        rng = np.random.default_rng(24)
-        sv = state.from_amplitudes(6, random_ref_amplitudes(6, rng))
-        cat_re = np.concatenate([sv.segment(s)[0] for s in range(8)])
-        assert np.array_equal(cat_re, sv.re)
+        # segment id pea*4 + pe, then offset, is the global index order
+        n = 6
+        keys = [(a.pea * 4 + a.pe, a.offset)
+                for a in (state.segment_of(i, n) for i in range(1 << n))]
+        assert keys == sorted(keys)
 
     def test_quantized_norm_bound(self):
         rng = np.random.default_rng(25)
