@@ -1,15 +1,14 @@
 """Fixed-point gate application and the pipelined CX swapper.
 
 A single-qubit gate on qubit t pushes every amplitude pair (i, i + 2^t)
-through the SU dataflow, in place: the kernels read both words of a
-pair before they write either, so no shadow buffer is needed. The state
-holds the machine's 32-bit words (`fxp.WORD`), and the arithmetic runs
-in fxp's bank kernels:
-  * a sparse (diagonal) gate scales contiguous banks by the (m00, m11)
-    coefficient that bit t of each word's index picks (`scale_bank`);
-  * a dense gate hands `pair_banks` the two halves of each pair, strided
-    views of the state reshaped to (-1, 2, 2^t).
-Every rounding and saturation step of the scalar `fxp.su_eval` is kept,
+through the SU dataflow, in place: the kernel reads both words of a
+pair before it writes either, so no shadow buffer is needed. The state
+holds the machine's 32-bit words (`fxp.WORD`), and every gate runs as
+`fxp.pair_banks` on the two halves of each pair, strided views of the
+state reshaped to (-1, 2, 2^t). A sparse (diagonal) gate passes
+(m00, 0, 0, m11): like the machine's sparse mode, which bypasses the
+second multiplier, it never reads the op's off-diagonal entries. Every
+rounding and saturation step of the scalar `fxp.su_eval` is kept,
 except the provably inert ones the `fxp` docstring lists.
 
 Each pair's words depend on that pair alone, so a gate may be cut into
@@ -213,14 +212,8 @@ def _kernel_calls(sv: StateVector, op: GateOp, p: int) -> list:
     # share no word, so the calls may run in any order or at once
     t = op.target
     m00, m01, m10, m11 = op.matrix
-    if op.sparse:
-        # bit t of a piece's first index is clear, unless the piece is
-        # shorter than the period 2^(t+1): it then lies inside one half,
-        # whose coefficient that bit picks for all its words
-        step = sv.size // p
-        return [partial(fxp.scale_bank, m11 if (lo >> t) & 1 else m00, m11, t,
-                        sv.re[lo:lo + step], sv.im[lo:lo + step])
-                for lo in range(0, sv.size, step)]
+    if op.sparse:        # the SU's bypass: off-diagonal entries are never read
+        m01 = m10 = fxp.CFX_ZERO
     rows = sv.size >> (t + 1)
     if rows >= p:
         step = rows // p

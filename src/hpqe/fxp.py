@@ -7,10 +7,10 @@ instead of wrapping, and every narrowing step rounds to nearest with
 ties to even, so results are reproducible bit for bit.
 
 Scalar functions (plain Python ints) define the semantics. The bank
-kernels `scale_bank` (sparse SU step) and `pair_banks` (dense SU step)
-apply them in place to whole arrays of WORD, the machine's 32-bit word,
-and the test suite proves them bit-identical to the scalars. Each
-kernel has two bodies:
+kernel `pair_banks`, the SU step, applies them in place to whole arrays
+of WORD, the machine's 32-bit word, and the test suite proves it
+bit-identical to the scalars. A diagonal gate is the same step with
+m01 = m10 = 0. The kernel has two bodies:
 
   * native: `kernels.c`, compiled with the system C compiler on the
     first kernel call (never at import) and cached in the package's
@@ -26,11 +26,12 @@ kernel has two bodies:
 
 Both round each real product as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30,
 which is fx_mul's round-half-even, and saturate every sum as fx_add /
-fx_sub do. They skip a product's clip only where it provably cannot
-change a bit: when its coefficient lies in (-2^30, 2^30] (see
-`product_fits`; the numpy body decides per coefficient, the native one
-once per call for all of them). The numpy body also skips a zero
-coefficient's product, which is exactly 0.
+fx_sub do. They skip only steps that provably cannot change a bit: a
+zero coefficient's product, which is exactly 0 (the numpy body decides
+it per coefficient, the native one once per call for m01 and m10
+together), and a product's clip when its coefficient lies in
+(-2^30, 2^30] (see `product_fits`; the numpy body decides per
+coefficient, the native one once per call for all of them).
 
 Which body ran never shows in the results. `quantize_array` is
 `quantize` over an array. Golden values and oracles use the scalars.
@@ -206,10 +207,9 @@ def _load_native():
     except OSError:
         return None
     ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
-    lib.hpqe_scale_bank.argtypes = [ptr, ptr, i64, i32, i64, i64, i64, i64]
     lib.hpqe_pair_banks.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, ptr]
     lib.hpqe_cx.argtypes = [ptr, ptr, i32, i32, i32]
-    for fn in (lib.hpqe_scale_bank, lib.hpqe_pair_banks, lib.hpqe_cx):
+    for fn in (lib.hpqe_pair_banks, lib.hpqe_cx):
         fn.restype = None
     return lib
 
@@ -299,43 +299,30 @@ def product_fits(c: int) -> bool:
     return -SCALE < c <= SCALE
 
 
-class _Coef(NamedTuple):
-    # one real coefficient for a block: an int, or an int64 array holding
-    # a per-element pattern of the ints in `parts`
-    value: object
-    zero: bool           # every part is 0: the product is exactly 0
-    clip: bool           # some part may saturate its product
-
-
-def _coef(value, *parts: int) -> _Coef:
-    parts = parts or (value,)
-    return _Coef(value, not any(parts),
-                 not all(product_fits(p) for p in parts))
-
-
-def _prod(c: _Coef, v, out, t):
+def _prod(c: int, v, out, t):
     # out <- fx_mul(c, v) and return out; None stands for an exact 0 when
     # c is zero. v is read in full before out is written, so out may be v.
-    if c.zero:
+    if c == 0:
         return None
-    np.multiply(v, c.value, out=t)
+    np.multiply(v, c, out=t)
     np.right_shift(t, FRAC, out=out)
     out &= 1
     out += HALF_ULP - 1
     out += t
     out >>= FRAC
-    if c.clip:
+    if not product_fits(c):
         np.clip(out, RAW_MIN, RAW_MAX, out=out)
     return out
 
 
 def _sum_into(p, q, sub: bool, out):
     # out <- fx_sub(p, q) if sub else fx_add(p, q), and return out; None
-    # is an exact 0. Adding 0 to an in-range word needs no saturation,
-    # and negating one can only overflow at -RAW_MIN.
+    # is an exact 0, and two of them sum to None. Adding 0 to an in-range
+    # word needs no saturation, and negating one can only overflow at
+    # -RAW_MIN.
     if p is None and q is None:
-        out.fill(0)
-    elif q is None:
+        return None
+    if q is None:
         if p is not out:
             out[...] = p
     elif p is None:
@@ -351,58 +338,13 @@ def _sum_into(p, q, sub: bool, out):
 
 
 def _cmul_part(c, xr, xi, imag: bool, out, s, t):
-    # out <- the real or imaginary part of cfx_mul(c, x), c a (re, im)
-    # pair of _Coefs; out may be xr (imag=False) or xi (imag=True)
+    # out <- the real or imaginary part of cfx_mul(c, x), c a CFx; out
+    # may be xr (imag=False) or xi (imag=True)
     if imag:
         return _sum_into(_prod(c[0], xi, out, t), _prod(c[1], xr, s, t),
                          False, out)
     return _sum_into(_prod(c[0], xr, out, t), _prod(c[1], xi, s, t),
                      True, out)
-
-
-def scale_bank(c0: CFx, c1: CFx, t: int, re: np.ndarray, im: np.ndarray) -> None:
-    """Sparse SU step over one bank, in place: x[k] <- cfx_mul(c, x[k]).
-
-    c is c1 where bit t of k is set and c0 elsewhere: a diagonal gate on
-    qubit t of a bank whose first index has bit t clear. One coefficient
-    for a whole bank is scale_bank(c, c, 0, ...). re and im are 1-D WORD
-    arrays of one length, any length.
-
-    The native body takes the bank whole. The numpy body allocates its
-    scratch (`new_scratch`) per call: when the period 2^(t+1) fits a
-    block, every block is scaled by one periodic (c0, c1) pattern, built
-    once per call; otherwise 2^t is a multiple of BLOCK and bit t is
-    constant within each block.
-    """
-    lib = native_kernels()
-    if lib is not None and native_rows(re, im) and re.ndim == 1:
-        lib.hpqe_scale_bank(re.ctypes.data, im.ctypes.data, re.size, t, *c0, *c1)
-        return
-    gr, gi, s_ir, s, tmp = new_scratch()[:5]
-    fixed = [[_coef(v) for v in c] for c in (c0, c1)]
-    periodic = c0 != c1 and (2 << t) <= BLOCK
-    if periodic:
-        size = min(BLOCK, len(re))
-        reps = -(-size >> (t + 1))
-        pattern = [_coef(np.tile(np.repeat(np.array(pair, dtype=np.int64), 1 << t),
-                                 reps)[:size], *pair)
-                   for pair in zip(c0, c1)]
-    for lo in range(0, len(re), BLOCK):
-        m = min(BLOCK, len(re) - lo)
-        xr, xi = gr[:m], gi[:m]
-        np.copyto(xr, re[lo:lo + m])
-        np.copyto(xi, im[lo:lo + m])
-        if periodic:
-            cr, ci = (c._replace(value=c.value[:m]) for c in pattern)
-        else:
-            cr, ci = fixed[(lo >> t) & 1]
-        # keep fx_mul(ci, xr) for the imaginary part, then overwrite the
-        # copies: xr <- cr*xr - ci*xi, xi <- cr*xi + ci*xr
-        ir = _prod(ci, xr, s_ir[:m], tmp[:m])
-        _cmul_part((cr, ci), xr, xi, False, xr, s[:m], tmp[:m])
-        _sum_into(_prod(cr, xi, xi, tmp[:m]), ir, False, xi)
-        re[lo:lo + m] = xr      # in range after the clips: narrows exactly
-        im[lo:lo + m] = xi
 
 
 def block_slices(shape, block: int):
@@ -430,15 +372,17 @@ def block_slices(shape, block: int):
 
 def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
                xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray) -> None:
-    """Dense SU step over paired banks, in place.
+    """SU step over paired banks, in place.
 
     x <- su_eval(c00, c01, x, y) and y <- su_eval(c10, c11, x, y), both
-    from the old x and y. The four WORD arrays share one shape: 1-D of
-    any length, or 2-D (strided views of the pair halves inside a bank).
-    The native body reads all four words of a pair before it writes
-    one. The numpy body allocates its scratch (`new_scratch`) per call,
-    copies each block of x and y into it as int64, sums each output
-    there and narrows it on write-back.
+    from the old x and y. A diagonal gate is c01 = c10 = 0: both bodies
+    then skip the zero products, and x <- cfx_mul(c00, x), y <-
+    cfx_mul(c11, y) with the same bits. The four WORD arrays share one
+    shape: 1-D of any length, or 2-D (strided views of the pair halves
+    inside a bank). The native body reads all four words of a pair
+    before it writes one. The numpy body allocates its scratch
+    (`new_scratch`) per call, copies each block of x and y into it as
+    int64, sums each output there and narrows it on write-back.
     """
     lib = native_kernels()
     rows = native_rows(xr, xi, yr, yi) if lib is not None else None
@@ -448,9 +392,8 @@ def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
                             yi.ctypes.data, *rows, coefs.ctypes.data)
         return
     gxr, gxi, gyr, gyi, acc, y, s, tmp = new_scratch()
-    coefs = [tuple(_coef(v) for v in c) for c in (c00, c01, c10, c11)]
-    outputs = ((coefs[0], coefs[1], xr, False), (coefs[0], coefs[1], xi, True),
-               (coefs[2], coefs[3], yr, False), (coefs[2], coefs[3], yi, True))
+    outputs = ((c00, c01, xr, False), (c00, c01, xi, True),
+               (c10, c11, yr, False), (c10, c11, yi, True))
     for sl in block_slices(xr.shape, BLOCK):
         shape = xr[sl].shape
         m = xr[sl].size
@@ -460,9 +403,10 @@ def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
         a, b, s_, t_ = (buf[:m].reshape(shape) for buf in (acc, y, s, tmp))
         for ca, cb, out, imag in outputs:
             # one part of su_eval: fx_add(cfx_mul(ca, x), cfx_mul(cb, y))
-            out[sl] = _sum_into(_cmul_part(ca, g[0], g[1], imag, a, s_, t_),
-                                _cmul_part(cb, g[2], g[3], imag, b, s_, t_),
-                                False, a)
+            part = _sum_into(_cmul_part(ca, g[0], g[1], imag, a, s_, t_),
+                             _cmul_part(cb, g[2], g[3], imag, b, s_, t_),
+                             False, a)
+            out[sl] = 0 if part is None else part
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,16 @@ def circuit_to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _global_phase(text: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno}: global phase {text!r} is not a finite number")
+    return value
+
+
 def circuit_from_text(text: str, n: int | None = None) -> Circuit:
     circuit = Circuit(n=n if n is not None else 0)
     saw_header = False
@@ -174,7 +184,7 @@ def circuit_from_text(text: str, n: int | None = None) -> Circuit:
         if line.startswith("#"):
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] == "global_phase":
-                circuit.global_phase = float(fields[1])
+                circuit.global_phase = _global_phase(fields[1], lineno)
             continue
         if not line:
             continue

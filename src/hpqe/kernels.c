@@ -1,15 +1,18 @@
-/* Native Q2.30 kernels: the sparse and dense SU steps and the CX swap.
+/* Native Q2.30 kernels: the SU step and the CX swap.
  *
- * Each step is the scalar one from fxp.py: a plain int64 product of two
- * raws, rounded to nearest with ties to even at bit 30 as
+ * The SU step is the scalar one from fxp.py: a plain int64 product of
+ * two raws, rounded to nearest with ties to even at bit 30 as
  * (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30, and a saturation of every sum.
  * A product is saturated too, unless every coefficient of the call lies
  * in (-2^30, 2^30], where no product can leave the word's range (the
- * proof is fxp.product_fits). That choice is made once per call, and
- * each loop body is compiled twice, with and without the product clips.
- * fxp.py builds this file on first use and falls back to its numpy
- * kernels when the build or the load fails; the tests hold every body
- * to the scalar functions.
+ * proof is fxp.product_fits). A diagonal gate is the same step with
+ * m01 = m10 = 0: cfx_mul(0, y) is 0 and adding 0 to an in-range word
+ * changes nothing, so the zero products are skipped, as the machine's
+ * sparse mode bypasses its second multiplier. Both choices, clip and
+ * diag, are made once per call, and each loop body is compiled once for
+ * each pair of them. fxp.py builds this file on first use and falls
+ * back to its numpy kernels when the build or the load fails; the tests
+ * hold every body to the scalar functions.
  *
  * Arrays are int32 words, the machine's own, with unit stride inside a
  * row. Kernels update in place; every output of one element is computed
@@ -66,59 +69,48 @@ BODY int64_t cmul_im(int64_t cr, int64_t ci, int64_t xr, int64_t xi, const int c
     return sat(mul(cr, xi, clip) + mul(ci, xr, clip));
 }
 
-/* the sparse step on words from..len-1 of a bank */
-BODY void scale_body(int32_t *re, int32_t *im, int64_t from, int64_t len, int t,
-                     int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
-                     const int clip)
-{
-    for (int64_t k = from; k < len; k++) {
-        int64_t odd = -((k >> t) & 1);
-        int64_t cr = c0r ^ ((c0r ^ c1r) & odd), ci = c0i ^ ((c0i ^ c1i) & odd);
-        int64_t xr = re[k], xi = im[k];
-        re[k] = (int32_t)cmul_re(cr, ci, xr, xi, clip);
-        im[k] = (int32_t)cmul_im(cr, ci, xr, xi, clip);
-    }
-}
-
 BODY void pair_body(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
                     int64_t rows, int64_t width, int64_t stride,
-                    const int64_t *m, const int clip)
+                    const int64_t *m, const int clip, const int diag)
 {
     for (int64_t r = 0; r < rows; r++)
         for (int64_t k = r * stride; k < r * stride + width; k++) {
-            /* su_eval on the pair (x[k], y[k]) of each component */
+            /* su_eval on the pair (x[k], y[k]) of each component: x takes
+             * sat(cfx_mul(m00, x) + cfx_mul(m01, y)), y takes
+             * sat(cfx_mul(m11, y) + cfx_mul(m10, x)) */
             int64_t ar = xr[k], ai = xi[k], br = yr[k], bi = yi[k];
-            xr[k] = (int32_t)sat(cmul_re(m[0], m[1], ar, ai, clip)
-                                 + cmul_re(m[2], m[3], br, bi, clip));
-            xi[k] = (int32_t)sat(cmul_im(m[0], m[1], ar, ai, clip)
-                                 + cmul_im(m[2], m[3], br, bi, clip));
-            yr[k] = (int32_t)sat(cmul_re(m[4], m[5], ar, ai, clip)
-                                 + cmul_re(m[6], m[7], br, bi, clip));
-            yi[k] = (int32_t)sat(cmul_im(m[4], m[5], ar, ai, clip)
-                                 + cmul_im(m[6], m[7], br, bi, clip));
+            int64_t sr = cmul_re(m[0], m[1], ar, ai, clip), si = cmul_im(m[0], m[1], ar, ai, clip);
+            int64_t tr = cmul_re(m[6], m[7], br, bi, clip), ti = cmul_im(m[6], m[7], br, bi, clip);
+            if (!diag) {
+                sr = sat(sr + cmul_re(m[2], m[3], br, bi, clip));
+                si = sat(si + cmul_im(m[2], m[3], br, bi, clip));
+                tr = sat(tr + cmul_re(m[4], m[5], ar, ai, clip));
+                ti = sat(ti + cmul_im(m[4], m[5], ar, ai, clip));
+            }
+            xr[k] = (int32_t)sr;
+            xi[k] = (int32_t)si;
+            yr[k] = (int32_t)tr;
+            yi[k] = (int32_t)ti;
         }
 }
 
-/* the portable bodies, one instantiation each for clip 0 and 1; the
- * vector body calls them for its remaining words */
-static __attribute__((noinline)) void
-scale_portable(int32_t *re, int32_t *im, int64_t from, int64_t len, int t,
-               int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i, int clip)
-{
-    if (clip)
-        scale_body(re, im, from, len, t, c0r, c0i, c1r, c1i, 1);
-    else
-        scale_body(re, im, from, len, t, c0r, c0i, c1r, c1i, 0);
-}
+/* body(..., clip, diag) with both flags as compile-time constants */
+#define VARIANTS(body, clip, diag, ...)                                 \
+    do {                                                                \
+        if (clip)                                                       \
+            diag ? body(__VA_ARGS__, 1, 1) : body(__VA_ARGS__, 1, 0);   \
+        else                                                            \
+            diag ? body(__VA_ARGS__, 0, 1) : body(__VA_ARGS__, 0, 0);   \
+    } while (0)
 
+/* the portable body, one instantiation per (clip, diag); the vector
+ * body calls it for its remaining words */
 static __attribute__((noinline)) void
 pair_portable(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
-              int64_t rows, int64_t width, int64_t stride, const int64_t *m, int clip)
+              int64_t rows, int64_t width, int64_t stride, const int64_t *m,
+              int clip, int diag)
 {
-    if (clip)
-        pair_body(xr, xi, yr, yi, rows, width, stride, m, 1);
-    else
-        pair_body(xr, xi, yr, yi, rows, width, stride, m, 0);
+    VARIANTS(pair_body, clip, diag, xr, xi, yr, yi, rows, width, stride, m);
 }
 
 static void cx_body(int32_t *re, int32_t *im, int n, int control, int target)
@@ -230,31 +222,26 @@ static VTARGET void vlanes(vcoef *v, int64_t c0r, int64_t c0i, int64_t c1r, int6
     v->im[1] = (v8q)i >> 32;
 }
 
-/* the sparse step on 16 words */
-VBODY void vscale16(int32_t *re, int32_t *im, const vcoef *c, const int clip)
-{
-    v8q xr = (v8q)vload(re), xi = (v8q)vload(im);
-    v8q or_[2], oi[2];
-    vcmul(c, 0, xr, xi, &or_[0], &oi[0], clip);
-    vcmul(c, 1, xr >> 32, xi >> 32, &or_[1], &oi[1], clip);
-    vstore(re, vnarrow(or_[0], or_[1]));
-    vstore(im, vnarrow(oi[0], oi[1]));
-}
-
 /* su_eval on 16 words as sat(cfx_mul(a, own) + cfx_mul(b, other)), one
- * (a, b) per word, stored to (outr, outi) */
+ * (a, b) per word, stored to (outr, outi); with diag, b is 0 and only
+ * cfx_mul(a, own) is formed, saturated by the narrow */
 VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
                     const vcoef *a, const vcoef *b,
-                    int32_t *outr, int32_t *outi, const int clip)
+                    int32_t *outr, int32_t *outi, const int clip, const int diag)
 {
     v8q xr = (v8q)own_r, xi = (v8q)own_i, yr = (v8q)oth_r, yi = (v8q)oth_i;
     v8q or_[2], oi[2];
     for (int h = 0; h < 2; h++) {
         v8q ar, ai, br, bi;
         vcmul(a, h, xr, xi, &ar, &ai, clip);
-        vcmul(b, h, yr, yi, &br, &bi, clip);
-        or_[h] = vsat(ar) + vsat(br);
-        oi[h] = vsat(ai) + vsat(bi);
+        if (diag) {
+            or_[h] = ar;
+            oi[h] = ai;
+        } else {
+            vcmul(b, h, yr, yi, &br, &bi, clip);
+            or_[h] = vsat(ar) + vsat(br);
+            oi[h] = vsat(ai) + vsat(bi);
+        }
         xr >>= 32;
         xi >>= 32;
         yr >>= 32;
@@ -264,61 +251,42 @@ VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
     vstore(outi, vnarrow(oi[0], oi[1]));
 }
 
-/* Sparse: for t < 4 every vector holds the same (c0, c1) pattern; for
- * t >= 4 bit t is constant across a vector, which takes c0 or c1 whole.
- * The words after the last whole vector run the portable loop. */
-VBODY void scale_vbody(int32_t *re, int32_t *im, int64_t len, int t,
-                       int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
-                       const int clip)
-{
-    vcoef c[2];
-    vlanes(&c[0], c0r, c0i, c1r, c1i, t);
-    vlanes(&c[1], t < 4 ? c0r : c1r, t < 4 ? c0i : c1i, c1r, c1i, t);
-    int64_t k = 0;
-    for (; k + 16 <= len; k += 16)
-        vscale16(re + k, im + k, &c[(k >> t) & 1], clip);
-    scale_portable(re, im, k, len, t, c0r, c0i, c1r, c1i, clip);
-}
-
-static VTARGET void scale_avx512(int32_t *re, int32_t *im, int64_t len, int t,
-                                 int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
-                                 int clip)
-{
-    if (clip)
-        scale_vbody(re, im, len, t, c0r, c0i, c1r, c1i, 1);
-    else
-        scale_vbody(re, im, len, t, c0r, c0i, c1r, c1i, 0);
-}
-
 /* the word indices 0..15 of a vector */
 #define LANES {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
-/* Dense: y <- su_eval(m10, m11, x, y) is sat(cfx_mul(m11, y) +
- * cfx_mul(m10, x)), so each output word is sat(cfx_mul(a, own) +
- * cfx_mul(b, partner)) with (a, b) = (m00, m01) for x and (m11, m10)
- * for y. Rows of 16 words or more run whole vectors of x and of y. When
- * x and y are the two halves of one contiguous bank (stride 2*width,
- * width 1, 2, 4 or 8, y = x + width), each vector holds whole pairs, the
- * partner of word l is word l ^ width and (a, b) alternate with bit t
- * of l, width = 2^t. Other rows and the remaining words run the
- * portable loop. */
+/* y <- su_eval(m10, m11, x, y) is sat(cfx_mul(m11, y) + cfx_mul(m10,
+ * x)), so each output word is sat(cfx_mul(a, own) + cfx_mul(b,
+ * partner)) with (a, b) = (m00, m01) for x and (m11, m10) for y.
+ *
+ * When x and y are the two halves of one contiguous bank (width 2^t,
+ * stride 2*width, y = x + width), the bank is one run of whole pairs,
+ * read and written through the x pointers, if t < 4 or the gate is
+ * diagonal. For t < 4 each vector holds whole pairs, the partner of word
+ * l is word l ^ width and (a, b) alternate with bit t of l; for t >= 4
+ * (diagonal only) bit t is constant across a vector, which takes m00 or
+ * m11 whole. Other rows of 16 words or more run whole vectors of x and
+ * of y. Narrower rows and the remaining words run the portable loop. */
 VBODY void pair_vbody(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
                       int64_t rows, int64_t width, int64_t stride,
-                      const int64_t *m, const int clip)
+                      const int64_t *m, const int clip, const int diag)
 {
-    vcoef c[2][2];          /* (a, b) of the x words and of the y words */
-    int t = width == 1 ? 0 : width == 2 ? 1 : width == 4 ? 2 : width == 8 ? 3 : 4;
+    int halves = width > 0 && !(width & (width - 1)) && stride == 2 * width
+                 && yr == xr + width && yi == xi + width;
+    if (!halves && width < 16) {
+        pair_portable(xr, xi, yr, yi, rows, width, stride, m, clip, diag);
+        return;
+    }
+    /* the target of one run; 63 for rows of x and of y, where every
+     * vector takes the coefficients of its own half */
+    int t = halves && (width < 16 || diag) ? __builtin_ctzll(width) : 63;
     int64_t run = width;
     int outputs = 2;
-    if (t < 4) {
-        if (stride != 2 * width || yr != xr + width || yi != xi + width) {
-            pair_portable(xr, xi, yr, yi, rows, width, stride, m, clip);
-            return;
-        }
-        run = rows * stride;        /* one row of whole pairs, written as x */
+    if (t < 63) {
+        run = rows * stride;
         rows = 1;
         outputs = 1;
     }
+    vcoef c[2][2];          /* (a, b) of the x words and of the y words */
     vlanes(&c[0][0], m[0], m[1], m[6], m[7], t);
     vlanes(&c[0][1], m[2], m[3], m[4], m[5], t);
     vlanes(&c[1][0], m[6], m[7], 0, 0, 4);
@@ -332,31 +300,35 @@ VBODY void pair_vbody(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
             v16d v[2][2];
             v[0][0] = vload(xr + k);
             v[0][1] = vload(xi + k);
+            /* the y words of a row, or the partners of a run's words,
+             * which a diagonal gate never reads */
             for (int p = 0; p < 2; p++)
-                v[1][p] = t < 4 ? __builtin_shuffle(v[0][p], partner) : vload(out[1][p]);
-            /* a loop, not two calls: one copy of the dense step per clip
-             * variant halves the compile time of this body */
+                v[1][p] = outputs == 2 ? vload(out[1][p])
+                          : diag ? v[0][p] : __builtin_shuffle(v[0][p], partner);
+            int y = (k >> t) & 1;   /* a vector of y words in a run */
+            /* a loop, not two calls: one copy of the step per variant
+             * halves the compile time of this body */
 #pragma GCC unroll 1
             for (int o = 0; o < outputs; o++)
-                vdense16(v[o][0], v[o][1], v[!o][0], v[!o][1], &c[o][0], &c[o][1],
-                         out[o][0], out[o][1], clip);
+                vdense16(v[o][0], v[o][1], v[!o][0], v[!o][1], &c[o | y][0], &c[o | y][1],
+                         out[o][0], out[o][1], clip, diag);
         }
-        if (t < 4)
+        if (whole == run)
+            continue;
+        if (outputs == 1)
             pair_portable(xr + k, xi + k, yr + k, yi + k, (run - whole) / stride,
-                          width, stride, m, clip);
+                          width, stride, m, clip, diag);
         else
-            pair_portable(xr + k, xi + k, yr + k, yi + k, 1, width - whole, 0, m, clip);
+            pair_portable(xr + k, xi + k, yr + k, yi + k, 1, width - whole, 0, m,
+                          clip, diag);
     }
 }
 
 static VTARGET void pair_avx512(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
                                 int64_t rows, int64_t width, int64_t stride,
-                                const int64_t *m, int clip)
+                                const int64_t *m, int clip, int diag)
 {
-    if (clip)
-        pair_vbody(xr, xi, yr, yi, rows, width, stride, m, 1);
-    else
-        pair_vbody(xr, xi, yr, yi, rows, width, stride, m, 0);
+    VARIANTS(pair_vbody, clip, diag, xr, xi, yr, yi, rows, width, stride, m);
 }
 
 /* CX on 16-word blocks, n >= 4. With 2^target >= 16 a block whose target
@@ -408,25 +380,10 @@ static inline int is_word(int64_t c)
 }
 #endif
 
-/* Sparse SU step over one bank of len words: x[k] <- cfx_mul(c, x[k]),
- * c = (c1r, c1i) where bit t of k is set and (c0r, c0i) elsewhere. */
-void hpqe_scale_bank(int32_t *re, int32_t *im, int64_t len, int t,
-                     int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i)
-{
-    if (t > 62)         /* len < 2^62: bit t of every k is clear */
-        t = 62;
-    int clip = !(fits(c0r) && fits(c0i) && fits(c1r) && fits(c1i));
-#ifdef HPQE_AVX512
-    if (have_avx512() && is_word(c0r) && is_word(c0i) && is_word(c1r) && is_word(c1i)) {
-        scale_avx512(re, im, len, t, c0r, c0i, c1r, c1i, clip);
-        return;
-    }
-#endif
-    scale_portable(re, im, 0, len, t, c0r, c0i, c1r, c1i, clip);
-}
-
-/* Dense SU step over pair views: for each row r and each k in
- * [r*stride, r*stride + width), (x[k], y[k]) <- su_eval of the pair. */
+/* SU step over pair views: for each row r and each k in
+ * [r*stride, r*stride + width), (x[k], y[k]) <- su_eval of the pair.
+ * A call with m01 = m10 = 0 is a diagonal gate and skips their
+ * products. */
 void hpqe_pair_banks(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
                      int64_t rows, int64_t width, int64_t stride,
                      const int64_t *c)
@@ -435,16 +392,17 @@ void hpqe_pair_banks(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
     int all_fit = 1;
     for (int j = 0; j < 8; j++)
         all_fit &= fits(m[j]);
+    int diag = !(m[2] | m[3] | m[4] | m[5]);
 #ifdef HPQE_AVX512
     int all_words = 1;
     for (int j = 0; j < 8; j++)
         all_words &= is_word(m[j]);
     if (have_avx512() && all_words) {
-        pair_avx512(xr, xi, yr, yi, rows, width, stride, m, !all_fit);
+        pair_avx512(xr, xi, yr, yi, rows, width, stride, m, !all_fit, diag);
         return;
     }
 #endif
-    pair_portable(xr, xi, yr, yi, rows, width, stride, m, !all_fit);
+    pair_portable(xr, xi, yr, yi, rows, width, stride, m, !all_fit, diag);
 }
 
 /* CX on an n-qubit state: swap word i with word i | 2^target for every i

@@ -327,6 +327,16 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("phase", ("nan", "inf", "abc"))
+    def test_bad_global_phase_exits_4_with_one_line(self, tmp_path, capsys, phase):
+        qc = tmp_path / "phase.qc"
+        qc.write_text(f"QUBITS 2\n# global_phase {phase}\nH 0\n")
+        out = tmp_path / "out"
+        assert run_cli("compare", "--circuit", qc, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: global phase") and err.count("\n") == 1
+        assert not (out / "metrics.json").exists()
+
     def test_bench_empty_range_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("bench", "--gen", "qft", "--n", "5..3", "--out", tmp_path)

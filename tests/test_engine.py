@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,42 +246,68 @@ class TestRunCircuit:
             engine.run_circuit(state.init_basis(3, 0), gateset.Circuit(n=4))
 
     def test_one_kernel_call_per_gate_with_one_worker(self, monkeypatch):
-        # every single-qubit gate, in either access mode, is one call on
-        # the whole state from apply_single and from one worker; w workers
-        # make p = min(w, 2^(n-1)) calls of equal size that cover every pair
+        # every single-qubit gate, sparse or dense, in either access mode,
+        # is one pair_banks call on the whole state from apply_single and
+        # from one worker; w workers make p = min(w, 2^(n-1)) calls of
+        # equal size that cover every pair. A sparse gate passes zero
+        # off-diagonals.
         calls = []
-        real_scale, real_pair = fxp.scale_bank, fxp.pair_banks
-
-        def spy_scale(c0, c1, t, re, im):
-            calls.append(("scale_bank", re.size // 2, re))
-            real_scale(c0, c1, t, re, im)
+        real_pair = fxp.pair_banks
 
         def spy_pair(*args):
-            calls.append(("pair_banks", args[4].size, args[4]))
+            calls.append((args[4].size, args[1:3], args[4]))
             real_pair(*args)
 
-        monkeypatch.setattr(fxp, "scale_bank", spy_scale)
         monkeypatch.setattr(fxp, "pair_banks", spy_pair)
         for n in (1, 2, 6):
             for t in range(n):
                 for op in (gateset.single("RZ", t, 0.3), gateset.single("H", t)):
-                    kernel = "scale_bank" if op.sparse else "pair_banks"
+                    off = ((fxp.CFX_ZERO,) * 2 if op.sparse else op.matrix[1:3],)
                     calls.clear()
                     engine.apply_single(state.init_basis(n, 0), op)
-                    assert [c[:2] for c in calls] == [(kernel, 1 << (n - 1))]
+                    assert [c[:2] for c in calls] == [(1 << (n - 1), *off)]
                     for workers in (1, 2, 4, 8):
                         sv = state.init_basis(n, 0)
                         calls.clear()
                         engine.run_circuit(sv, gateset.Circuit(n=n, ops=[op]),
                                            workers=workers)
                         p = min(workers, 1 << (n - 1))
-                        want = [(kernel, (1 << (n - 1)) // p)] * p
-                        assert sorted(c[:2] for c in calls) == want, (n, t, op.kind)
+                        want = [((1 << (n - 1)) // p, *off)] * p
+                        assert [c[:2] for c in calls] == want, (n, t, op.kind)
                         # the pieces are views of the state that share no word
                         pieces = [c[2] for c in calls]
                         assert all(np.shares_memory(a, sv.re) for a in pieces)
                         assert not any(np.shares_memory(a, b)
                                        for i, a in enumerate(pieces) for b in pieces[:i])
+
+    @pytest.mark.parametrize("n", (3, 9))
+    def test_sparse_gate_ignores_off_diagonals(self, n):
+        # the SU's sparse mode bypasses the second multiplier: a sparse op
+        # gives the bits of its diagonal alone, whatever m01 and m10 hold
+        rng = np.random.default_rng(60 + n)
+        start = state.init_basis(n, 0)
+        start.re[:] = rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, 1 << n)
+        start.im[:] = rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, 1 << n)
+        for t in range(n):
+            m00, m11 = (CFx(*rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, 2).tolist())
+                        for _ in range(2))
+            off = (CFx(fxp.RAW_SQRT_HALF, -3), CFx(fxp.RAW_MIN, fxp.SCALE))
+            clean = gateset.GateOp(kind="RZ", target=t, sparse=True,
+                                   matrix=(m00, fxp.CFX_ZERO, fxp.CFX_ZERO, m11))
+            dirty = replace(clean, matrix=(m00, *off, m11))
+            results = set()
+            for op in (clean, dirty):
+                sv = start.copy()
+                engine.apply_single(sv, op)
+                results.add(bytes(sv.dump()))
+                sv, _ = engine.run_circuit(start.copy(), gateset.Circuit(n=n, ops=[op]),
+                                           workers=2)
+                results.add(bytes(sv.dump()))
+            assert len(results) == 1, t
+            # the same matrix as a dense op does read the off-diagonals
+            sv = start.copy()
+            engine.apply_single(sv, replace(dirty, sparse=False))
+            assert bytes(sv.dump()) not in results
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_requires_quantized_matrix(self, workers):

@@ -200,10 +200,13 @@ class TestVectorizedKernels:
         coeffs = [CFx(a, b) for a in edges for b in edges[::3]]
         coeffs += [CFx(*random_raws(rng, 2)) for _ in range(6)]
         for c in coeffs:
-            got_re, got_im = re.copy(), im.copy()
-            fxp.scale_bank(c, c, 0, got_re, got_im)
-            want = [fxp.cfx_mul(c, CFx(int(x), int(y))) for x, y in zip(re, im)]
-            assert [CFx(int(x), int(y)) for x, y in zip(got_re, got_im)] == want, c
+            # the sparse SU step: a diagonal (c, 0, 0, c) on x and y
+            banks = [a.copy() for a in (re, im, im, re)]
+            fxp.pair_banks(c, fxp.CFX_ZERO, fxp.CFX_ZERO, c, *banks)
+            for (gr, gi), (xr, xi) in (((banks[0], banks[1]), (re, im)),
+                                       ((banks[2], banks[3]), (im, re))):
+                want = [fxp.cfx_mul(c, CFx(int(x), int(y))) for x, y in zip(xr, xi)]
+                assert [CFx(int(x), int(y)) for x, y in zip(gr, gi)] == want, c
 
     def test_pair_banks_matches_scalar(self):
         rng = np.random.default_rng(13)

@@ -214,6 +214,12 @@ class TestTextFormat:
             with pytest.raises(ValueError):
                 gateset.circuit_from_text(bad)
 
+    @pytest.mark.parametrize("phase", ("nan", "inf", "-inf", "abc"))
+    def test_bad_global_phase_names_its_line(self, phase):
+        text = f"QUBITS 2\nH 0\n# global_phase {phase}\n"
+        with pytest.raises(ValueError, match=f"^line 3: global phase '{phase}'"):
+            gateset.circuit_from_text(text)
+
 
 class TestGateRecord:
     def test_size_and_header(self):

@@ -1,9 +1,10 @@
-"""Bank kernels and the engine's gate paths against the scalar spec.
+"""The bank kernel and the engine's gate paths against the scalar spec.
 
-`fxp.scale_bank` and `fxp.pair_banks` are driven with banks of the stored
-word (`fxp.WORD`) holding full-range values, and full-range coefficients
-(RAW_MIN, RAW_MAX, exact rounding ties, the clip-elision boundary), and
-every element is compared with `fxp.su_eval` / `fxp.fx_mul`.
+`fxp.pair_banks` is driven with banks of the stored word (`fxp.WORD`)
+holding full-range values, and full-range coefficients (RAW_MIN,
+RAW_MAX, exact rounding ties, the clip-elision boundary), dense and
+diagonal (m01 = m10 = 0, the sparse SU step), and every element is
+compared with `fxp.su_eval` / `fxp.fx_mul`.
 Each such test runs three times: its class pins the native kernels as
 built for this host (on an AVX-512F CPU their vector body), a
 `...Portable` subclass pins the same library built without the vector
@@ -113,6 +114,18 @@ def scalar_scale(c0, c1, t, re, im) -> list:
             for k, x in enumerate(as_cfx(re, im))]
 
 
+def diagonal(c0: CFx, c1: CFx) -> tuple:
+    return c0, fxp.CFX_ZERO, fxp.CFX_ZERO, c1
+
+
+def scale_halves(c0, c1, t, re, im) -> None:
+    """The sparse step on qubit t of a bank, in place: diagonal pair_banks
+    on the pair halves, so word k takes c1 where bit t of k is set and c0
+    elsewhere. The bank's length is a multiple of 2^(t+1)."""
+    r3, i3 = (a.reshape(-1, 2, 1 << t) for a in (re, im))
+    fxp.pair_banks(*diagonal(c0, c1), r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1])
+
+
 def random_words(rng, size: int) -> np.ndarray:
     return rng.integers(RAW_MIN, RAW_MAX + 1, size, dtype=fxp.WORD)
 
@@ -157,44 +170,64 @@ def lane_checked(size: int) -> range | list:
 
 
 class TestScaleBank:
+    # the sparse SU step: diagonal pair_banks on flat banks and on the
+    # pair halves of one bank
     BODY = "native"
 
     @settings(max_examples=100, deadline=None, suppress_health_check=INHERITED)
     @given(c0=cfxs, c1=cfxs, t=st.integers(0, 5), block=small_blocks,
            data=st.data())
     def test_matches_scalar(self, c0, c1, t, block, data):
-        size = data.draw(st.integers(0, 40))
+        size = data.draw(st.integers(0, 3)) << (t + 1)
         re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
         im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
         gre, gim = re.copy(), im.copy()
         with block_size(block):
-            fxp.scale_bank(c0, c1, t, gre, gim)
+            scale_halves(c0, c1, t, gre, gim)
         assert as_cfx(gre, gim) == scalar_scale(c0, c1, t, re, im)
+        # flat banks, of any length: x takes c0, y takes c1
+        size = data.draw(st.integers(0, 40))
+        x = [np.array(data.draw(word_lists(size)), dtype=fxp.WORD) for _ in range(4)]
+        got = [a.copy() for a in x]
+        with block_size(block):
+            fxp.pair_banks(*diagonal(c0, c1), *got)
+        assert as_cfx(got[0], got[1]) == [fxp.cfx_mul(c0, v) for v in as_cfx(x[0], x[1])]
+        assert as_cfx(got[2], got[3]) == [fxp.cfx_mul(c1, v) for v in as_cfx(x[2], x[3])]
 
     def test_real_block_partial_tail(self):
-        # lengths that are not a multiple of BLOCK, for a periodic
-        # pattern (t=3), a per-block coefficient (2^16 >= BLOCK) and one
-        # coefficient for the whole bank
+        # flat banks whose length is not a multiple of BLOCK, and halves
+        # narrower than a block (t=3) and as wide as one (t=16)
         rng = np.random.default_rng(70)
         c0, c1 = random_coeff(rng), random_coeff(rng)
         size = fxp.BLOCK + 37
+        x = [random_words(rng, size) for _ in range(4)]
+        got = [a.copy() for a in x]
+        fxp.pair_banks(*diagonal(c0, c1), *got)
+        assert as_cfx(got[0], got[1]) == scalar_scale(c0, c0, 0, x[0], x[1])
+        assert as_cfx(got[2], got[3]) == scalar_scale(c1, c1, 0, x[2], x[3])
+        size = 2 << 16
+        ks = lane_checked(size)
         re, im = random_words(rng, size), random_words(rng, size)
-        for a, b, t in ((c0, c1, 3), (c0, c1, 16), (c1, c1, 0)):
+        for t in (3, 16):
             got = (re.copy(), im.copy())
-            fxp.scale_bank(a, b, t, *got)
-            assert as_cfx(*got) == scalar_scale(a, b, t, re, im), t
+            scale_halves(c0, c1, t, *got)
+            assert as_cfx(got[0][ks], got[1][ks]) == [
+                fxp.cfx_mul(c1 if (k >> t) & 1 else c0, CFx(int(re[k]), int(im[k])))
+                for k in ks], t
 
     @pytest.mark.parametrize("size", LANE_SIZES)
     def test_lane_boundaries(self, size):
-        # t = 0..3 give each vector one (c0, c1) pattern, t >= 4 switch
-        # whole vectors between c0 and c1
-        re, im = lane_bank(size)
-        ks = lane_checked(size)
-        for c0, c1 in LANE_COEFFS:
-            for a, b in ((c0, c1), (c1, c0)):
-                for t in range(7):
+        # the halves of a bank of `size` pairs in whole rows, t = 0..6: for
+        # t = 0..3 each vector holds one (c0, c1) pattern, for t >= 4 the
+        # bank is one run that switches whole vectors between c0 and c1
+        for t in range(7):
+            rows = -(-size >> t)
+            re, im = lane_bank(rows << (t + 1))
+            ks = lane_checked(re.size)
+            for c0, c1 in LANE_COEFFS:
+                for a, b in ((c0, c1), (c1, c0)):
                     got = (re.copy(), im.copy())
-                    fxp.scale_bank(a, b, t, *got)
+                    scale_halves(a, b, t, *got)
                     want = [fxp.cfx_mul(b if (k >> t) & 1 else a,
                                         CFx(int(re[k]), int(im[k]))) for k in ks]
                     assert as_cfx(got[0][ks], got[1][ks]) == want, (a, b, t)
@@ -312,7 +345,7 @@ class TestRoundingTies:
         assert fxp.fx_mul(c, x) == want
         for coeff, part in ((CFx(c, 0), 0), (CFx(0, c), 1)):
             re, im = np.array([x, 0], dtype=fxp.WORD), np.array([0, x], dtype=fxp.WORD)
-            fxp.scale_bank(coeff, coeff, 0, re, im)
+            scale_halves(coeff, coeff, 0, re, im)
             # (x + 0i) * coeff puts the product in part `part` of word 0
             assert (int(re[0]), int(im[0]))[part] == want
             assert as_cfx(re, im) == [fxp.cfx_mul(coeff, CFx(x, 0)),
@@ -327,9 +360,10 @@ class ClipElisionKernels:
         re = np.array([RAW_MIN, RAW_MIN, RAW_MAX], dtype=fxp.WORD)
         im = np.array([RAW_MIN, 0, RAW_MIN], dtype=fxp.WORD)
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c)):
-            got = (re.copy(), im.copy())
-            fxp.scale_bank(coeff, coeff, 0, *got)
-            assert as_cfx(*got) == [fxp.cfx_mul(coeff, x) for x in as_cfx(re, im)]
+            got = [a.copy() for a in (re, im, im, re)]
+            fxp.pair_banks(*diagonal(coeff, coeff), *got)
+            assert as_cfx(got[0], got[1]) == [fxp.cfx_mul(coeff, x) for x in as_cfx(re, im)]
+            assert as_cfx(got[2], got[3]) == [fxp.cfx_mul(coeff, x) for x in as_cfx(im, re)]
             got = [a.copy() for a in (re, im, im, re)]
             fxp.pair_banks(coeff, coeff, coeff, coeff, *got)
             xs, ys = as_cfx(re, im), as_cfx(im, re)
@@ -374,7 +408,7 @@ class TestNarrowing:
         assert fxp.fx_mul(c, RAW_MIN) == RAW_MAX        # 2^31, clipped
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c), CFx(c, SCALE)):
             got = (re.copy(), im.copy())
-            fxp.scale_bank(coeff, fxp.CFX_ONE, 0, *got)
+            scale_halves(coeff, fxp.CFX_ONE, 0, *got)
             assert as_cfx(*got) == scalar_scale(coeff, fxp.CFX_ONE, 0, re, im)
             got = [re.copy(), im.copy(), re[::-1].copy(), im[::-1].copy()]
             fxp.pair_banks(coeff, coeff, coeff, fxp.CFX_ONE, *got)
