@@ -15,7 +15,9 @@ wall clock are reported in separate columns and never mixed.
 
 `compare` runs the fixed-point engine on one helper thread while the
 double-precision oracle runs on the calling thread: the two share no
-data, and the engine's native kernels release the GIL. `bench` keeps
+data, and the engine's native kernels release the GIL. Its engine gets
+at most one thread fewer than the cores the process may use
+(`compare_workers`), so that the oracle keeps a core. `bench` keeps
 the two one after the other, because its wall_clock_s times the engine
 alone.
 """
@@ -26,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -122,13 +125,26 @@ def cmd_run(args) -> int:
     return 0
 
 
+def compare_workers(requested: int) -> int:
+    """The engine's threads in `compare`: `requested`, but at most one
+    fewer than the cores this process may use (`os.sched_getaffinity`,
+    or `os.cpu_count` where that is missing), and at least one. The
+    oracle runs beside the engine and keeps the remaining core."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return min(requested, max(1, cores - 1))
+
+
 def cmd_compare(args) -> int:
     label, circuit = _build_circuit(args)
     _check_init(args.init, circuit.n)
     cfg = _load_config(args.config)
     sv = state.init_basis(circuit.n, args.init, max_qubits=args.max_qubits)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        run = pool.submit(engine.run_circuit, sv, circuit, cfg, workers=args.workers)
+        run = pool.submit(engine.run_circuit, sv, circuit, cfg,
+                          workers=compare_workers(args.workers))
         try:
             ref = oracle.ref_run(circuit, oracle.basis_state(circuit.n, args.init))
         finally:
@@ -245,7 +261,9 @@ def _add_common(p, with_n: bool = True) -> None:
     p.add_argument("--max-qubits", type=int, default=state.MAX_QUBITS_DEFAULT,
                    help="desk-scale qubit ceiling")
     p.add_argument("--workers", type=int, default=1, choices=(1, 2, 4, 8),
-                   help="threads that share each gate (bit-identical results)")
+                   help="threads that share each gate (bit-identical results); "
+                        "compare uses at most one fewer than the usable cores, "
+                        "so that its oracle keeps one")
 
 
 def build_parser() -> argparse.ArgumentParser:

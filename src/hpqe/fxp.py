@@ -6,11 +6,15 @@ two's-complement integer read as value = raw * 2^-30 (2 integer bits,
 instead of wrapping, and every narrowing step rounds to nearest with
 ties to even, so results are reproducible bit for bit.
 
-Scalar functions (plain Python ints) define the semantics. The bank
-kernel `pair_banks`, the SU step, applies them in place to whole arrays
-of WORD, the machine's 32-bit word, and the test suite proves it
-bit-identical to the scalars. A diagonal gate is the same step with
-m01 = m10 = 0. The kernel has two bodies:
+Scalar functions (plain Python ints) define the semantics. Two bank
+kernels apply them in place to whole arrays of WORD, the machine's
+32-bit word, and the test suite proves them bit-identical to the
+scalars: `pair_banks`, the SU step on amplitude pairs, and `diag`, the
+diagonal (sparse) step, which multiplies each word by one of two
+coefficients picked by the parity of its stored index under a mask.
+`Banks` binds a flat state's two arrays to them once, so that the
+engine computes each piece of a gate with one foreign call on word
+offsets. Each kernel has two bodies:
 
   * native: `kernels.c`, compiled with the system C compiler on the
     first kernel call (never at import) and cached in the package's
@@ -28,8 +32,7 @@ Both round each real product as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30,
 which is fx_mul's round-half-even, and saturate every sum as fx_add /
 fx_sub do. They skip only steps that provably cannot change a bit: a
 zero coefficient's product, which is exactly 0 (the numpy body decides
-it per coefficient, the native one once per call for m01 and m10
-together), and a product's clip when its coefficient lies in
+it per coefficient), and a product's clip when its coefficient lies in
 (-2^30, 2^30] (see `product_fits`; the numpy body decides per
 coefficient, the native one once per call for all of them).
 
@@ -40,6 +43,8 @@ Which body ran never shows in the results. `quantize_array` is
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import itertools
 import math
 import os
 import struct
@@ -57,6 +62,7 @@ FRAC_MASK = SCALE - 1
 HALF_ULP = 1 << (FRAC - 1)
 
 WORD = np.int32           # the stored word of a state or a bank
+WORD_BYTES = np.dtype(WORD).itemsize
 
 RAW_ONE = SCALE                  # quantize(1.0)
 RAW_SQRT_HALF = 759250125        # quantize(1/sqrt(2)), frozen golden value
@@ -194,7 +200,6 @@ def native_kernels():
 
 
 def _load_native():
-    import ctypes
     import hashlib
 
     try:
@@ -207,9 +212,11 @@ def _load_native():
     except OSError:
         return None
     ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
-    lib.hpqe_pair_banks.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, ptr]
+    coefs = ctypes.c_char_p          # the bytes of `_coefs`, passed without a copy
+    lib.hpqe_pair_banks.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, coefs]
+    lib.hpqe_diag.argtypes = [ptr, ptr, i64, i64, i64, coefs]
     lib.hpqe_cx.argtypes = [ptr, ptr, i32, i32, i32]
-    for fn in (lib.hpqe_pair_banks, lib.hpqe_cx):
+    for fn in (lib.hpqe_pair_banks, lib.hpqe_diag, lib.hpqe_cx):
         fn.restype = None
     return lib
 
@@ -299,18 +306,23 @@ def product_fits(c: int) -> bool:
     return -SCALE < c <= SCALE
 
 
-def _prod(c: int, v, out, t):
-    # out <- fx_mul(c, v) and return out; None stands for an exact 0 when
-    # c is zero. v is read in full before out is written, so out may be v.
-    if c == 0:
+def _prod(c, v, out, t):
+    # out <- fx_mul(c, v) and return out; c is an int, or a _PerWord with
+    # one coefficient per word of v. None stands for an exact 0 when c is
+    # zero. v is read in full before out is written, so out may be v.
+    if isinstance(c, _PerWord):
+        c, fits = c
+    elif c == 0:
         return None
+    else:
+        fits = product_fits(c)
     np.multiply(v, c, out=t)
     np.right_shift(t, FRAC, out=out)
     out &= 1
     out += HALF_ULP - 1
     out += t
     out >>= FRAC
-    if not product_fits(c):
+    if not fits:
         np.clip(out, RAW_MIN, RAW_MAX, out=out)
     return out
 
@@ -338,8 +350,9 @@ def _sum_into(p, q, sub: bool, out):
 
 
 def _cmul_part(c, xr, xi, imag: bool, out, s, t):
-    # out <- the real or imaginary part of cfx_mul(c, x), c a CFx; out
-    # may be xr (imag=False) or xi (imag=True)
+    # out <- the real or imaginary part of cfx_mul(c, x), c a CFx or a
+    # pair of per-word parts (see _prod); out may be xr (imag=False) or
+    # xi (imag=True)
     if imag:
         return _sum_into(_prod(c[0], xi, out, t), _prod(c[1], xr, s, t),
                          False, out)
@@ -370,26 +383,28 @@ def block_slices(shape, block: int):
         yield slice(lo, lo + step)
 
 
+def _coefs(*cs: CFx) -> bytes:
+    # the (re, im) parts of the coefficients as the native kernels read them
+    return struct.pack(f"<{2 * len(cs)}q", *itertools.chain.from_iterable(cs))
+
+
 def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
                xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray) -> None:
     """SU step over paired banks, in place.
 
     x <- su_eval(c00, c01, x, y) and y <- su_eval(c10, c11, x, y), both
-    from the old x and y. A diagonal gate is c01 = c10 = 0: both bodies
-    then skip the zero products, and x <- cfx_mul(c00, x), y <-
-    cfx_mul(c11, y) with the same bits. The four WORD arrays share one
-    shape: 1-D of any length, or 2-D (strided views of the pair halves
-    inside a bank). The native body reads all four words of a pair
-    before it writes one. The numpy body allocates its scratch
-    (`new_scratch`) per call, copies each block of x and y into it as
-    int64, sums each output there and narrows it on write-back.
+    from the old x and y. The four WORD arrays share one shape: 1-D of
+    any length, or 2-D (strided views of the pair halves inside a bank).
+    The native body reads all four words of a pair before it writes one.
+    The numpy body allocates its scratch (`new_scratch`) per call,
+    copies each block of x and y into it as int64, sums each output
+    there and narrows it on write-back.
     """
     lib = native_kernels()
     rows = native_rows(xr, xi, yr, yi) if lib is not None else None
     if rows is not None:
-        coefs = np.array([*c00, *c01, *c10, *c11], dtype=np.int64)
         lib.hpqe_pair_banks(xr.ctypes.data, xi.ctypes.data, yr.ctypes.data,
-                            yi.ctypes.data, *rows, coefs.ctypes.data)
+                            yi.ctypes.data, *rows, _coefs(c00, c01, c10, c11))
         return
     gxr, gxi, gyr, gyi, acc, y, s, tmp = new_scratch()
     outputs = ((c00, c01, xr, False), (c00, c01, xi, True),
@@ -407,6 +422,127 @@ def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
                              _cmul_part(cb, g[2], g[3], imag, b, s_, t_),
                              False, a)
             out[sl] = 0 if part is None else part
+
+
+class _PerWord(NamedTuple):
+    """The coefficients of a diagonal step's words, one per word."""
+
+    words: np.ndarray       # int64
+    fits: bool              # product_fits of every one
+
+
+def _per_word(a: int, b: int, odd, out):
+    # a where odd is 0 and b where it is 1: a plain int when a == b
+    if a == b:
+        return a
+    np.multiply(odd, b - a, out=out)
+    out += a
+    return _PerWord(out, product_fits(a) and product_fits(b))
+
+
+def _parity_pattern(mask: int, length: int, out) -> None:
+    # out[k] <- parity(k & mask) for k < length, a power of two, built by
+    # doubling: the second half of each prefix is the first half, flipped
+    # where the prefix's new top bit is in the mask
+    out[0] = 0
+    w = 1
+    while w < length:
+        if mask & w:
+            np.subtract(1, out[:w], out=out[w:2 * w])
+        else:
+            out[w:2 * w] = out[:w]
+        w <<= 1
+
+
+def diag(c0: CFx, c1: CFx, mask: int, re: np.ndarray, im: np.ndarray,
+         base: int = 0) -> None:
+    """Diagonal step over a 1-D bank, in place.
+
+    Word k, the amplitude at stored index base + k, <- cfx_mul(c1, word)
+    where the parity of (base + k) & mask is odd and cfx_mul(c0, word)
+    where it is even. With mask = 2^t that is a diagonal gate on qubit t;
+    `base` and `mask` are non-negative. re and im are 1-D WORD arrays of
+    one length. The numpy body cuts the bank at multiples of a period P
+    (a power of two, at most BLOCK) of the stored index: the parity of
+    the bits of the mask below P is one pattern for the whole call, and
+    the bits above it flip the pattern of a whole piece.
+    """
+    lib = native_kernels()
+    if lib is not None and native_rows(re, im) == (1, re.size, re.size):
+        lib.hpqe_diag(re.ctypes.data, im.ctypes.data, re.size, base, mask,
+                      _coefs(c0, c1))
+        return
+    size = re.size
+    if size == 0:
+        return
+    period = min(BLOCK, 1 << (size - 1).bit_length())
+    xr, xi, pattern, coef_re, coef_im, acc, s, tmp = new_scratch()
+    _parity_pattern(mask, period, pattern)
+    for first in range((base // period) * period, base + size, period):
+        lo, hi = max(first, base), min(first + period, base + size)
+        m = hi - lo
+        a, b = (c1, c0) if bin(first & mask).count("1") & 1 else (c0, c1)
+        odd = pattern[lo - first:hi - first]
+        cr, ci = (_per_word(a[j], b[j], odd, row[:m])
+                  for j, row in ((0, coef_re), (1, coef_im)))
+        sl = slice(lo - base, hi - base)
+        np.copyto(xr[:m], re[sl])
+        np.copyto(xi[:m], im[sl])
+        for out, imag in ((re, False), (im, True)):
+            part = _cmul_part((cr, ci), xr[:m], xi[:m], imag, acc[:m], s[:m], tmp[:m])
+            out[sl] = 0 if part is None else part
+
+
+class Banks:
+    """A flat state's two WORD arrays, bound to the bank kernels once.
+
+    `pair` and `diag` compute a piece of a gate named by word offsets into
+    the state. With the native library each is one foreign call on the
+    base addresses taken here, with no views and no per-call checks of
+    the arrays; otherwise each runs the numpy body of `pair_banks` or
+    `diag` on views of the piece. Pieces that share no word may run at
+    once.
+    """
+
+    def __init__(self, re: np.ndarray, im: np.ndarray):
+        self.re, self.im = re, im
+        lib = native_kernels()
+        self._lib = None
+        if lib is not None and native_rows(re, im) == (1, re.size, re.size):
+            self._lib = lib
+            # the address of each first word: a ctypes view of the buffer
+            # costs a fifth of `ndarray.ctypes.data`
+            self._addr = tuple(ctypes.addressof(ctypes.c_char.from_buffer(a))
+                               for a in (re, im))
+
+    def pair(self, m: tuple, t: int, lo: int, rows: int, width: int) -> None:
+        """`pair_banks` with m = (m00, m01, m10, m11) on the pairs (k, k + 2^t)
+        of `rows` rows of `width` pairs, row r starting at word lo + r*2^(t+1).
+
+        A piece of several rows holds whole rows (width = 2^t).
+        """
+        half = 1 << t
+        if self._lib is not None:
+            re, im = self._addr
+            x, y = lo * WORD_BYTES, (lo + half) * WORD_BYTES
+            self._lib.hpqe_pair_banks(re + x, im + x, re + y, im + y, rows, width,
+                                      2 * half, _coefs(*m))
+            return
+        if rows == 1:
+            views = [a[k:k + width] for k in (lo, lo + half) for a in (self.re, self.im)]
+        else:
+            views = [a[lo:lo + (rows << (t + 1))].reshape(rows, 2, half)[:, h]
+                     for h in (0, 1) for a in (self.re, self.im)]
+        pair_banks(*m, *views)
+
+    def diag(self, c0: CFx, c1: CFx, mask: int, lo: int, hi: int) -> None:
+        """`diag` on the words [lo, hi) of the state."""
+        if self._lib is not None:
+            re, im = self._addr
+            self._lib.hpqe_diag(re + lo * WORD_BYTES, im + lo * WORD_BYTES, hi - lo,
+                                lo, mask, _coefs(c0, c1))
+            return
+        diag(c0, c1, mask, self.re[lo:hi], self.im[lo:hi], lo)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
-/* Native Q2.30 kernels: the SU step and the CX swap.
+/* Native Q2.30 kernels: the SU step, the diagonal step and the CX swap.
  *
  * The SU step is the scalar one from fxp.py: a plain int64 product of
  * two raws, rounded to nearest with ties to even at bit 30 as
  * (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30, and a saturation of every sum.
  * A product is saturated too, unless every coefficient of the call lies
  * in (-2^30, 2^30], where no product can leave the word's range (the
- * proof is fxp.product_fits). A diagonal gate is the same step with
- * m01 = m10 = 0: cfx_mul(0, y) is 0 and adding 0 to an in-range word
- * changes nothing, so the zero products are skipped, as the machine's
- * sparse mode bypasses its second multiplier. Both choices, clip and
- * diag, are made once per call, and each loop body is compiled once for
- * each pair of them. fxp.py builds this file on first use and falls
- * back to its numpy kernels when the build or the load fails; the tests
- * hold every body to the scalar functions.
+ * proof is fxp.product_fits). That choice, clip, is made once per call,
+ * and each loop body is compiled once for each value of it.
+ *
+ * A diagonal gate (the machine's sparse mode, which bypasses its second
+ * multiplier) is its own kernel, hpqe_diag: each word is multiplied by
+ * one of two coefficients, picked by the parity of its stored index
+ * under a mask. With the mask 2^t that is the gate on qubit t; the
+ * engine passes other masks while it defers CX gates as a relabeling of
+ * the stored indices (engine.py). fxp.py builds this file on first use
+ * and falls back to its numpy kernels when the build or the load fails;
+ * the tests hold every body to the scalar functions.
  *
  * Arrays are int32 words, the machine's own, with unit stride inside a
  * row. Kernels update in place; every output of one element is computed
@@ -71,7 +74,7 @@ BODY int64_t cmul_im(int64_t cr, int64_t ci, int64_t xr, int64_t xi, const int c
 
 BODY void pair_body(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
                     int64_t rows, int64_t width, int64_t stride,
-                    const int64_t *m, const int clip, const int diag)
+                    const int64_t *m, const int clip)
 {
     for (int64_t r = 0; r < rows; r++)
         for (int64_t k = r * stride; k < r * stride + width; k++) {
@@ -81,36 +84,56 @@ BODY void pair_body(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
             int64_t ar = xr[k], ai = xi[k], br = yr[k], bi = yi[k];
             int64_t sr = cmul_re(m[0], m[1], ar, ai, clip), si = cmul_im(m[0], m[1], ar, ai, clip);
             int64_t tr = cmul_re(m[6], m[7], br, bi, clip), ti = cmul_im(m[6], m[7], br, bi, clip);
-            if (!diag) {
-                sr = sat(sr + cmul_re(m[2], m[3], br, bi, clip));
-                si = sat(si + cmul_im(m[2], m[3], br, bi, clip));
-                tr = sat(tr + cmul_re(m[4], m[5], ar, ai, clip));
-                ti = sat(ti + cmul_im(m[4], m[5], ar, ai, clip));
-            }
-            xr[k] = (int32_t)sr;
-            xi[k] = (int32_t)si;
-            yr[k] = (int32_t)tr;
-            yi[k] = (int32_t)ti;
+            xr[k] = (int32_t)sat(sr + cmul_re(m[2], m[3], br, bi, clip));
+            xi[k] = (int32_t)sat(si + cmul_im(m[2], m[3], br, bi, clip));
+            yr[k] = (int32_t)sat(tr + cmul_re(m[4], m[5], ar, ai, clip));
+            yi[k] = (int32_t)sat(ti + cmul_im(m[4], m[5], ar, ai, clip));
         }
 }
 
-/* body(..., clip, diag) with both flags as compile-time constants */
-#define VARIANTS(body, clip, diag, ...)                                 \
-    do {                                                                \
-        if (clip)                                                       \
-            diag ? body(__VA_ARGS__, 1, 1) : body(__VA_ARGS__, 1, 0);   \
-        else                                                            \
-            diag ? body(__VA_ARGS__, 0, 1) : body(__VA_ARGS__, 0, 0);   \
+/* word k, at stored index base + k, <- cfx_mul(c1 if the parity of
+ * (base + k) & mask is odd else c0, word k); c holds c0 and c1. The
+ * parity is constant across each aligned run of `run` words, `run` the
+ * lowest set bit of the mask, so the inner loop has one coefficient. */
+BODY void diag_body(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t mask,
+                    const int64_t *c, const int clip)
+{
+    int64_t run = mask & -mask;
+    for (int64_t k = 0; k < len;) {
+        int64_t end = run ? (((base + k) | (run - 1)) + 1 - base) : len;
+        const int64_t *w = c + 2 * __builtin_parityll((base + k) & mask);
+        int64_t cr = w[0], ci = w[1];
+        for (end = end < len ? end : len; k < end; k++) {
+            int64_t xr = re[k], xi = im[k];
+            re[k] = (int32_t)cmul_re(cr, ci, xr, xi, clip);
+            im[k] = (int32_t)cmul_im(cr, ci, xr, xi, clip);
+        }
+    }
+}
+
+/* body(..., clip) with clip as a compile-time constant */
+#define VARIANTS(body, clip, ...)              \
+    do {                                       \
+        if (clip)                              \
+            body(__VA_ARGS__, 1);              \
+        else                                   \
+            body(__VA_ARGS__, 0);              \
     } while (0)
 
-/* the portable body, one instantiation per (clip, diag); the vector
- * body calls it for its remaining words */
+/* the portable bodies, one instantiation per clip; the vector bodies
+ * call them for their remaining words */
 static __attribute__((noinline)) void
 pair_portable(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
-              int64_t rows, int64_t width, int64_t stride, const int64_t *m,
-              int clip, int diag)
+              int64_t rows, int64_t width, int64_t stride, const int64_t *m, int clip)
 {
-    VARIANTS(pair_body, clip, diag, xr, xi, yr, yi, rows, width, stride, m);
+    VARIANTS(pair_body, clip, xr, xi, yr, yi, rows, width, stride, m);
+}
+
+static __attribute__((noinline)) void
+diag_portable(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t mask,
+              const int64_t *c, int clip)
+{
+    VARIANTS(diag_body, clip, re, im, len, base, mask, c);
 }
 
 static void cx_body(int32_t *re, int32_t *im, int n, int control, int target)
@@ -205,14 +228,13 @@ VBODY v16d vnarrow(v8q even, v8q odd)
                                    4, 12, 5, 13, 6, 14, 7, 15);
 }
 
-/* word l takes c1 where bit t of l is set and c0 elsewhere; c0 every
- * word for t >= 4 */
+/* word l takes c1 where the parity of l & mask is odd and c0 elsewhere */
 static VTARGET void vlanes(vcoef *v, int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
-                           int t)
+                           int64_t mask)
 {
     v16d r, i;
     for (int l = 0; l < 16; l++) {
-        int one = t < 4 && ((l >> t) & 1);
+        int one = __builtin_parityll(l & mask);
         r[l] = (int32_t)(one ? c1r : c0r);
         i[l] = (int32_t)(one ? c1i : c0i);
     }
@@ -223,25 +245,19 @@ static VTARGET void vlanes(vcoef *v, int64_t c0r, int64_t c0i, int64_t c1r, int6
 }
 
 /* su_eval on 16 words as sat(cfx_mul(a, own) + cfx_mul(b, other)), one
- * (a, b) per word, stored to (outr, outi); with diag, b is 0 and only
- * cfx_mul(a, own) is formed, saturated by the narrow */
+ * (a, b) per word, stored to (outr, outi) */
 VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
                     const vcoef *a, const vcoef *b,
-                    int32_t *outr, int32_t *outi, const int clip, const int diag)
+                    int32_t *outr, int32_t *outi, const int clip)
 {
     v8q xr = (v8q)own_r, xi = (v8q)own_i, yr = (v8q)oth_r, yi = (v8q)oth_i;
     v8q or_[2], oi[2];
     for (int h = 0; h < 2; h++) {
         v8q ar, ai, br, bi;
         vcmul(a, h, xr, xi, &ar, &ai, clip);
-        if (diag) {
-            or_[h] = ar;
-            oi[h] = ai;
-        } else {
-            vcmul(b, h, yr, yi, &br, &bi, clip);
-            or_[h] = vsat(ar) + vsat(br);
-            oi[h] = vsat(ai) + vsat(bi);
-        }
+        vcmul(b, h, yr, yi, &br, &bi, clip);
+        or_[h] = vsat(ar) + vsat(br);
+        oi[h] = vsat(ai) + vsat(bi);
         xr >>= 32;
         xi >>= 32;
         yr >>= 32;
@@ -258,39 +274,39 @@ VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
  * x)), so each output word is sat(cfx_mul(a, own) + cfx_mul(b,
  * partner)) with (a, b) = (m00, m01) for x and (m11, m10) for y.
  *
- * When x and y are the two halves of one contiguous bank (width 2^t,
- * stride 2*width, y = x + width), the bank is one run of whole pairs,
- * read and written through the x pointers, if t < 4 or the gate is
- * diagonal. For t < 4 each vector holds whole pairs, the partner of word
- * l is word l ^ width and (a, b) alternate with bit t of l; for t >= 4
- * (diagonal only) bit t is constant across a vector, which takes m00 or
- * m11 whole. Other rows of 16 words or more run whole vectors of x and
- * of y. Narrower rows and the remaining words run the portable loop. */
+ * When x and y are the two halves of one contiguous bank of pairs on a
+ * qubit t < 4 (width 2^t, stride 2*width, y = x + width), the bank is
+ * one run of whole pairs, read and written through the x pointers: each
+ * vector holds whole pairs, the partner of word l is word l ^ width and
+ * (a, b) alternate with bit t of l. Other rows of 16 words or more run
+ * whole vectors of x and of y. Narrower rows and the remaining words run
+ * the portable loop. */
 VBODY void pair_vbody(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
                       int64_t rows, int64_t width, int64_t stride,
-                      const int64_t *m, const int clip, const int diag)
+                      const int64_t *m, const int clip)
 {
     int halves = width > 0 && !(width & (width - 1)) && stride == 2 * width
                  && yr == xr + width && yi == xi + width;
     if (!halves && width < 16) {
-        pair_portable(xr, xi, yr, yi, rows, width, stride, m, clip, diag);
+        pair_portable(xr, xi, yr, yi, rows, width, stride, m, clip);
         return;
     }
-    /* the target of one run; 63 for rows of x and of y, where every
-     * vector takes the coefficients of its own half */
-    int t = halves && (width < 16 || diag) ? __builtin_ctzll(width) : 63;
-    int64_t run = width;
+    /* with halves of width < 16 one run, where word l takes (a, b) by bit
+     * t of l; otherwise rows of x and of y, where every vector takes the
+     * coefficients of its own half */
+    int64_t lanes = 0, run = width;
     int outputs = 2;
-    if (t < 63) {
+    if (width < 16) {
+        lanes = width;
         run = rows * stride;
         rows = 1;
         outputs = 1;
     }
     vcoef c[2][2];          /* (a, b) of the x words and of the y words */
-    vlanes(&c[0][0], m[0], m[1], m[6], m[7], t);
-    vlanes(&c[0][1], m[2], m[3], m[4], m[5], t);
-    vlanes(&c[1][0], m[6], m[7], 0, 0, 4);
-    vlanes(&c[1][1], m[4], m[5], 0, 0, 4);
+    vlanes(&c[0][0], m[0], m[1], m[6], m[7], lanes);
+    vlanes(&c[0][1], m[2], m[3], m[4], m[5], lanes);
+    vlanes(&c[1][0], m[6], m[7], 0, 0, 0);
+    vlanes(&c[1][1], m[4], m[5], 0, 0, 0);
     const v16d partner = (v16d)LANES ^ (int)width;
     int64_t whole = run & ~(int64_t)15;
     for (int64_t r = 0; r < rows; r++) {
@@ -300,35 +316,71 @@ VBODY void pair_vbody(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
             v16d v[2][2];
             v[0][0] = vload(xr + k);
             v[0][1] = vload(xi + k);
-            /* the y words of a row, or the partners of a run's words,
-             * which a diagonal gate never reads */
+            /* the y words of a row, or the partners of a run's words */
             for (int p = 0; p < 2; p++)
                 v[1][p] = outputs == 2 ? vload(out[1][p])
-                          : diag ? v[0][p] : __builtin_shuffle(v[0][p], partner);
-            int y = (k >> t) & 1;   /* a vector of y words in a run */
+                          : __builtin_shuffle(v[0][p], partner);
             /* a loop, not two calls: one copy of the step per variant
              * halves the compile time of this body */
 #pragma GCC unroll 1
             for (int o = 0; o < outputs; o++)
-                vdense16(v[o][0], v[o][1], v[!o][0], v[!o][1], &c[o | y][0], &c[o | y][1],
-                         out[o][0], out[o][1], clip, diag);
+                vdense16(v[o][0], v[o][1], v[!o][0], v[!o][1], &c[o][0], &c[o][1],
+                         out[o][0], out[o][1], clip);
         }
         if (whole == run)
             continue;
         if (outputs == 1)
             pair_portable(xr + k, xi + k, yr + k, yi + k, (run - whole) / stride,
-                          width, stride, m, clip, diag);
+                          width, stride, m, clip);
         else
-            pair_portable(xr + k, xi + k, yr + k, yi + k, 1, width - whole, 0, m,
-                          clip, diag);
+            pair_portable(xr + k, xi + k, yr + k, yi + k, 1, width - whole, 0, m, clip);
     }
 }
 
 static VTARGET void pair_avx512(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
                                 int64_t rows, int64_t width, int64_t stride,
-                                const int64_t *m, int clip, int diag)
+                                const int64_t *m, int clip)
 {
-    VARIANTS(pair_vbody, clip, diag, xr, xi, yr, yi, rows, width, stride, m);
+    VARIANTS(pair_vbody, clip, xr, xi, yr, yi, rows, width, stride, m);
+}
+
+/* diag_body on whole vectors. A vector starts at a stored index that is
+ * a multiple of 16, so the parity of its word l splits into the parity
+ * of l & mask, one per-word pattern (c0, c1) for the whole call, and
+ * the parity of the index's higher bits under the mask, which flips the
+ * pattern of the whole vector. The words before the first such index
+ * and after the last whole vector run the portable loop. */
+VBODY void diag_vbody(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t mask,
+                      const int64_t *c, const int clip)
+{
+    int64_t head = (-base) & 15;
+    head = head < len ? head : len;
+    int64_t whole = head + ((len - head) & ~(int64_t)15);
+    vcoef v[2];             /* the pattern, and its flip */
+    vlanes(&v[0], c[0], c[1], c[2], c[3], mask);
+    vlanes(&v[1], c[2], c[3], c[0], c[1], mask);
+    for (int64_t k = head; k < whole; k += 16) {
+        const vcoef *w = &v[__builtin_parityll((base + k) & mask & ~(int64_t)15)];
+        v8q xr = (v8q)vload(re + k), xi = (v8q)vload(im + k);
+        v8q or_[2], oi[2];
+        for (int h = 0; h < 2; h++) {
+            vcmul(w, h, xr, xi, &or_[h], &oi[h], clip);
+            xr >>= 32;
+            xi >>= 32;
+        }
+        vstore(re + k, vnarrow(or_[0], or_[1]));
+        vstore(im + k, vnarrow(oi[0], oi[1]));
+    }
+    if (head)
+        diag_portable(re, im, head, base, mask, c, clip);
+    if (whole < len)
+        diag_portable(re + whole, im + whole, len - whole, base + whole, mask, c, clip);
+}
+
+static VTARGET void diag_avx512(int32_t *re, int32_t *im, int64_t len, int64_t base,
+                                int64_t mask, const int64_t *c, int clip)
+{
+    VARIANTS(diag_vbody, clip, re, im, len, base, mask, c);
 }
 
 /* CX on 16-word blocks, n >= 4. With 2^target >= 16 a block whose target
@@ -380,29 +432,50 @@ static inline int is_word(int64_t c)
 }
 #endif
 
+/* 1 when every one of the k coefficients passes the test */
+static int all_of(int (*test)(int64_t), const int64_t *c, int k)
+{
+    int all = 1;
+    for (int j = 0; j < k; j++)
+        all &= test(c[j]);
+    return all;
+}
+
 /* SU step over pair views: for each row r and each k in
  * [r*stride, r*stride + width), (x[k], y[k]) <- su_eval of the pair.
- * A call with m01 = m10 = 0 is a diagonal gate and skips their
- * products. */
+ * coefs holds m00, m01, m10, m11 as (re, im) int64 pairs. */
 void hpqe_pair_banks(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
                      int64_t rows, int64_t width, int64_t stride,
-                     const int64_t *c)
+                     const void *coefs)
 {
-    const int64_t m[8] = {c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]};
-    int all_fit = 1;
-    for (int j = 0; j < 8; j++)
-        all_fit &= fits(m[j]);
-    int diag = !(m[2] | m[3] | m[4] | m[5]);
+    int64_t m[8];
+    __builtin_memcpy(m, coefs, sizeof m);
+    int clip = !all_of(fits, m, 8);
 #ifdef HPQE_AVX512
-    int all_words = 1;
-    for (int j = 0; j < 8; j++)
-        all_words &= is_word(m[j]);
-    if (have_avx512() && all_words) {
-        pair_avx512(xr, xi, yr, yi, rows, width, stride, m, !all_fit, diag);
+    if (have_avx512() && all_of(is_word, m, 8)) {
+        pair_avx512(xr, xi, yr, yi, rows, width, stride, m, clip);
         return;
     }
 #endif
-    pair_portable(xr, xi, yr, yi, rows, width, stride, m, !all_fit, diag);
+    pair_portable(xr, xi, yr, yi, rows, width, stride, m, clip);
+}
+
+/* Diagonal step: word k of re and im, at stored index base + k, <-
+ * cfx_mul(c1 if the parity of (base + k) & mask is odd else c0, word k),
+ * for k in [0, len). coefs holds c0 and c1 as (re, im) int64 pairs. */
+void hpqe_diag(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t mask,
+               const void *coefs)
+{
+    int64_t c[4];
+    __builtin_memcpy(c, coefs, sizeof c);
+    int clip = !all_of(fits, c, 4);
+#ifdef HPQE_AVX512
+    if (have_avx512() && all_of(is_word, c, 4)) {
+        diag_avx512(re, im, len, base, mask, c, clip);
+        return;
+    }
+#endif
+    diag_portable(re, im, len, base, mask, c, clip);
 }
 
 /* CX on an n-qubit state: swap word i with word i | 2^target for every i

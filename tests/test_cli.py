@@ -127,6 +127,31 @@ class TestCompareOverlap:
         doc = oracle.metrics(ref, sv).to_json(n=circuit.n, gates=len(circuit.ops))
         assert (tmp_path / "metrics.json").read_text(encoding="utf-8") == doc + "\n"
 
+    @pytest.mark.parametrize("cores, requested, used", (
+        (2, 2, 1), (2, 1, 1), (1, 4, 1), (3, 8, 2), (8, 4, 4), (9, 8, 8)))
+    def test_engine_keeps_a_core_for_the_oracle(self, tmp_path, monkeypatch,
+                                                 cores, requested, used):
+        # the engine gets at most one thread fewer than the usable cores;
+        # a run_circuit that records its workers starts no thread of its own
+        seen = []
+
+        def record(sv, circuit, cfg, workers):
+            seen.append(workers)
+            return sv, engine.cycle_report(circuit, cfg)
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(cli.engine, "run_circuit", record)
+        assert run_cli("compare", "--gen", "qft", "--n", 3, "--workers", requested,
+                       "--out", tmp_path) == 0
+        assert seen == [used]
+        # without sched_getaffinity the count comes from os.cpu_count
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert cli.compare_workers(requested) == used
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.compare_workers(requested) == 1
+
     def test_engine_error_outranks_oracle_error(self, tmp_path, monkeypatch, capsys):
         oracle_failed = threading.Event()
 
@@ -336,6 +361,17 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: global phase") and err.count("\n") == 1
         assert not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ("run", "compare"))
+    @pytest.mark.parametrize("gate", ("CX 1 1", "CX 0 3", "CX 3 0"))
+    def test_bad_cx_exits_4_with_one_line(self, tmp_path, capsys, command, gate):
+        qc = tmp_path / "cx.qc"
+        qc.write_text(f"QUBITS 3\nH 0\nCX 0 1\nRZ 1 0.5\n{gate}\nH 2\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--circuit", qc, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
 
     def test_bench_empty_range_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

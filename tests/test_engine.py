@@ -1,11 +1,12 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hpqe import engine, fxp, gateset, oracle, state
+from hpqe import circuits, engine, fxp, gateset, oracle, state
 from hpqe.fxp import CFx
 
 from helpers import random_circuit, random_ref_amplitudes
@@ -246,39 +247,51 @@ class TestRunCircuit:
             engine.run_circuit(state.init_basis(3, 0), gateset.Circuit(n=4))
 
     def test_one_kernel_call_per_gate_with_one_worker(self, monkeypatch):
-        # every single-qubit gate, sparse or dense, in either access mode,
-        # is one pair_banks call on the whole state from apply_single and
-        # from one worker; w workers make p = min(w, 2^(n-1)) calls of
-        # equal size that cover every pair. A sparse gate passes zero
-        # off-diagonals.
+        # every executed single-qubit gate, sparse or dense, in either
+        # access mode, is one kernel call on the whole state from
+        # apply_single and from one worker; w workers make p = min(w,
+        # 2^(n-1)) calls on contiguous pieces of equal size that cover the
+        # state and share no word. A sparse gate is `diag` with m00, m11
+        # and the mask of its target, a dense one `pair` with its matrix.
         calls = []
-        real_pair = fxp.pair_banks
 
-        def spy_pair(*args):
-            calls.append((args[4].size, args[1:3], args[4]))
-            real_pair(*args)
+        def spy(name):
+            real = getattr(fxp.Banks, name)
 
-        monkeypatch.setattr(fxp, "pair_banks", spy_pair)
+            def call(banks, *args):
+                calls.append((name, args))
+                real(banks, *args)
+            return call
+
+        for name in ("pair", "diag"):
+            monkeypatch.setattr(fxp.Banks, name, spy(name))
+
+        def words(name, args):
+            # the state words one call reads and writes
+            if name == "diag":
+                return set(range(*args[3:5]))
+            _, t, lo, rows, width = args
+            return {lo + (r << (t + 1)) + h + k for r in range(rows)
+                    for h in (0, 1 << t) for k in range(width)}
+
         for n in (1, 2, 6):
             for t in range(n):
                 for op in (gateset.single("RZ", t, 0.3), gateset.single("H", t)):
-                    off = ((fxp.CFX_ZERO,) * 2 if op.sparse else op.matrix[1:3],)
+                    m00, _, _, m11 = op.matrix
+                    want = ("diag", (m00, m11, 1 << t)) if op.sparse else ("pair", (op.matrix,))
                     calls.clear()
                     engine.apply_single(state.init_basis(n, 0), op)
-                    assert [c[:2] for c in calls] == [(1 << (n - 1), *off)]
+                    assert [(c[0], c[1][:len(want[1])]) for c in calls] == [want]
+                    assert words(*calls[0]) == set(range(1 << n))
                     for workers in (1, 2, 4, 8):
-                        sv = state.init_basis(n, 0)
                         calls.clear()
-                        engine.run_circuit(sv, gateset.Circuit(n=n, ops=[op]),
-                                           workers=workers)
+                        engine.run_circuit(state.init_basis(n, 0),
+                                           gateset.Circuit(n=n, ops=[op]), workers=workers)
                         p = min(workers, 1 << (n - 1))
-                        want = [((1 << (n - 1)) // p, *off)] * p
-                        assert [c[:2] for c in calls] == want, (n, t, op.kind)
-                        # the pieces are views of the state that share no word
-                        pieces = [c[2] for c in calls]
-                        assert all(np.shares_memory(a, sv.re) for a in pieces)
-                        assert not any(np.shares_memory(a, b)
-                                       for i, a in enumerate(pieces) for b in pieces[:i])
+                        assert [(c[0], c[1][:len(want[1])]) for c in calls] == [want] * p
+                        pieces = [words(*c) for c in calls]
+                        assert {len(w) for w in pieces} == {(1 << n) // p}, (n, t, op.kind)
+                        assert set().union(*pieces) == set(range(1 << n))
 
     @pytest.mark.parametrize("n", (3, 9))
     def test_sparse_gate_ignores_off_diagonals(self, n):
@@ -315,6 +328,53 @@ class TestRunCircuit:
                                       gateset.GateOp(kind="H", target=0)])
         with pytest.raises(ValueError, match="gate 1 has no quantized matrix"):
             engine.run_circuit(state.init_basis(3, 0), c, workers=workers)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("n, control, target", ((3, 1, 1), (3, 0, 3), (3, -1, 0), (1, 0, 1)))
+    def test_bad_cx_fails_at_its_own_gate(self, workers, n, control, target):
+        # a deferred CX is checked when the loop reaches it, with apply_cx's
+        # error; the state then holds every gate before it, pending CXs
+        # included, and none after it
+        head = [gateset.single("H", 0), gateset.single("RZ", n - 1, 0.7)]
+        if n >= 2:
+            head += [gateset.cx(0, 1), gateset.single("S", 1)]
+        bad = gateset.GateOp(kind="CX", target=target, control=control)
+        circuit = gateset.Circuit(n=n, ops=[*head, bad, gateset.single("H", 0)])
+        with pytest.raises(ValueError) as eager:
+            engine.apply_cx(state.init_basis(n, 0), control, target)
+        sv = state.init_basis(n, 0)
+        with pytest.raises(ValueError, match=re.escape(str(eager.value))):
+            engine.run_circuit(sv, circuit, workers=workers)
+        want = state.init_basis(n, 0)
+        for op in head:
+            if op.kind == "CX":
+                engine.apply_cx(want, op.control, op.target)
+            else:
+                engine.apply_single(want, op)
+        assert sv.dump() == want.dump()
+
+    def test_deferred_cx_swaps(self, monkeypatch):
+        # a CX moves words only at a flush whose map is not the identity:
+        # in QFT every CX pair around an RZ cancels, and only the final
+        # swaps' 3*floor(n/2) CX move words; in the chain template every
+        # CX layer is flushed by the next layer's RY or by the end
+        swaps = []
+        real = engine.apply_cx
+
+        def spy(sv, control, target):
+            swaps.append((control, target))
+            real(sv, control, target)
+
+        monkeypatch.setattr(engine, "apply_cx", spy)
+        for n in range(1, 13):
+            swaps.clear()
+            engine.run_circuit(state.init_basis(n, 0), circuits.qft(n))
+            assert len(swaps) <= 3 * (n // 2), n
+        chain = circuits.template("chain", 20, 3, np.linspace(0.1, 6.0, 120))
+        swaps.clear()
+        engine.run_circuit(state.init_basis(20, 0), chain)
+        cx = [(op.control, op.target) for op in chain.ops if op.kind == "CX"]
+        assert swaps == cx and len(cx) == 57
 
 
 class TestCycleReport:

@@ -200,13 +200,20 @@ class TestVectorizedKernels:
         coeffs = [CFx(a, b) for a in edges for b in edges[::3]]
         coeffs += [CFx(*random_raws(rng, 2)) for _ in range(6)]
         for c in coeffs:
-            # the sparse SU step: a diagonal (c, 0, 0, c) on x and y
+            # a dense step with zero off-diagonals (c, 0, 0, c) on x and y
             banks = [a.copy() for a in (re, im, im, re)]
             fxp.pair_banks(c, fxp.CFX_ZERO, fxp.CFX_ZERO, c, *banks)
             for (gr, gi), (xr, xi) in (((banks[0], banks[1]), (re, im)),
                                        ((banks[2], banks[3]), (im, re))):
                 want = [fxp.cfx_mul(c, CFx(int(x), int(y))) for x, y in zip(xr, xi)]
                 assert [CFx(int(x), int(y)) for x, y in zip(gr, gi)] == want, c
+            # the sparse step: c on the words of odd parity under the mask
+            banks = [re.copy(), im.copy()]
+            fxp.diag(fxp.CFX_ONE, c, 0b101, *banks)
+            want = [fxp.cfx_mul(c if bin(k & 0b101).count("1") & 1 else fxp.CFX_ONE,
+                                CFx(int(x), int(y)))
+                    for k, (x, y) in enumerate(zip(re, im))]
+            assert [CFx(int(x), int(y)) for x, y in zip(*banks)] == want, c
 
     def test_pair_banks_matches_scalar(self):
         rng = np.random.default_rng(13)

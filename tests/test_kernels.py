@@ -1,10 +1,11 @@
 """The bank kernel and the engine's gate paths against the scalar spec.
 
-`fxp.pair_banks` is driven with banks of the stored word (`fxp.WORD`)
-holding full-range values, and full-range coefficients (RAW_MIN,
-RAW_MAX, exact rounding ties, the clip-elision boundary), dense and
-diagonal (m01 = m10 = 0, the sparse SU step), and every element is
-compared with `fxp.su_eval` / `fxp.fx_mul`.
+`fxp.pair_banks` and `fxp.diag` (the sparse SU step) are driven with
+banks of the stored word (`fxp.WORD`) holding full-range values, and
+full-range coefficients (RAW_MIN, RAW_MAX, exact rounding ties, the
+clip-elision boundary), and every element is compared with
+`fxp.su_eval` / `fxp.cfx_mul` / `fxp.fx_mul`. `run_circuit`, which
+defers CX gates, is held to an eager gate-by-gate replay.
 Each such test runs three times: its class pins the native kernels as
 built for this host (on an AVX-512F CPU their vector body), a
 `...Portable` subclass pins the same library built without the vector
@@ -119,11 +120,10 @@ def diagonal(c0: CFx, c1: CFx) -> tuple:
 
 
 def scale_halves(c0, c1, t, re, im) -> None:
-    """The sparse step on qubit t of a bank, in place: diagonal pair_banks
-    on the pair halves, so word k takes c1 where bit t of k is set and c0
+    """The sparse step on qubit t of a bank, in place: `fxp.diag` with the
+    mask 2^t, so word k takes c1 where bit t of k is set and c0
     elsewhere. The bank's length is a multiple of 2^(t+1)."""
-    r3, i3 = (a.reshape(-1, 2, 1 << t) for a in (re, im))
-    fxp.pair_banks(*diagonal(c0, c1), r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1])
+    fxp.diag(c0, c1, 1 << t, re, im)
 
 
 def random_words(rng, size: int) -> np.ndarray:
@@ -170,8 +170,9 @@ def lane_checked(size: int) -> range | list:
 
 
 class TestScaleBank:
-    # the sparse SU step: diagonal pair_banks on flat banks and on the
-    # pair halves of one bank
+    # the sparse SU step: fxp.diag with the mask 2^t on a bank, and a
+    # dense pair_banks with zero off-diagonals, which gives the same bits,
+    # on flat banks
     BODY = "native"
 
     @settings(max_examples=100, deadline=None, suppress_health_check=INHERITED)
@@ -231,6 +232,70 @@ class TestScaleBank:
                     want = [fxp.cfx_mul(b if (k >> t) & 1 else a,
                                         CFx(int(re[k]), int(im[k]))) for k in ks]
                     assert as_cfx(got[0][ks], got[1][ks]) == want, (a, b, t)
+
+
+def parity(i: int) -> int:
+    return bin(i).count("1") & 1
+
+
+def scalar_diag(c0, c1, mask, base, re, im, ks) -> list:
+    # word k of the bank, at stored index base + k, times c1 where the
+    # parity of its index under the mask is odd, c0 elsewhere
+    return [fxp.cfx_mul(c1 if parity((base + k) & mask) else c0,
+                        CFx(int(re[k]), int(im[k]))) for k in ks]
+
+
+# masks with bits only below 4 (a per-word pattern in a vector), only at
+# 4 and above (a whole vector flips) and both, and the mask 0
+MASKS = (0, 1, 2, 8, 9, 16, 0b110110, 1 << 9, (1 << 16) | 5)
+
+
+class TestDiag:
+    # the diagonal step fxp.diag (native hpqe_diag): bases and lengths
+    # that are not multiples of 16 put words before the first whole
+    # vector and after the last one
+    BODY = "native"
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=INHERITED)
+    @given(c0=cfxs, c1=cfxs, base=st.integers(0, 300), block=small_blocks,
+           mask=st.one_of(st.sampled_from(MASKS), st.integers(0, (1 << 10) - 1)),
+           data=st.data())
+    def test_matches_scalar(self, c0, c1, base, mask, block, data):
+        size = data.draw(st.integers(0, 70))
+        re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
+        im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
+        got = (re.copy(), im.copy())
+        with block_size(block):
+            fxp.diag(c0, c1, mask, *got, base)
+        assert as_cfx(*got) == scalar_diag(c0, c1, mask, base, re, im, range(size))
+
+    @pytest.mark.parametrize("size", LANE_SIZES)
+    def test_lane_boundaries(self, size):
+        # EDGES words and exact ties on every lane, the clip-boundary
+        # coefficients, every kind of mask, aligned and unaligned bases
+        re, im = lane_bank(size)
+        ks = lane_checked(size)
+        for mask in MASKS:
+            for base in (0, 5, 16 + 3):
+                for c0, c1 in LANE_COEFFS:
+                    for a, b in ((c0, c1), (c1, c0)):
+                        got = (re.copy(), im.copy())
+                        fxp.diag(a, b, mask, *got, base)
+                        assert as_cfx(got[0][ks], got[1][ks]) == scalar_diag(
+                            a, b, mask, base, re, im, ks), (mask, base, a, b)
+
+    def test_rz_two_pi_needs_the_clip(self):
+        # RZ(2 pi) is -1: its coefficient -2^30 times RAW_MIN saturates
+        rz = gateset.single("RZ", 0, 2 * np.pi)
+        m00, _, _, m11 = rz.matrix
+        assert m00.re == m11.re == -SCALE
+        words = np.array([RAW_MIN, RAW_MAX, RAW_MIN, 0, -SCALE, SCALE] * 7, dtype=fxp.WORD)
+        for mask, base in ((1, 0), (0b10001, 3), (16, 16)):
+            got = (words.copy(), words[::-1].copy())
+            fxp.diag(m00, m11, mask, *got, base)
+            assert as_cfx(*got) == scalar_diag(m00, m11, mask, base, words, words[::-1],
+                                               range(words.size))
+            assert RAW_MAX in got[0]
 
 
 class TestPairBanks:
@@ -502,6 +567,45 @@ class TestEngineEveryTarget:
                     workers=(2, 4, 8))
 
 
+class TestDeferral:
+    # run_circuit defers every CX as a relabeling and runs each diagonal
+    # gate with a parity mask; a gate-by-gate replay through the eager
+    # apply_single and apply_cx must end on the same bits
+    BODY = "native"
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
+    @given(n=st.integers(2, 10), workers=st.sampled_from((1, 2, 4, 8)),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_run_equals_eager_replay(self, n, workers, seed, data):
+        rng = np.random.default_rng(seed)
+        qubit = st.integers(0, n - 1)
+        gate = st.one_of(
+            st.tuples(st.just("CX"), qubit, qubit).filter(lambda g: g[1] != g[2]),
+            st.tuples(st.sampled_from(("RZ", "S", "diag")), qubit),
+            st.tuples(st.sampled_from(("H", "RY", "RX")), qubit))
+        ops = []
+        for g in data.draw(st.lists(gate, max_size=30)):
+            if g[0] == "CX":
+                ops.append(gateset.cx(g[1], g[2]))
+            elif g[0] == "diag":        # full-range coefficients, clip included
+                m00, m11 = random_coeff(rng), random_coeff(rng)
+                ops.append(gateset.GateOp(kind="RZ", target=g[1], sparse=True,
+                                          matrix=(m00, fxp.CFX_ZERO, fxp.CFX_ZERO, m11)))
+            else:
+                angle = float(rng.uniform(0, 4 * np.pi)) if g[0] != "H" and g[0] != "S" else None
+                ops.append(gateset.single(g[0], g[1], angle))
+        start = _random_state(n, rng)
+        sv, _ = engine.run_circuit(start.copy(), gateset.Circuit(n=n, ops=ops),
+                                   workers=workers)
+        want = start.copy()
+        for op in ops:
+            if op.kind == "CX":
+                engine.apply_cx(want, op.control, op.target)
+            else:
+                engine.apply_single(want, op)
+        assert sv.dump() == want.dump()
+
+
 class TestWorkers:
     BODY = "numpy"
 
@@ -546,6 +650,14 @@ class TestRoundingTiesNumpy(TestRoundingTies):
 
 
 class TestEngineEveryTargetNumpy(TestEngineEveryTarget):
+    BODY = "numpy"
+
+
+class TestDiagNumpy(TestDiag):
+    BODY = "numpy"
+
+
+class TestDeferralNumpy(TestDeferral):
     BODY = "numpy"
 
 
@@ -595,4 +707,12 @@ class TestEngineEveryTargetPortable(TestEngineEveryTarget):
 
 
 class TestCxPortable(TestCx):
+    BODY = "portable"
+
+
+class TestDiagPortable(TestDiag):
+    BODY = "portable"
+
+
+class TestDeferralPortable(TestDeferral):
     BODY = "portable"
