@@ -4,20 +4,21 @@ A dense single-qubit gate on qubit t pushes every amplitude pair
 (i, i + 2^t) through the SU dataflow, in place (`fxp.pair_banks` on the
 two halves of each pair): the kernel reads both words of a pair before
 it writes either, so no shadow buffer is needed. A sparse (diagonal)
-gate, RZ or S, is `fxp.diag`: word i takes m11 where bit t of i is set
-and m00 elsewhere. Like the machine's sparse mode, which bypasses the
-second multiplier, it never reads the op's off-diagonal entries. The
-state holds the machine's 32-bit words (`fxp.WORD`), and every rounding
-and saturation step of the scalar `fxp.su_eval` is kept, except the
-provably inert ones the `fxp` docstring lists.
+gate, RZ or S, is a step of `fxp.diag`: word i takes m11 where bit t of
+i is set and m00 elsewhere. Like the machine's sparse mode, which
+bypasses the second multiplier, it never reads the op's off-diagonal
+entries. The state holds the machine's 32-bit words (`fxp.WORD`), and
+every rounding and saturation step of the scalar `fxp.su_eval` is
+kept, except the provably inert ones the `fxp` docstring lists.
 
 Each pair's words depend on that pair alone, so a gate may be cut into
 contiguous pieces computed in any order, or at once, with the same
 bits. `apply_single` makes one kernel call on the whole state.
-`run_circuit` cuts each gate into one piece per thread of its pool,
-with a barrier between gates; native calls release the GIL and each
-numpy-body call allocates its own scratch, so results are bit-identical
-for any worker count.
+`run_circuit` cuts each kernel call into one piece per thread of its
+pool, with a barrier between calls, from SPLIT_MIN_AMPS amplitudes up;
+below that size it makes one call on the whole state and no pool.
+Native calls release the GIL and each numpy-body call allocates its own
+scratch, so results are bit-identical for any worker count.
 
 `run_circuit` defers CX gates. A CX does no arithmetic, so instead of
 moving words it relabels the stored indices: `parity[q]` is the mask of
@@ -32,6 +33,15 @@ each controlled phase puts a CX pair around an RZ, and the pair
 cancels: QFT-20 swaps words for 30 of its 410 CX. `apply_single` and
 `apply_cx` stay eager, and the modeled machine still swaps for every
 CX, so `cycle_report` counts each one.
+
+Since CXs only relabel, the diagonal gates between two dense gates form
+one stretch, and `run_circuit` runs each stretch as one `fxp.diag`
+call per piece, its steps the gates' (m00, m11, parity[t]) in order,
+just before the dense gate's flush (or at the end of the loop). The
+kernel runs every step on a word before it moves on to the next word,
+each step with its own roundings and saturations, so the bits are
+those of one call per gate; it reads and writes the state once per
+stretch instead of once per gate. QFT-20's 570 RZ form 19 stretches.
 
 The machine's 8 segments (2 PE arrays x 4 PEs, `state.segment_of`) and
 its access modes (Mode1: a pair inside one segment; Mode2: a pair
@@ -50,6 +60,7 @@ closed forms are checked against it in tests.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
+import contextlib
 from dataclasses import dataclass
 from functools import partial
 import json
@@ -62,6 +73,14 @@ MODE1 = "Mode1"
 MODE2 = "Mode2"
 
 START, IDLE, LOAD, STORE, END = "Start", "IDLE", "LOAD", "STORE", "End"
+
+# run_circuit cuts no kernel call below this many amplitudes, where the
+# pool's round trips cost more than a second thread gains. On a 2-core
+# AVX-512F Xeon, QFT-n run_circuit with every call cut in two took, over
+# the uncut one (best of 3 to 40, two rounds): 3.1-3.9x at n = 12,
+# 1.7x at n = 14, 1.1-1.3x at n = 15, 0.84-0.89x at n = 16, 0.58-0.60x
+# at n = 20.
+SPLIT_MIN_AMPS = 1 << 16
 
 
 def access_mode(t: int, n: int) -> str:
@@ -224,17 +243,17 @@ def simulate_swapper(n: int, control: int | None = None,
 # Single-qubit application.
 # ---------------------------------------------------------------------------
 
-def _kernel_calls(banks: fxp.Banks, n: int, op: GateOp, mask: int, p: int) -> list:
-    # the kernel calls of a single-qubit gate over p contiguous pieces of
-    # 2^n/p words each (p a power of two, at most 2^(n-1)); the pieces
-    # share no word, so the calls may run in any order or at once. A
-    # sparse gate scales word i by m11 where the parity of i & mask is
-    # odd, by m00 elsewhere: the SU's bypass never reads m01 and m10.
-    m00, _, _, m11 = op.matrix
-    if op.sparse:
-        step = (1 << n) // p
-        return [partial(banks.diag, m00, m11, mask, lo, lo + step)
-                for lo in range(0, 1 << n, step)]
+def _diag_calls(banks: fxp.Banks, n: int, steps: list, p: int) -> list:
+    # the kernel calls of a stretch of diagonal steps (c0, c1, mask) over
+    # p contiguous pieces of 2^n/p words each (p a power of two, at most
+    # 2^(n-1)); the pieces share no word, so the calls may run in any
+    # order or at once
+    step = (1 << n) // p
+    return [partial(banks.diag, steps, lo, lo + step) for lo in range(0, 1 << n, step)]
+
+
+def _pair_calls(banks: fxp.Banks, n: int, op: GateOp, p: int) -> list:
+    # the kernel calls of a dense gate over p pieces as above
     t = op.target
     rows = 1 << (n - 1 - t)
     if rows >= p:        # whole rows of pairs, rows/p per piece
@@ -244,6 +263,19 @@ def _kernel_calls(banks: fxp.Banks, n: int, op: GateOp, mask: int, p: int) -> li
     step = (rows << t) // p          # parts of each row
     return [partial(banks.pair, op.matrix, t, (r << (t + 1)) + lo, 1, step)
             for r in range(rows) for lo in range(0, 1 << t, step)]
+
+
+def _diag_step(op: GateOp, mask: int) -> tuple:
+    # a sparse gate as a diagonal step: word i takes m11 where the parity
+    # of i & mask is odd, m00 elsewhere; the SU's bypass never reads m01
+    # and m10
+    m00, _, _, m11 = op.matrix
+    return m00, m11, mask
+
+
+def _check_target(n: int, target: int) -> None:
+    if not 0 <= target < n:
+        raise ValueError(f"target {target} out of range for n={n}")
 
 
 def apply_single(state: StateVector, gate: GateOp,
@@ -257,11 +289,12 @@ def apply_single(state: StateVector, gate: GateOp,
         raise ValueError("apply_single does not take CX")
     if gate.matrix is None:
         raise ValueError("gate matrix not quantized (use gateset.single)")
-    if not 0 <= gate.target < state.n:
-        raise ValueError(f"target {gate.target} out of range for n={state.n}")
-    for call in _kernel_calls(fxp.Banks(state.re, state.im), state.n, gate,
-                              1 << gate.target, 1):
-        call()
+    _check_target(state.n, gate.target)
+    banks = fxp.Banks(state.re, state.im)
+    if gate.sparse:
+        banks.diag([_diag_step(gate, 1 << gate.target)], 0, state.size)
+    else:
+        _pair_calls(banks, state.n, gate, 1)[0]()
 
 
 # ---------------------------------------------------------------------------
@@ -337,48 +370,73 @@ class _Relabeling:
         self.pending.clear()
 
 
+def _pieces(workers: int, n: int) -> int:
+    # the largest power of two no greater than `workers` and 2^(n-1), or 1
+    # while the state is smaller than SPLIT_MIN_AMPS
+    if (1 << n) < SPLIT_MIN_AMPS:
+        return 1
+    return 1 << (min(workers, 1 << (n - 1)).bit_length() - 1)
+
+
 def run_circuit(state: StateVector, circuit: Circuit,
                 cfg: perfmodel.PerfConfig = perfmodel.DEFAULT_CONFIG,
                 workers: int = 1):
-    """Apply a base-set circuit gate by gate.
+    """Apply a base-set circuit.
 
-    Returns (state, cycle_report(circuit, cfg)). A single-qubit gate is
-    cut into p contiguous pieces, p the largest power of two no greater
-    than `workers` and 2^(n-1), and a pool of p threads runs one kernel
-    call per piece, with a barrier after every gate; the result is
-    bit-identical for any worker count. CX gates are deferred as a
-    relabeling (see the module docstring) and flushed before each dense
-    gate and when the loop ends, an error included: a gate that fails
-    its checks leaves the state holding every gate before it.
+    Returns (state, cycle_report(circuit, cfg)). Each kernel call is cut
+    into p contiguous pieces, p the largest power of two no greater than
+    `workers` and 2^(n-1), and a pool of p threads runs one call per
+    piece, with a barrier after every call; below SPLIT_MIN_AMPS
+    amplitudes p is 1 and no pool is made. The result is bit-identical
+    for any worker count. CX gates are deferred as a relabeling, and each
+    stretch of diagonal gates between two dense gates runs as one
+    `fxp.diag` call per piece (see the module docstring). The stretch
+    runs, and then the deferred CXs are flushed, before each dense gate
+    and when the loop ends, an error included: a gate that fails its
+    checks leaves the state holding every gate before it.
     """
     if circuit.n != state.n:
         raise ValueError(f"circuit is for n={circuit.n}, state has n={state.n}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n = state.n
-    pieces = 1 << (min(workers, state.size >> 1).bit_length() - 1)
+    pieces = _pieces(workers, n)
     banks = fxp.Banks(state.re, state.im)
     labels = _Relabeling(n)
+    steps: list = []          # the stretch of diagonal gates not yet run
     pool = ThreadPoolExecutor(max_workers=pieces) if pieces > 1 else None
-    try:
-        for idx, op in enumerate(circuit.ops):
-            if op.kind == CX:
-                _check_cx(n, op.control, op.target)
-                labels.cx(op.control, op.target)
-                continue
-            if op.matrix is None:
-                raise ValueError(f"gate {idx} has no quantized matrix")
-            if not op.sparse:
+
+    def run(calls: list) -> None:
+        if pool is None:
+            calls[0]()
+            return
+        futures = [pool.submit(call) for call in calls]
+        for f in wait(futures).done:
+            f.result()   # re-raise worker errors, a barrier per call
+
+    def run_stretch() -> None:
+        nonlocal steps
+        if steps:
+            run(_diag_calls(banks, n, steps, pieces))
+            steps = []
+
+    with pool or contextlib.nullcontext():
+        try:
+            for idx, op in enumerate(circuit.ops):
+                if op.kind == CX:
+                    _check_cx(n, op.control, op.target)
+                    labels.cx(op.control, op.target)
+                    continue
+                if op.matrix is None:
+                    raise ValueError(f"gate {idx} has no quantized matrix")
+                _check_target(n, op.target)
+                if op.sparse:
+                    steps.append(_diag_step(op, labels.parity[op.target]))
+                    continue
+                run_stretch()
                 labels.flush(state)
-            calls = _kernel_calls(banks, n, op, labels.parity[op.target], pieces)
-            if pool is None:
-                calls[0]()
-            else:
-                futures = [pool.submit(call) for call in calls]
-                for f in wait(futures).done:
-                    f.result()   # re-raise worker errors, barrier per gate
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-        labels.flush(state)
+                run(_pair_calls(banks, n, op, pieces))
+        finally:
+            run_stretch()
+            labels.flush(state)
     return state, cycle_report(circuit, cfg)

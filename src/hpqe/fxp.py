@@ -9,9 +9,11 @@ ties to even, so results are reproducible bit for bit.
 Scalar functions (plain Python ints) define the semantics. Two bank
 kernels apply them in place to whole arrays of WORD, the machine's
 32-bit word, and the test suite proves them bit-identical to the
-scalars: `pair_banks`, the SU step on amplitude pairs, and `diag`, the
-diagonal (sparse) step, which multiplies each word by one of two
-coefficients picked by the parity of its stored index under a mask.
+scalars: `pair_banks`, the SU step on amplitude pairs, and `diag`, a
+stretch of diagonal (sparse) steps, each of which multiplies each word
+by one of two coefficients picked by the parity of its stored index
+under its mask. The stretch runs every step on a word, in order, before
+the next word, so it reads and writes the bank once for all its steps.
 `Banks` binds a flat state's two arrays to them once, so that the
 engine computes each piece of a gate with one foreign call on word
 offsets. Each kernel has two bodies:
@@ -25,8 +27,8 @@ offsets. Each kernel has two bodies:
     and for arrays the native body does not take. It copies each bank
     BLOCK elements at a time into int64 rows of one scratch array,
     allocated per call so that concurrent calls share none, computes
-    there and narrows on write-back; its temporaries are bounded by the
-    block, not by the state.
+    there (every step of a stretch) and narrows on write-back; its
+    temporaries are bounded by the block, not by the state.
 
 Both round each real product as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30,
 which is fx_mul's round-half-even, and saturate every sum as fx_add /
@@ -34,7 +36,11 @@ fx_sub do. They skip only steps that provably cannot change a bit: a
 zero coefficient's product, which is exactly 0 (the numpy body decides
 it per coefficient), and a product's clip when its coefficient lies in
 (-2^30, 2^30] (see `product_fits`; the numpy body decides per
-coefficient, the native one once per call for all of them).
+coefficient, the native one once per call for all of them, every step
+of a stretch included). The native vector body also skips the clips
+between the steps of a stretch where they cannot bite: on words in
+[-2^30, 2^30] under coefficients of magnitude at most about 1 (the
+proof is in `kernels.c`).
 
 Which body ran never shows in the results. `quantize_array` is
 `quantize` over an array. Golden values and oracles use the scalars.
@@ -214,7 +220,7 @@ def _load_native():
     ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
     coefs = ctypes.c_char_p          # the bytes of `_coefs`, passed without a copy
     lib.hpqe_pair_banks.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, coefs]
-    lib.hpqe_diag.argtypes = [ptr, ptr, i64, i64, i64, coefs]
+    lib.hpqe_diag.argtypes = [ptr, ptr, i64, i64, i64, coefs, coefs]
     lib.hpqe_cx.argtypes = [ptr, ptr, i32, i32, i32]
     for fn in (lib.hpqe_pair_banks, lib.hpqe_diag, lib.hpqe_cx):
         fn.restype = None
@@ -454,43 +460,64 @@ def _parity_pattern(mask: int, length: int, out) -> None:
         w <<= 1
 
 
-def diag(c0: CFx, c1: CFx, mask: int, re: np.ndarray, im: np.ndarray,
-         base: int = 0) -> None:
-    """Diagonal step over a 1-D bank, in place.
+def _steps(steps) -> tuple:
+    # (k, masks, coefficients) of a stretch as hpqe_diag reads them
+    return (len(steps), struct.pack(f"<{len(steps)}q", *(m for _, _, m in steps)),
+            _coefs(*itertools.chain.from_iterable(c[:2] for c in steps)))
 
-    Word k, the amplitude at stored index base + k, <- cfx_mul(c1, word)
+
+def diag(steps, re: np.ndarray, im: np.ndarray, base: int = 0) -> None:
+    """A stretch of diagonal steps over a 1-D bank, in place.
+
+    steps is a sequence of (c0, c1, mask), run in order. In each step
+    word k, the amplitude at stored index base + k, <- cfx_mul(c1, word)
     where the parity of (base + k) & mask is odd and cfx_mul(c0, word)
-    where it is even. With mask = 2^t that is a diagonal gate on qubit t;
-    `base` and `mask` are non-negative. re and im are 1-D WORD arrays of
-    one length. The numpy body cuts the bank at multiples of a period P
-    (a power of two, at most BLOCK) of the stored index: the parity of
-    the bits of the mask below P is one pattern for the whole call, and
-    the bits above it flip the pattern of a whole piece.
+    where it is even. With mask = 2^t a step is a diagonal gate on qubit
+    t; `base` and the masks are non-negative. re and im are 1-D WORD
+    arrays of one length. Every step keeps its own products, roundings
+    and saturations, so a stretch gives the bits of its steps run one
+    call each; it only reads and writes each word once.
+
+    The numpy body cuts the bank at multiples of a period P (a power of
+    two, at most BLOCK) of the stored index, loads each piece into int64
+    scratch once, runs every step on it there and narrows it back once.
+    In a step, the parity of the mask's bits below P is one pattern for
+    every piece, and the bits above it flip the pattern of a whole piece.
     """
     lib = native_kernels()
     if lib is not None and native_rows(re, im) == (1, re.size, re.size):
-        lib.hpqe_diag(re.ctypes.data, im.ctypes.data, re.size, base, mask,
-                      _coefs(c0, c1))
+        lib.hpqe_diag(re.ctypes.data, im.ctypes.data, re.size, base, *_steps(steps))
         return
     size = re.size
     if size == 0:
         return
     period = min(BLOCK, 1 << (size - 1).bit_length())
-    xr, xi, pattern, coef_re, coef_im, acc, s, tmp = new_scratch()
-    _parity_pattern(mask, period, pattern)
+    row_r, row_i, row_a, pattern, coef_re, coef_im, s, tmp = new_scratch()
     for first in range((base // period) * period, base + size, period):
         lo, hi = max(first, base), min(first + period, base + size)
         m = hi - lo
-        a, b = (c1, c0) if bin(first & mask).count("1") & 1 else (c0, c1)
-        odd = pattern[lo - first:hi - first]
-        cr, ci = (_per_word(a[j], b[j], odd, row[:m])
-                  for j, row in ((0, coef_re), (1, coef_im)))
         sl = slice(lo - base, hi - base)
-        np.copyto(xr[:m], re[sl])
-        np.copyto(xi[:m], im[sl])
-        for out, imag in ((re, False), (im, True)):
-            part = _cmul_part((cr, ci), xr[:m], xi[:m], imag, acc[:m], s[:m], tmp[:m])
-            out[sl] = 0 if part is None else part
+        # the piece's real and imaginary parts, and a free row
+        xr, xi, acc = row_r[:m], row_i[:m], row_a[:m]
+        np.copyto(xr, re[sl])
+        np.copyto(xi, im[sl])
+        for c0, c1, mask in steps:
+            a, b = (c1, c0) if bin(first & mask).count("1") & 1 else (c0, c1)
+            if a != b and mask & (period - 1):
+                _parity_pattern(mask, period, pattern)
+                odd = pattern[lo - first:hi - first]
+                cr, ci = (_per_word(a[j], b[j], odd, row[:m])
+                          for j, row in ((0, coef_re), (1, coef_im)))
+            else:
+                cr, ci = a
+            # the real part into the free row, then the imaginary part in
+            # place: it reads the old real part too
+            for dst, imag in ((acc, False), (xi, True)):
+                if _cmul_part((cr, ci), xr, xi, imag, dst, s[:m], tmp[:m]) is None:
+                    dst[...] = 0
+            xr, acc = acc, xr
+        re[sl] = xr
+        im[sl] = xi
 
 
 class Banks:
@@ -535,14 +562,14 @@ class Banks:
                      for h in (0, 1) for a in (self.re, self.im)]
         pair_banks(*m, *views)
 
-    def diag(self, c0: CFx, c1: CFx, mask: int, lo: int, hi: int) -> None:
-        """`diag` on the words [lo, hi) of the state."""
+    def diag(self, steps, lo: int, hi: int) -> None:
+        """`diag` with these steps on the words [lo, hi) of the state."""
         if self._lib is not None:
             re, im = self._addr
             self._lib.hpqe_diag(re + lo * WORD_BYTES, im + lo * WORD_BYTES, hi - lo,
-                                lo, mask, _coefs(c0, c1))
+                                lo, *_steps(steps))
             return
-        diag(c0, c1, mask, self.re[lo:hi], self.im[lo:hi], lo)
+        diag(steps, self.re[lo:hi], self.im[lo:hi], lo)
 
 
 # ---------------------------------------------------------------------------

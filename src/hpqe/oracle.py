@@ -20,7 +20,10 @@ skips the off-diagonal product: for finite amplitudes it is an exact
 product it can change the zero's sign (-0 + +0 is +0), so a block whose
 diagonal product has a zero part still takes the full sum. The result
 is byte-identical to the whole-array form, which the tests keep as the
-reference; path and block size never show in the output.
+reference; path and block size never show in the output. A small state
+(at most WHOLE_MAX_PAIRS pairs) takes that whole-array form itself
+(`_apply_1q_whole`, `_apply_cx_whole`): on it, the blocked form's
+slicing and scratch views cost more per gate than they save.
 
 Every product has the matrix element as its first operand, e.g.
 np.multiply(m00, x, out=...). With numpy's SIMD complex loops m * x and
@@ -47,6 +50,12 @@ from .state import StateVector
 
 MATRIX_MAX_QUBITS = 6
 BLOCK = 1 << 14          # amplitude pairs per ref_run step (256 KiB per buffer)
+# states of at most this many pairs take the whole-array forms: QFT-n
+# ref_run, best of 5 to 100 on a 2-core Xeon, took 0.6 / 1.3 / 2.9 / 8.9
+# ms at n = 6 / 8 / 10 / 12 against 1.3 / 2.6 / 5.0 / 11.9 ms blocked, but
+# 100-122 ms against 36-47 ms at n = 14, where the full sums of its
+# diagonal gates cost more than the blocked form's per-gate overhead
+WHOLE_MAX_PAIRS = 1 << 12
 
 
 class SizeError(Exception):
@@ -101,6 +110,26 @@ def _apply_1q(amps: np.ndarray, m: np.ndarray, q: int, scratch: np.ndarray) -> N
         yb[...] = ny
 
 
+def _apply_1q_whole(amps: np.ndarray, m: np.ndarray, q: int) -> None:
+    """`_apply_1q` on a small state, by whole-array expressions."""
+    a = amps.reshape(-1, 2, 1 << q)
+    x, y = a[:, 0].copy(), a[:, 1].copy()
+    a[:, 0] = m[0, 0] * x + m[0, 1] * y
+    a[:, 1] = m[1, 0] * x + m[1, 1] * y
+
+
+def _apply_cx_whole(amps: np.ndarray, control: int, target: int, n: int) -> None:
+    """`_apply_cx` on a small state, through a copy of one half."""
+    grid = amps.reshape([2] * n)
+    a, b = [slice(None)] * n, [slice(None)] * n
+    a[n - 1 - control] = b[n - 1 - control] = 1
+    a[n - 1 - target], b[n - 1 - target] = 0, 1
+    a, b = tuple(a), tuple(b)
+    t = grid[a].copy()
+    grid[a] = grid[b]
+    grid[b] = t
+
+
 def _apply_cx(amps: np.ndarray, control: int, target: int,
               scratch: np.ndarray) -> None:
     """Swap the target=0 and target=1 halves where the control bit is 1.
@@ -127,12 +156,20 @@ def ref_run(circuit: Circuit, init: RefState) -> RefState:
     if circuit.n != init.n:
         raise ValueError(f"circuit n={circuit.n} vs state n={init.n}")
     out = init.copy()
-    scratch = np.empty((3, min(BLOCK, out.amps.size >> 1)), dtype=np.complex128)
-    for op in circuit.ops:
-        if op.kind == CX:
-            _apply_cx(out.amps, op.control, op.target, scratch)
-        else:
-            _apply_1q(out.amps, _exact_matrix(op), op.target, scratch)
+    amps = out.amps
+    if amps.size >> 1 <= WHOLE_MAX_PAIRS:
+        for op in circuit.ops:
+            if op.kind == CX:
+                _apply_cx_whole(amps, op.control, op.target, out.n)
+            else:
+                _apply_1q_whole(amps, _exact_matrix(op), op.target)
+    else:
+        scratch = np.empty((3, min(BLOCK, amps.size >> 1)), dtype=np.complex128)
+        for op in circuit.ops:
+            if op.kind == CX:
+                _apply_cx(amps, op.control, op.target, scratch)
+            else:
+                _apply_1q(amps, _exact_matrix(op), op.target, scratch)
     if circuit.global_phase:
         out.amps *= cmath.exp(1j * circuit.global_phase)
     return out

@@ -1,15 +1,28 @@
 """Shared test utilities: independent oracles and random generators."""
 
+import contextlib
 from fractions import Fraction
 
 import numpy as np
 
-from hpqe import fxp, gateset
+from hpqe import engine, fxp, gateset
 
 ALL_KINDS = ("H", "S", "RX", "RY", "RZ", "CX")
 # built with this flag, kernels.c leaves out its AVX-512F body, so every
 # call runs the portable C loops whatever the host
 PORTABLE_FLAG = "-DHPQE_PORTABLE"
+
+
+@contextlib.contextmanager
+def split_every_state():
+    """Let `engine.run_circuit` cut its kernel calls into pieces at any
+    state size, as it does from `engine.SPLIT_MIN_AMPS` amplitudes up."""
+    saved = engine.SPLIT_MIN_AMPS
+    engine.SPLIT_MIN_AMPS = 1
+    try:
+        yield
+    finally:
+        engine.SPLIT_MIN_AMPS = saved
 
 
 def rne(value: Fraction) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hpqe import circuits, engine, fxp, gateset, oracle, state
 from hpqe.fxp import CFx
 
-from helpers import random_circuit, random_ref_amplitudes
+from helpers import random_circuit, random_ref_amplitudes, split_every_state
 
 
 def quantized(amps):
@@ -222,8 +222,9 @@ class TestRunCircuit:
         circuit = random_circuit(6, 40, rng)
         base = None
         for workers in (1, 2, 4, 8):
-            sv, report = engine.run_circuit(state.init_basis(6, 0), circuit,
-                                            workers=workers)
+            with split_every_state():
+                sv, report = engine.run_circuit(state.init_basis(6, 0), circuit,
+                                                workers=workers)
             if base is None:
                 base = (sv.re.copy(), sv.im.copy(), report.total_cycles)
             else:
@@ -247,12 +248,15 @@ class TestRunCircuit:
             engine.run_circuit(state.init_basis(3, 0), gateset.Circuit(n=4))
 
     def test_one_kernel_call_per_gate_with_one_worker(self, monkeypatch):
-        # every executed single-qubit gate, sparse or dense, in either
-        # access mode, is one kernel call on the whole state from
-        # apply_single and from one worker; w workers make p = min(w,
-        # 2^(n-1)) calls on contiguous pieces of equal size that cover the
-        # state and share no word. A sparse gate is `diag` with m00, m11
-        # and the mask of its target, a dense one `pair` with its matrix.
+        # every dense gate, in either access mode, is one kernel call on
+        # the whole state from apply_single and from one worker, and every
+        # stretch of sparse gates between two dense ones is one `diag` call
+        # whose steps are the stretch's gates in order: (m00, m11) and the
+        # mask of the target's stored-index parity after the CXs before it.
+        # apply_single runs a sparse gate as a stretch of one step. w
+        # workers make p = min(w, 2^(n-1)) calls per dense gate or stretch,
+        # on contiguous pieces of equal size that cover the state and share
+        # no word.
         calls = []
 
         def spy(name):
@@ -265,33 +269,68 @@ class TestRunCircuit:
 
         for name in ("pair", "diag"):
             monkeypatch.setattr(fxp.Banks, name, spy(name))
+        monkeypatch.setattr(engine, "SPLIT_MIN_AMPS", 1)
 
         def words(name, args):
             # the state words one call reads and writes
             if name == "diag":
-                return set(range(*args[3:5]))
+                return set(range(*args[1:3]))
             _, t, lo, rows, width = args
             return {lo + (r << (t + 1)) + h + k for r in range(rows)
                     for h in (0, 1 << t) for k in range(width)}
+
+        def executed(n, ops):
+            # the calls one worker makes: a stretch's steps with the masks of
+            # an independent relabeling, flushed by each dense gate
+            parity, want, steps = [1 << q for q in range(n)], [], []
+            for op in ops + [None]:
+                if op is not None and op.kind == "CX":
+                    parity[op.target] ^= parity[op.control]
+                elif op is not None and op.sparse:
+                    steps.append((op.matrix[0], op.matrix[3], parity[op.target]))
+                else:
+                    if steps:
+                        want.append(("diag", (steps,)))
+                    steps = []
+                    parity = [1 << q for q in range(n)]
+                    if op is not None:
+                        want.append(("pair", (op.matrix,)))
+            return want
+
+        def check(n, ops, workers):
+            calls.clear()
+            engine.run_circuit(state.init_basis(n, 0), gateset.Circuit(n=n, ops=ops),
+                               workers=workers)
+            p = min(workers, 1 << (n - 1))
+            want = [w for w in executed(n, ops) for _ in range(p)]
+            assert [(c[0], c[1][:1]) for c in calls] == want, (n, workers)
+            for k in range(0, len(calls), p):
+                pieces = [words(*c) for c in calls[k:k + p]]
+                assert {len(w) for w in pieces} == {(1 << n) // p}, (n, k)
+                assert set().union(*pieces) == set(range(1 << n))
 
         for n in (1, 2, 6):
             for t in range(n):
                 for op in (gateset.single("RZ", t, 0.3), gateset.single("H", t)):
                     m00, _, _, m11 = op.matrix
-                    want = ("diag", (m00, m11, 1 << t)) if op.sparse else ("pair", (op.matrix,))
+                    want = ("diag", ([(m00, m11, 1 << t)],)) if op.sparse else ("pair", (op.matrix,))
                     calls.clear()
                     engine.apply_single(state.init_basis(n, 0), op)
-                    assert [(c[0], c[1][:len(want[1])]) for c in calls] == [want]
+                    assert [(c[0], c[1][:1]) for c in calls] == [want]
                     assert words(*calls[0]) == set(range(1 << n))
                     for workers in (1, 2, 4, 8):
-                        calls.clear()
-                        engine.run_circuit(state.init_basis(n, 0),
-                                           gateset.Circuit(n=n, ops=[op]), workers=workers)
-                        p = min(workers, 1 << (n - 1))
-                        assert [(c[0], c[1][:len(want[1])]) for c in calls] == [want] * p
-                        pieces = [words(*c) for c in calls]
-                        assert {len(w) for w in pieces} == {(1 << n) // p}, (n, t, op.kind)
-                        assert set().union(*pieces) == set(range(1 << n))
+                        check(n, [op], workers)
+        # stretches that cross CX relabelings, end at dense gates and at
+        # the end of the circuit
+        rng = np.random.default_rng(48)
+        for n in (2, 6):
+            ops = random_circuit(n, 60, rng).ops
+            for workers in (1, 2, 8):
+                check(n, ops, workers)
+        ops = circuits.qft(6).ops
+        check(6, ops, 1)
+        assert sum(name == "diag" for name, _ in calls) == 5      # one per H but the last
+        assert sum(len(args[0]) for name, args in calls if name == "diag") == 45
 
     @pytest.mark.parametrize("n", (3, 9))
     def test_sparse_gate_ignores_off_diagonals(self, n):
@@ -352,6 +391,54 @@ class TestRunCircuit:
             else:
                 engine.apply_single(want, op)
         assert sv.dump() == want.dump()
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("kind", ("RZ", "H"))
+    @pytest.mark.parametrize("target", (-1, 5, 7))
+    def test_bad_target_fails_at_its_own_gate(self, workers, kind, target):
+        # a single-qubit gate's target is checked when the loop reaches it,
+        # with apply_single's error; the state then holds every gate before
+        # it, the pending stretch and CXs included, and none of it
+        n = 5
+        head = [gateset.single("H", 0), gateset.single("RZ", 4, 0.7), gateset.cx(0, 1),
+                gateset.single("S", 1), gateset.single("RZ", 3, 1.1)]
+        bad = replace(gateset.single(kind, 0, 0.4 if kind == "RZ" else None), target=target)
+        circuit = gateset.Circuit(n=n, ops=[*head, bad, gateset.single("H", 0)])
+        with pytest.raises(ValueError) as eager:
+            engine.apply_single(state.init_basis(n, 0), bad)
+        sv = state.init_basis(n, 0)
+        with split_every_state(), pytest.raises(ValueError, match=re.escape(str(eager.value))):
+            engine.run_circuit(sv, circuit, workers=workers)
+        want = state.init_basis(n, 0)
+        for op in head:
+            if op.kind == "CX":
+                engine.apply_cx(want, op.control, op.target)
+            else:
+                engine.apply_single(want, op)
+        assert sv.dump() == want.dump()
+
+    def test_no_pool_below_the_split_size(self, monkeypatch):
+        # below SPLIT_MIN_AMPS amplitudes run_circuit makes one call per
+        # gate or stretch on the whole state and no thread pool, whatever
+        # the worker count; from it up, the pool has one thread per piece
+        pools = []
+        real = engine.ThreadPoolExecutor
+
+        def recording(*args, **kwargs):
+            pools.append(kwargs.get("max_workers", args[0] if args else None))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", recording)
+        top = engine.SPLIT_MIN_AMPS.bit_length() - 1
+        for n in range(1, top):
+            ops = [gateset.single("H", 0), gateset.single("RZ", n - 1, 0.3)]
+            for workers in (2, 8):
+                engine.run_circuit(state.init_basis(n, 0), gateset.Circuit(n=n, ops=ops),
+                                   workers=workers)
+        assert pools == []
+        engine.run_circuit(state.init_basis(top, 0),
+                           gateset.Circuit(n=top, ops=[gateset.single("H", 0)]), workers=2)
+        assert pools == [2]
 
     def test_deferred_cx_swaps(self, monkeypatch):
         # a CX moves words only at a flush whose map is not the identity:

@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hpqe import engine, fxp, gateset, state
 from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
 
-from helpers import PORTABLE_FLAG, random_circuit, rne
+from helpers import PORTABLE_FLAG, random_circuit, rne, split_every_state
 
 EDGES = (RAW_MIN, RAW_MIN + 1, -SCALE - 1, -SCALE, -SCALE + 1, -fxp.HALF_ULP,
          -1, 0, 1, fxp.HALF_ULP, SCALE - 1, SCALE, SCALE + 1, RAW_MAX - 1,
@@ -123,7 +123,7 @@ def scale_halves(c0, c1, t, re, im) -> None:
     """The sparse step on qubit t of a bank, in place: `fxp.diag` with the
     mask 2^t, so word k takes c1 where bit t of k is set and c0
     elsewhere. The bank's length is a multiple of 2^(t+1)."""
-    fxp.diag(c0, c1, 1 << t, re, im)
+    fxp.diag([(c0, c1, 1 << t)], re, im)
 
 
 def random_words(rng, size: int) -> np.ndarray:
@@ -248,6 +248,24 @@ def scalar_diag(c0, c1, mask, base, re, im, ks) -> list:
 # masks with bits only below 4 (a per-word pattern in a vector), only at
 # 4 and above (a whole vector flips) and both, and the mask 0
 MASKS = (0, 1, 2, 8, 9, 16, 0b110110, 1 << 9, (1 << 16) | 5)
+diag_masks = st.one_of(st.sampled_from(MASKS), st.integers(0, (1 << 10) - 1))
+# coefficients on both sides of the unit bound cr^2 + ci^2 <= 2^60 + 2^50
+# of the native vector body, one far past it, and quantized unit phases
+UNIT_EDGES = (CFx(SCALE, 1 << 25), CFx(-(1 << 25), -SCALE), CFx(SCALE, (1 << 25) + 1),
+              CFx(-SCALE, 0), CFx(0, SCALE), CFx(fxp.RAW_SQRT_HALF, fxp.RAW_SQRT_HALF),
+              CFx(SCALE + 1, 0), CFx(RAW_MIN, RAW_MAX))
+unit_cfxs = st.one_of(
+    st.sampled_from(UNIT_EDGES),
+    st.floats(0, 2 * np.pi).map(lambda a: fxp.quantize_complex(complex(np.exp(1j * a)))))
+
+
+def scalar_stretch(steps, base, re, im, ks) -> list:
+    # cfx_mul of each step in turn, on the words ks of the bank
+    words = as_cfx(re[list(ks)], im[list(ks)])
+    for c0, c1, mask in steps:
+        words = [fxp.cfx_mul(c1 if parity((base + k) & mask) else c0, x)
+                 for k, x in zip(ks, words)]
+    return words
 
 
 class TestDiag:
@@ -258,15 +276,14 @@ class TestDiag:
 
     @settings(max_examples=150, deadline=None, suppress_health_check=INHERITED)
     @given(c0=cfxs, c1=cfxs, base=st.integers(0, 300), block=small_blocks,
-           mask=st.one_of(st.sampled_from(MASKS), st.integers(0, (1 << 10) - 1)),
-           data=st.data())
+           mask=diag_masks, data=st.data())
     def test_matches_scalar(self, c0, c1, base, mask, block, data):
         size = data.draw(st.integers(0, 70))
         re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
         im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
         got = (re.copy(), im.copy())
         with block_size(block):
-            fxp.diag(c0, c1, mask, *got, base)
+            fxp.diag([(c0, c1, mask)], *got, base)
         assert as_cfx(*got) == scalar_diag(c0, c1, mask, base, re, im, range(size))
 
     @pytest.mark.parametrize("size", LANE_SIZES)
@@ -280,9 +297,68 @@ class TestDiag:
                 for c0, c1 in LANE_COEFFS:
                     for a, b in ((c0, c1), (c1, c0)):
                         got = (re.copy(), im.copy())
-                        fxp.diag(a, b, mask, *got, base)
+                        fxp.diag([(a, b, mask)], *got, base)
                         assert as_cfx(got[0][ks], got[1][ks]) == scalar_diag(
                             a, b, mask, base, re, im, ks), (mask, base, a, b)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
+    @given(steps=st.lists(st.tuples(cfxs, cfxs, diag_masks), min_size=1, max_size=70),
+           base=st.integers(0, 300), block=small_blocks, data=st.data())
+    def test_stretch_matches_steps(self, steps, base, block, data):
+        # a stretch of k = 1..70 steps (three passes of the native body at
+        # its cap) gives the bits of its steps run one call each, and of
+        # cfx_mul applied step after step
+        size = data.draw(st.integers(0, 70))
+        re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
+        im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
+        got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
+        with block_size(block):
+            fxp.diag(steps, *got, base)
+            for step in steps:
+                fxp.diag([step], *one, base)
+        assert as_cfx(*got) == as_cfx(*one) == scalar_stretch(steps, base, re, im,
+                                                              range(size))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
+    @given(steps=st.lists(st.tuples(unit_cfxs, unit_cfxs, diag_masks), min_size=1,
+                          max_size=70),
+           base=st.integers(0, 40), data=st.data())
+    def test_stretch_of_unit_steps(self, steps, base, data):
+        # words in [-2^30, 2^30] and coefficients with cr^2 + ci^2 at most
+        # 2^60 + 2^50, where the vector body skips the clips between steps,
+        # and coefficients just past that bound, where it keeps them
+        size = data.draw(st.integers(16, 70))
+        small = st.one_of(st.sampled_from((-SCALE, SCALE, 0, -1, TIE, -TIE)),
+                          st.integers(-SCALE, SCALE))
+        re, im = (np.array(data.draw(st.lists(small, min_size=size, max_size=size)),
+                           dtype=fxp.WORD) for _ in range(2))
+        got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
+        fxp.diag(steps, *got, base)
+        for step in steps:
+            fxp.diag([step], *one, base)
+        assert as_cfx(*got) == as_cfx(*one) == scalar_stretch(steps, base, re, im,
+                                                              range(size))
+
+    @pytest.mark.parametrize("size", LANE_SIZES)
+    def test_stretch_lane_boundaries(self, size):
+        # EDGES words and exact ties on every lane; RZ(2 pi)'s -2^30 and the
+        # other clip-boundary coefficients, which saturate words between
+        # steps; masks below and above bit 4; aligned and unaligned bases
+        re, im = lane_bank(size)
+        ks = lane_checked(size)
+        rz = gateset.single("RZ", 0, 2 * np.pi).matrix
+        coeffs = [c for pair in LANE_COEFFS for c in pair] + [rz[0], rz[3]]
+        steps = [(coeffs[j % len(coeffs)], coeffs[(3 * j + 1) % len(coeffs)],
+                  MASKS[j % len(MASKS)]) for j in range(70)]
+        for base in (0, 5, 16 + 3):
+            for k in (1, 4, 33, 70):
+                got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
+                fxp.diag(steps[:k], *got, base)
+                for step in steps[:k]:
+                    fxp.diag([step], *one, base)
+                assert got[0].tobytes() == one[0].tobytes(), (base, k)
+                assert got[1].tobytes() == one[1].tobytes(), (base, k)
+            assert as_cfx(got[0][ks], got[1][ks]) == scalar_stretch(steps, base, re, im, ks)
 
     def test_rz_two_pi_needs_the_clip(self):
         # RZ(2 pi) is -1: its coefficient -2^30 times RAW_MIN saturates
@@ -292,7 +368,7 @@ class TestDiag:
         words = np.array([RAW_MIN, RAW_MAX, RAW_MIN, 0, -SCALE, SCALE] * 7, dtype=fxp.WORD)
         for mask, base in ((1, 0), (0b10001, 3), (16, 16)):
             got = (words.copy(), words[::-1].copy())
-            fxp.diag(m00, m11, mask, *got, base)
+            fxp.diag([(m00, m11, mask)], *got, base)
             assert as_cfx(*got) == scalar_diag(m00, m11, mask, base, words, words[::-1],
                                                range(words.size))
             assert RAW_MAX in got[0]
@@ -563,14 +639,18 @@ class TestEngineEveryTarget:
         # p = min(workers, 2^(n-1)) pieces: sparse pieces shorter than the
         # period 2^(t+1), inside one half, and dense rows cut into parts
         # when the 2^(n-1-t) rows are fewer than p
-        _check_gate(n, np.random.default_rng(400 + n), exhaustive=True,
-                    workers=(2, 4, 8))
+        with split_every_state():
+            _check_gate(n, np.random.default_rng(400 + n), exhaustive=True,
+                        workers=(2, 4, 8))
 
 
 class TestDeferral:
-    # run_circuit defers every CX as a relabeling and runs each diagonal
-    # gate with a parity mask; a gate-by-gate replay through the eager
-    # apply_single and apply_cx must end on the same bits
+    # run_circuit defers every CX as a relabeling and runs each stretch of
+    # diagonal gates as one call per piece, each gate with its parity mask;
+    # a gate-by-gate replay through the eager apply_single and apply_cx
+    # must end on the same bits. Stretches cross CX relabelings and end at
+    # dense gates and at the end of the circuit; the state is cut into
+    # pieces at every worker count.
     BODY = "native"
 
     @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
@@ -579,24 +659,27 @@ class TestDeferral:
     def test_run_equals_eager_replay(self, n, workers, seed, data):
         rng = np.random.default_rng(seed)
         qubit = st.integers(0, n - 1)
-        gate = st.one_of(
-            st.tuples(st.just("CX"), qubit, qubit).filter(lambda g: g[1] != g[2]),
-            st.tuples(st.sampled_from(("RZ", "S", "diag")), qubit),
-            st.tuples(st.sampled_from(("H", "RY", "RX")), qubit))
+        cx = st.tuples(st.just("CX"), qubit, qubit).filter(lambda g: g[1] != g[2])
+        sparse = st.tuples(st.sampled_from(("RZ", "S", "diag")), qubit)
+        dense = st.tuples(st.sampled_from(("H", "RY", "RX")), qubit)
+        stretch = st.lists(st.one_of(sparse, cx), min_size=1, max_size=40)
         ops = []
-        for g in data.draw(st.lists(gate, max_size=30)):
-            if g[0] == "CX":
-                ops.append(gateset.cx(g[1], g[2]))
-            elif g[0] == "diag":        # full-range coefficients, clip included
-                m00, m11 = random_coeff(rng), random_coeff(rng)
-                ops.append(gateset.GateOp(kind="RZ", target=g[1], sparse=True,
-                                          matrix=(m00, fxp.CFX_ZERO, fxp.CFX_ZERO, m11)))
-            else:
-                angle = float(rng.uniform(0, 4 * np.pi)) if g[0] != "H" and g[0] != "S" else None
-                ops.append(gateset.single(g[0], g[1], angle))
+        for part in data.draw(st.lists(st.one_of(stretch, dense.map(lambda g: [g])),
+                                       max_size=6)):
+            for g in part:
+                if g[0] == "CX":
+                    ops.append(gateset.cx(g[1], g[2]))
+                elif g[0] == "diag":        # full-range coefficients, clip included
+                    m00, m11 = random_coeff(rng), random_coeff(rng)
+                    ops.append(gateset.GateOp(kind="RZ", target=g[1], sparse=True,
+                                              matrix=(m00, fxp.CFX_ZERO, fxp.CFX_ZERO, m11)))
+                else:
+                    angle = float(rng.uniform(0, 4 * np.pi)) if g[0] not in ("H", "S") else None
+                    ops.append(gateset.single(g[0], g[1], angle))
         start = _random_state(n, rng)
-        sv, _ = engine.run_circuit(start.copy(), gateset.Circuit(n=n, ops=ops),
-                                   workers=workers)
+        with split_every_state():
+            sv, _ = engine.run_circuit(start.copy(), gateset.Circuit(n=n, ops=ops),
+                                       workers=workers)
         want = start.copy()
         for op in ops:
             if op.kind == "CX":
@@ -621,7 +704,7 @@ class TestWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with block_size(block):
+            with block_size(block), split_every_state():
                 for workers in (1, 2, 4, 8):
                     sv, report = engine.run_circuit(start.copy(), circuit,
                                                     workers=workers)

@@ -67,6 +67,20 @@ def _kernel_inputs(n: int, rng):
     yield words.view(np.complex128)
 
 
+def _check_ref_run_bytes(n: int) -> None:
+    # ref_run of a random circuit against the whole-array reference forms
+    rng = np.random.default_rng(74)
+    c = random_circuit(n, 200, rng)
+    init = RefState(n, random_ref_amplitudes(n, rng))
+    want = init.amps.copy()
+    for op in c.ops:
+        if op.kind == "CX":
+            apply_cx_reference(want, op.control, op.target, c.n)
+        else:
+            apply_1q_reference(want, gateset.matrix_of(op.kind, op.angle), op.target)
+    assert oracle.ref_run(c, init).amps.tobytes() == want.tobytes()
+
+
 class TestApply1q:
     """The blocked kernel against the whole-array reference, bit for bit."""
 
@@ -87,17 +101,31 @@ class TestApply1q:
                     assert got.tobytes() == want.tobytes(), (n, q)
 
     def test_ref_run_bytes_match_reference(self):
-        rng = np.random.default_rng(74)
-        c = random_circuit(9, 200, rng)
-        init = RefState(9, random_ref_amplitudes(9, rng))
-        want = init.amps.copy()
-        for op in c.ops:
-            if op.kind == "CX":
-                apply_cx_reference(want, op.control, op.target, c.n)
-            else:
-                apply_1q_reference(want, gateset.matrix_of(op.kind, op.angle),
-                                   op.target)
-        assert oracle.ref_run(c, init).amps.tobytes() == want.tobytes()
+        _check_ref_run_bytes(9)
+
+    def test_blocked_ref_run_bytes_match_reference(self):
+        # the state above takes the whole-array forms, this one the blocked
+        assert 1 << 8 <= oracle.WHOLE_MAX_PAIRS < 1 << 13
+        _check_ref_run_bytes(14)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MATRICES))
+    def test_whole_forms_match_reference(self, name):
+        # the forms a small state takes, every qubit and qubit pair
+        m = KERNEL_MATRICES[name]
+        rng = np.random.default_rng(77)
+        for n in range(1, 11):
+            for amps in _kernel_inputs(n, rng):
+                for q in range(n):
+                    want, got = amps.copy(), amps.copy()
+                    apply_1q_reference(want, m, q)
+                    oracle._apply_1q_whole(got, m, q)
+                    assert got.tobytes() == want.tobytes(), (n, q)
+                    for target in range(n):
+                        if target != q:
+                            want, got = amps.copy(), amps.copy()
+                            apply_cx_reference(want, q, target, n)
+                            oracle._apply_cx_whole(got, q, target, n)
+                            assert got.tobytes() == want.tobytes(), (n, q, target)
 
     @pytest.mark.parametrize("block", (1 << 3, oracle.BLOCK))
     def test_cx_bytes_match_reference(self, block):
