@@ -29,11 +29,21 @@ def qft(n: int) -> Circuit:
     for q in range(n - 1, -1, -1):
         circuit.ops.append(single(H, q))
         for j in range(q - 1, -1, -1):
-            ops, phase = decompose_cp(math.pi / (1 << (q - j)), j, q)
+            ops, phase = decompose_cp(qft_angle(q - j), j, q)
             circuit.extend(ops, phase)
     for i in range(n // 2):
         circuit.extend(decompose_swap(i, n - 1 - i))
     return circuit
+
+
+def qft_angle(k: int) -> float:
+    """pi / 2^k, the controlled phase between qubits k apart in the QFT.
+
+    Power-of-two scaling is exact, so this is the float pi / (1 << k)
+    wherever that division is defined (k <= 1023); past it, where the
+    integer no longer converts to a float, it underflows towards 0.
+    """
+    return math.ldexp(math.pi, -k)
 
 
 def qft_gate_total(n: int) -> int:
@@ -42,9 +52,16 @@ def qft_gate_total(n: int) -> int:
 
 
 def rotation_slots(kind: str, n: int, layers: int) -> int:
-    """Angles a template consumes: one RY and one RZ per qubit per layer."""
+    """Angles a template consumes: one RY and one RZ per qubit per layer.
+
+    Raises ValueError for a kind, n or layers that no template takes.
+    """
     if kind not in TOPOLOGY_KINDS:
         raise ValueError(f"unknown topology {kind!r}")
+    if kind != ROTATION and n < 2:
+        raise ValueError(f"{kind} topology needs n >= 2")
+    if n < 1 or layers < 1:
+        raise ValueError("n and layers must be >= 1")
     return layers * 2 * n
 
 
@@ -62,12 +79,6 @@ def _entangler(kind: str, n: int) -> list:
 
 def template(kind: str, n: int, layers: int, angles) -> Circuit:
     """Layered topology circuit: rotation columns plus the CX pattern."""
-    if kind not in TOPOLOGY_KINDS:
-        raise ValueError(f"unknown topology {kind!r}")
-    if kind != ROTATION and n < 2:
-        raise ValueError(f"{kind} topology needs n >= 2")
-    if n < 1 or layers < 1:
-        raise ValueError("n and layers must be >= 1")
     needed = rotation_slots(kind, n, layers)
     angles = [float(a) for a in angles]
     if len(angles) != needed:

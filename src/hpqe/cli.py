@@ -58,8 +58,11 @@ def _load_config(path: str | None) -> perfmodel.PerfConfig:
 
 
 def _angles_for(kind: str, n: int, layers: int, seed: int):
+    slots = circuits.rotation_slots(kind, n, layers)
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, 2.0 * np.pi, circuits.rotation_slots(kind, n, layers))
+    return rng.uniform(0.0, 2.0 * np.pi, slots)
 
 
 def _generate(gen: str, n: int, layers: int, seed: int):
@@ -70,14 +73,18 @@ def _generate(gen: str, n: int, layers: int, seed: int):
 
 
 def _build_circuit(args):
+    # the circuit of `run` and `compare`; its qubit count passes the
+    # capacity checks before anything of size 2^n is built
     if args.circuit is not None:
         text = Path(args.circuit).read_text(encoding="utf-8")
         circuit = gateset.circuit_from_text(text, n=args.n)
+        state.check_capacity(circuit.n, args.max_qubits)
         return Path(args.circuit).stem, circuit
     if args.gen is None:
         raise ValueError("either --gen or --circuit is required")
     if args.n is None:
         raise ValueError("--n is required with --gen")
+    state.check_capacity(args.n, args.max_qubits)
     return _generate(args.gen, args.n, args.layers, args.seed)
 
 

@@ -1,15 +1,16 @@
 """Fixed-point gate application and the pipelined CX swapper.
 
 A dense single-qubit gate on qubit t pushes every amplitude pair
-(i, i + 2^t) through the SU dataflow, in place (`fxp.pair_banks` on the
-two halves of each pair): the kernel reads both words of a pair before
-it writes either, so no shadow buffer is needed. A sparse (diagonal)
-gate, RZ or S, is a step of `fxp.diag`: word i takes m11 where bit t of
-i is set and m00 elsewhere. Like the machine's sparse mode, which
-bypasses the second multiplier, it never reads the op's off-diagonal
-entries. The state holds the machine's 32-bit words (`fxp.WORD`), and
-every rounding and saturation step of the scalar `fxp.su_eval` is
-kept, except the provably inert ones the `fxp` docstring lists.
+(i, i + 2^t) through the SU dataflow, in place (`fxp.Banks.pair` on
+rows of pairs): the kernel reads both words of a pair before it writes
+either, so no shadow buffer is needed. A sparse (diagonal) gate, RZ or
+S, is a step of `fxp.Banks.diag`: word i takes m11 where bit t of i is
+set and m00 elsewhere. Like the machine's sparse mode, which bypasses
+the second multiplier, it never reads the op's off-diagonal entries.
+The state holds the machine's 32-bit words (`fxp.WORD`), and every
+rounding and saturation step of the scalar `fxp.su_eval` is kept,
+except the provably inert ones the `fxp` docstring lists. Every kernel
+call, native or numpy, goes through `fxp.Banks`.
 
 Each pair's words depend on that pair alone, so a gate may be cut into
 contiguous pieces computed in any order, or at once, with the same
@@ -24,18 +25,18 @@ scratch, so results are bit-identical for any worker count.
 moving words it relabels the stored indices: `parity[q]` is the mask of
 stored-index bits whose parity gives logical bit q (at first 2^q), and
 CX(c, t) is `parity[t] ^= parity[c]`. A diagonal gate on t then takes
-the mask parity[t] in `fxp.diag`, so each word gets the products,
-roundings and saturations it would get after the swaps, in the same
-order, and the bits cannot change. Before a dense gate and at the end
-of the circuit the deferred CXs are flushed: dropped if together they
-are the identity, applied in order with `apply_cx` otherwise. In QFT
-each controlled phase puts a CX pair around an RZ, and the pair
-cancels: QFT-20 swaps words for 30 of its 410 CX. `apply_single` and
-`apply_cx` stay eager, and the modeled machine still swaps for every
-CX, so `cycle_report` counts each one.
+the mask parity[t] in its diagonal step, so each word gets the
+products, roundings and saturations it would get after the swaps, in
+the same order, and the bits cannot change. Before a dense gate and at
+the end of the circuit the deferred CXs are flushed: dropped if
+together they are the identity, applied in order with `fxp.Banks.cx`
+otherwise. In QFT each controlled phase puts a CX pair around an RZ,
+and the pair cancels: QFT-20 swaps words for 30 of its 410 CX.
+`apply_single` and `apply_cx` stay eager, and the modeled machine still
+swaps for every CX, so `cycle_report` counts each one.
 
 Since CXs only relabel, the diagonal gates between two dense gates form
-one stretch, and `run_circuit` runs each stretch as one `fxp.diag`
+one stretch, and `run_circuit` runs each stretch as one `Banks.diag`
 call per piece, its steps the gates' (m00, m11, parity[t]) in order,
 just before the dense gate's flush (or at the end of the loop). The
 kernel runs every step on a word before it moves on to the next word,
@@ -49,12 +50,11 @@ across two PEs at equal offsets, `access_mode`) matter to its timing
 only: `cycle_report` counts the mode-2 gates, and no kernel call
 follows the segments.
 
-CX performs no arithmetic: it swaps 2^(n-2) amplitude pairs, in the
-native `hpqe_cx` loop, or through views of each component reshaped to
-[2]*n where the library is not available. The pipelined swapper
-schedule costs 2*(2^(n-2)+1)+1 cycles against the sequential baseline's
-5*2^(n-2); `simulate_swapper` steps the machine cycle by cycle and the
-closed forms are checked against it in tests.
+CX performs no arithmetic: it swaps 2^(n-2) amplitude pairs
+(`fxp.Banks.cx`). The pipelined swapper schedule costs 2*(2^(n-2)+1)+1
+cycles against the sequential baseline's 5*2^(n-2); `simulate_swapper`
+steps the machine cycle by cycle and the closed forms are checked
+against it in tests.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor, wait
 import contextlib
 from dataclasses import dataclass
-from functools import partial
 import json
 
 from . import fxp, perfmodel
@@ -134,31 +133,11 @@ def _check_cx(n: int, control: int, target: int) -> None:
 
 
 def apply_cx(state: StateVector, control: int, target: int) -> None:
-    """Swap the control=1 amplitude pairs in place (cycles: `cx_cycles`).
-
-    The native kernel swaps words i and i | 2^target for every i whose
-    control bit is set and target bit clear. Without it, each component
-    is viewed as an n-axis array of shape [2]*n (qubit q is axis n-1-q),
-    so the control=1, target=0 and target=1 halves are strided views and
-    the swap needs no index arrays.
-    """
-    n = state.n
-    _check_cx(n, control, target)
-    lib = fxp.native_kernels()
-    if lib is not None and fxp.native_rows(state.re, state.im) == (1, 1 << n, 1 << n):
-        lib.hpqe_cx(state.re.ctypes.data, state.im.ctypes.data, n, control, target)
-        return
-    lo = [slice(None)] * n
-    lo[n - 1 - control] = slice(1, 2)       # slices keep every view an array
-    hi = list(lo)
-    lo[n - 1 - target] = slice(0, 1)
-    hi[n - 1 - target] = slice(1, 2)
-    for arr in (state.re, state.im):
-        grid = arr.reshape([2] * n)
-        a, b = grid[tuple(lo)], grid[tuple(hi)]
-        tmp = a.copy()
-        a[...] = b
-        b[...] = tmp
+    """Swap the control=1 amplitude pairs in place (cycles: `cx_cycles`):
+    words i and i | 2^target for every i whose control bit is set and
+    target bit clear (`fxp.Banks.cx`)."""
+    _check_cx(state.n, control, target)
+    fxp.Banks(state.re, state.im).cx(control, target)
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +222,24 @@ def simulate_swapper(n: int, control: int | None = None,
 # Single-qubit application.
 # ---------------------------------------------------------------------------
 
-def _diag_calls(banks: fxp.Banks, n: int, steps: list, p: int) -> list:
-    # the kernel calls of a stretch of diagonal steps (c0, c1, mask) over
-    # p contiguous pieces of 2^n/p words each (p a power of two, at most
-    # 2^(n-1)); the pieces share no word, so the calls may run in any
-    # order or at once
+def _diag_calls(n: int, steps: list, p: int) -> list:
+    # the `Banks.diag` arguments of a stretch of diagonal steps (c0, c1,
+    # mask) over p contiguous pieces of 2^n/p words each (p a power of
+    # two, at most 2^(n-1)); the pieces share no word, so the calls may
+    # run in any order or at once
     step = (1 << n) // p
-    return [partial(banks.diag, steps, lo, lo + step) for lo in range(0, 1 << n, step)]
+    return [(steps, lo, lo + step) for lo in range(0, 1 << n, step)]
 
 
-def _pair_calls(banks: fxp.Banks, n: int, op: GateOp, p: int) -> list:
-    # the kernel calls of a dense gate over p pieces as above
+def _pair_calls(n: int, op: GateOp, p: int) -> list:
+    # the `Banks.pair` arguments of a dense gate over p pieces as above
     t = op.target
     rows = 1 << (n - 1 - t)
     if rows >= p:        # whole rows of pairs, rows/p per piece
         step = rows // p
-        return [partial(banks.pair, op.matrix, t, lo << (t + 1), step, 1 << t)
-                for lo in range(0, rows, step)]
+        return [(op.matrix, t, lo << (t + 1), step, 1 << t) for lo in range(0, rows, step)]
     step = (rows << t) // p          # parts of each row
-    return [partial(banks.pair, op.matrix, t, (r << (t + 1)) + lo, 1, step)
+    return [(op.matrix, t, (r << (t + 1)) + lo, 1, step)
             for r in range(rows) for lo in range(0, 1 << t, step)]
 
 
@@ -294,7 +272,7 @@ def apply_single(state: StateVector, gate: GateOp,
     if gate.sparse:
         banks.diag([_diag_step(gate, 1 << gate.target)], 0, state.size)
     else:
-        _pair_calls(banks, state.n, gate, 1)[0]()
+        banks.pair(*_pair_calls(state.n, gate, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +339,11 @@ class _Relabeling:
         self.parity[target] ^= self.parity[control]
         self.pending.append((control, target))
 
-    def flush(self, state: StateVector) -> None:
+    def flush(self, banks: fxp.Banks) -> None:
         """Apply the pending CXs in order, unless their map is the identity."""
         if self.parity != self.identity:
             for control, target in self.pending:
-                apply_cx(state, control, target)
+                banks.cx(control, target)
             self.parity = list(self.identity)
         self.pending.clear()
 
@@ -390,7 +368,7 @@ def run_circuit(state: StateVector, circuit: Circuit,
     amplitudes p is 1 and no pool is made. The result is bit-identical
     for any worker count. CX gates are deferred as a relabeling, and each
     stretch of diagonal gates between two dense gates runs as one
-    `fxp.diag` call per piece (see the module docstring). The stretch
+    `Banks.diag` call per piece (see the module docstring). The stretch
     runs, and then the deferred CXs are flushed, before each dense gate
     and when the loop ends, an error included: a gate that fails its
     checks leaves the state holding every gate before it.
@@ -406,18 +384,19 @@ def run_circuit(state: StateVector, circuit: Circuit,
     steps: list = []          # the stretch of diagonal gates not yet run
     pool = ThreadPoolExecutor(max_workers=pieces) if pieces > 1 else None
 
-    def run(calls: list) -> None:
+    def run(kernel, calls: list) -> None:
+        # kernel(*args) for the arguments of each piece
         if pool is None:
-            calls[0]()
+            kernel(*calls[0])
             return
-        futures = [pool.submit(call) for call in calls]
+        futures = [pool.submit(kernel, *args) for args in calls]
         for f in wait(futures).done:
             f.result()   # re-raise worker errors, a barrier per call
 
     def run_stretch() -> None:
         nonlocal steps
         if steps:
-            run(_diag_calls(banks, n, steps, pieces))
+            run(banks.diag, _diag_calls(n, steps, pieces))
             steps = []
 
     with pool or contextlib.nullcontext():
@@ -434,9 +413,9 @@ def run_circuit(state: StateVector, circuit: Circuit,
                     steps.append(_diag_step(op, labels.parity[op.target]))
                     continue
                 run_stretch()
-                labels.flush(state)
-                run(_pair_calls(banks, n, op, pieces))
+                labels.flush(banks)
+                run(banks.pair, _pair_calls(n, op, pieces))
         finally:
             run_stretch()
-            labels.flush(state)
+            labels.flush(banks)
     return state, cycle_report(circuit, cfg)

@@ -6,29 +6,31 @@ two's-complement integer read as value = raw * 2^-30 (2 integer bits,
 instead of wrapping, and every narrowing step rounds to nearest with
 ties to even, so results are reproducible bit for bit.
 
-Scalar functions (plain Python ints) define the semantics. Two bank
-kernels apply them in place to whole arrays of WORD, the machine's
-32-bit word, and the test suite proves them bit-identical to the
-scalars: `pair_banks`, the SU step on amplitude pairs, and `diag`, a
-stretch of diagonal (sparse) steps, each of which multiplies each word
-by one of two coefficients picked by the parity of its stored index
-under its mask. The stretch runs every step on a word, in order, before
-the next word, so it reads and writes the bank once for all its steps.
-`Banks` binds a flat state's two arrays to them once, so that the
-engine computes each piece of a gate with one foreign call on word
-offsets. Each kernel has two bodies:
+Scalar functions (plain Python ints) define the semantics. Bank
+kernels apply them in place to a flat state's two arrays of WORD, the
+machine's 32-bit word, and the test suite proves them bit-identical to
+the scalars: the SU step on amplitude pairs (`Banks.pair`), a stretch
+of diagonal (sparse) steps, each of which multiplies each word by one
+of two coefficients picked by the parity of its stored index under its
+mask (`Banks.diag`), and the CX swap (`Banks.cx`). The stretch runs
+every step on a word, in order, before the next word, so it reads and
+writes the bank once for all its steps. `Banks` binds the two arrays
+to the kernels once, so that the engine computes each piece of a gate
+with one call on word offsets, and it is the only code that calls the
+native library. Each kernel has two bodies:
 
   * native: `kernels.c`, compiled with the system C compiler on the
     first kernel call (never at import) and cached in the package's
     __pycache__ under a hash of the source and the flags; see
     `native_kernels`. It holds an AVX-512F body, taken per call on a
     CPU that has it, and portable C loops for every other host.
-  * numpy: the fallback where the library cannot be built or loaded,
-    and for arrays the native body does not take. It copies each bank
-    BLOCK elements at a time into int64 rows of one scratch array,
-    allocated per call so that concurrent calls share none, computes
-    there (every step of a stretch) and narrows on write-back; its
-    temporaries are bounded by the block, not by the state.
+  * numpy: `pair_banks` and `diag`, and a swap of views for the CX; the
+    fallback where the library cannot be built or loaded, and for
+    arrays the native body does not take. They copy each bank BLOCK
+    elements at a time into int64 rows of one scratch array, allocated
+    per call so that concurrent calls share none, compute there (every
+    step of a stretch) and narrow on write-back; their temporaries are
+    bounded by the block, not by the state.
 
 Both round each real product as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30,
 which is fx_mul's round-half-even, and saturate every sum as fx_add /
@@ -219,7 +221,7 @@ def _load_native():
         return None
     ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
     coefs = ctypes.c_char_p          # the bytes of `_coefs`, passed without a copy
-    lib.hpqe_pair_banks.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, coefs]
+    lib.hpqe_pair_banks.argtypes = [ptr, ptr, i64, i64, i64, coefs]
     lib.hpqe_diag.argtypes = [ptr, ptr, i64, i64, i64, coefs, coefs]
     lib.hpqe_cx.argtypes = [ptr, ptr, i32, i32, i32]
     for fn in (lib.hpqe_pair_banks, lib.hpqe_diag, lib.hpqe_cx):
@@ -256,28 +258,6 @@ def _build_native(path: Path) -> bool:
             with contextlib.suppress(OSError):
                 stale.unlink()
     return True
-
-
-def native_rows(*arrays):
-    """(rows, width, row stride in words) of arrays the native kernels take.
-
-    The arrays must be writable native WORD, of one shape and strides,
-    1-D (one row) or 2-D, with unit stride inside a row. None otherwise
-    (a wider integer array included): the caller then runs its numpy body.
-    """
-    a = arrays[0]
-    size = np.dtype(WORD).itemsize
-    for b in arrays:
-        if not (isinstance(b, np.ndarray) and b.dtype == WORD
-                and b.flags.writeable and b.ndim in (1, 2)
-                and b.shape == a.shape and b.strides == a.strides
-                and (b.strides[-1] == size or b.shape[-1] <= 1)):
-            return None
-    if a.ndim == 1:
-        return 1, a.size, a.size
-    if a.strides[0] % size:
-        return None
-    return a.shape[0], a.shape[1], a.strides[0] // size
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +376,15 @@ def _coefs(*cs: CFx) -> bytes:
 
 def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
                xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray) -> None:
-    """SU step over paired banks, in place.
+    """SU step over paired banks, in place: the numpy body of `Banks.pair`.
 
     x <- su_eval(c00, c01, x, y) and y <- su_eval(c10, c11, x, y), both
-    from the old x and y. The four WORD arrays share one shape: 1-D of
+    from the old x and y. The four integer arrays share one shape: 1-D of
     any length, or 2-D (strided views of the pair halves inside a bank).
-    The native body reads all four words of a pair before it writes one.
-    The numpy body allocates its scratch (`new_scratch`) per call,
-    copies each block of x and y into it as int64, sums each output
-    there and narrows it on write-back.
+    It allocates its scratch (`new_scratch`) per call, copies each block
+    of x and y into it as int64, sums each output there and narrows it
+    on write-back.
     """
-    lib = native_kernels()
-    rows = native_rows(xr, xi, yr, yi) if lib is not None else None
-    if rows is not None:
-        lib.hpqe_pair_banks(xr.ctypes.data, xi.ctypes.data, yr.ctypes.data,
-                            yi.ctypes.data, *rows, _coefs(c00, c01, c10, c11))
-        return
     gxr, gxi, gyr, gyi, acc, y, s, tmp = new_scratch()
     outputs = ((c00, c01, xr, False), (c00, c01, xi, True),
                (c10, c11, yr, False), (c10, c11, yi, True))
@@ -467,27 +440,24 @@ def _steps(steps) -> tuple:
 
 
 def diag(steps, re: np.ndarray, im: np.ndarray, base: int = 0) -> None:
-    """A stretch of diagonal steps over a 1-D bank, in place.
+    """A stretch of diagonal steps over a 1-D bank, in place: the numpy
+    body of `Banks.diag`.
 
     steps is a sequence of (c0, c1, mask), run in order. In each step
     word k, the amplitude at stored index base + k, <- cfx_mul(c1, word)
     where the parity of (base + k) & mask is odd and cfx_mul(c0, word)
     where it is even. With mask = 2^t a step is a diagonal gate on qubit
-    t; `base` and the masks are non-negative. re and im are 1-D WORD
+    t; `base` and the masks are non-negative. re and im are 1-D integer
     arrays of one length. Every step keeps its own products, roundings
     and saturations, so a stretch gives the bits of its steps run one
     call each; it only reads and writes each word once.
 
-    The numpy body cuts the bank at multiples of a period P (a power of
-    two, at most BLOCK) of the stored index, loads each piece into int64
-    scratch once, runs every step on it there and narrows it back once.
-    In a step, the parity of the mask's bits below P is one pattern for
-    every piece, and the bits above it flip the pattern of a whole piece.
+    It cuts the bank at multiples of a period P (a power of two, at most
+    BLOCK) of the stored index, loads each piece into int64 scratch
+    once, runs every step on it there and narrows it back once. In a
+    step, the parity of the mask's bits below P is one pattern for every
+    piece, and the bits above it flip the pattern of a whole piece.
     """
-    lib = native_kernels()
-    if lib is not None and native_rows(re, im) == (1, re.size, re.size):
-        lib.hpqe_diag(re.ctypes.data, im.ctypes.data, re.size, base, *_steps(steps))
-        return
     size = re.size
     if size == 0:
         return
@@ -523,19 +493,24 @@ def diag(steps, re: np.ndarray, im: np.ndarray, base: int = 0) -> None:
 class Banks:
     """A flat state's two WORD arrays, bound to the bank kernels once.
 
-    `pair` and `diag` compute a piece of a gate named by word offsets into
-    the state. With the native library each is one foreign call on the
-    base addresses taken here, with no views and no per-call checks of
-    the arrays; otherwise each runs the numpy body of `pair_banks` or
-    `diag` on views of the piece. Pieces that share no word may run at
-    once.
+    `pair`, `diag` and `cx` compute a piece of a gate named by word
+    offsets into the state, or a whole CX. This is the only code that
+    calls the native library: where it is loaded and both arrays are
+    writable, C-contiguous 1-D WORD arrays of one length, each call is
+    one foreign call on the base addresses taken here, with no views and
+    no per-call checks of the arrays. Anything else (no library, a wider
+    integer type, a read-only or strided array) runs the numpy bodies,
+    `pair_banks` and `diag`, on views of the piece, and the CX as a swap
+    of views. Pieces that share no word may run at once.
     """
 
     def __init__(self, re: np.ndarray, im: np.ndarray):
         self.re, self.im = re, im
         lib = native_kernels()
         self._lib = None
-        if lib is not None and native_rows(re, im) == (1, re.size, re.size):
+        if lib is not None and re.shape == im.shape and all(
+                a.dtype == WORD and a.ndim == 1 and a.flags.c_contiguous
+                and a.flags.writeable for a in (re, im)):
             self._lib = lib
             # the address of each first word: a ctypes view of the buffer
             # costs a fifth of `ndarray.ctypes.data`
@@ -551,9 +526,8 @@ class Banks:
         half = 1 << t
         if self._lib is not None:
             re, im = self._addr
-            x, y = lo * WORD_BYTES, (lo + half) * WORD_BYTES
-            self._lib.hpqe_pair_banks(re + x, im + x, re + y, im + y, rows, width,
-                                      2 * half, _coefs(*m))
+            x = lo * WORD_BYTES
+            self._lib.hpqe_pair_banks(re + x, im + x, half, rows, width, _coefs(*m))
             return
         if rows == 1:
             views = [a[k:k + width] for k in (lo, lo + half) for a in (self.re, self.im)]
@@ -570,6 +544,31 @@ class Banks:
                                 lo, *_steps(steps))
             return
         diag(steps, self.re[lo:hi], self.im[lo:hi], lo)
+
+    def cx(self, control: int, target: int) -> None:
+        """Swap word i with word i | 2^target for every i whose control bit
+        is set and target bit clear, in both arrays of a 2^n-word state.
+
+        Without the library each array is viewed as an n-axis array of
+        shape [2]*n (qubit q is axis n-1-q), so the control=1, target=0
+        and target=1 halves are strided views and the swap needs no index
+        arrays.
+        """
+        n = self.re.size.bit_length() - 1
+        if self._lib is not None:
+            self._lib.hpqe_cx(*self._addr, n, control, target)
+            return
+        lo = [slice(None)] * n
+        lo[n - 1 - control] = slice(1, 2)       # slices keep every view an array
+        hi = list(lo)
+        lo[n - 1 - target] = slice(0, 1)
+        hi[n - 1 - target] = slice(1, 2)
+        for arr in (self.re, self.im):
+            grid = arr.reshape([2] * n)
+            a, b = grid[tuple(lo)], grid[tuple(hi)]
+            tmp = a.copy()
+            a[...] = b
+            b[...] = tmp
 
 
 # ---------------------------------------------------------------------------

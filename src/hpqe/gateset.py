@@ -177,6 +177,8 @@ def _global_phase(text: str, lineno: int) -> float:
 
 
 def circuit_from_text(text: str, n: int | None = None) -> Circuit:
+    if n is not None and n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
     circuit = Circuit(n=n if n is not None else 0)
     saw_header = False
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -191,8 +193,16 @@ def circuit_from_text(text: str, n: int | None = None) -> Circuit:
         fields = line.split()
         kind = fields[0].upper()
         try:
+            if kind not in ("QUBITS", CX, H, S, *ROTATION_KINDS):
+                raise ValueError(f"unknown gate {fields[0]!r}")
+            operands = 2 if kind == CX or kind in ROTATION_KINDS else 1
+            if len(fields) - 1 != operands:
+                raise ValueError(f"{fields[0]} takes {operands} operand(s), "
+                                 f"got {len(fields) - 1}")
             if kind == "QUBITS":
                 header_n = int(fields[1])
+                if header_n < 1:
+                    raise ValueError(f"qubit count must be >= 1, got {header_n}")
                 if n is not None and header_n != n:
                     raise ValueError(
                         f"header says {header_n} qubits, caller requested {n}")
@@ -202,11 +212,9 @@ def circuit_from_text(text: str, n: int | None = None) -> Circuit:
                 circuit.ops.append(cx(int(fields[1]), int(fields[2])))
             elif kind in ROTATION_KINDS:
                 circuit.ops.append(single(kind, int(fields[1]), float(fields[2])))
-            elif kind in (H, S):
-                circuit.ops.append(single(kind, int(fields[1])))
             else:
-                raise ValueError(f"unknown gate {fields[0]!r}")
-        except (IndexError, ValueError) as exc:
+                circuit.ops.append(single(kind, int(fields[1])))
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if not saw_header and n is None:
         raise ValueError("missing QUBITS header and no qubit count supplied")

@@ -21,9 +21,12 @@
  * back to its numpy kernels when the build or the load fails; the tests
  * hold every body to the scalar functions.
  *
- * Arrays are int32 words, the machine's own, with unit stride inside a
- * row. Kernels update in place; every output of one element is computed
- * from values read before any of them is written.
+ * Every entry takes the base pointers of a state's two contiguous arrays
+ * of int32 words, the machine's own, offset to the first word of a piece;
+ * fxp.Banks makes every call. A pair of the SU step is (word k, word
+ * k + half) of the same arrays. Kernels update in place; every output of
+ * one element is computed from values read before any of them is
+ * written.
  *
  * Each kernel has two bodies with the same bits. The portable one is
  * plain C loops that widen each word to int64 and narrow it only after
@@ -76,22 +79,21 @@ BODY int64_t cmul_im(int64_t cr, int64_t ci, int64_t xr, int64_t xi, const int c
     return sat(mul(cr, xi, clip) + mul(ci, xr, clip));
 }
 
-BODY void pair_body(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
-                    int64_t rows, int64_t width, int64_t stride,
+BODY void pair_body(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64_t width,
                     const int64_t *m, const int clip)
 {
     for (int64_t r = 0; r < rows; r++)
-        for (int64_t k = r * stride; k < r * stride + width; k++) {
-            /* su_eval on the pair (x[k], y[k]) of each component: x takes
-             * sat(cfx_mul(m00, x) + cfx_mul(m01, y)), y takes
-             * sat(cfx_mul(m11, y) + cfx_mul(m10, x)) */
-            int64_t ar = xr[k], ai = xi[k], br = yr[k], bi = yi[k];
+        for (int64_t k = 2 * half * r; k < 2 * half * r + width; k++) {
+            /* su_eval on the pair (x, y) = (word k, word k + half) of each
+             * component: x takes sat(cfx_mul(m00, x) + cfx_mul(m01, y)), y
+             * takes sat(cfx_mul(m11, y) + cfx_mul(m10, x)) */
+            int64_t ar = re[k], ai = im[k], br = re[k + half], bi = im[k + half];
             int64_t sr = cmul_re(m[0], m[1], ar, ai, clip), si = cmul_im(m[0], m[1], ar, ai, clip);
             int64_t tr = cmul_re(m[6], m[7], br, bi, clip), ti = cmul_im(m[6], m[7], br, bi, clip);
-            xr[k] = (int32_t)sat(sr + cmul_re(m[2], m[3], br, bi, clip));
-            xi[k] = (int32_t)sat(si + cmul_im(m[2], m[3], br, bi, clip));
-            yr[k] = (int32_t)sat(tr + cmul_re(m[4], m[5], ar, ai, clip));
-            yi[k] = (int32_t)sat(ti + cmul_im(m[4], m[5], ar, ai, clip));
+            re[k] = (int32_t)sat(sr + cmul_re(m[2], m[3], br, bi, clip));
+            im[k] = (int32_t)sat(si + cmul_im(m[2], m[3], br, bi, clip));
+            re[k + half] = (int32_t)sat(tr + cmul_re(m[4], m[5], ar, ai, clip));
+            im[k + half] = (int32_t)sat(ti + cmul_im(m[4], m[5], ar, ai, clip));
         }
 }
 
@@ -127,10 +129,10 @@ BODY void diag_body(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t
 /* the portable bodies, one instantiation per clip; the vector bodies
  * call them for their remaining words */
 static __attribute__((noinline)) void
-pair_portable(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
-              int64_t rows, int64_t width, int64_t stride, const int64_t *m, int clip)
+pair_portable(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64_t width,
+              const int64_t *m, int clip)
 {
-    VARIANTS(pair_body, clip, xr, xi, yr, yi, rows, width, stride, m);
+    VARIANTS(pair_body, clip, re, im, half, rows, width, m);
 }
 
 static __attribute__((noinline)) void
@@ -304,31 +306,26 @@ VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
  * x)), so each output word is sat(cfx_mul(a, own) + cfx_mul(b,
  * partner)) with (a, b) = (m00, m01) for x and (m11, m10) for y.
  *
- * When x and y are the two halves of one contiguous bank of pairs on a
- * qubit t < 4 (width 2^t, stride 2*width, y = x + width), the bank is
- * one run of whole pairs, read and written through the x pointers: each
- * vector holds whole pairs, the partner of word l is word l ^ width and
- * (a, b) alternate with bit t of l. Other rows of 16 words or more run
- * whole vectors of x and of y. Narrower rows and the remaining words run
- * the portable loop. */
-VBODY void pair_vbody(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
-                      int64_t rows, int64_t width, int64_t stride,
+ * When the rows hold whole pairs on a qubit t < 4 (width = half = 2^t),
+ * the rows are one run of whole pairs: each vector holds whole pairs, the
+ * partner of word l is word l ^ half and (a, b) alternate with bit t of
+ * l. Rows of 16 words or more run whole vectors of x and of y. Other
+ * narrow rows and the remaining words run the portable loop. */
+VBODY void pair_vbody(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64_t width,
                       const int64_t *m, const int clip)
 {
-    int halves = width > 0 && !(width & (width - 1)) && stride == 2 * width
-                 && yr == xr + width && yi == xi + width;
-    if (!halves && width < 16) {
-        pair_portable(xr, xi, yr, yi, rows, width, stride, m, clip);
+    if (width != half && width < 16) {
+        pair_portable(re, im, half, rows, width, m, clip);
         return;
     }
-    /* with halves of width < 16 one run, where word l takes (a, b) by bit
-     * t of l; otherwise rows of x and of y, where every vector takes the
-     * coefficients of its own half */
+    /* whole pairs of width < 16 as one run, where word l takes (a, b) by
+     * bit t of l; otherwise rows of x and of y, where every vector takes
+     * the coefficients of its own half */
     int64_t lanes = 0, run = width;
     int outputs = 2;
     if (width < 16) {
         lanes = width;
-        run = rows * stride;
+        run = rows * 2 * half;
         rows = 1;
         outputs = 1;
     }
@@ -340,12 +337,12 @@ VBODY void pair_vbody(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
     const v16d partner = (v16d)LANES ^ (int)width;
     int64_t whole = run & ~(int64_t)15;
     for (int64_t r = 0; r < rows; r++) {
-        int64_t k = r * stride;
+        int64_t k = 2 * half * r;
         for (int64_t end = k + whole; k < end; k += 16) {
-            int32_t *out[2][2] = {{xr + k, xi + k}, {yr + k, yi + k}};
+            int32_t *out[2][2] = {{re + k, im + k}, {re + k + half, im + k + half}};
             v16d v[2][2];
-            v[0][0] = vload(xr + k);
-            v[0][1] = vload(xi + k);
+            v[0][0] = vload(re + k);
+            v[0][1] = vload(im + k);
             /* the y words of a row, or the partners of a run's words */
             for (int p = 0; p < 2; p++)
                 v[1][p] = outputs == 2 ? vload(out[1][p])
@@ -360,18 +357,16 @@ VBODY void pair_vbody(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
         if (whole == run)
             continue;
         if (outputs == 1)
-            pair_portable(xr + k, xi + k, yr + k, yi + k, (run - whole) / stride,
-                          width, stride, m, clip);
+            pair_portable(re + k, im + k, half, (run - whole) / (2 * half), width, m, clip);
         else
-            pair_portable(xr + k, xi + k, yr + k, yi + k, 1, width - whole, 0, m, clip);
+            pair_portable(re + k, im + k, half, 1, width - whole, m, clip);
     }
 }
 
-static VTARGET void pair_avx512(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
-                                int64_t rows, int64_t width, int64_t stride,
-                                const int64_t *m, int clip)
+static VTARGET void pair_avx512(int32_t *re, int32_t *im, int64_t half, int64_t rows,
+                                int64_t width, const int64_t *m, int clip)
 {
-    VARIANTS(pair_vbody, clip, xr, xi, yr, yi, rows, width, stride, m);
+    VARIANTS(pair_vbody, clip, re, im, half, rows, width, m);
 }
 
 /* 1 when every word of a and b lies in [-2^30, 2^30] */
@@ -532,11 +527,11 @@ static int all_of(int (*test)(int64_t), const int64_t *c, int k)
     return all;
 }
 
-/* SU step over pair views: for each row r and each k in
- * [r*stride, r*stride + width), (x[k], y[k]) <- su_eval of the pair.
- * coefs holds m00, m01, m10, m11 as (re, im) int64 pairs. */
-void hpqe_pair_banks(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
-                     int64_t rows, int64_t width, int64_t stride,
+/* SU step on rows of pairs: for each row r and each k in
+ * [2*half*r, 2*half*r + width), the pair (word k, word k + half) of re
+ * and im <- su_eval of the pair. coefs holds m00, m01, m10, m11 as (re,
+ * im) int64 pairs. half is a power of two and width at most half. */
+void hpqe_pair_banks(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64_t width,
                      const void *coefs)
 {
     int64_t m[8];
@@ -544,11 +539,11 @@ void hpqe_pair_banks(int32_t *xr, int32_t *xi, int32_t *yr, int32_t *yi,
     int clip = !all_of(fits, m, 8);
 #ifdef HPQE_AVX512
     if (have_avx512() && all_of(is_word, m, 8)) {
-        pair_avx512(xr, xi, yr, yi, rows, width, stride, m, clip);
+        pair_avx512(re, im, half, rows, width, m, clip);
         return;
     }
 #endif
-    pair_portable(xr, xi, yr, yi, rows, width, stride, m, clip);
+    pair_portable(re, im, half, rows, width, m, clip);
 }
 
 /* A stretch of k diagonal steps: for j = 0, ..., k-1 in order, word i of

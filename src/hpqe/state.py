@@ -123,14 +123,20 @@ class StateVector:
             write(chunk)
 
 
-def init_basis(n: int, k: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVector:
-    """Computational basis state |k>."""
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+def check_capacity(n: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> None:
+    """CapacityError where a state of n qubits passes the memory ceiling
+    (`perfmodel.check_capacity`) or max_qubits."""
     perfmodel.check_capacity(n)
     if n > max_qubits:
         raise CapacityError(
             f"{n} qubits exceeds the configured max_qubits={max_qubits}")
+
+
+def init_basis(n: int, k: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVector:
+    """Computational basis state |k>."""
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
+    check_capacity(n, max_qubits)
     if not 0 <= k < (1 << n):
         raise ValueError(f"basis index {k} out of range for n={n}")
     sv = StateVector(n=n, re=np.zeros(1 << n, dtype=fxp.WORD),

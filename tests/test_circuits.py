@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ class TestQft:
         want = sum(math.pi / (1 << (q - j)) / 4
                    for q in range(n) for j in range(q))
         assert circuits.qft(n).global_phase == pytest.approx(want)
+
+    def test_angle_is_exact_and_never_overflows(self):
+        # pi / (1 << k) itself for every k a float 2^k exists for, so QFT
+        # bits are unchanged; past that, where the old division overflowed,
+        # the correctly rounded pi / 2^k (a subnormal at 1024, 0 at 1100)
+        for k in range(1024):
+            assert circuits.qft_angle(k) == math.pi / (1 << k), k
+        for k in (1024, 1100):
+            with pytest.raises(OverflowError):
+                math.pi / (1 << k)
+            angle = circuits.qft_angle(k)
+            assert abs(Fraction(angle) - Fraction(math.pi) / 2 ** k) <= Fraction(1, 2 ** 1075)
+        assert circuits.qft_angle(1024) > 0 and circuits.qft_angle(1100) == 0
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):

@@ -373,6 +373,55 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ("run", "compare"))
+    @pytest.mark.parametrize("source", ("circuit", "gen"))
+    def test_huge_qubit_count_exits_3_with_one_line(self, tmp_path, capsys, command,
+                                                    source):
+        # the count is checked before anything of size 2^n is built: a
+        # QUBITS header of 99999999999 and a generated 1100-qubit QFT
+        if source == "circuit":
+            qc = tmp_path / "huge.qc"
+            qc.write_text("QUBITS 99999999999\nH 0\n")
+            argv = ("--circuit", qc)
+        else:
+            argv = ("--gen", "qft", "--n", 1100)
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and err.count("\n") == 1
+        assert "memory ceiling" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, argv, message", (
+        ("QUBITS -1\n", (), "error: line 1: qubit count must be >= 1, got -1"),
+        ("QUBITS 2\nRY 0\n", (), "error: line 2: RY takes 2 operand(s), got 1"),
+        ("QUBITS 2\nCX 0\n", (), "error: line 2: CX takes 2 operand(s), got 1"),
+        ("QUBITS 2\nH 0 1\n", (), "error: line 2: H takes 1 operand(s), got 2"),
+        ("H 0\n", ("--n", -1), "error: qubit count must be >= 1, got -1"),
+        (None, ("--gen", "chain", "--n", 4, "--layers", -1),
+         "error: n and layers must be >= 1"),
+        (None, ("--gen", "rotation", "--n", 4, "--seed", -1),
+         "error: --seed must be >= 0, got -1"),
+    ), ids=("qubits", "rotation-operands", "cx-operands", "extra-operand", "n",
+            "layers", "seed"))
+    @pytest.mark.parametrize("command", ("run", "compare"))
+    def test_bad_input_exits_4_naming_it(self, tmp_path, capsys, command, text, argv,
+                                         message):
+        if text is not None:
+            qc = tmp_path / "bad.qc"
+            qc.write_text(text)
+            argv = ("--circuit", qc, *argv)
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--out", out) == 4
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    def test_bench_row_names_bad_layers(self, tmp_path):
+        assert run_cli("bench", "--gen", "chain", "--n", "3..3", "--layers", -1,
+                       "--out", tmp_path) == 0
+        rows = list(csv.DictReader((tmp_path / "bench.csv").open()))
+        assert rows[0]["error"] == "ValueError: n and layers must be >= 1"
+
     def test_bench_empty_range_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("bench", "--gen", "qft", "--n", "5..3", "--out", tmp_path)

@@ -446,13 +446,13 @@ class TestRunCircuit:
         # swaps' 3*floor(n/2) CX move words; in the chain template every
         # CX layer is flushed by the next layer's RY or by the end
         swaps = []
-        real = engine.apply_cx
+        real = fxp.Banks.cx
 
-        def spy(sv, control, target):
+        def spy(banks, control, target):
             swaps.append((control, target))
-            real(sv, control, target)
+            real(banks, control, target)
 
-        monkeypatch.setattr(engine, "apply_cx", spy)
+        monkeypatch.setattr(fxp.Banks, "cx", spy)
         for n in range(1, 13):
             swaps.clear()
             engine.run_circuit(state.init_basis(n, 0), circuits.qft(n))

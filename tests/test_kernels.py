@@ -1,11 +1,13 @@
-"""The bank kernel and the engine's gate paths against the scalar spec.
+"""The bank kernels and the engine's gate paths against the scalar spec.
 
-`fxp.pair_banks` and `fxp.diag` (the sparse SU step) are driven with
-banks of the stored word (`fxp.WORD`) holding full-range values, and
-full-range coefficients (RAW_MIN, RAW_MAX, exact rounding ties, the
-clip-elision boundary), and every element is compared with
-`fxp.su_eval` / `fxp.cfx_mul` / `fxp.fx_mul`. `run_circuit`, which
-defers CX gates, is held to an eager gate-by-gate replay.
+`fxp.Banks.pair` (the SU step) and `fxp.Banks.diag` (the sparse SU
+step), the one door to the kernels, are driven on banks of the stored
+word (`fxp.WORD`) holding full-range values, with full-range
+coefficients (RAW_MIN, RAW_MAX, exact rounding ties, the clip-elision
+boundary), and every element is compared with `fxp.su_eval` /
+`fxp.cfx_mul` / `fxp.fx_mul`; the words of the bank outside the piece
+must keep their values. `run_circuit`, which defers CX gates, is held
+to an eager gate-by-gate replay.
 Each such test runs three times: its class pins the native kernels as
 built for this host (on an AVX-512F CPU their vector body), a
 `...Portable` subclass pins the same library built without the vector
@@ -119,15 +121,60 @@ def diagonal(c0: CFx, c1: CFx) -> tuple:
     return c0, fxp.CFX_ZERO, fxp.CFX_ZERO, c1
 
 
-def scale_halves(c0, c1, t, re, im) -> None:
-    """The sparse step on qubit t of a bank, in place: `fxp.diag` with the
-    mask 2^t, so word k takes c1 where bit t of k is set and c0
-    elsewhere. The bank's length is a multiple of 2^(t+1)."""
-    fxp.diag([(c0, c1, 1 << t)], re, im)
-
-
 def random_words(rng, size: int) -> np.ndarray:
     return rng.integers(RAW_MIN, RAW_MAX + 1, size, dtype=fxp.WORD)
+
+
+def run_banks(call, size: int, parts) -> None:
+    """call(fxp.Banks) on a bank of `size` words that holds each (lo, re,
+    im) of parts at word lo and a fixed pattern elsewhere. The pattern
+    must keep its values; each part takes its new words, in place."""
+    rng = np.random.default_rng(size)
+    bank = [random_words(rng, size) for _ in range(2)]
+    keep = [b.copy() for b in bank]
+    outside = np.ones(size, dtype=bool)
+    for lo, re, im in parts:
+        outside[lo:lo + re.size] = False
+        bank[0][lo:lo + re.size] = re
+        bank[1][lo:lo + re.size] = im
+    call(fxp.Banks(*bank))
+    for b, k in zip(bank, keep):
+        assert b[outside].tobytes() == k[outside].tobytes()
+    for lo, re, im in parts:
+        re[...] = bank[0][lo:lo + re.size]
+        im[...] = bank[1][lo:lo + re.size]
+
+
+def run_diag(steps, re, im, base: int = 0) -> None:
+    """`fxp.diag` through `Banks.diag`: the words of re and im sit at
+    word base of a bank of base + size + 1 words, so that their stored
+    indices start at base."""
+    run_banks(lambda b: b.diag(steps, base, base + re.size), base + re.size + 1,
+              [(base, re, im)])
+
+
+def run_pair(m, xr, xi, yr, yi) -> None:
+    """`fxp.pair_banks` on flat x and y banks of one length through
+    `Banks.pair`: one row of `size` pairs, x at word 0 and y at word
+    half = 2^t, the least power of two not below the size."""
+    size = xr.size
+    t = max(size - 1, 0).bit_length()
+    run_banks(lambda b: b.pair(m, t, 0, 1, size), (2 << t) + 1,
+              [(0, xr, xi), (1 << t, yr, yi)])
+
+
+def run_rows(m, t, re, im) -> None:
+    """`Banks.pair` on every pair (k, k + 2^t) of a bank whose length is a
+    multiple of 2^(t+1), as rows of whole pairs."""
+    rows = re.size >> (t + 1)
+    run_banks(lambda b: b.pair(m, t, 0, rows, 1 << t), re.size + 1, [(0, re, im)])
+
+
+def scale_halves(c0, c1, t, re, im) -> None:
+    """The sparse step on qubit t of a bank, in place: `Banks.diag` with
+    the mask 2^t, so word k takes c1 where bit t of k is set and c0
+    elsewhere. The bank's length is a multiple of 2^(t+1)."""
+    run_diag([(c0, c1, 1 << t)], re, im)
 
 
 def random_coeff(rng) -> CFx:
@@ -170,8 +217,8 @@ def lane_checked(size: int) -> range | list:
 
 
 class TestScaleBank:
-    # the sparse SU step: fxp.diag with the mask 2^t on a bank, and a
-    # dense pair_banks with zero off-diagonals, which gives the same bits,
+    # the sparse SU step: Banks.diag with the mask 2^t on a bank, and a
+    # dense Banks.pair with zero off-diagonals, which gives the same bits,
     # on flat banks
     BODY = "native"
 
@@ -191,7 +238,7 @@ class TestScaleBank:
         x = [np.array(data.draw(word_lists(size)), dtype=fxp.WORD) for _ in range(4)]
         got = [a.copy() for a in x]
         with block_size(block):
-            fxp.pair_banks(*diagonal(c0, c1), *got)
+            run_pair(diagonal(c0, c1), *got)
         assert as_cfx(got[0], got[1]) == [fxp.cfx_mul(c0, v) for v in as_cfx(x[0], x[1])]
         assert as_cfx(got[2], got[3]) == [fxp.cfx_mul(c1, v) for v in as_cfx(x[2], x[3])]
 
@@ -203,7 +250,7 @@ class TestScaleBank:
         size = fxp.BLOCK + 37
         x = [random_words(rng, size) for _ in range(4)]
         got = [a.copy() for a in x]
-        fxp.pair_banks(*diagonal(c0, c1), *got)
+        run_pair(diagonal(c0, c1), *got)
         assert as_cfx(got[0], got[1]) == scalar_scale(c0, c0, 0, x[0], x[1])
         assert as_cfx(got[2], got[3]) == scalar_scale(c1, c1, 0, x[2], x[3])
         size = 2 << 16
@@ -269,9 +316,9 @@ def scalar_stretch(steps, base, re, im, ks) -> list:
 
 
 class TestDiag:
-    # the diagonal step fxp.diag (native hpqe_diag): bases and lengths
-    # that are not multiples of 16 put words before the first whole
-    # vector and after the last one
+    # the diagonal step Banks.diag (native hpqe_diag) on the words [base,
+    # base + size) of a bank: bases and lengths that are not multiples of
+    # 16 put words before the first whole vector and after the last one
     BODY = "native"
 
     @settings(max_examples=150, deadline=None, suppress_health_check=INHERITED)
@@ -283,7 +330,7 @@ class TestDiag:
         im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
         got = (re.copy(), im.copy())
         with block_size(block):
-            fxp.diag([(c0, c1, mask)], *got, base)
+            run_diag([(c0, c1, mask)], *got, base)
         assert as_cfx(*got) == scalar_diag(c0, c1, mask, base, re, im, range(size))
 
     @pytest.mark.parametrize("size", LANE_SIZES)
@@ -297,7 +344,7 @@ class TestDiag:
                 for c0, c1 in LANE_COEFFS:
                     for a, b in ((c0, c1), (c1, c0)):
                         got = (re.copy(), im.copy())
-                        fxp.diag([(a, b, mask)], *got, base)
+                        run_diag([(a, b, mask)], *got, base)
                         assert as_cfx(got[0][ks], got[1][ks]) == scalar_diag(
                             a, b, mask, base, re, im, ks), (mask, base, a, b)
 
@@ -313,9 +360,9 @@ class TestDiag:
         im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
         got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
         with block_size(block):
-            fxp.diag(steps, *got, base)
+            run_diag(steps, *got, base)
             for step in steps:
-                fxp.diag([step], *one, base)
+                run_diag([step], *one, base)
         assert as_cfx(*got) == as_cfx(*one) == scalar_stretch(steps, base, re, im,
                                                               range(size))
 
@@ -333,9 +380,9 @@ class TestDiag:
         re, im = (np.array(data.draw(st.lists(small, min_size=size, max_size=size)),
                            dtype=fxp.WORD) for _ in range(2))
         got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
-        fxp.diag(steps, *got, base)
+        run_diag(steps, *got, base)
         for step in steps:
-            fxp.diag([step], *one, base)
+            run_diag([step], *one, base)
         assert as_cfx(*got) == as_cfx(*one) == scalar_stretch(steps, base, re, im,
                                                               range(size))
 
@@ -353,9 +400,9 @@ class TestDiag:
         for base in (0, 5, 16 + 3):
             for k in (1, 4, 33, 70):
                 got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
-                fxp.diag(steps[:k], *got, base)
+                run_diag(steps[:k], *got, base)
                 for step in steps[:k]:
-                    fxp.diag([step], *one, base)
+                    run_diag([step], *one, base)
                 assert got[0].tobytes() == one[0].tobytes(), (base, k)
                 assert got[1].tobytes() == one[1].tobytes(), (base, k)
             assert as_cfx(got[0][ks], got[1][ks]) == scalar_stretch(steps, base, re, im, ks)
@@ -368,7 +415,7 @@ class TestDiag:
         words = np.array([RAW_MIN, RAW_MAX, RAW_MIN, 0, -SCALE, SCALE] * 7, dtype=fxp.WORD)
         for mask, base in ((1, 0), (0b10001, 3), (16, 16)):
             got = (words.copy(), words[::-1].copy())
-            fxp.diag([(m00, m11, mask)], *got, base)
+            run_diag([(m00, m11, mask)], *got, base)
             assert as_cfx(*got) == scalar_diag(m00, m11, mask, base, words, words[::-1],
                                                range(words.size))
             assert RAW_MAX in got[0]
@@ -386,7 +433,7 @@ class TestPairBanks:
              for _ in range(4)]
         got = [a.copy() for a in x]
         with block_size(block):
-            fxp.pair_banks(*m, *got)
+            run_pair(m, *got)
         xs, ys = as_cfx(x[0], x[1]), as_cfx(x[2], x[3])
         assert as_cfx(got[0], got[1]) == [fxp.su_eval(m[0], m[1], a, b)
                                           for a, b in zip(xs, ys)]
@@ -397,14 +444,14 @@ class TestPairBanks:
     @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), t=st.integers(0, 4),
            rows=st.integers(1, 4), block=small_blocks, data=st.data())
     def test_strided_halves_match_scalar(self, m, t, rows, block, data):
-        # the pair halves (k, k + 2^t) of one bank, as 2-D strided views
+        # the pair halves (k, k + 2^t) of one bank, in rows of whole pairs
+        # (2-D strided views in the numpy body)
         size = rows << (t + 1)
         re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
         im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
         gre, gim = re.copy(), im.copy()
-        r3, i3 = gre.reshape(rows, 2, 1 << t), gim.reshape(rows, 2, 1 << t)
         with block_size(block):
-            fxp.pair_banks(*m, r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1])
+            run_rows(m, t, gre, gim)
         for k in range(size):
             if (k >> t) & 1:
                 continue
@@ -420,7 +467,7 @@ class TestPairBanks:
         size = fxp.BLOCK + 37
         x = [random_words(rng, size) for _ in range(4)]
         got = [a.copy() for a in x]
-        fxp.pair_banks(*m, *got)
+        run_pair(m, *got)
         xs, ys = as_cfx(x[0], x[1]), as_cfx(x[2], x[3])
         assert as_cfx(got[0], got[1]) == [fxp.su_eval(m[0], m[1], a, b)
                                           for a, b in zip(xs, ys)]
@@ -436,7 +483,7 @@ class TestPairBanks:
             m = (a, c, d, b)
             x = [re, im, im[::-1].copy(), re[::-1].copy()]
             got = [v.copy() for v in x]
-            fxp.pair_banks(*m, *got)
+            run_pair(m, *got)
             xs = [CFx(int(x[0][k]), int(x[1][k])) for k in ks]
             ys = [CFx(int(x[2][k]), int(x[3][k])) for k in ks]
             assert as_cfx(got[0][ks], got[1][ks]) == [fxp.su_eval(m[0], m[1], p, q)
@@ -457,8 +504,7 @@ class TestPairBanks:
         for (a, b), (c, d) in zip(LANE_COEFFS, LANE_COEFFS[1:] + LANE_COEFFS[:1]):
             m = (a, c, d, b)
             gre, gim = re.copy(), im.copy()
-            r3, i3 = gre.reshape(rows, 2, 1 << t), gim.reshape(rows, 2, 1 << t)
-            fxp.pair_banks(*m, r3[:, 0], i3[:, 0], r3[:, 1], i3[:, 1])
+            run_rows(m, t, gre, gim)
             for k in ks:
                 j = k | (1 << t)
                 x, y = CFx(int(re[k]), int(im[k])), CFx(int(re[j]), int(im[j]))
@@ -502,11 +548,11 @@ class ClipElisionKernels:
         im = np.array([RAW_MIN, 0, RAW_MIN], dtype=fxp.WORD)
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c)):
             got = [a.copy() for a in (re, im, im, re)]
-            fxp.pair_banks(*diagonal(coeff, coeff), *got)
+            run_pair(diagonal(coeff, coeff), *got)
             assert as_cfx(got[0], got[1]) == [fxp.cfx_mul(coeff, x) for x in as_cfx(re, im)]
             assert as_cfx(got[2], got[3]) == [fxp.cfx_mul(coeff, x) for x in as_cfx(im, re)]
             got = [a.copy() for a in (re, im, im, re)]
-            fxp.pair_banks(coeff, coeff, coeff, coeff, *got)
+            run_pair((coeff, coeff, coeff, coeff), *got)
             xs, ys = as_cfx(re, im), as_cfx(im, re)
             assert as_cfx(got[0], got[1]) == [fxp.su_eval(coeff, coeff, a, b)
                                               for a, b in zip(xs, ys)]
@@ -549,7 +595,7 @@ class TestNarrowing:
         assert fxp.fx_mul(c, RAW_MIN) == RAW_MAX        # 2^31, clipped
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c), CFx(c, SCALE)):
             got = (re.copy(), im.copy())
-            scale_halves(coeff, fxp.CFX_ONE, 0, *got)
+            fxp.diag([(coeff, fxp.CFX_ONE, 1)], *got)
             assert as_cfx(*got) == scalar_scale(coeff, fxp.CFX_ONE, 0, re, im)
             got = [re.copy(), im.copy(), re[::-1].copy(), im[::-1].copy()]
             fxp.pair_banks(coeff, coeff, coeff, fxp.CFX_ONE, *got)
@@ -560,21 +606,48 @@ class TestNarrowing:
                                               for a, b in zip(xs, ys)]
 
 
-class TestNativeRows:
-    def test_takes_only_the_word(self):
+class TestBanks:
+    # fxp.Banks is the one door to the library: a writable, contiguous
+    # 1-D WORD pair takes it for every kernel; any other pair of arrays
+    # runs the numpy bodies, whose scratch allocation fails under this
+    # pin, and never reaches the int32_t * C code
+    BODY = "native"
+
+    def test_takes_only_the_word(self, monkeypatch):
+        calls = []
+        lib = fxp.native_kernels()
+
+        class Recording:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(lib, name)
+
+        monkeypatch.setattr(fxp, "_native", [Recording()])
+        h = gateset.single("H", 0).matrix
+        step = [(fxp.CFX_ONE, CFx(0, SCALE), 1)]
         a = np.zeros(16, dtype=fxp.WORD)
-        assert fxp.native_rows(a, a.copy()) == (1, 16, 16)
-        half = a.reshape(2, 2, 4)[:, 0]
-        assert fxp.native_rows(half, half) == (2, 4, 8)
-        # a wide bank never reaches the int32_t * C code
-        for wide in (np.int64, np.uint32, np.float32):
-            b = np.zeros(16, dtype=wide)
-            assert fxp.native_rows(b, b.copy()) is None
-            assert fxp.native_rows(a, b) is None
-            # one word per row passes every stride rule: only the type refuses it
-            for c in (b[:1], b.reshape(16, 1)[::2]):
-                assert fxp.native_rows(c, c) is None
-        assert fxp.native_rows(a[::2], a[1::2]) is None     # 8-byte word stride
+        banks = fxp.Banks(a, a.copy())
+        banks.pair(h, 0, 0, 8, 1)
+        banks.diag(step, 0, 16)
+        banks.cx(1, 0)
+        assert calls == ["hpqe_pair_banks", "hpqe_diag", "hpqe_cx"]
+        calls.clear()
+        read_only = a.copy()
+        read_only.flags.writeable = False
+        others = [(b, b.copy()) for b in (np.zeros(16, dtype=wide)
+                                          for wide in (np.int64, np.uint32, np.float32))]
+        others += [(a, np.zeros(16, dtype=np.int64)), (read_only, a.copy()),
+                   (a[::2], a[1::2])]                   # an 8-byte word stride
+        for re, im in others:
+            banks = fxp.Banks(re, im)
+            for run in (lambda: banks.pair(h, 0, 0, 4, 1), lambda: banks.diag(step, 0, 8)):
+                with pytest.raises(AssertionError, match="numpy kernel body ran"):
+                    run()
+        # one word per array passes every stride rule: only the type refuses it
+        wide = np.zeros(1, dtype=np.int64)
+        with pytest.raises(AssertionError, match="numpy kernel body ran"):
+            fxp.Banks(wide, wide.copy()).diag(step, 0, 1)
+        assert calls == []
 
 
 def _random_state(n: int, rng) -> state.StateVector:

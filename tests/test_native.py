@@ -6,7 +6,10 @@ in use without a message. These tests point the loader at other
 compilers and caches and reset what it remembers.
 """
 
+import ast
+import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -133,6 +136,39 @@ class TestCache:
         proc = python("import sys; import hpqe, hpqe.cli, hpqe.engine; from hpqe import fxp; "
                       "sys.exit(0 if fxp._native == [] else 3)")
         assert proc.returncode == 0, proc.stderr
+
+
+class TestOneDoor:
+    # fxp.Banks is the only code that calls the native library, and every
+    # entry point kernels.c defines is declared to ctypes with its
+    # parameters: a renamed or reshaped entry fails here, not at run time
+
+    def test_only_banks_calls_the_library(self):
+        # every use of native_kernels, and every hpqe_* attribute outside
+        # the loader's declarations, by module and top-level definition
+        calls, entries = set(), set()
+        for path in (SRC / "hpqe").glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for top in tree.body:
+                for node in ast.walk(top):
+                    name = (node.id if isinstance(node, ast.Name)
+                            else node.attr if isinstance(node, ast.Attribute) else "")
+                    where = (path.name, getattr(top, "name", None))
+                    if name == "native_kernels" and where != ("fxp.py", "native_kernels"):
+                        calls.add(where)
+                    if name.startswith("hpqe_") and where != ("fxp.py", "_load_native"):
+                        entries.add(where)
+        assert calls == entries == {("fxp.py", "Banks")}
+
+    def test_entry_points_match_argtypes(self):
+        source = fxp.NATIVE_SOURCE.read_text(encoding="utf-8")
+        defined = {name: len(params.split(",")) for name, params in
+                   re.findall(r"^void (hpqe_\w+)\(([^)]*)\)", source, re.M)}
+        declared = {name: len(types.split(",")) for name, types in
+                    re.findall(r"lib\.(hpqe_\w+)\.argtypes = \[([^\]]*)\]",
+                               inspect.getsource(fxp._load_native))}
+        assert defined == declared
+        assert set(defined) == {"hpqe_pair_banks", "hpqe_diag", "hpqe_cx"}
 
 
 class TestWarnings:
