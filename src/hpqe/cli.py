@@ -170,6 +170,7 @@ def _bench_row(gen: str, n: int, args, cfg) -> dict:
     row["circuit"] = f"{gen}-{n}"
     row["n"] = n
     try:
+        state.check_capacity(n, args.max_qubits)
         label, circuit = _generate(gen, n, args.layers, args.seed)
         row["circuit"] = label
         total, n_cx, n_single = circuits.gate_count(circuit)

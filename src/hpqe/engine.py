@@ -1,9 +1,9 @@
 """Fixed-point gate application and the pipelined CX swapper.
 
 A dense single-qubit gate on qubit t pushes every amplitude pair
-(i, i + 2^t) through the SU dataflow, in place (`fxp.Banks.pair` on
-rows of pairs): the kernel reads both words of a pair before it writes
-either, so no shadow buffer is needed. A sparse (diagonal) gate, RZ or
+(i, i + 2^t) through the SU dataflow, in place (`fxp.Banks.pair` on a
+range of pair indices): the kernel reads both words of a pair before it
+writes either, so no shadow buffer is needed. A sparse (diagonal) gate, RZ or
 S, is a step of `fxp.Banks.diag`: word i takes m11 where bit t of i is
 set and m00 elsewhere. Like the machine's sparse mode, which bypasses
 the second multiplier, it never reads the op's off-diagonal entries.
@@ -14,9 +14,12 @@ call, native or numpy, goes through `fxp.Banks`.
 
 Each pair's words depend on that pair alone, so a gate may be cut into
 contiguous pieces computed in any order, or at once, with the same
-bits. `apply_single` makes one kernel call on the whole state.
-`run_circuit` cuts each kernel call into one piece per thread of its
-pool, with a barrier between calls, from SPLIT_MIN_AMPS amplitudes up;
+bits. The engine names a piece only by an index range: words [lo, hi)
+of a diagonal stretch, pairs [lo, hi) of a dense gate; the kernels
+alone know where a pair's words are. `apply_single` makes one kernel
+call on the whole range. `run_circuit` cuts each kernel call's range
+into one piece per thread of its pool by one rule (`_ranges`), with a
+barrier between calls, from SPLIT_MIN_AMPS amplitudes up;
 below that size it makes one call on the whole state and no pool.
 Native calls release the GIL and each numpy-body call allocates its own
 scratch, so results are bit-identical for any worker count.
@@ -222,25 +225,12 @@ def simulate_swapper(n: int, control: int | None = None,
 # Single-qubit application.
 # ---------------------------------------------------------------------------
 
-def _diag_calls(n: int, steps: list, p: int) -> list:
-    # the `Banks.diag` arguments of a stretch of diagonal steps (c0, c1,
-    # mask) over p contiguous pieces of 2^n/p words each (p a power of
-    # two, at most 2^(n-1)); the pieces share no word, so the calls may
-    # run in any order or at once
-    step = (1 << n) // p
-    return [(steps, lo, lo + step) for lo in range(0, 1 << n, step)]
-
-
-def _pair_calls(n: int, op: GateOp, p: int) -> list:
-    # the `Banks.pair` arguments of a dense gate over p pieces as above
-    t = op.target
-    rows = 1 << (n - 1 - t)
-    if rows >= p:        # whole rows of pairs, rows/p per piece
-        step = rows // p
-        return [(op.matrix, t, lo << (t + 1), step, 1 << t) for lo in range(0, rows, step)]
-    step = (rows << t) // p          # parts of each row
-    return [(op.matrix, t, (r << (t + 1)) + lo, 1, step)
-            for r in range(rows) for lo in range(0, 1 << t, step)]
+def _ranges(total: int, p: int) -> list:
+    # [lo, hi) of p contiguous ranges of equal length that cover [0,
+    # total), p a power of two no greater than total; the kernel calls of
+    # the ranges share no word, so they may run in any order or at once
+    step = total // p
+    return [(lo, lo + step) for lo in range(0, total, step)]
 
 
 def _diag_step(op: GateOp, mask: int) -> tuple:
@@ -251,9 +241,17 @@ def _diag_step(op: GateOp, mask: int) -> tuple:
     return m00, m11, mask
 
 
-def _check_target(n: int, target: int) -> None:
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for n={n}")
+def _check_single(n: int, op: GateOp) -> None:
+    # a single-qubit gate the kernels can run: a quantized matrix whose
+    # parts are all words (a wider part would overflow their int64
+    # products), on a target in range
+    if op.matrix is None:
+        raise ValueError("gate matrix not quantized (use gateset.single)")
+    wide = [v for c in op.matrix for v in c if not fxp.RAW_MIN <= v <= fxp.RAW_MAX]
+    if wide:
+        raise ValueError(f"gate matrix part {wide[0]} lies outside the Q2.30 word")
+    if not 0 <= op.target < n:
+        raise ValueError(f"target {op.target} out of range for n={n}")
 
 
 def apply_single(state: StateVector, gate: GateOp,
@@ -265,14 +263,12 @@ def apply_single(state: StateVector, gate: GateOp,
     """
     if gate.kind == CX:
         raise ValueError("apply_single does not take CX")
-    if gate.matrix is None:
-        raise ValueError("gate matrix not quantized (use gateset.single)")
-    _check_target(state.n, gate.target)
+    _check_single(state.n, gate)
     banks = fxp.Banks(state.re, state.im)
     if gate.sparse:
         banks.diag([_diag_step(gate, 1 << gate.target)], 0, state.size)
     else:
-        banks.pair(*_pair_calls(state.n, gate, 1)[0])
+        banks.pair(gate.matrix, gate.target, 0, state.size // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -384,37 +380,36 @@ def run_circuit(state: StateVector, circuit: Circuit,
     steps: list = []          # the stretch of diagonal gates not yet run
     pool = ThreadPoolExecutor(max_workers=pieces) if pieces > 1 else None
 
-    def run(kernel, calls: list) -> None:
-        # kernel(*args) for the arguments of each piece
+    def run(kernel, total: int, *args) -> None:
+        # kernel(*args, lo, hi) on each piece's range of [0, total)
+        ranges = _ranges(total, pieces)
         if pool is None:
-            kernel(*calls[0])
+            kernel(*args, *ranges[0])
             return
-        futures = [pool.submit(kernel, *args) for args in calls]
+        futures = [pool.submit(kernel, *args, lo, hi) for lo, hi in ranges]
         for f in wait(futures).done:
             f.result()   # re-raise worker errors, a barrier per call
 
     def run_stretch() -> None:
         nonlocal steps
         if steps:
-            run(banks.diag, _diag_calls(n, steps, pieces))
+            run(banks.diag, 1 << n, steps)
             steps = []
 
     with pool or contextlib.nullcontext():
         try:
-            for idx, op in enumerate(circuit.ops):
+            for op in circuit.ops:
                 if op.kind == CX:
                     _check_cx(n, op.control, op.target)
                     labels.cx(op.control, op.target)
                     continue
-                if op.matrix is None:
-                    raise ValueError(f"gate {idx} has no quantized matrix")
-                _check_target(n, op.target)
+                _check_single(n, op)
                 if op.sparse:
                     steps.append(_diag_step(op, labels.parity[op.target]))
                     continue
                 run_stretch()
                 labels.flush(banks)
-                run(banks.pair, _pair_calls(n, op, pieces))
+                run(banks.pair, 1 << (n - 1), op.matrix, op.target)
         finally:
             run_stretch()
             labels.flush(banks)

@@ -16,8 +16,9 @@ mask (`Banks.diag`), and the CX swap (`Banks.cx`). The stretch runs
 every step on a word, in order, before the next word, so it reads and
 writes the bank once for all its steps. `Banks` binds the two arrays
 to the kernels once, so that the engine computes each piece of a gate
-with one call on word offsets, and it is the only code that calls the
-native library. Each kernel has two bodies:
+with one call on an index range of the whole state (words for a
+stretch, amplitude pairs for the SU step), and it is the only code that
+calls the native library. Each kernel has two bodies:
 
   * native: `kernels.c`, compiled with the system C compiler on the
     first kernel call (never at import) and cached in the package's
@@ -70,7 +71,6 @@ FRAC_MASK = SCALE - 1
 HALF_ULP = 1 << (FRAC - 1)
 
 WORD = np.int32           # the stored word of a state or a bank
-WORD_BYTES = np.dtype(WORD).itemsize
 
 RAW_ONE = SCALE                  # quantize(1.0)
 RAW_SQRT_HALF = 759250125        # quantize(1/sqrt(2)), frozen golden value
@@ -221,7 +221,7 @@ def _load_native():
         return None
     ptr, i64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
     coefs = ctypes.c_char_p          # the bytes of `_coefs`, passed without a copy
-    lib.hpqe_pair_banks.argtypes = [ptr, ptr, i64, i64, i64, coefs]
+    lib.hpqe_pair_banks.argtypes = [ptr, ptr, i32, i64, i64, coefs]
     lib.hpqe_diag.argtypes = [ptr, ptr, i64, i64, i64, coefs, coefs]
     lib.hpqe_cx.argtypes = [ptr, ptr, i32, i32, i32]
     for fn in (lib.hpqe_pair_banks, lib.hpqe_diag, lib.hpqe_cx):
@@ -493,15 +493,15 @@ def diag(steps, re: np.ndarray, im: np.ndarray, base: int = 0) -> None:
 class Banks:
     """A flat state's two WORD arrays, bound to the bank kernels once.
 
-    `pair`, `diag` and `cx` compute a piece of a gate named by word
-    offsets into the state, or a whole CX. This is the only code that
+    `pair` and `diag` compute a piece of a gate named by an index range
+    of the whole state, and `cx` a whole CX. This is the only code that
     calls the native library: where it is loaded and both arrays are
     writable, C-contiguous 1-D WORD arrays of one length, each call is
-    one foreign call on the base addresses taken here, with no views and
-    no per-call checks of the arrays. Anything else (no library, a wider
-    integer type, a read-only or strided array) runs the numpy bodies,
-    `pair_banks` and `diag`, on views of the piece, and the CX as a swap
-    of views. Pieces that share no word may run at once.
+    one foreign call on the base addresses taken here and the range,
+    with no views and no per-call checks of the arrays. Anything else (no
+    library, a wider integer type, a read-only or strided array) runs the
+    numpy bodies, `pair_banks` and `diag`, on views of the piece, and the
+    CX as a swap of views. Pieces that share no word may run at once.
     """
 
     def __init__(self, re: np.ndarray, im: np.ndarray):
@@ -517,31 +517,35 @@ class Banks:
             self._addr = tuple(ctypes.addressof(ctypes.c_char.from_buffer(a))
                                for a in (re, im))
 
-    def pair(self, m: tuple, t: int, lo: int, rows: int, width: int) -> None:
-        """`pair_banks` with m = (m00, m01, m10, m11) on the pairs (k, k + 2^t)
-        of `rows` rows of `width` pairs, row r starting at word lo + r*2^(t+1).
+    def pair(self, m: tuple, t: int, lo: int, hi: int) -> None:
+        """`pair_banks` with m = (m00, m01, m10, m11) on the pairs [lo, hi) of
+        qubit t: pair j is word k = j + (j & -2^t), j with a 0 inserted at
+        bit t, and word k + 2^t.
 
-        A piece of several rows holds whole rows (width = 2^t).
+        Without the library the range is at most three `pair_banks`
+        calls: the part of a row (2^t pairs of consecutive words) before
+        the first row boundary, the whole rows after it as one 2-D view,
+        and the part of a row after the last boundary.
         """
-        half = 1 << t
         if self._lib is not None:
-            re, im = self._addr
-            x = lo * WORD_BYTES
-            self._lib.hpqe_pair_banks(re + x, im + x, half, rows, width, _coefs(*m))
+            self._lib.hpqe_pair_banks(*self._addr, t, lo, hi, _coefs(*m))
             return
-        if rows == 1:
-            views = [a[k:k + width] for k in (lo, lo + half) for a in (self.re, self.im)]
-        else:
-            views = [a[lo:lo + (rows << (t + 1))].reshape(rows, 2, half)[:, h]
-                     for h in (0, 1) for a in (self.re, self.im)]
-        pair_banks(*m, *views)
+        half = 1 << t
+        first = min((lo + half - 1) & -half, hi)
+        last = max(hi & -half, first)
+        for j, end in ((lo, first), (last, hi)):
+            if j < end:
+                k = j + (j & -half)
+                pair_banks(*m, *(a[h:h + end - j] for h in (k, k + half)
+                                 for a in (self.re, self.im)))
+        if first < last:
+            pair_banks(*m, *(a[2 * first:2 * last].reshape(-1, 2, half)[:, h]
+                             for h in (0, 1) for a in (self.re, self.im)))
 
     def diag(self, steps, lo: int, hi: int) -> None:
         """`diag` with these steps on the words [lo, hi) of the state."""
         if self._lib is not None:
-            re, im = self._addr
-            self._lib.hpqe_diag(re + lo * WORD_BYTES, im + lo * WORD_BYTES, hi - lo,
-                                lo, *_steps(steps))
+            self._lib.hpqe_diag(*self._addr, lo, hi, *_steps(steps))
             return
         diag(steps, self.re[lo:hi], self.im[lo:hi], lo)
 

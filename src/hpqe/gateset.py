@@ -180,7 +180,7 @@ def circuit_from_text(text: str, n: int | None = None) -> Circuit:
     if n is not None and n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     circuit = Circuit(n=n if n is not None else 0)
-    saw_header = False
+    header_line = 0
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if line.startswith("#"):
@@ -200,6 +200,8 @@ def circuit_from_text(text: str, n: int | None = None) -> Circuit:
                 raise ValueError(f"{fields[0]} takes {operands} operand(s), "
                                  f"got {len(fields) - 1}")
             if kind == "QUBITS":
+                if header_line:
+                    raise ValueError(f"second QUBITS header (the first is line {header_line})")
                 header_n = int(fields[1])
                 if header_n < 1:
                     raise ValueError(f"qubit count must be >= 1, got {header_n}")
@@ -207,7 +209,7 @@ def circuit_from_text(text: str, n: int | None = None) -> Circuit:
                     raise ValueError(
                         f"header says {header_n} qubits, caller requested {n}")
                 circuit.n = header_n
-                saw_header = True
+                header_line = lineno
             elif kind == CX:
                 circuit.ops.append(cx(int(fields[1]), int(fields[2])))
             elif kind in ROTATION_KINDS:
@@ -216,7 +218,7 @@ def circuit_from_text(text: str, n: int | None = None) -> Circuit:
                 circuit.ops.append(single(kind, int(fields[1])))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    if not saw_header and n is None:
+    if not header_line and n is None:
         raise ValueError("missing QUBITS header and no qubit count supplied")
     circuit.validate()
     return circuit

@@ -22,11 +22,13 @@
  * hold every body to the scalar functions.
  *
  * Every entry takes the base pointers of a state's two contiguous arrays
- * of int32 words, the machine's own, offset to the first word of a piece;
- * fxp.Banks makes every call. A pair of the SU step is (word k, word
- * k + half) of the same arrays. Kernels update in place; every output of
- * one element is computed from values read before any of them is
- * written.
+ * of int32 words, the machine's own, and the index range of the state it
+ * computes: words [lo, hi) for a diagonal stretch, pairs [lo, hi) for
+ * the SU step, where pair j of qubit t is (word k, word k + 2^t) with k
+ * = j + (j & -2^t), j with a 0 inserted at bit t. Only the bodies know
+ * where a pair's words are; fxp.Banks makes every call. Kernels update
+ * in place; every output of one element is computed from values read
+ * before any of them is written.
  *
  * Each kernel has two bodies with the same bits. The portable one is
  * plain C loops that widen each word to int64 and narrow it only after
@@ -79,14 +81,19 @@ BODY int64_t cmul_im(int64_t cr, int64_t ci, int64_t xr, int64_t xi, const int c
     return sat(mul(cr, xi, clip) + mul(ci, xr, clip));
 }
 
-BODY void pair_body(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64_t width,
+/* su_eval on the pairs (x, y) [lo, hi) of qubit t (hpqe_pair_banks): x
+ * takes sat(cfx_mul(m00, x) + cfx_mul(m01, y)), y takes
+ * sat(cfx_mul(m11, y) + cfx_mul(m10, x)). The 2^t pairs of a row, from
+ * one multiple of 2^t to the next, have consecutive words, so the range
+ * runs one row at a time. */
+BODY void pair_body(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
                     const int64_t *m, const int clip)
 {
-    for (int64_t r = 0; r < rows; r++)
-        for (int64_t k = 2 * half * r; k < 2 * half * r + width; k++) {
-            /* su_eval on the pair (x, y) = (word k, word k + half) of each
-             * component: x takes sat(cfx_mul(m00, x) + cfx_mul(m01, y)), y
-             * takes sat(cfx_mul(m11, y) + cfx_mul(m10, x)) */
+    int64_t half = 1LL << t;
+    for (int64_t j = lo; j < hi;) {
+        int64_t end = (j | (half - 1)) + 1;
+        end = end < hi ? end : hi;
+        for (int64_t k = j + (j & -half), last = k + (end - j); k < last; k++) {
             int64_t ar = re[k], ai = im[k], br = re[k + half], bi = im[k + half];
             int64_t sr = cmul_re(m[0], m[1], ar, ai, clip), si = cmul_im(m[0], m[1], ar, ai, clip);
             int64_t tr = cmul_re(m[6], m[7], br, bi, clip), ti = cmul_im(m[6], m[7], br, bi, clip);
@@ -95,6 +102,8 @@ BODY void pair_body(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64_
             re[k + half] = (int32_t)sat(tr + cmul_re(m[4], m[5], ar, ai, clip));
             im[k + half] = (int32_t)sat(ti + cmul_im(m[4], m[5], ar, ai, clip));
         }
+        j = end;
+    }
 }
 
 /* word k, at stored index base + k, <- cfx_mul(c1 if the parity of
@@ -129,10 +138,10 @@ BODY void diag_body(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t
 /* the portable bodies, one instantiation per clip; the vector bodies
  * call them for their remaining words */
 static __attribute__((noinline)) void
-pair_portable(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64_t width,
-              const int64_t *m, int clip)
+pair_portable(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi, const int64_t *m,
+              int clip)
 {
-    VARIANTS(pair_body, clip, re, im, half, rows, width, m);
+    VARIANTS(pair_body, clip, re, im, t, lo, hi, m);
 }
 
 static __attribute__((noinline)) void
@@ -306,67 +315,53 @@ VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
  * x)), so each output word is sat(cfx_mul(a, own) + cfx_mul(b,
  * partner)) with (a, b) = (m00, m01) for x and (m11, m10) for y.
  *
- * When the rows hold whole pairs on a qubit t < 4 (width = half = 2^t),
- * the rows are one run of whole pairs: each vector holds whole pairs, the
- * partner of word l is word l ^ half and (a, b) alternate with bit t of
- * l. Rows of 16 words or more run whole vectors of x and of y. Other
- * narrow rows and the remaining words run the portable loop. */
-VBODY void pair_vbody(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64_t width,
+ * A vector of pairs starts at a pair index that is a multiple of its
+ * size. On t < 4 it holds 8 whole pairs, the 16 words from k = 2j on:
+ * the partner of word l is word l ^ 2^t, and (a, b) alternate with bit t
+ * of l. On t >= 4 it holds 16 pairs of one row: a vector of x words at
+ * k and one of y words at k + 2^t, each with the coefficients of its
+ * own half. The pairs before the first whole vector of the range and
+ * after the last run the portable loop. */
+VBODY void pair_vbody(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
                       const int64_t *m, const int clip)
 {
-    if (width != half && width < 16) {
-        pair_portable(re, im, half, rows, width, m, clip);
+    int64_t half = 1LL << t, lanes = t < 4 ? half : 0, size = t < 4 ? 8 : 16;
+    int outputs = t < 4 ? 1 : 2;
+    int64_t first = (lo + size - 1) & -size, last = hi & -size;
+    if (first >= last) {
+        pair_portable(re, im, t, lo, hi, m, clip);
         return;
-    }
-    /* whole pairs of width < 16 as one run, where word l takes (a, b) by
-     * bit t of l; otherwise rows of x and of y, where every vector takes
-     * the coefficients of its own half */
-    int64_t lanes = 0, run = width;
-    int outputs = 2;
-    if (width < 16) {
-        lanes = width;
-        run = rows * 2 * half;
-        rows = 1;
-        outputs = 1;
     }
     vcoef c[2][2];          /* (a, b) of the x words and of the y words */
     vlanes(&c[0][0], m[0], m[1], m[6], m[7], lanes);
     vlanes(&c[0][1], m[2], m[3], m[4], m[5], lanes);
     vlanes(&c[1][0], m[6], m[7], 0, 0, 0);
     vlanes(&c[1][1], m[4], m[5], 0, 0, 0);
-    const v16d partner = (v16d)LANES ^ (int)width;
-    int64_t whole = run & ~(int64_t)15;
-    for (int64_t r = 0; r < rows; r++) {
-        int64_t k = 2 * half * r;
-        for (int64_t end = k + whole; k < end; k += 16) {
-            int32_t *out[2][2] = {{re + k, im + k}, {re + k + half, im + k + half}};
-            v16d v[2][2];
-            v[0][0] = vload(re + k);
-            v[0][1] = vload(im + k);
-            /* the y words of a row, or the partners of a run's words */
-            for (int p = 0; p < 2; p++)
-                v[1][p] = outputs == 2 ? vload(out[1][p])
-                          : __builtin_shuffle(v[0][p], partner);
-            /* a loop, not two calls: one copy of the step per variant
-             * halves the compile time of this body */
+    const v16d partner = (v16d)LANES ^ (int)lanes;
+    for (int64_t j = first; j < last; j += size) {
+        int64_t k = j + (j & -half);
+        int32_t *out[2][2] = {{re + k, im + k}, {re + k + half, im + k + half}};
+        v16d v[2][2];
+        v[0][0] = vload(re + k);
+        v[0][1] = vload(im + k);
+        /* the y words, or the partners of the pairs' words */
+        for (int p = 0; p < 2; p++)
+            v[1][p] = outputs == 2 ? vload(out[1][p]) : __builtin_shuffle(v[0][p], partner);
+        /* a loop, not two calls: one copy of the step per variant
+         * halves the compile time of this body */
 #pragma GCC unroll 1
-            for (int o = 0; o < outputs; o++)
-                vdense16(v[o][0], v[o][1], v[!o][0], v[!o][1], &c[o][0], &c[o][1],
-                         out[o][0], out[o][1], clip);
-        }
-        if (whole == run)
-            continue;
-        if (outputs == 1)
-            pair_portable(re + k, im + k, half, (run - whole) / (2 * half), width, m, clip);
-        else
-            pair_portable(re + k, im + k, half, 1, width - whole, m, clip);
+        for (int o = 0; o < outputs; o++)
+            vdense16(v[o][0], v[o][1], v[!o][0], v[!o][1], &c[o][0], &c[o][1],
+                     out[o][0], out[o][1], clip);
     }
+    pair_portable(re, im, t, lo, first, m, clip);
+    pair_portable(re, im, t, last, hi, m, clip);
 }
 
-static VTARGET void pair_avx512(int32_t *re, int32_t *im, int64_t half, int64_t rows,
-                                int64_t width, const int64_t *m, int clip)
+static VTARGET void pair_avx512(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
+                                const int64_t *m, int clip)
 {
-    VARIANTS(pair_vbody, clip, re, im, half, rows, width, m);
+    VARIANTS(pair_vbody, clip, re, im, t, lo, hi, m);
 }
 
 /* 1 when every word of a and b lies in [-2^30, 2^30] */
@@ -527,11 +522,10 @@ static int all_of(int (*test)(int64_t), const int64_t *c, int k)
     return all;
 }
 
-/* SU step on rows of pairs: for each row r and each k in
- * [2*half*r, 2*half*r + width), the pair (word k, word k + half) of re
- * and im <- su_eval of the pair. coefs holds m00, m01, m10, m11 as (re,
- * im) int64 pairs. half is a power of two and width at most half. */
-void hpqe_pair_banks(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64_t width,
+/* SU step on the pairs [lo, hi) of qubit t: pair j, the words k = j +
+ * (j & -2^t) and k + 2^t of re and im, <- su_eval of the pair. coefs
+ * holds m00, m01, m10, m11 as (re, im) int64 pairs. */
+void hpqe_pair_banks(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
                      const void *coefs)
 {
     int64_t m[8];
@@ -539,20 +533,20 @@ void hpqe_pair_banks(int32_t *re, int32_t *im, int64_t half, int64_t rows, int64
     int clip = !all_of(fits, m, 8);
 #ifdef HPQE_AVX512
     if (have_avx512() && all_of(is_word, m, 8)) {
-        pair_avx512(re, im, half, rows, width, m, clip);
+        pair_avx512(re, im, t, lo, hi, m, clip);
         return;
     }
 #endif
-    pair_portable(re, im, half, rows, width, m, clip);
+    pair_portable(re, im, t, lo, hi, m, clip);
 }
 
-/* A stretch of k diagonal steps: for j = 0, ..., k-1 in order, word i of
- * re and im, at stored index base + i, <- cfx_mul(c1 of step j if the
- * parity of (base + i) & masks[j] is odd else c0 of step j, word i), for
- * i in [0, len). masks holds k int64 masks, coefs the k steps' (c0, c1)
- * as (re, im) int64 pairs. One clip, and one body, serve every step of
- * the call; a longer stretch runs as passes of DIAG_STEPS steps. */
-void hpqe_diag(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t k,
+/* A stretch of k diagonal steps on the words [lo, hi): for j = 0, ...,
+ * k-1 in order, word i of re and im <- cfx_mul(c1 of step j if the
+ * parity of i & masks[j] is odd else c0 of step j, word i). masks holds k
+ * int64 masks, coefs the k steps' (c0, c1) as (re, im) int64 pairs. One
+ * clip, and one body, serve every step of the call; a longer stretch
+ * runs as passes of DIAG_STEPS steps. */
+void hpqe_diag(int32_t *re, int32_t *im, int64_t lo, int64_t hi, int64_t k,
                const void *masks, const void *coefs)
 {
     for (int64_t j = 0; j < k; j += DIAG_STEPS) {
@@ -563,11 +557,11 @@ void hpqe_diag(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t k,
         int clip = !all_of(fits, c, 4 * steps);
 #ifdef HPQE_AVX512
         if (have_avx512() && all_of(is_word, c, 4 * steps)) {
-            diag_avx512(re, im, len, base, steps, m, c, clip);
+            diag_avx512(re + lo, im + lo, hi - lo, lo, steps, m, c, clip);
             continue;
         }
 #endif
-        diag_steps_portable(re, im, len, base, steps, m, c, clip);
+        diag_steps_portable(re + lo, im + lo, hi - lo, lo, steps, m, c, clip);
     }
 }
 

@@ -41,9 +41,13 @@ class PerfConfig:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 want = "a number" if f.type == "float" else "an integer"
                 raise ValueError(f"PerfConfig.{f.name} must be {want}, got {value!r}")
-            if not math.isfinite(value) or value <= 0:
+            # comparisons, not math.isfinite: a huge int must not overflow
+            if not 0 < value < math.inf:
                 raise ValueError(
                     f"PerfConfig.{f.name} must be positive and finite, got {value}")
+            # every cycle count the model forms then stays a finite float
+            if isinstance(value, int) and value > 1 << 53:
+                raise ValueError(f"PerfConfig.{f.name} must be at most 2^53")
         if self.bram_qubit_limit >= HARD_QUBIT_LIMIT:
             raise ValueError("bram_qubit_limit must be below the 30-qubit ceiling")
 

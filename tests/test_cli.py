@@ -223,6 +223,25 @@ class TestBench:
         assert rows[0]["error"] == "" and float(rows[0]["fidelity"]) > 0.9999
         assert all("CapacityError" in r["error"] for r in rows[1:])
 
+    def test_capacity_is_checked_before_the_circuit(self, tmp_path, monkeypatch):
+        # a row past the default ceiling builds no circuit: it keeps its
+        # gen-n label, its gate columns stay empty, its error names the cause
+        generated = []
+        real = cli._generate
+
+        def spy(gen, n, *args):
+            generated.append(n)
+            return real(gen, n, *args)
+
+        monkeypatch.setattr(cli, "_generate", spy)
+        assert run_cli("bench", "--gen", "qft", "--n", "27..28", "--format", "json",
+                       "--out", tmp_path) == 0
+        rows = json.loads((tmp_path / "bench.json").read_text())
+        assert [(r["circuit"], r["gates_total"]) for r in rows] == [("qft-27", ""),
+                                                                   ("qft-28", "")]
+        assert all(r["error"].startswith("CapacityError: ") for r in rows)
+        assert generated == []
+
     def test_qft17_row_matches_reference_table(self, tmp_path):
         assert run_cli("bench", "--gen", "qft", "--n", "17..17",
                        "--out", tmp_path) == 0
@@ -342,7 +361,11 @@ class TestDeterminism:
 class TestInputErrors:
     @pytest.mark.parametrize("doc", ['{"bogus": 1}', '{"hbm_ports": "x"}',
                                      '{"hbm_ports": 2.0}', '{"freq_hz": true}',
-                                     '[250e6]'])
+                                     '[250e6]',
+                                     pytest.param('{"hbm_ports": 1%s}' % ("0" * 400),
+                                                  id="huge-int"),
+                                     pytest.param('{"freq_hz": -1%s}' % ("0" * 400),
+                                                  id="huge-negative-int")])
     def test_bad_config_exits_4_with_one_line(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(doc)
@@ -351,6 +374,17 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", (("run", "--gen", "qft", "--n", 12),
+                                      ("bench", "--gen", "qft", "--n", "3..4")))
+    def test_config_bounds_every_cycle_count(self, tmp_path, capsys, argv):
+        # a pipeline fill of 10^307 cycles is a float, but the modeled
+        # time of a gate count times it is not: the config is refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"pipeline_fill": 1%s}' % ("0" * 307))
+        assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "out") == 4
+        assert capsys.readouterr().err == "error: PerfConfig.pipeline_fill must be at most 2^53\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("phase", ("nan", "inf", "abc"))
     def test_bad_global_phase_exits_4_with_one_line(self, tmp_path, capsys, phase):
@@ -397,13 +431,15 @@ class TestInputErrors:
         ("QUBITS 2\nRY 0\n", (), "error: line 2: RY takes 2 operand(s), got 1"),
         ("QUBITS 2\nCX 0\n", (), "error: line 2: CX takes 2 operand(s), got 1"),
         ("QUBITS 2\nH 0 1\n", (), "error: line 2: H takes 1 operand(s), got 2"),
+        ("QUBITS 2\nH 0\nQUBITS 5\nH 4\n", (),
+         "error: line 3: second QUBITS header (the first is line 1)"),
         ("H 0\n", ("--n", -1), "error: qubit count must be >= 1, got -1"),
         (None, ("--gen", "chain", "--n", 4, "--layers", -1),
          "error: n and layers must be >= 1"),
         (None, ("--gen", "rotation", "--n", 4, "--seed", -1),
          "error: --seed must be >= 0, got -1"),
-    ), ids=("qubits", "rotation-operands", "cx-operands", "extra-operand", "n",
-            "layers", "seed"))
+    ), ids=("qubits", "rotation-operands", "cx-operands", "extra-operand", "second-header",
+            "n", "layers", "seed"))
     @pytest.mark.parametrize("command", ("run", "compare"))
     def test_bad_input_exits_4_naming_it(self, tmp_path, capsys, command, text, argv,
                                          message):

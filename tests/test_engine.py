@@ -275,9 +275,8 @@ class TestRunCircuit:
             # the state words one call reads and writes
             if name == "diag":
                 return set(range(*args[1:3]))
-            _, t, lo, rows, width = args
-            return {lo + (r << (t + 1)) + h + k for r in range(rows)
-                    for h in (0, 1 << t) for k in range(width)}
+            _, t, lo, hi = args
+            return {j + (j & -(1 << t)) + h for j in range(lo, hi) for h in (0, 1 << t)}
 
         def executed(n, ops):
             # the calls one worker makes: a stretch's steps with the masks of
@@ -365,7 +364,7 @@ class TestRunCircuit:
     def test_requires_quantized_matrix(self, workers):
         c = gateset.Circuit(n=3, ops=[gateset.cx(0, 1),
                                       gateset.GateOp(kind="H", target=0)])
-        with pytest.raises(ValueError, match="gate 1 has no quantized matrix"):
+        with pytest.raises(ValueError, match="gate matrix not quantized"):
             engine.run_circuit(state.init_basis(3, 0), c, workers=workers)
 
     @pytest.mark.parametrize("workers", (1, 2))
@@ -416,6 +415,57 @@ class TestRunCircuit:
             else:
                 engine.apply_single(want, op)
         assert sv.dump() == want.dump()
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("sparse", (True, False))
+    @pytest.mark.parametrize("part, value", (
+        (None, None), (0, 1 << 50), (1, fxp.RAW_MIN - 1), (2, fxp.RAW_MAX + 1), (7, -(1 << 40))))
+    def test_bad_matrix_fails_at_its_own_gate(self, workers, sparse, part, value):
+        # a gate without a matrix, or with a matrix part outside the word
+        # (whose int64 products in the kernels would overflow), fails
+        # apply_single and, with the same error, run_circuit at that gate;
+        # the state then holds every gate before it and none after it
+        n = 3
+        head = [gateset.single("H", 0), gateset.single("RZ", 2, 0.7), gateset.cx(0, 1),
+                gateset.single("S", 1), gateset.single("RZ", 2, 1.1)]
+        bad = gateset.single("RZ" if sparse else "RY", 1, 0.4)
+        parts = [v for c in bad.matrix for v in c]
+        if part is not None:
+            parts[part] = value
+        bad = replace(bad, matrix=None if part is None else tuple(
+            CFx(*parts[i:i + 2]) for i in range(0, 8, 2)))
+        circuit = gateset.Circuit(n=n, ops=[*head, bad, gateset.single("H", 0)])
+        with pytest.raises(ValueError) as eager:
+            engine.apply_single(state.init_basis(n, 0), bad)
+        sv = state.init_basis(n, 0)
+        with split_every_state(), pytest.raises(ValueError, match=re.escape(str(eager.value))):
+            engine.run_circuit(sv, circuit, workers=workers)
+        want = state.init_basis(n, 0)
+        for op in head:
+            if op.kind == "CX":
+                engine.apply_cx(want, op.control, op.target)
+            else:
+                engine.apply_single(want, op)
+        assert sv.dump() == want.dump()
+
+    @pytest.mark.parametrize("sparse", (True, False))
+    def test_word_ends_are_accepted(self, sparse):
+        # RAW_MIN and RAW_MAX are words: both entry points run such a gate
+        ends = (CFx(fxp.RAW_MIN, fxp.RAW_MAX), CFx(fxp.RAW_MAX, fxp.RAW_MIN))
+        matrix = (ends[0], fxp.CFX_ZERO, fxp.CFX_ZERO, ends[1]) if sparse else ends * 2
+        op = gateset.GateOp(kind="RZ" if sparse else "RY", target=1, matrix=matrix,
+                            sparse=sparse)
+        rng = np.random.default_rng(5)
+        start = state.init_basis(3, 0)
+        start.re[:] = rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, 8)
+        start.im[:] = rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, 8)
+        eager = start.copy()
+        engine.apply_single(eager, op)
+        sv, _ = engine.run_circuit(start.copy(), gateset.Circuit(n=3, ops=[op]))
+        assert sv.dump() == eager.dump() != start.dump()
+        x, y = start.get(0), start.get(2)
+        assert eager.get(0) == fxp.su_eval(*matrix[:2], x, y,
+                                           op=fxp.SPARSE if sparse else fxp.DENSE)
 
     def test_no_pool_below_the_split_size(self, monkeypatch):
         # below SPLIT_MIN_AMPS amplitudes run_circuit makes one call per

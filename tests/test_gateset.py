@@ -208,6 +208,15 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             gateset.circuit_from_text("QUBITS 4\n", n=3)
 
+    def test_one_header(self):
+        # a header may follow gate lines; a second one fails, naming its line
+        c = gateset.circuit_from_text("H 1\nQUBITS 2\nH 0\n")
+        assert c.n == 2 and [op.target for op in c.ops] == [1, 0]
+        with pytest.raises(ValueError, match=r"^line 3: second QUBITS header \(the first is line 1\)$"):
+            gateset.circuit_from_text("QUBITS 2\nH 0\nQUBITS 5\nH 4\n")
+        with pytest.raises(ValueError, match=r"^line 3: second QUBITS header \(the first is line 2\)$"):
+            gateset.circuit_from_text("H 0\nQUBITS 3\nQUBITS 3\n", n=3)
+
     def test_parse_errors(self):
         for bad in ("QUBITS 2\nFOO 0\n", "QUBITS 2\nRX 0\n", "QUBITS 2\nH\n",
                     "QUBITS 2\nH 5\n"):

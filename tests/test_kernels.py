@@ -155,19 +155,18 @@ def run_diag(steps, re, im, base: int = 0) -> None:
 
 def run_pair(m, xr, xi, yr, yi) -> None:
     """`fxp.pair_banks` on flat x and y banks of one length through
-    `Banks.pair`: one row of `size` pairs, x at word 0 and y at word
-    half = 2^t, the least power of two not below the size."""
+    `Banks.pair`: the first `size` pairs of qubit t, x at word 0 and y at
+    word 2^t, the least power of two not below the size."""
     size = xr.size
     t = max(size - 1, 0).bit_length()
-    run_banks(lambda b: b.pair(m, t, 0, 1, size), (2 << t) + 1,
+    run_banks(lambda b: b.pair(m, t, 0, size), (2 << t) + 1,
               [(0, xr, xi), (1 << t, yr, yi)])
 
 
 def run_rows(m, t, re, im) -> None:
     """`Banks.pair` on every pair (k, k + 2^t) of a bank whose length is a
-    multiple of 2^(t+1), as rows of whole pairs."""
-    rows = re.size >> (t + 1)
-    run_banks(lambda b: b.pair(m, t, 0, rows, 1 << t), re.size + 1, [(0, re, im)])
+    multiple of 2^(t+1), as one range of pairs."""
+    run_banks(lambda b: b.pair(m, t, 0, re.size // 2), re.size + 1, [(0, re, im)])
 
 
 def scale_halves(c0, c1, t, re, im) -> None:
@@ -461,6 +460,35 @@ class TestPairBanks:
             assert (int(gre[k]), int(gim[k])) == fxp.su_eval(m[0], m[1], x, y)
             assert (int(gre[j]), int(gim[j])) == fxp.su_eval(m[2], m[3], x, y)
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=INHERITED)
+    @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), t=st.integers(0, 8), block=small_blocks,
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_any_pair_range_matches_scalar(self, m, t, block, seed, data):
+        # Banks.pair on pairs [lo, hi) of a whole state: pair j is word k =
+        # j + (j & -2^t) and word k + 2^t. The ends fall anywhere, or on or
+        # next to a vector (8 or 16 pairs) or row (2^t pairs) boundary;
+        # every word outside the range keeps its value
+        n = data.draw(st.integers(t + 1, 10))
+        pairs = 1 << (n - 1)
+        edge = st.builds(lambda size, i, d: min(max(i * size + d, 0), pairs),
+                         st.sampled_from((8, 16, 1 << t)), st.integers(0, pairs >> t),
+                         st.integers(-1, 1))
+        end = st.one_of(st.integers(0, pairs), edge)
+        lo, hi = sorted((data.draw(end), data.draw(end)))
+        rng = np.random.default_rng(seed)
+        re, im = (np.where(rng.random(1 << n) < 0.3, rng.choice(EDGES, 1 << n),
+                           random_words(rng, 1 << n)).astype(fxp.WORD) for _ in range(2))
+        got = (re.copy(), im.copy())
+        with block_size(block):
+            fxp.Banks(*got).pair(m, t, lo, hi)
+        want = (re.copy(), im.copy())
+        for j in range(lo, hi):
+            k = j + (j & -(1 << t))
+            x, y = (CFx(int(re[i]), int(im[i])) for i in (k, k + (1 << t)))
+            for i, a, b in ((k, m[0], m[1]), (k + (1 << t), m[2], m[3])):
+                want[0][i], want[1][i] = fxp.su_eval(a, b, x, y)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
     def test_real_block_partial_tail(self):
         rng = np.random.default_rng(71)
         m = [random_coeff(rng) for _ in range(4)]
@@ -627,7 +655,7 @@ class TestBanks:
         step = [(fxp.CFX_ONE, CFx(0, SCALE), 1)]
         a = np.zeros(16, dtype=fxp.WORD)
         banks = fxp.Banks(a, a.copy())
-        banks.pair(h, 0, 0, 8, 1)
+        banks.pair(h, 0, 0, 8)
         banks.diag(step, 0, 16)
         banks.cx(1, 0)
         assert calls == ["hpqe_pair_banks", "hpqe_diag", "hpqe_cx"]
@@ -640,7 +668,7 @@ class TestBanks:
                    (a[::2], a[1::2])]                   # an 8-byte word stride
         for re, im in others:
             banks = fxp.Banks(re, im)
-            for run in (lambda: banks.pair(h, 0, 0, 4, 1), lambda: banks.diag(step, 0, 8)):
+            for run in (lambda: banks.pair(h, 0, 0, 4), lambda: banks.diag(step, 0, 8)):
                 with pytest.raises(AssertionError, match="numpy kernel body ran"):
                     run()
         # one word per array passes every stride rule: only the type refuses it
@@ -710,8 +738,8 @@ class TestEngineEveryTarget:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_cut(self, n):
         # p = min(workers, 2^(n-1)) pieces: sparse pieces shorter than the
-        # period 2^(t+1), inside one half, and dense rows cut into parts
-        # when the 2^(n-1-t) rows are fewer than p
+        # period 2^(t+1), inside one half, and dense pair ranges inside one
+        # row when the 2^(n-1-t) rows are fewer than p
         with split_every_state():
             _check_gate(n, np.random.default_rng(400 + n), exhaustive=True,
                         workers=(2, 4, 8))

@@ -184,6 +184,30 @@ class TestWarnings:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestSanitizers:
+    # kernels.c built with AddressSanitizer and UndefinedBehaviorSanitizer
+    # runs every entry point through Banks on arrays with no slack words
+    # (drive_banks.py): a read or write outside the arrays, or a product
+    # that overflows int64, ends the child with a report
+    @pytest.mark.parametrize("extra", ((), (PORTABLE_FLAG,)), ids=("host", "portable"))
+    def test_kernels_run_clean(self, extra, tmp_path):
+        if shutil.which(fxp.NATIVE_CC) is None:
+            pytest.skip(f"no C compiler {fxp.NATIVE_CC!r} on this host")
+        runtime = subprocess.run([fxp.NATIVE_CC, "-print-file-name=libasan.so"],
+                                 capture_output=True, text=True, timeout=60).stdout.strip()
+        if not os.path.isabs(runtime):
+            pytest.skip(f"{fxp.NATIVE_CC!r} has no AddressSanitizer runtime")
+        proc = subprocess.run(
+            [sys.executable, str(Path(__file__).with_name("drive_banks.py")),
+             str(tmp_path / "cache"), "-fsanitize=address,undefined",
+             "-fno-sanitize-recover=all", *extra],
+            cwd=ROOT, env=dict(ENV, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0"),
+            capture_output=True, text=True, timeout=300)
+        if proc.returncode == 77:
+            pytest.skip("the sanitized kernels cannot be built or preloaded on this host")
+        assert proc.returncode == 0, proc.stderr[-4000:]
+
+
 class TestPackaging:
     def test_source_ships_as_package_data(self):
         tomllib = pytest.importorskip("tomllib")

@@ -131,3 +131,14 @@ class TestPerfConfig:
             PerfConfig(freq_hz=0)
         with pytest.raises(ValueError):
             PerfConfig(bram_qubit_limit=30)
+
+    def test_integers_stay_below_2_to_53(self):
+        # a larger integer would overflow a float, or make a cycle count
+        # that does; the bound itself is accepted
+        assert PerfConfig(pipeline_fill=1 << 53, freq_hz=1 << 53).pipeline_fill == 1 << 53
+        for field in ("pipeline_fill", "hbm_ports", "freq_hz"):
+            for value in ((1 << 53) + 1, 10 ** 400):
+                with pytest.raises(ValueError, match=f"^PerfConfig.{field} must be at most 2"):
+                    PerfConfig(**{field: value})
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            PerfConfig(hbm_ports=-10 ** 400)
