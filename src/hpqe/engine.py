@@ -226,11 +226,10 @@ def simulate_swapper(n: int, control: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _ranges(total: int, p: int) -> list:
-    # [lo, hi) of p contiguous ranges of equal length that cover [0,
-    # total), p a power of two no greater than total; the kernel calls of
-    # the ranges share no word, so they may run in any order or at once
-    step = total // p
-    return [(lo, lo + step) for lo in range(0, total, step)]
+    # [lo, hi) of p contiguous ranges of near-equal length that cover [0,
+    # total), p no greater than total; the kernel calls of the ranges
+    # share no word, so they may run in any order or at once
+    return [(total * i // p, total * (i + 1) // p) for i in range(p)]
 
 
 def _diag_step(op: GateOp, mask: int) -> tuple:
@@ -345,11 +344,11 @@ class _Relabeling:
 
 
 def _pieces(workers: int, n: int) -> int:
-    # the largest power of two no greater than `workers` and 2^(n-1), or 1
-    # while the state is smaller than SPLIT_MIN_AMPS
+    # `workers`, at most 2^(n-1), or 1 while the state is smaller than
+    # SPLIT_MIN_AMPS
     if (1 << n) < SPLIT_MIN_AMPS:
         return 1
-    return 1 << (min(workers, 1 << (n - 1)).bit_length() - 1)
+    return min(workers, 1 << (n - 1))
 
 
 def run_circuit(state: StateVector, circuit: Circuit,
@@ -358,7 +357,7 @@ def run_circuit(state: StateVector, circuit: Circuit,
     """Apply a base-set circuit.
 
     Returns (state, cycle_report(circuit, cfg)). Each kernel call is cut
-    into p contiguous pieces, p the largest power of two no greater than
+    into p contiguous pieces of near-equal length, p the smaller of
     `workers` and 2^(n-1), and a pool of p threads runs one call per
     piece, with a barrier after every call; below SPLIT_MIN_AMPS
     amplitudes p is 1 and no pool is made. The result is bit-identical

@@ -315,21 +315,19 @@ def _prod(c, v, out, t):
 
 def _sum_into(p, q, sub: bool, out):
     # out <- fx_sub(p, q) if sub else fx_add(p, q), and return out; None
-    # is an exact 0, and two of them sum to None. Adding 0 to an in-range
-    # word needs no saturation, and negating one can only overflow at
-    # -RAW_MIN.
+    # is an exact 0, and two of them sum to None. p is out or None (every
+    # caller passes it so), so a q of None leaves out holding p. Adding 0
+    # to an in-range word needs no saturation, and negating one can only
+    # overflow at -RAW_MIN.
     if p is None and q is None:
         return None
-    if q is None:
-        if p is not out:
-            out[...] = p
-    elif p is None:
+    if p is None:
         if sub:
             np.negative(q, out=out)
             np.minimum(out, RAW_MAX, out=out)
         else:
             out[...] = q
-    else:
+    elif q is not None:
         (np.subtract if sub else np.add)(p, q, out=out)
         np.clip(out, RAW_MIN, RAW_MAX, out=out)
     return out
@@ -439,43 +437,39 @@ def _steps(steps) -> tuple:
             _coefs(*itertools.chain.from_iterable(c[:2] for c in steps)))
 
 
-def diag(steps, re: np.ndarray, im: np.ndarray, base: int = 0) -> None:
-    """A stretch of diagonal steps over a 1-D bank, in place: the numpy
-    body of `Banks.diag`.
+def diag(steps, re: np.ndarray, im: np.ndarray, lo: int, hi: int) -> None:
+    """A stretch of diagonal steps over the words [lo, hi) of a state, in
+    place: the numpy body of `Banks.diag`.
 
     steps is a sequence of (c0, c1, mask), run in order. In each step
-    word k, the amplitude at stored index base + k, <- cfx_mul(c1, word)
-    where the parity of (base + k) & mask is odd and cfx_mul(c0, word)
-    where it is even. With mask = 2^t a step is a diagonal gate on qubit
-    t; `base` and the masks are non-negative. re and im are 1-D integer
-    arrays of one length. Every step keeps its own products, roundings
-    and saturations, so a stretch gives the bits of its steps run one
-    call each; it only reads and writes each word once.
+    word k <- cfx_mul(c1, word) where the parity of k & mask is odd and
+    cfx_mul(c0, word) where it is even. With mask = 2^t a step is a
+    diagonal gate on qubit t; the masks are non-negative. re and im are
+    the state's 1-D integer arrays, of one length, and 0 <= lo <= hi <=
+    that length. Every step keeps its own products, roundings and
+    saturations, so a stretch gives the bits of its steps run one call
+    each; it only reads and writes each word once.
 
-    It cuts the bank at multiples of a period P (a power of two, at most
-    BLOCK) of the stored index, loads each piece into int64 scratch
+    It cuts the range at multiples of a period P (a power of two, at
+    most BLOCK) of the word index, loads each piece into int64 scratch
     once, runs every step on it there and narrows it back once. In a
     step, the parity of the mask's bits below P is one pattern for every
     piece, and the bits above it flip the pattern of a whole piece.
     """
-    size = re.size
-    if size == 0:
-        return
-    period = min(BLOCK, 1 << (size - 1).bit_length())
+    period = min(BLOCK, 1 << (hi - lo - 1).bit_length())
     row_r, row_i, row_a, pattern, coef_re, coef_im, s, tmp = new_scratch()
-    for first in range((base // period) * period, base + size, period):
-        lo, hi = max(first, base), min(first + period, base + size)
-        m = hi - lo
-        sl = slice(lo - base, hi - base)
+    for first in range((lo // period) * period, hi, period):
+        start, end = max(first, lo), min(first + period, hi)
+        m = end - start
         # the piece's real and imaginary parts, and a free row
         xr, xi, acc = row_r[:m], row_i[:m], row_a[:m]
-        np.copyto(xr, re[sl])
-        np.copyto(xi, im[sl])
+        np.copyto(xr, re[start:end])
+        np.copyto(xi, im[start:end])
         for c0, c1, mask in steps:
             a, b = (c1, c0) if bin(first & mask).count("1") & 1 else (c0, c1)
             if a != b and mask & (period - 1):
                 _parity_pattern(mask, period, pattern)
-                odd = pattern[lo - first:hi - first]
+                odd = pattern[start - first:end - first]
                 cr, ci = (_per_word(a[j], b[j], odd, row[:m])
                           for j, row in ((0, coef_re), (1, coef_im)))
             else:
@@ -486,8 +480,8 @@ def diag(steps, re: np.ndarray, im: np.ndarray, base: int = 0) -> None:
                 if _cmul_part((cr, ci), xr, xi, imag, dst, s[:m], tmp[:m]) is None:
                     dst[...] = 0
             xr, acc = acc, xr
-        re[sl] = xr
-        im[sl] = xi
+        re[start:end] = xr
+        im[start:end] = xi
 
 
 class Banks:
@@ -500,8 +494,13 @@ class Banks:
     one foreign call on the base addresses taken here and the range,
     with no views and no per-call checks of the arrays. Anything else (no
     library, a wider integer type, a read-only or strided array) runs the
-    numpy bodies, `pair_banks` and `diag`, on views of the piece, and the
-    CX as a swap of views. Pieces that share no word may run at once.
+    numpy bodies: `pair_banks` on views of the piece, `diag` on the two
+    arrays and the range, and the CX as a swap of views. Pieces that
+    share no word may run at once.
+
+    Every coefficient passed to `pair` and `diag` is a word, a raw in
+    [RAW_MIN, RAW_MAX]; no body checks it. `engine._check_single` checks
+    it for every gate before any kernel call.
     """
 
     def __init__(self, re: np.ndarray, im: np.ndarray):
@@ -547,7 +546,7 @@ class Banks:
         if self._lib is not None:
             self._lib.hpqe_diag(*self._addr, lo, hi, *_steps(steps))
             return
-        diag(steps, self.re[lo:hi], self.im[lo:hi], lo)
+        diag(steps, self.re, self.im, lo, hi)
 
     def cx(self, control: int, target: int) -> None:
         """Swap word i with word i | 2^target for every i whose control bit

@@ -69,6 +69,8 @@ def matrix_of(kind: str, angle: float | None = None) -> np.ndarray:
     if kind in ROTATION_KINDS:
         if angle is None:
             raise ValueError(f"{kind} requires an angle")
+        if not math.isfinite(angle):
+            raise ValueError(f"{kind} angle {angle!r} is not a finite number")
         c, s = math.cos(angle / 2), math.sin(angle / 2)
         if kind == RX:
             return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)

@@ -30,13 +30,18 @@
  * in place; every output of one element is computed from values read
  * before any of them is written.
  *
+ * Every coefficient of a call is a word, a raw in [RAW_MIN, RAW_MAX]:
+ * the vector body reads only its low 32 bits, and the portable body's
+ * int64 products of two words cannot overflow. No entry checks it;
+ * engine._check_single checks every gate before any kernel call.
+ *
  * Each kernel has two bodies with the same bits. The portable one is
  * plain C loops that widen each word to int64 and narrow it only after
  * its final clip. On x86-64 with GCC an AVX-512F body is compiled too,
  * without any extra compiler flag, and a call takes it when the CPU
- * has AVX-512F and every coefficient is a 32-bit raw; every other call
- * takes the portable one. Defining HPQE_PORTABLE leaves the AVX-512F
- * body out, which is how the tests reach the portable body on any host.
+ * has AVX-512F; every other call takes the portable one. Defining
+ * HPQE_PORTABLE leaves the AVX-512F body out, which is how the tests
+ * reach the portable body on any host.
  */
 
 #include <stdint.h>
@@ -62,12 +67,6 @@ BODY int64_t mul(int64_t a, int64_t b, const int clip)
     int64_t p = a * b;
     int64_t q = (p + (1LL << 29) - 1 + ((p >> 30) & 1)) >> 30;
     return clip ? sat(q) : q;
-}
-
-/* fxp.product_fits */
-static inline int fits(int64_t c)
-{
-    return -(1LL << 30) < c && c <= (1LL << 30);
 }
 
 /* the real and imaginary parts of cfx_mul(c, x) */
@@ -106,19 +105,19 @@ BODY void pair_body(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
     }
 }
 
-/* word k, at stored index base + k, <- cfx_mul(c1 if the parity of
- * (base + k) & mask is odd else c0, word k); c holds c0 and c1. The
- * parity is constant across each aligned run of `run` words, `run` the
- * lowest set bit of the mask, so the inner loop has one coefficient. */
-BODY void diag_body(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t mask,
+/* word k of [lo, hi) <- cfx_mul(c1 if the parity of k & mask is odd
+ * else c0, word k); c holds c0 and c1. The parity is constant across
+ * each aligned run of `run` words, `run` the lowest set bit of the mask,
+ * so the inner loop has one coefficient. */
+BODY void diag_body(int32_t *re, int32_t *im, int64_t lo, int64_t hi, int64_t mask,
                     const int64_t *c, const int clip)
 {
     int64_t run = mask & -mask;
-    for (int64_t k = 0; k < len;) {
-        int64_t end = run ? (((base + k) | (run - 1)) + 1 - base) : len;
-        const int64_t *w = c + 2 * __builtin_parityll((base + k) & mask);
+    for (int64_t k = lo; k < hi;) {
+        int64_t end = run ? (k | (run - 1)) + 1 : hi;
+        const int64_t *w = c + 2 * __builtin_parityll(k & mask);
         int64_t cr = w[0], ci = w[1];
-        for (end = end < len ? end : len; k < end; k++) {
+        for (end = end < hi ? end : hi; k < end; k++) {
             int64_t xr = re[k], xi = im[k];
             re[k] = (int32_t)cmul_re(cr, ci, xr, xi, clip);
             im[k] = (int32_t)cmul_im(cr, ci, xr, xi, clip);
@@ -145,10 +144,10 @@ pair_portable(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi, const int
 }
 
 static __attribute__((noinline)) void
-diag_portable(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t mask,
+diag_portable(int32_t *re, int32_t *im, int64_t lo, int64_t hi, int64_t mask,
               const int64_t *c, int clip)
 {
-    VARIANTS(diag_body, clip, re, im, len, base, mask, c);
+    VARIANTS(diag_body, clip, re, im, lo, hi, mask, c);
 }
 
 /* Steps per pass of hpqe_diag. The vector body keeps 512 bytes of
@@ -165,15 +164,15 @@ diag_portable(int32_t *re, int32_t *im, int64_t len, int64_t base, int64_t mask,
  * stays in any L1 data cache. */
 #define DIAG_BLOCK 1024
 
-/* the k steps of a stretch over blocks of DIAG_BLOCK words; c holds
- * (c0, c1) of each step */
-static void diag_steps_portable(int32_t *re, int32_t *im, int64_t len, int64_t base,
+/* the k steps of a stretch on the words [lo, hi), over blocks of
+ * DIAG_BLOCK words; c holds (c0, c1) of each step */
+static void diag_steps_portable(int32_t *re, int32_t *im, int64_t lo, int64_t hi,
                                 int k, const int64_t *masks, const int64_t *c, int clip)
 {
-    for (int64_t b = 0; b < len; b += DIAG_BLOCK) {
-        int64_t m = len - b < DIAG_BLOCK ? len - b : DIAG_BLOCK;
+    for (int64_t b = lo; b < hi; b += DIAG_BLOCK) {
+        int64_t e = hi - b < DIAG_BLOCK ? hi : b + DIAG_BLOCK;
         for (int j = 0; j < k; j++)
-            diag_portable(re + b, im + b, m, base + b, masks[j], c + 4 * j, clip);
+            diag_portable(re, im, b, e, masks[j], c + 4 * j, clip);
     }
 }
 
@@ -385,9 +384,9 @@ VBODY int vsmall(v16d a, v16d b)
  * int64 lane vectors (re and im, even and odd words) through every
  * step. Each step's parts are clipped to the word's range (vsat) before
  * the next step reads them; after the last step vnarrow clips them as it
- * narrows them, and they are stored once. The words before the first such index
- * and after the last whole pair of vectors run the portable loop, step by
- * step.
+ * narrows them, and they are stored once. The words of [lo, hi) before
+ * the first such index and after the last whole pair of vectors run the
+ * portable stretch.
  *
  * unit says that every coefficient (cr, ci) of the call has
  * cr^2 + ci^2 <= 2^60 + 2^50, as a quantized unit complex number does:
@@ -399,12 +398,12 @@ VBODY int vsmall(v16d a, v16d b)
  * g |x| + 1 in magnitude. After DIAG_STEPS = 32 steps |x| is below
  * (2^30 sqrt(2) + 32 sqrt(2)) g^32 < 1.45 * 2^30, far inside the word's
  * range, so every clip is the identity and the bits are unchanged. */
-VBODY void diag_vbody(int32_t *re, int32_t *im, int64_t len, int64_t base, int k,
+VBODY void diag_vbody(int32_t *re, int32_t *im, int64_t lo, int64_t hi, int k,
                       const int64_t *masks, const int64_t *c, int unit, const int clip)
 {
-    int64_t head = (-base) & 15;
-    head = head < len ? head : len;
-    int64_t whole = head + ((len - head) & ~(int64_t)31);
+    int64_t first = (lo + 15) & -16;
+    first = first < hi ? first : hi;
+    int64_t whole = first + ((hi - first) & ~(int64_t)31);
     vcoef v[DIAG_STEPS][2];         /* each step's pattern, and its flip */
     int64_t high[DIAG_STEPS];
     for (int j = 0; j < k; j++) {
@@ -413,7 +412,7 @@ VBODY void diag_vbody(int32_t *re, int32_t *im, int64_t len, int64_t base, int k
         vlanes(&v[j][1], w[2], w[3], w[0], w[1], masks[j]);
         high[j] = masks[j] & ~(int64_t)15;
     }
-    for (int64_t i = head; i < whole; i += 32) {
+    for (int64_t i = first; i < whole; i += 32) {
         v16d r[2], m[2];
         v8q xr[4], xi[4];
         for (int u = 0; u < 2; u++) {
@@ -427,7 +426,7 @@ VBODY void diag_vbody(int32_t *re, int32_t *im, int64_t len, int64_t base, int k
         int sat = k > 1 && !(unit && vsmall(r[0], m[0]) && vsmall(r[1], m[1]));
         for (int j = 0; j < k; j++) {
             for (int u = 0; u < 2; u++) {
-                const vcoef *w = &v[j][__builtin_parityll((base + i + 16 * u) & high[j])];
+                const vcoef *w = &v[j][__builtin_parityll((i + 16 * u) & high[j])];
                 for (int h = 0; h < 2; h++) {
                     int l = 2 * u + h;
                     if (j && sat) {
@@ -443,16 +442,11 @@ VBODY void diag_vbody(int32_t *re, int32_t *im, int64_t len, int64_t base, int k
             vstore(im + i + 16 * u, vnarrow(xi[2 * u], xi[2 * u + 1]));
         }
     }
-    for (int j = 0; j < k; j++) {
-        if (head)
-            diag_portable(re, im, head, base, masks[j], c + 4 * j, clip);
-        if (whole < len)
-            diag_portable(re + whole, im + whole, len - whole, base + whole, masks[j],
-                          c + 4 * j, clip);
-    }
+    diag_steps_portable(re, im, lo, first, k, masks, c, clip);
+    diag_steps_portable(re, im, whole, hi, k, masks, c, clip);
 }
 
-static VTARGET void diag_avx512(int32_t *re, int32_t *im, int64_t len, int64_t base,
+static VTARGET void diag_avx512(int32_t *re, int32_t *im, int64_t lo, int64_t hi,
                                 int k, const int64_t *masks, const int64_t *c, int clip)
 {
     int unit = 1;
@@ -461,7 +455,7 @@ static VTARGET void diag_avx512(int32_t *re, int32_t *im, int64_t len, int64_t b
         unit &= (uint64_t)(w[0] * w[0]) + (uint64_t)(w[1] * w[1])
                 <= (1ULL << 60) + (1ULL << 50);
     }
-    VARIANTS(diag_vbody, clip, re, im, len, base, k, masks, c, unit);
+    VARIANTS(diag_vbody, clip, re, im, lo, hi, k, masks, c, unit);
 }
 
 /* CX on 16-word blocks, n >= 4. With 2^target >= 16 a block whose target
@@ -505,20 +499,15 @@ static int have_avx512(void)
 {
     return __builtin_cpu_supports("avx512f");
 }
-
-/* a raw of the 32-bit word, as vpmuldq reads a coefficient */
-static inline int is_word(int64_t c)
-{
-    return RAW_MIN <= c && c <= RAW_MAX;
-}
 #endif
 
-/* 1 when every one of the k coefficients passes the test */
-static int all_of(int (*test)(int64_t), const int64_t *c, int k)
+/* 1 when fxp.product_fits every one of the k coefficients: each lies in
+ * (-2^30, 2^30], so no product needs a clip */
+static int all_fit(const int64_t *c, int k)
 {
     int all = 1;
     for (int j = 0; j < k; j++)
-        all &= test(c[j]);
+        all &= -(1LL << 30) < c[j] && c[j] <= (1LL << 30);
     return all;
 }
 
@@ -530,9 +519,9 @@ void hpqe_pair_banks(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
 {
     int64_t m[8];
     __builtin_memcpy(m, coefs, sizeof m);
-    int clip = !all_of(fits, m, 8);
+    int clip = !all_fit(m, 8);
 #ifdef HPQE_AVX512
-    if (have_avx512() && all_of(is_word, m, 8)) {
+    if (have_avx512()) {
         pair_avx512(re, im, t, lo, hi, m, clip);
         return;
     }
@@ -554,14 +543,14 @@ void hpqe_diag(int32_t *re, int32_t *im, int64_t lo, int64_t hi, int64_t k,
         int64_t m[DIAG_STEPS], c[4 * DIAG_STEPS];
         __builtin_memcpy(m, (const int64_t *)masks + j, steps * sizeof *m);
         __builtin_memcpy(c, (const int64_t *)coefs + 4 * j, 4 * steps * sizeof *c);
-        int clip = !all_of(fits, c, 4 * steps);
+        int clip = !all_fit(c, 4 * steps);
 #ifdef HPQE_AVX512
-        if (have_avx512() && all_of(is_word, c, 4 * steps)) {
-            diag_avx512(re + lo, im + lo, hi - lo, lo, steps, m, c, clip);
+        if (have_avx512()) {
+            diag_avx512(re, im, lo, hi, steps, m, c, clip);
             continue;
         }
 #endif
-        diag_steps_portable(re + lo, im + lo, hi - lo, lo, steps, m, c, clip);
+        diag_steps_portable(re, im, lo, hi, steps, m, c, clip);
     }
 }
 

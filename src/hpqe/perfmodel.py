@@ -48,6 +48,9 @@ class PerfConfig:
             # every cycle count the model forms then stays a finite float
             if isinstance(value, int) and value > 1 << 53:
                 raise ValueError(f"PerfConfig.{f.name} must be at most 2^53")
+        # and every modeled time, cycles over the clock, stays one too
+        if self.freq_hz < 1:
+            raise ValueError(f"PerfConfig.freq_hz must be at least 1 Hz, got {self.freq_hz}")
         if self.bram_qubit_limit >= HARD_QUBIT_LIMIT:
             raise ValueError("bram_qubit_limit must be below the 30-qubit ceiling")
 
@@ -57,12 +60,15 @@ class PerfConfig:
     @classmethod
     def from_json(cls, text: str) -> "PerfConfig":
         """Parse a JSON object of field overrides; bad input is a ValueError."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("PerfConfig JSON is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError("PerfConfig JSON must be an object")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValueError(f"unknown PerfConfig key(s): {', '.join(unknown)}")
+            raise ValueError(f"unknown PerfConfig key(s): {', '.join(map(repr, unknown))}")
         return cls(**doc)
 
     @classmethod

@@ -152,6 +152,24 @@ class TestCompareOverlap:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli.compare_workers(requested) == 1
 
+    def test_engine_pool_takes_every_granted_thread(self, tmp_path, monkeypatch):
+        # on 4 usable cores the engine gets 3 threads, and from
+        # SPLIT_MIN_AMPS amplitudes up its pool has all 3
+        pools = []
+        real = engine.ThreadPoolExecutor
+
+        def recording(*args, **kwargs):
+            pools.append(kwargs.get("max_workers", args[0] if args else None))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", recording)
+        assert (1 << 16) >= engine.SPLIT_MIN_AMPS
+        assert run_cli("compare", "--gen", "chain", "--n", 16, "--workers", 4,
+                       "--out", tmp_path) == 0
+        assert pools == [3]
+
     def test_engine_error_outranks_oracle_error(self, tmp_path, monkeypatch, capsys):
         oracle_failed = threading.Event()
 
@@ -365,7 +383,9 @@ class TestInputErrors:
                                      pytest.param('{"hbm_ports": 1%s}' % ("0" * 400),
                                                   id="huge-int"),
                                      pytest.param('{"freq_hz": -1%s}' % ("0" * 400),
-                                                  id="huge-negative-int")])
+                                                  id="huge-negative-int"),
+                                     pytest.param("[" * 100_000 + "]" * 100_000,
+                                                  id="deep-nesting")])
     def test_bad_config_exits_4_with_one_line(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(doc)
@@ -384,6 +404,20 @@ class TestInputErrors:
         cfg.write_text('{"pipeline_fill": 1%s}' % ("0" * 307))
         assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "out") == 4
         assert capsys.readouterr().err == "error: PerfConfig.pipeline_fill must be at most 2^53\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("freq", ("1e-310", "5e-324"))
+    @pytest.mark.parametrize("argv", (("run", "--gen", "qft", "--n", 3),
+                                      ("run", "--gen", "qft", "--n", 20),
+                                      ("bench", "--gen", "qft", "--n", "3..4")))
+    def test_config_bounds_every_modeled_time(self, tmp_path, capsys, freq, argv):
+        # a clock below 1 Hz would make a modeled time of some cycles
+        # infinite, which time.json and the bench table cannot hold
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"freq_hz": %s}' % freq)
+        assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "out") == 4
+        assert capsys.readouterr().err == \
+            f"error: PerfConfig.freq_hz must be at least 1 Hz, got {float(freq)}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("phase", ("nan", "inf", "abc"))
@@ -433,13 +467,15 @@ class TestInputErrors:
         ("QUBITS 2\nH 0 1\n", (), "error: line 2: H takes 1 operand(s), got 2"),
         ("QUBITS 2\nH 0\nQUBITS 5\nH 4\n", (),
          "error: line 3: second QUBITS header (the first is line 1)"),
+        ("QUBITS 2\nRZ 0 1e400\n", (), "error: line 2: RZ angle inf is not a finite number"),
+        ("QUBITS 2\nRX 0 nan\n", (), "error: line 2: RX angle nan is not a finite number"),
         ("H 0\n", ("--n", -1), "error: qubit count must be >= 1, got -1"),
         (None, ("--gen", "chain", "--n", 4, "--layers", -1),
          "error: n and layers must be >= 1"),
         (None, ("--gen", "rotation", "--n", 4, "--seed", -1),
          "error: --seed must be >= 0, got -1"),
     ), ids=("qubits", "rotation-operands", "cx-operands", "extra-operand", "second-header",
-            "n", "layers", "seed"))
+            "infinite-angle", "nan-angle", "n", "layers", "seed"))
     @pytest.mark.parametrize("command", ("run", "compare"))
     def test_bad_input_exits_4_naming_it(self, tmp_path, capsys, command, text, argv,
                                          message):

@@ -221,7 +221,7 @@ class TestRunCircuit:
         rng = np.random.default_rng(46)
         circuit = random_circuit(6, 40, rng)
         base = None
-        for workers in (1, 2, 4, 8):
+        for workers in range(1, 9):
             with split_every_state():
                 sv, report = engine.run_circuit(state.init_basis(6, 0), circuit,
                                                 workers=workers)
@@ -489,6 +489,28 @@ class TestRunCircuit:
         engine.run_circuit(state.init_basis(top, 0),
                            gateset.Circuit(n=top, ops=[gateset.single("H", 0)]), workers=2)
         assert pools == [2]
+
+    @pytest.mark.parametrize("total", (1, 2, 7, 16, 1 << 19))
+    def test_ranges_cut_into_any_piece_count(self, total):
+        # p contiguous ranges in order, that cover [0, total) and differ in
+        # length by at most one, for every p up to total
+        for p in range(1, min(total, 9) + 1):
+            ranges = engine._ranges(total, p)
+            lengths = [hi - lo for lo, hi in ranges]
+            assert len(ranges) == p and ranges[0][0] == 0 and ranges[-1][1] == total
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert 1 <= min(lengths) and max(lengths) - min(lengths) <= 1
+
+    def test_pieces_are_the_worker_count(self):
+        # one piece per worker, at most one pair per piece, and one piece
+        # below SPLIT_MIN_AMPS amplitudes
+        top = engine.SPLIT_MIN_AMPS.bit_length() - 1
+        for workers in range(1, 9):
+            assert engine._pieces(workers, top) == workers
+            assert engine._pieces(workers, top - 1) == 1
+        with split_every_state():
+            assert [engine._pieces(w, 2) for w in range(1, 9)] == [1, 2] + [2] * 6
+            assert [engine._pieces(w, 3) for w in range(1, 9)] == [1, 2, 3] + [4] * 5
 
     def test_deferred_cx_swaps(self, monkeypatch):
         # a CX moves words only at a flush whose map is not the identity:

@@ -209,7 +209,7 @@ class TestVectorizedKernels:
                 assert [CFx(int(x), int(y)) for x, y in zip(gr, gi)] == want, c
             # the sparse step: c on the words of odd parity under the mask
             banks = [re.copy(), im.copy()]
-            fxp.diag([(fxp.CFX_ONE, c, 0b101)], *banks)
+            fxp.diag([(fxp.CFX_ONE, c, 0b101)], *banks, 0, re.size)
             want = [fxp.cfx_mul(c if bin(k & 0b101).count("1") & 1 else fxp.CFX_ONE,
                                 CFx(int(x), int(y)))
                     for k, (x, y) in enumerate(zip(re, im))]

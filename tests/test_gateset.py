@@ -58,6 +58,12 @@ class TestMatrixOf:
         with pytest.raises(ValueError):
             gateset.matrix_of("CX")
 
+    @pytest.mark.parametrize("angle", (math.inf, -math.inf, math.nan))
+    @pytest.mark.parametrize("kind", ("RX", "RY", "RZ"))
+    def test_angle_must_be_finite(self, kind, angle):
+        with pytest.raises(ValueError, match=f"^{kind} angle {angle!r} is not a finite number$"):
+            gateset.single(kind, 0, angle)
+
 
 class TestQuantizeGate:
     def test_hadamard_entries(self):

@@ -14,8 +14,9 @@ built for this host (on an AVX-512F CPU their vector body), a
 body, so that its portable C loops run (both skipped only where the
 library cannot be built or loaded), and a `...Numpy` subclass reruns it
 on the numpy bodies. `TestClipElision` and `TestWorkers` are pinned to
-numpy, and a `...Native` subclass reruns their kernel tests; the tests
-of `TestClipElision` that run no kernel run once.
+numpy, and a `...Native` subclass reruns their kernel tests (a
+`...Portable` one too for `TestWorkers`); the tests of `TestClipElision`
+that run no kernel run once.
 Most property tests shrink BLOCK to a few elements, so a bank spans many
 blocks of the numpy body and ends in a partial one while staying small
 enough for the scalar reference; the rest run at the real BLOCK.
@@ -623,7 +624,7 @@ class TestNarrowing:
         assert fxp.fx_mul(c, RAW_MIN) == RAW_MAX        # 2^31, clipped
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c), CFx(c, SCALE)):
             got = (re.copy(), im.copy())
-            fxp.diag([(coeff, fxp.CFX_ONE, 1)], *got)
+            fxp.diag([(coeff, fxp.CFX_ONE, 1)], *got, 0, re.size)
             assert as_cfx(*got) == scalar_scale(coeff, fxp.CFX_ONE, 0, re, im)
             got = [re.copy(), im.copy(), re[::-1].copy(), im[::-1].copy()]
             fxp.pair_banks(coeff, coeff, coeff, fxp.CFX_ONE, *got)
@@ -742,7 +743,7 @@ class TestEngineEveryTarget:
         # row when the 2^(n-1-t) rows are fewer than p
         with split_every_state():
             _check_gate(n, np.random.default_rng(400 + n), exhaustive=True,
-                        workers=(2, 4, 8))
+                        workers=range(2, 9))
 
 
 class TestDeferral:
@@ -755,7 +756,7 @@ class TestDeferral:
     BODY = "native"
 
     @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
-    @given(n=st.integers(2, 10), workers=st.sampled_from((1, 2, 4, 8)),
+    @given(n=st.integers(2, 10), workers=st.integers(1, 8),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_run_equals_eager_replay(self, n, workers, seed, data):
         rng = np.random.default_rng(seed)
@@ -806,7 +807,7 @@ class TestWorkers:
         sys.setswitchinterval(1e-5)
         try:
             with block_size(block), split_every_state():
-                for workers in (1, 2, 4, 8):
+                for workers in range(1, 9):
                     sv, report = engine.run_circuit(start.copy(), circuit,
                                                     workers=workers)
                     results.append((sv.dump(), report.total_cycles))
@@ -817,6 +818,10 @@ class TestWorkers:
 
 class TestWorkersNative(TestWorkers):
     BODY = "native"
+
+
+class TestWorkersPortable(TestWorkers):
+    BODY = "portable"
 
 
 # The same tests on the numpy body.

@@ -142,3 +142,16 @@ class TestPerfConfig:
                     PerfConfig(**{field: value})
         with pytest.raises(ValueError, match="must be positive and finite"):
             PerfConfig(hbm_ports=-10 ** 400)
+
+    def test_clock_of_at_least_1_hz(self):
+        # every modeled time is then at most its cycle count in seconds;
+        # a slower clock is refused, the smallest float included
+        assert PerfConfig(freq_hz=1).freq_hz == 1
+        for freq in (0.999, 1e-310, 5e-324):
+            with pytest.raises(ValueError, match="^PerfConfig.freq_hz must be at least 1 Hz"):
+                PerfConfig(freq_hz=freq)
+
+    def test_unknown_keys_are_quoted(self):
+        # a key holding a line break stays on the error's one line
+        with pytest.raises(ValueError, match=r"unknown PerfConfig key\(s\): 'a\\nb'$"):
+            PerfConfig.from_json('{"a\\nb": 1}')
