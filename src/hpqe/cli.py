@@ -8,8 +8,10 @@ Commands:
   cx-compare  legacy vs pipelined CX cycle table
 
 Exit codes: 0 success, 2 usage error (bad options, an empty --n range,
-an --init outside the state), 3 capacity error, 4 I/O or input parse
-error (including a bad --config). All outputs are deterministic for a
+an --init outside the state), 3 capacity error (a qubit count past the
+ceiling, or an allocation the host refuses), 4 I/O or input parse
+error (including a bad --config). An exit 3 or 4 prints one stderr line
+of at most ERROR_LINE_MAX characters. All outputs are deterministic for a
 fixed seed and config; the modeled device time and the emulator's own
 wall clock are reported in separate columns and never mixed.
 
@@ -45,6 +47,11 @@ GENERATORS = ("qft", circuits.CHAIN, circuits.ALTERNATING,
 BENCH_COLUMNS = ("circuit", "n", "gates_total", "gates_cx", "gates_single",
                  "total_cycles", "predicted_time_s", "ngs", "fidelity",
                  "mse_raw", "mse_aligned", "wall_clock_s", "error")
+
+
+# an error line's length cap: a message may quote a long input, and it
+# leads with what the reader needs (the line number or PerfConfig field)
+ERROR_LINE_MAX = 200
 
 
 class UsageError(Exception):
@@ -190,7 +197,7 @@ def _bench_row(gen: str, n: int, args, cfg) -> dict:
         row["mse_aligned"] = repr(result.mse_aligned)
         if not args.no_wall_clock:
             row["wall_clock_s"] = repr(wall)
-    except (CapacityError, ValueError) as exc:   # record it, keep sweeping
+    except (CapacityError, MemoryError, ValueError) as exc:  # record it, keep sweeping
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -319,6 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(line: str) -> None:
+    if len(line) > ERROR_LINE_MAX:
+        line = line[:ERROR_LINE_MAX - 3] + "..."
+    print(line, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -326,11 +339,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))        # prints usage, exits 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        _print_error(f"capacity error: {exc}")
         return 3
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return 4
 
 

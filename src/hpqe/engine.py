@@ -151,13 +151,6 @@ def apply_cx(state: StateVector, control: int, target: int) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SwapperState:
-    stage: str
-    pair_counter: int
-    pending_addresses: tuple[int, int] | None
-
-
-@dataclass
 class SwapperRun:
     n: int
     cycles: int
@@ -167,54 +160,38 @@ class SwapperRun:
     trace: list | None
 
 
-def simulate_swapper(n: int, control: int | None = None,
-                     target: int | None = None,
-                     record_trace: bool | None = None) -> SwapperRun:
+def simulate_swapper(n: int, record_trace: bool | None = None) -> SwapperRun:
     """Step the swap schedule cycle by cycle for one CX gate.
 
     Traces are recorded for n <= 12 unless forced; the cycle and stage
-    counts are always produced by honest stepping.
+    counts are always produced by honest stepping. The pairs' addresses
+    (`cx_pair`) do not change the schedule, so no stage computes them.
     """
     if n < 2:
         raise ValueError("swapper requires n >= 2")
-    if control is None:
-        control = n - 1
-    if target is None:
-        target = 0
     pairs = 1 << (n - 2)
     record = (n <= 12) if record_trace is None else record_trace
     trace = [] if record else None
     counts = {START: 0, IDLE: 0, LOAD: 0, STORE: 0, END: 0}
     writes_outstanding = 0
 
-    def step(st: SwapperState):
-        counts[st.stage] += 1
+    def step(stage: str):
+        counts[stage] += 1
         if trace is not None:
-            trace.append(st.stage)
+            trace.append(stage)
 
-    st = SwapperState(stage=START, pair_counter=0, pending_addresses=None)
-    step(st)                                     # arm the read port
-    st.stage = IDLE
-    st.pending_addresses = cx_pair(0, n, control, target)
-    step(st)                                     # first pair's addresses
+    step(START)                                  # arm the read port
+    step(IDLE)                                   # first pair's addresses
     done = 0
     while done < pairs:
         if writes_outstanding:                   # prior write lands in memory
             writes_outstanding -= 1
-        st.stage = LOAD                          # reads issued at pending
-        step(st)
-        st.stage = STORE                         # write back + next addresses
-        done += 1
-        st.pair_counter = done
-        if done < pairs:
-            st.pending_addresses = cx_pair(done, n, control, target)
-        else:
-            st.pending_addresses = None
+        step(LOAD)                               # reads of the pair issued
+        done += 1                                # write back + next addresses
         writes_outstanding += 1
-        step(st)
-    st.stage = END
+        step(STORE)
     writes_outstanding -= 1                      # final write retires here
-    step(st)
+    step(END)
     cycles = sum(counts.values())
     return SwapperRun(n=n, cycles=cycles, pairs_processed=done,
                       stage_counts=counts, writes_outstanding=writes_outstanding,
@@ -294,10 +271,6 @@ class CycleReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _gate_cycles(op: GateOp, n: int, cfg: perfmodel.PerfConfig) -> int:
-    return cx_cycles(n) if op.kind == CX else perfmodel.cycles_single(n, cfg)
-
-
 def cycle_report(circuit: Circuit,
                  cfg: perfmodel.PerfConfig = perfmodel.DEFAULT_CONFIG) -> CycleReport:
     """Pure cycle accounting for a circuit, no state required."""
@@ -305,7 +278,7 @@ def cycle_report(circuit: Circuit,
     per_gate = []
     total = pairs = mode2 = 0
     for idx, op in enumerate(circuit.ops):
-        cycles = _gate_cycles(op, n, cfg)
+        cycles = cx_cycles(n) if op.kind == CX else perfmodel.cycles_single(n, cfg)
         per_gate.append((idx, op.kind, cycles))
         total += cycles
         if op.kind == CX:

@@ -80,10 +80,6 @@ def basis_state(n: int, k: int = 0) -> RefState:
     return RefState(n, amps)
 
 
-def _exact_matrix(op: GateOp) -> np.ndarray:
-    return matrix_of(op.kind, op.angle)
-
-
 def _has_zero(v: np.ndarray) -> bool:
     # v is contiguous complex128: is any real or imaginary part +-0?
     return 0 in v.view(np.float64)
@@ -162,14 +158,14 @@ def ref_run(circuit: Circuit, init: RefState) -> RefState:
             if op.kind == CX:
                 _apply_cx_whole(amps, op.control, op.target, out.n)
             else:
-                _apply_1q_whole(amps, _exact_matrix(op), op.target)
+                _apply_1q_whole(amps, matrix_of(op.kind, op.angle), op.target)
     else:
         scratch = np.empty((3, min(BLOCK, amps.size >> 1)), dtype=np.complex128)
         for op in circuit.ops:
             if op.kind == CX:
                 _apply_cx(amps, op.control, op.target, scratch)
             else:
-                _apply_1q(amps, _exact_matrix(op), op.target, scratch)
+                _apply_1q(amps, matrix_of(op.kind, op.angle), op.target, scratch)
     if circuit.global_phase:
         out.amps *= cmath.exp(1j * circuit.global_phase)
     return out
@@ -184,7 +180,7 @@ def gate_operator(op: GateOp, n: int) -> np.ndarray:
             out = j ^ (1 << op.target) if (j >> op.control) & 1 else j
             u[out, j] = 1.0
         return u
-    m = _exact_matrix(op)
+    m = matrix_of(op.kind, op.angle)
     u = np.array([[1.0 + 0j]])
     for axis in range(n):
         qubit = n - 1 - axis
@@ -192,14 +188,14 @@ def gate_operator(op: GateOp, n: int) -> np.ndarray:
     return u
 
 
-def circuit_unitary(circuit: Circuit, include_phase: bool = True) -> np.ndarray:
-    """Product of all gate operators (and optionally the global phase)."""
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Product of all gate operators, times the tracked global phase."""
     if circuit.n > MATRIX_MAX_QUBITS:
         raise SizeError(f"full operators limited to {MATRIX_MAX_QUBITS} qubits")
     u = np.eye(1 << circuit.n, dtype=np.complex128)
     for op in circuit.ops:
         u = gate_operator(op, circuit.n) @ u
-    if include_phase and circuit.global_phase:
+    if circuit.global_phase:
         u = u * cmath.exp(1j * circuit.global_phase)
     return u
 
@@ -236,12 +232,10 @@ class Metrics:
     mse_aligned: float
     phase: float
 
-    def to_json(self, n: int | None = None, gates: int | None = None) -> str:
-        doc = asdict(self)
-        if n is not None:
-            doc["n"] = n
-        if gates is not None:
-            doc["gates"] = gates
+    def to_json(self, n: int, gates: int) -> str:
+        """The metrics of a run of `gates` gates on n qubits, as one
+        line of JSON with sorted keys."""
+        doc = asdict(self) | {"n": n, "gates": gates}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 

@@ -241,6 +241,15 @@ class TestBench:
         assert rows[0]["error"] == "" and float(rows[0]["fidelity"]) > 0.9999
         assert all("CapacityError" in r["error"] for r in rows[1:])
 
+    def test_refused_allocation_is_a_row(self, tmp_path):
+        # 10^13 layers ask for hundreds of TiB of angles, more than a
+        # 47-bit address space holds: the host refuses at once
+        assert run_cli("bench", "--gen", "chain", "--n", "2..3", "--layers", 10 ** 13,
+                       "--format", "json", "--out", tmp_path) == 0
+        rows = json.loads((tmp_path / "bench.json").read_text())
+        assert [r["n"] for r in rows] == [2, 3]
+        assert all(r["error"].startswith("MemoryError: Unable to allocate") for r in rows)
+
     def test_capacity_is_checked_before_the_circuit(self, tmp_path, monkeypatch):
         # a row past the default ceiling builds no circuit: it keeps its
         # gen-n label, its gate columns stay empty, its error names the cause
@@ -459,6 +468,43 @@ class TestInputErrors:
         assert err.startswith("capacity error: ") and err.count("\n") == 1
         assert "memory ceiling" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", (("run", "--gen", "chain", "--n", 3, "--layers", 10 ** 13),
+                                      ("compare", "--gen", "rotation", "--n", 3,
+                                       "--layers", 10 ** 13),
+                                      ("gen", "chain", "--n", 3, "--layers", 10 ** 13),
+                                      ("gen", "rotation", "--n", 10 ** 13)),
+                             ids=("run", "compare", "gen-layers", "gen-n"))
+    def test_refused_allocation_exits_3_with_one_line(self, tmp_path, capsys, argv):
+        # the template's angles would take hundreds of TiB, more than a
+        # 47-bit address space holds: the host refuses at once
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, text, head", (
+        ("--config", '{"freq_hz": %s}' % ("[" * 900 + "]" * 900),
+         "error: PerfConfig.freq_hz must be a number, got [[["),
+        ("--config", '{"hbm_ports": "%s"}' % ("x" * 5000),
+         "error: PerfConfig.hbm_ports must be an integer, got 'xxx"),
+        ("--circuit", "QUBITS 2\n%s 0\n" % ("G" * 5000), "error: line 2: unknown gate 'GGG"),
+        ("--circuit", "QUBITS 2\nRZ 0 %sx\n" % ("1" * 4999),
+         "error: line 2: could not convert string to float: '111"),
+        ("--circuit", "QUBITS 2\n# global_phase %sx\n" % ("1" * 4999),
+         "error: line 2: global phase '111"),
+    ), ids=("nested-config", "long-config-string", "long-gate", "long-angle", "long-phase"))
+    def test_long_input_is_cut_to_one_short_line(self, tmp_path, capsys, option, text,
+                                                 head):
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = ("--gen", "qft", "--n", 3, "--config", path) if option == "--config" \
+            else ("--circuit", path)
+        assert run_cli("run", *argv, "--out", tmp_path / "out") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(head) and err.endswith("...\n")
+        assert len(err) == cli.ERROR_LINE_MAX + 1 and err.count("\n") == 1
 
     @pytest.mark.parametrize("text, argv, message", (
         ("QUBITS -1\n", (), "error: line 1: qubit count must be >= 1, got -1"),

@@ -1,7 +1,8 @@
 """`cli.main` on malformed circuit text and config JSON.
 
 Every input ends in a documented exit: 0, argparse's 2, 3 (capacity) or
-4 (input), and a 3 or a 4 prints exactly one stderr line. No exception
+4 (input), and a 3 or a 4 prints exactly one stderr line of at most
+`cli.ERROR_LINE_MAX` characters, however long the input. No exception
 escapes `cli.main`, and every JSON file a successful run writes parses
 without NaN or Infinity. `--max-qubits 10` keeps every state small.
 """
@@ -50,6 +51,7 @@ def check_outcome(code, err: str, out: Path) -> None:
     assert code in (0, 2, 3, 4), (code, err)
     if code in (3, 4):
         assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert len(err) <= cli.ERROR_LINE_MAX + 1, err
     if code == 0:
         for path in out.glob("*.json"):
             json.loads(path.read_text(encoding="utf-8"), parse_constant=no_constant)
@@ -89,6 +91,9 @@ STRAY = st.binary(max_size=12)                        # not always UTF-8
 @example(header=b"QUBITS 2", lines=[b"RZ 0 1e400"])
 @example(header=b"QUBITS 2", lines=[b"RX 0 nan"])
 @example(header=b"QUBITS 2", lines=[b"H 0", b"QUBITS 2"])
+@example(header=b"QUBITS 2", lines=[b"G" * 5000 + b" 0"])
+@example(header=b"QUBITS 2", lines=[b"RZ 0 " + b"1" * 4999 + b"x"])
+@example(header=b"QUBITS 2", lines=[b"# global_phase " + b"1" * 4999 + b"x"])
 def test_circuit_text(header, lines):
     text = b"\n".join([header, *lines]) + b"\n"
     run_main(["run", "--circuit", "{dir}/c.qc", "--max-qubits", "10"], {"c.qc": text})
@@ -115,6 +120,8 @@ KEYS = st.one_of(st.sampled_from(FIELDS), st.text(max_size=10))
 @example(doc='{"freq_hz": 1e-310}')
 @example(doc='{"freq_hz": 5e-324}')
 @example(doc=DEEP)
+@example(doc='{"freq_hz": %s}' % ("[" * 900 + "]" * 900))
+@example(doc='{"hbm_ports": "%s"}' % ("x" * 5000))
 def test_config_json(doc):
     run_main(["run", "--gen", "qft", "--n", "3", "--config", "{dir}/c.json",
               "--max-qubits", "10"], {"c.json": doc.encode()})

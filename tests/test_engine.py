@@ -160,6 +160,15 @@ class TestSwapper:
             assert run.trace[0] == "Start" and run.trace[-1] == "End"
             assert run.stage_counts["LOAD"] == run.stage_counts["STORE"]
 
+    def test_n4_stage_order(self):
+        run = engine.simulate_swapper(4)
+        assert run.trace == ["Start", "IDLE"] + ["LOAD", "STORE"] * 4 + ["End"]
+        assert run.writes_outstanding == 0
+
+    def test_n5_stage_counts(self):
+        assert engine.simulate_swapper(5).stage_counts == {
+            "Start": 1, "IDLE": 1, "LOAD": 8, "STORE": 8, "End": 1}
+
     def test_matches_closed_form(self):
         for n in range(2, 15):
             run = engine.simulate_swapper(n, record_trace=False)

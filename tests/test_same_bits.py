@@ -1,0 +1,52 @@
+"""tools/same_bits.py digests the output files of CLI commands; a short
+list of them (n <= 8) gives one manifest on every kernel body and on
+every run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from hpqe import fxp
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
+spec = importlib.util.spec_from_file_location("same_bits", TOOL)
+same_bits = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_bits)
+
+SHORT = (
+    "run --gen qft --n 8 --init 5 --workers 2",
+    "compare --gen chain --n 8 --layers 3 --workers 2 --seed 7",
+    "compare --gen all_to_all --n 6 --workers 2",
+    "bench --gen qft --n 1..6 --no-wall-clock",
+    "bench --gen chain --n 2..5 --layers 2 --no-wall-clock --format json",
+)
+FILES = 3 + 1 + 1 + 2 + 2
+
+
+def test_manifest_lines():
+    lines = same_bits.manifest(SHORT, body="numpy")
+    assert len(lines) == FILES
+    digest, name = lines[0].split("  ")
+    assert len(digest) == 64 and name == f"{SHORT[0]}/cycles.json"
+    assert [line.split("  ")[1] for line in lines[-2:]] == [
+        f"{SHORT[-1]}/bench.json", f"{SHORT[-1]}/cx_compare.json"]
+
+
+def test_native_and_numpy_bodies_give_one_manifest():
+    if fxp.native_kernels() is None:
+        pytest.skip("the native kernels cannot be built or loaded on this host")
+    native = same_bits.manifest(SHORT, body="native")
+    assert native == same_bits.manifest(SHORT, body="numpy")
+    assert native == same_bits.manifest(SHORT, body="native")
+
+
+def test_body_is_restored():
+    before = fxp.native_kernels
+    same_bits.manifest(SHORT[:1], body="numpy")
+    assert fxp.native_kernels is before
+
+
+def test_failed_command_is_an_error():
+    with pytest.raises(RuntimeError, match="exited 4"):
+        same_bits.manifest(("run --gen chain --n 3 --layers -1",), body="numpy")

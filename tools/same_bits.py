@@ -1,0 +1,103 @@
+"""Print a digest of every output file of a fixed list of CLI commands.
+
+usage: python tools/same_bits.py [--body native|portable|numpy]
+
+Each command of COMMANDS runs through `hpqe.cli.main`, from the src/
+of the checkout that holds this file, into a fresh temporary directory.
+The tool prints one `<sha256>  <command>/<file>` line per output file.
+Two checkouts compute the same bits when their manifests are equal, so
+copy this file into each checkout and diff the outputs:
+
+    python tools/same_bits.py > new.txt
+    python /path/to/other/checkout/tools/same_bits.py > old.txt
+    diff old.txt new.txt
+
+`--body` picks the kernel body, as the tests do: `native` (the default)
+is the library built from kernels.c, `portable` the same source built
+with -DHPQE_PORTABLE (no AVX-512F body) into a temporary cache, and
+`numpy` the numpy bodies alone. A native or portable manifest exits 1 if
+the library cannot be built or loaded, since the numpy bodies would run
+in its place unnoticed.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hpqe import cli, fxp
+
+BODIES = ("native", "portable", "numpy")
+PORTABLE_FLAG = "-DHPQE_PORTABLE"
+
+COMMANDS = (
+    "run --gen qft --n 20 --init 5 --workers 1",
+    "run --gen qft --n 20 --init 5 --workers 2",
+    "compare --gen chain --n 20 --layers 3 --workers 2 --seed 0",
+    "compare --gen chain --n 20 --layers 3 --workers 2 --seed 7",
+    "compare --gen all_to_all --n 8 --workers 2",
+    "run --gen rotation --n 18 --layers 3 --workers 8",
+    "bench --gen qft --n 1..14 --no-wall-clock",
+    "bench --gen chain --n 2..12 --layers 2 --no-wall-clock --format json",
+)
+
+
+@contextlib.contextmanager
+def kernel_body(body: str):
+    """Run the block on the named kernel body; the loader's state is
+    restored after."""
+    saved = fxp.NATIVE_FLAGS, fxp.NATIVE_CACHE, fxp.native_kernels, list(fxp._native)
+    try:
+        with tempfile.TemporaryDirectory() as cache:
+            if body == "portable":
+                # a cache of its own: a build deletes every other library
+                # in its cache
+                fxp.NATIVE_FLAGS = (*fxp.NATIVE_FLAGS, PORTABLE_FLAG)
+                fxp.NATIVE_CACHE = Path(cache)
+                fxp._native[:] = []
+            elif body == "numpy":
+                fxp.native_kernels = lambda: None
+            if body != "numpy" and fxp.native_kernels() is None:
+                raise RuntimeError(f"the {body} kernels cannot be built or loaded")
+            yield
+    finally:
+        fxp.NATIVE_FLAGS, fxp.NATIVE_CACHE, fxp.native_kernels, fxp._native[:] = saved
+
+
+def manifest(commands=COMMANDS, body: str = "native") -> list:
+    """The `<sha256>  <command>/<file>` lines of every file the commands
+    write, in command order and then file-name order."""
+    lines = []
+    with kernel_body(body):
+        for command in commands:
+            with tempfile.TemporaryDirectory() as out:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([*command.split(), "--out", out])
+                if code != 0:
+                    raise RuntimeError(f"{command!r} exited {code}")
+                for path in sorted(Path(out).iterdir()):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    lines.append(f"{digest}  {command}/{path.name}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--body", choices=BODIES, default="native")
+    args = parser.parse_args(argv)
+    try:
+        lines = manifest(body=args.body)
+    except RuntimeError as exc:
+        print(f"same_bits: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
