@@ -46,11 +46,6 @@ def qft_angle(k: int) -> float:
     return math.ldexp(math.pi, -k)
 
 
-def qft_gate_total(n: int) -> int:
-    """Closed form for the emitted gate count."""
-    return n + 5 * n * (n - 1) // 2 + 3 * (n // 2)
-
-
 def rotation_slots(kind: str, n: int, layers: int) -> int:
     """Angles a template consumes: one RY and one RZ per qubit per layer.
 

@@ -10,10 +10,12 @@ Commands:
 Exit codes: 0 success, 2 usage error (bad options, an empty --n range,
 an --init outside the state), 3 capacity error (a qubit count past the
 ceiling, or an allocation the host refuses), 4 I/O or input parse
-error (including a bad --config). An exit 3 or 4 prints one stderr line
-of at most ERROR_LINE_MAX characters. All outputs are deterministic for a
-fixed seed and config; the modeled device time and the emulator's own
-wall clock are reported in separate columns and never mixed.
+error (including a bad --config). An exit 2 prints the usage line and
+one error line; an exit 3 or 4 prints one line. Every error line holds
+at most ERROR_LINE_MAX characters, however long the input it quotes.
+All outputs are deterministic for a fixed seed and config; the modeled
+device time and the emulator's own wall clock are reported in separate
+columns and never mixed.
 
 `compare` runs the fixed-point engine on one helper thread while the
 double-precision oracle runs on the calling thread: the two share no
@@ -281,8 +283,18 @@ def _add_common(p, with_n: bool = True) -> None:
                         "so that its oracle keeps one")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error line is cut like `_print_error`'s;
+    its subparsers are of this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        _print_error(f"{self.prog}: error: {message}")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hpqe", description="Fixed-point state-vector emulator harness")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -115,13 +115,20 @@ def cx_cycles_legacy(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _insert_bit(x, pos: int, bit: int):
+    """x with `bit` inserted at position pos: the step of `cx_pair`'s
+    address order, a machine fact that the tests pin; no computation
+    reads it."""
     high = (x >> pos) << (pos + 1)
     low = x & ((1 << pos) - 1)
     return high | low | (bit << pos)
 
 
 def cx_pair(k: int, n: int, control: int, target: int) -> tuple[int, int]:
-    """Global indices of the k-th swapped pair (control=1, target=0/1)."""
+    """Global indices of the k-th swapped pair (control=1, target=0/1).
+
+    The swapper's address order: a machine fact that the tests pin; no
+    computation reads it, since the schedule does not depend on it.
+    """
     lo, hi = sorted((control, target))
     x = _insert_bit(_insert_bit(k, lo, 0), hi, 0)
     i0 = x | (1 << control)

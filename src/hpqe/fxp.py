@@ -131,10 +131,6 @@ def quantize_complex(z: complex) -> CFx:
     return CFx(quantize(z.real), quantize(z.imag))
 
 
-def to_complex(c: CFx) -> complex:
-    return complex(to_real(c.re), to_real(c.im))
-
-
 def fx_add(a: int, b: int) -> int:
     return saturate(a + b)
 
@@ -573,23 +569,3 @@ class Banks:
             a[...] = b
             b[...] = tmp
 
-
-# ---------------------------------------------------------------------------
-# Wire format: raw Fx32 is a 32-bit little-endian two's-complement word.
-# ---------------------------------------------------------------------------
-
-def pack_fx32(raw: int) -> bytes:
-    return struct.pack("<i", raw)
-
-
-def unpack_fx32(data: bytes) -> int:
-    return struct.unpack("<i", data)[0]
-
-
-def pack_cfx(c: CFx) -> bytes:
-    return struct.pack("<ii", c.re, c.im)
-
-
-def unpack_cfx(data: bytes) -> CFx:
-    re, im = struct.unpack("<ii", data)
-    return CFx(re, im)

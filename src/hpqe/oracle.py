@@ -70,9 +70,6 @@ class RefState:
     def copy(self) -> "RefState":
         return RefState(self.n, self.amps.copy())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 def basis_state(n: int, k: int = 0) -> RefState:
     amps = np.zeros(1 << n, dtype=np.complex128)
@@ -244,8 +241,6 @@ def _amplitudes(x) -> np.ndarray:
         return x.amps
     if isinstance(x, StateVector):
         return x.to_complex()
-    if isinstance(x, (list, tuple)) and x and isinstance(x[0], fxp.CFx):
-        return np.array([fxp.to_complex(c) for c in x], dtype=np.complex128)
     return np.asarray(x, dtype=np.complex128)
 
 

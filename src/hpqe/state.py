@@ -29,6 +29,10 @@ DUMP_BLOCK = 1 << 16      # amplitudes interleaved per written chunk (512 KiB)
 
 
 class SegmentAddress(NamedTuple):
+    """A word's place on the machine: PE array, PE, offset in the segment.
+
+    A machine fact that the tests pin; no computation reads it."""
+
     pea: int
     pe: int
     offset: int
@@ -38,7 +42,9 @@ def segment_of(i: int, n: int) -> SegmentAddress:
     """Map a global index to (PEA, PE, offset) for n >= 3.
 
     PEA = bit n-1, PE = bits n-2..n-3, offset = low n-3 bits; the
-    relative order of amplitudes inside a segment is untouched.
+    relative order of amplitudes inside a segment is untouched. The
+    segment map is a machine fact that the tests pin; no computation
+    reads it.
     """
     if n < 3:
         raise ValueError("segmented layout requires n >= 3")
@@ -60,17 +66,6 @@ class StateVector:
     @property
     def size(self) -> int:
         return 1 << self.n
-
-    def get(self, i: int) -> fxp.CFx:
-        return fxp.CFx(int(self.re[i]), int(self.im[i]))
-
-    def set(self, i: int, c: fxp.CFx) -> None:
-        self.re[i] = c.re
-        self.im[i] = c.im
-
-    def flatten(self) -> list[fxp.CFx]:
-        """Amplitudes in ascending global-index order."""
-        return [fxp.CFx(int(r), int(j)) for r, j in zip(self.re, self.im)]
 
     def to_complex(self) -> np.ndarray:
         """Double-precision copy of the state, for metrics only."""

@@ -45,6 +45,12 @@ def quantize_oracle(x) -> int:
     return max(fxp.RAW_MIN, min(fxp.RAW_MAX, raw))
 
 
+def as_cfx(re, im) -> list:
+    """The words of two integer arrays (a state's `re` and `im`, or a
+    bank's) as CFx amplitudes, for comparison with the scalar functions."""
+    return [fxp.CFx(r, i) for r, i in zip(re.tolist(), im.tolist())]
+
+
 def random_raws(rng, size, lo=fxp.RAW_MIN, hi=fxp.RAW_MAX):
     vals = rng.integers(lo, hi + 1, size=size, dtype=np.int64)
     return [int(v) for v in vals]

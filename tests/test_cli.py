@@ -49,7 +49,7 @@ class TestRun:
         code = run_cli("run", "--circuit", qc, "--n", 3, "--out", tmp_path)
         assert code == 0
         sv = state.load((tmp_path / "state.bin").read_bytes())
-        assert sv.flatten() == state.init_basis(3, 0).flatten()
+        assert sv.dump() == state.init_basis(3, 0).dump()
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         qc = tmp_path / "bad.qc"
@@ -555,6 +555,22 @@ class TestInputErrors:
                   if "error:" in line]
         assert len(errors) == 1 and "n >= 2" in errors[0]
         assert not (tmp_path / "cx_compare.csv").exists()
+
+    @pytest.mark.parametrize("argv", (
+        ("bench", "--gen", "qft", "--n", "x" * 5000),
+        ("run", "--gen", "qft", "--n", "x" * 5000),
+        ("cx-compare", "--n", "x" * 5000),
+        ("run", "--gen", "x" * 5000, "--n", 3),
+    ), ids=("bench-n", "run-n", "cx-compare-n", "run-gen"))
+    def test_long_usage_error_is_cut(self, tmp_path, capsys, argv):
+        # the usage error quotes the input: argparse's own (run) and the
+        # UsageError of a bad --n range (bench, cx-compare)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", tmp_path)
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "error: " in last and last.endswith("...")
+        assert len(last) <= cli.ERROR_LINE_MAX
 
     @pytest.mark.parametrize("command", ("run", "compare"))
     @pytest.mark.parametrize("init", (8, -1))

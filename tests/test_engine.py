@@ -9,7 +9,7 @@ import pytest
 from hpqe import circuits, engine, fxp, gateset, oracle, state
 from hpqe.fxp import CFx
 
-from helpers import random_circuit, random_ref_amplitudes, split_every_state
+from helpers import as_cfx, random_circuit, random_ref_amplitudes, split_every_state
 
 
 def quantized(amps):
@@ -47,12 +47,12 @@ class TestApplySingle:
         sv = state.init_basis(1, 0)
         engine.apply_single(sv, gateset.single("H", 0))
         r = fxp.RAW_SQRT_HALF
-        assert sv.flatten() == [CFx(r, 0), CFx(r, 0)]
+        assert as_cfx(sv.re, sv.im) == [CFx(r, 0), CFx(r, 0)]
 
     def test_rz_pi_on_one(self):
         sv = state.init_basis(1, 1)
         engine.apply_single(sv, gateset.single("RZ", 0, math.pi))
-        assert sv.get(1) == CFx(0, fxp.quantize(1.0))
+        assert as_cfx(sv.re, sv.im)[1] == CFx(0, fxp.quantize(1.0))
 
     def test_matches_quantized_oracle_within_one_ulp(self):
         rng = np.random.default_rng(40)
@@ -99,10 +99,10 @@ class TestApplyCx:
         # control q1, target q0
         sv = state.init_basis(2, 2)          # |10>
         engine.apply_cx(sv, 1, 0)
-        assert sv.get(3) == fxp.CFX_ONE      # -> |11>
+        assert as_cfx(sv.re, sv.im)[3] == fxp.CFX_ONE      # -> |11>
         sv = state.init_basis(2, 1)          # |01>, control bit is 0
         engine.apply_cx(sv, 1, 0)
-        assert sv.get(1) == fxp.CFX_ONE      # unchanged
+        assert as_cfx(sv.re, sv.im)[1] == fxp.CFX_ONE      # unchanged
 
     def test_pair_count_and_purity(self):
         rng = np.random.default_rng(42)
@@ -193,7 +193,7 @@ class TestRunCircuit:
     def test_empty_circuit(self):
         sv = state.init_basis(3, 4)
         sv, report = engine.run_circuit(sv, gateset.Circuit(n=3))
-        assert sv.get(4) == fxp.CFX_ONE
+        assert as_cfx(sv.re, sv.im)[4] == fxp.CFX_ONE
         assert report.total_cycles == 0
         assert report.per_gate == []
 
@@ -201,7 +201,7 @@ class TestRunCircuit:
         c = gateset.Circuit(n=2, ops=[gateset.single("H", 0), gateset.cx(0, 1)])
         sv, report = engine.run_circuit(state.init_basis(2, 0), c)
         r = fxp.RAW_SQRT_HALF
-        assert sv.flatten() == [CFx(r, 0), CFx(0, 0), CFx(0, 0), CFx(r, 0)]
+        assert as_cfx(sv.re, sv.im) == [CFx(r, 0), CFx(0, 0), CFx(0, 0), CFx(r, 0)]
         assert report.total_cycles == sum(c for _, _, c in report.per_gate)
 
     def test_oracle_consistency_random_circuits(self):
@@ -472,8 +472,8 @@ class TestRunCircuit:
         engine.apply_single(eager, op)
         sv, _ = engine.run_circuit(start.copy(), gateset.Circuit(n=3, ops=[op]))
         assert sv.dump() == eager.dump() != start.dump()
-        x, y = start.get(0), start.get(2)
-        assert eager.get(0) == fxp.su_eval(*matrix[:2], x, y,
+        x, _, y = as_cfx(start.re[:3], start.im[:3])
+        assert as_cfx(eager.re, eager.im)[0] == fxp.su_eval(*matrix[:2], x, y,
                                            op=fxp.SPARSE if sparse else fxp.DENSE)
 
     def test_no_pool_below_the_split_size(self, monkeypatch):

@@ -228,16 +228,3 @@ class TestVectorizedKernels:
             assert (int(banks[0][k]), int(banks[1][k])) == fxp.su_eval(c00, c01, x, y)
             assert (int(banks[2][k]), int(banks[3][k])) == fxp.su_eval(c10, c11, x, y)
 
-
-class TestSerialization:
-    def test_little_endian_layout(self):
-        assert fxp.pack_fx32(1) == b"\x01\x00\x00\x00"
-        assert fxp.pack_fx32(fxp.RAW_MIN) == b"\x00\x00\x00\x80"
-        assert fxp.pack_cfx(CFx(1, -1)) == b"\x01\x00\x00\x00\xff\xff\xff\xff"
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(14)
-        for raw in random_raws(rng, 100):
-            assert fxp.unpack_fx32(fxp.pack_fx32(raw)) == raw
-        for re, im in zip(random_raws(rng, 50), random_raws(rng, 50)):
-            assert fxp.unpack_cfx(fxp.pack_cfx(CFx(re, im))) == CFx(re, im)

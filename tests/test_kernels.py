@@ -8,32 +8,36 @@ boundary), and every element is compared with `fxp.su_eval` /
 `fxp.cfx_mul` / `fxp.fx_mul`; the words of the bank outside the piece
 must keep their values. `run_circuit`, which defers CX gates, is held
 to an eager gate-by-gate replay.
-Each such test runs three times: its class pins the native kernels as
-built for this host (on an AVX-512F CPU their vector body), a
-`...Portable` subclass pins the same library built without the vector
-body, so that its portable C loops run (both skipped only where the
-library cannot be built or loaded), and a `...Numpy` subclass reruns it
-on the numpy bodies. `TestClipElision` and `TestWorkers` are pinned to
-numpy, and a `...Native` subclass reruns their kernel tests (a
-`...Portable` one too for `TestWorkers`); the tests of `TestClipElision`
-that run no kernel run once.
+
+Every kernel check runs on each body the host has, from one draw: a
+test draws its case once (or builds its fixed case) and computes the
+scalar expectation once, then pins each body in turn (`bodies`) and
+asserts it against that expectation, naming the body in the message.
+The bodies are the native library as built for this host (on an
+AVX-512F CPU its vector body), the same library built without the
+vector body, so that its portable C loops run, and the numpy bodies.
+Where a C body cannot be built or loaded, the checks run on the others
+and `TestBanks.test_pin` skips once for it. `TestCx` holds the C swap to
+the numpy view swap.
 Most property tests shrink BLOCK to a few elements, so a bank spans many
 blocks of the numpy body and ends in a partial one while staying small
 enough for the scalar reference; the rest run at the real BLOCK.
 """
 
 import contextlib
+import functools
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hpqe import engine, fxp, gateset, state
 from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
 
-from helpers import PORTABLE_FLAG, random_circuit, rne, split_every_state
+from helpers import PORTABLE_FLAG, as_cfx, random_circuit, rne, split_every_state
 
 EDGES = (RAW_MIN, RAW_MIN + 1, -SCALE - 1, -SCALE, -SCALE + 1, -fxp.HALF_ULP,
          -1, 0, 1, fxp.HALF_ULP, SCALE - 1, SCALE, SCALE + 1, RAW_MAX - 1,
@@ -42,55 +46,60 @@ EDGES = (RAW_MIN, RAW_MIN + 1, -SCALE - 1, -SCALE, -SCALE + 1, -fxp.HALF_ULP,
 raws = st.one_of(st.sampled_from(EDGES), st.integers(RAW_MIN, RAW_MAX))
 cfxs = st.builds(CFx, raws, raws)
 small_blocks = st.sampled_from((1, 2, 4, 8, 16))
-# the ...Numpy subclasses rerun each hypothesis test with a `self` of
-# another class, which hypothesis otherwise reports as a health failure
-INHERITED = [HealthCheck.differing_executors]
+
+C_BODIES = ("native", "portable")
+
+
+def _no_scratch():
+    raise AssertionError("a numpy kernel body ran under the native one")
+
+
+class Body(NamedTuple):
+    """One kernel body: a C library ("native", "portable") or "numpy"."""
+
+    name: str
+    lib: object = None
+
+    @contextlib.contextmanager
+    def pinned(self):
+        """Run every kernel on this body, and restore the loader after.
+
+        A C body is pinned through `fxp._native`, and a numpy body cannot
+        run unnoticed under it: its scratch allocation fails the test.
+        The numpy body is pinned by a loader that finds no library.
+        """
+        mp = pytest.MonkeyPatch()
+        if self.lib is not None:
+            mp.setattr(fxp, "_native", [self.lib])
+            mp.setattr(fxp, "new_scratch", _no_scratch)
+        else:
+            mp.setattr(fxp, "native_kernels", lambda: None)
+        try:
+            yield self
+        finally:
+            mp.undo()
 
 
 @pytest.fixture(scope="session")
-def portable_kernels(tmp_path_factory):
-    """The native library built with PORTABLE_FLAG, or None.
+def bodies(tmp_path_factory) -> tuple:
+    """Every body this host has, the C ones that build and load first:
+    pin each in turn with `with body.pinned():`.
 
-    It is built into a cache of its own, because a build deletes every
-    other library in its cache; the loader's state is restored after.
+    The portable library is built with PORTABLE_FLAG into a cache of its
+    own, because a build deletes every other library in its cache; the
+    loader's state is restored after.
     """
+    libs = {"native": fxp.native_kernels()}
     mp = pytest.MonkeyPatch()
     mp.setattr(fxp, "NATIVE_FLAGS", (*fxp.NATIVE_FLAGS, PORTABLE_FLAG))
     mp.setattr(fxp, "NATIVE_CACHE", tmp_path_factory.mktemp("portable-kernels"))
     mp.setattr(fxp, "_native", [])
     try:
-        return fxp.native_kernels()
+        libs["portable"] = fxp.native_kernels()
     finally:
         mp.undo()
-
-
-@pytest.fixture(scope="class", autouse=True)
-def kernel_body(request):
-    """Pin the kernel body a test class names in BODY: "native",
-    "portable" or "numpy".
-
-    Under "native" and "portable" the numpy bodies cannot run unnoticed:
-    their scratch allocation fails the test.
-    """
-    body = getattr(request.cls, "BODY", None)
-    mp = pytest.MonkeyPatch()
-    if body in ("native", "portable"):
-        lib = (fxp.native_kernels() if body == "native"
-               else request.getfixturevalue("portable_kernels"))
-        if lib is None:
-            pytest.skip("the native kernels cannot be built or loaded on this host")
-        mp.setattr(fxp, "_native", [lib])
-
-        def no_scratch():
-            raise AssertionError("a numpy kernel body ran under the native one")
-
-        mp.setattr(fxp, "new_scratch", no_scratch)
-    elif body == "numpy":
-        mp.setattr(fxp, "native_kernels", lambda: None)
-    try:
-        yield body
-    finally:
-        mp.undo()
+    return (*(Body(name, lib) for name, lib in libs.items() if lib is not None),
+            Body("numpy"))
 
 
 @contextlib.contextmanager
@@ -108,14 +117,20 @@ def word_lists(size: int):
     return st.lists(raws, min_size=size, max_size=size)
 
 
-def as_cfx(re, im) -> list:
-    return [CFx(int(r), int(i)) for r, i in zip(re, im)]
+def words(values) -> np.ndarray:
+    return np.array(values, dtype=fxp.WORD)
 
 
 def scalar_scale(c0, c1, t, re, im) -> list:
     return [fxp.su_eval(c1 if (k >> t) & 1 else c0, fxp.CFX_ZERO, x,
                         fxp.CFX_ZERO, op=fxp.SPARSE)
             for k, x in enumerate(as_cfx(re, im))]
+
+
+def scalar_pairs(m, xs, ys) -> tuple:
+    # su_eval of the two rows of m on each pair (x, y)
+    return ([fxp.su_eval(m[0], m[1], a, b) for a, b in zip(xs, ys)],
+            [fxp.su_eval(m[2], m[3], a, b) for a, b in zip(xs, ys)])
 
 
 def diagonal(c0: CFx, c1: CFx) -> tuple:
@@ -126,13 +141,23 @@ def random_words(rng, size: int) -> np.ndarray:
     return rng.integers(RAW_MIN, RAW_MAX + 1, size, dtype=fxp.WORD)
 
 
+@functools.cache
+def _pattern(size: int) -> tuple:
+    # run_banks' fixed words of a bank of this size, read-only: every
+    # call shares them
+    rng = np.random.default_rng(size)
+    pattern = tuple(random_words(rng, size) for _ in range(2))
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
+
+
 def run_banks(call, size: int, parts) -> None:
     """call(fxp.Banks) on a bank of `size` words that holds each (lo, re,
     im) of parts at word lo and a fixed pattern elsewhere. The pattern
     must keep its values; each part takes its new words, in place."""
-    rng = np.random.default_rng(size)
-    bank = [random_words(rng, size) for _ in range(2)]
-    keep = [b.copy() for b in bank]
+    keep = _pattern(size)
+    bank = [k.copy() for k in keep]
     outside = np.ones(size, dtype=bool)
     for lo, re, im in parts:
         outside[lo:lo + re.size] = False
@@ -216,55 +241,61 @@ def lane_checked(size: int) -> range | list:
                    *range(size - 48, size), *rng.integers(0, size, 256).tolist()})
 
 
-class TestScaleBank:
+class TestSparseStep:
     # the sparse SU step: Banks.diag with the mask 2^t on a bank, and a
     # dense Banks.pair with zero off-diagonals, which gives the same bits,
     # on flat banks
-    BODY = "native"
 
-    @settings(max_examples=100, deadline=None, suppress_health_check=INHERITED)
+    @settings(max_examples=100, deadline=None)
     @given(c0=cfxs, c1=cfxs, t=st.integers(0, 5), block=small_blocks,
            data=st.data())
-    def test_matches_scalar(self, c0, c1, t, block, data):
+    def test_matches_scalar(self, bodies, c0, c1, t, block, data):
         size = data.draw(st.integers(0, 3)) << (t + 1)
-        re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
-        im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
-        gre, gim = re.copy(), im.copy()
-        with block_size(block):
-            scale_halves(c0, c1, t, gre, gim)
-        assert as_cfx(gre, gim) == scalar_scale(c0, c1, t, re, im)
+        re = words(data.draw(word_lists(size)))
+        im = words(data.draw(word_lists(size)))
+        want = scalar_scale(c0, c1, t, re, im)
         # flat banks, of any length: x takes c0, y takes c1
         size = data.draw(st.integers(0, 40))
-        x = [np.array(data.draw(word_lists(size)), dtype=fxp.WORD) for _ in range(4)]
-        got = [a.copy() for a in x]
-        with block_size(block):
-            run_pair(diagonal(c0, c1), *got)
-        assert as_cfx(got[0], got[1]) == [fxp.cfx_mul(c0, v) for v in as_cfx(x[0], x[1])]
-        assert as_cfx(got[2], got[3]) == [fxp.cfx_mul(c1, v) for v in as_cfx(x[2], x[3])]
+        x = [words(data.draw(word_lists(size))) for _ in range(4)]
+        want_x = [fxp.cfx_mul(c0, v) for v in as_cfx(x[0], x[1])]
+        want_y = [fxp.cfx_mul(c1, v) for v in as_cfx(x[2], x[3])]
+        for body in bodies:
+            gre, gim = re.copy(), im.copy()
+            got = [a.copy() for a in x]
+            with body.pinned(), block_size(block):
+                scale_halves(c0, c1, t, gre, gim)
+                run_pair(diagonal(c0, c1), *got)
+            assert as_cfx(gre, gim) == want, body.name
+            assert as_cfx(got[0], got[1]) == want_x, body.name
+            assert as_cfx(got[2], got[3]) == want_y, body.name
 
-    def test_real_block_partial_tail(self):
+    def test_real_block_partial_tail(self, bodies):
         # flat banks whose length is not a multiple of BLOCK, and halves
         # narrower than a block (t=3) and as wide as one (t=16)
         rng = np.random.default_rng(70)
         c0, c1 = random_coeff(rng), random_coeff(rng)
         size = fxp.BLOCK + 37
         x = [random_words(rng, size) for _ in range(4)]
-        got = [a.copy() for a in x]
-        run_pair(diagonal(c0, c1), *got)
-        assert as_cfx(got[0], got[1]) == scalar_scale(c0, c0, 0, x[0], x[1])
-        assert as_cfx(got[2], got[3]) == scalar_scale(c1, c1, 0, x[2], x[3])
+        want_x = scalar_scale(c0, c0, 0, x[0], x[1])
+        want_y = scalar_scale(c1, c1, 0, x[2], x[3])
         size = 2 << 16
         ks = lane_checked(size)
         re, im = random_words(rng, size), random_words(rng, size)
-        for t in (3, 16):
-            got = (re.copy(), im.copy())
-            scale_halves(c0, c1, t, *got)
-            assert as_cfx(got[0][ks], got[1][ks]) == [
-                fxp.cfx_mul(c1 if (k >> t) & 1 else c0, CFx(int(re[k]), int(im[k])))
-                for k in ks], t
+        want = {t: [fxp.cfx_mul(c1 if (k >> t) & 1 else c0, CFx(int(re[k]), int(im[k])))
+                    for k in ks] for t in (3, 16)}
+        for body in bodies:
+            with body.pinned():
+                got = [a.copy() for a in x]
+                run_pair(diagonal(c0, c1), *got)
+                assert as_cfx(got[0], got[1]) == want_x, body.name
+                assert as_cfx(got[2], got[3]) == want_y, body.name
+                for t in (3, 16):
+                    got = (re.copy(), im.copy())
+                    scale_halves(c0, c1, t, *got)
+                    assert as_cfx(got[0][ks], got[1][ks]) == want[t], (body.name, t)
 
     @pytest.mark.parametrize("size", LANE_SIZES)
-    def test_lane_boundaries(self, size):
+    def test_lane_boundaries(self, bodies, size):
         # the halves of a bank of `size` pairs in whole rows, t = 0..6: for
         # t = 0..3 each vector holds one (c0, c1) pattern, for t >= 4 the
         # bank is one run that switches whole vectors between c0 and c1
@@ -274,11 +305,13 @@ class TestScaleBank:
             ks = lane_checked(re.size)
             for c0, c1 in LANE_COEFFS:
                 for a, b in ((c0, c1), (c1, c0)):
-                    got = (re.copy(), im.copy())
-                    scale_halves(a, b, t, *got)
                     want = [fxp.cfx_mul(b if (k >> t) & 1 else a,
                                         CFx(int(re[k]), int(im[k]))) for k in ks]
-                    assert as_cfx(got[0][ks], got[1][ks]) == want, (a, b, t)
+                    for body in bodies:
+                        got = (re.copy(), im.copy())
+                        with body.pinned():
+                            scale_halves(a, b, t, *got)
+                        assert as_cfx(got[0][ks], got[1][ks]) == want, (body.name, a, b, t)
 
 
 def parity(i: int) -> int:
@@ -308,33 +341,47 @@ unit_cfxs = st.one_of(
 
 def scalar_stretch(steps, base, re, im, ks) -> list:
     # cfx_mul of each step in turn, on the words ks of the bank
-    words = as_cfx(re[list(ks)], im[list(ks)])
+    amps = as_cfx(re[list(ks)], im[list(ks)])
     for c0, c1, mask in steps:
-        words = [fxp.cfx_mul(c1 if parity((base + k) & mask) else c0, x)
-                 for k, x in zip(ks, words)]
-    return words
+        amps = [fxp.cfx_mul(c1 if parity((base + k) & mask) else c0, x)
+                for k, x in zip(ks, amps)]
+    return amps
+
+
+def check_stretch(bodies, steps, base, re, im, block=None) -> None:
+    # on every body a stretch gives the bits of its steps run one call
+    # each, and of cfx_mul applied step after step
+    want = scalar_stretch(steps, base, re, im, range(re.size))
+    for body in bodies:
+        got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
+        with body.pinned(), block_size(block or fxp.BLOCK):
+            run_diag(steps, *got, base)
+            for step in steps:
+                run_diag([step], *one, base)
+        assert as_cfx(*got) == as_cfx(*one) == want, body.name
 
 
 class TestDiag:
     # the diagonal step Banks.diag (native hpqe_diag) on the words [base,
     # base + size) of a bank: bases and lengths that are not multiples of
     # 16 put words before the first whole vector and after the last one
-    BODY = "native"
 
-    @settings(max_examples=150, deadline=None, suppress_health_check=INHERITED)
+    @settings(max_examples=150, deadline=None)
     @given(c0=cfxs, c1=cfxs, base=st.integers(0, 300), block=small_blocks,
            mask=diag_masks, data=st.data())
-    def test_matches_scalar(self, c0, c1, base, mask, block, data):
+    def test_matches_scalar(self, bodies, c0, c1, base, mask, block, data):
         size = data.draw(st.integers(0, 70))
-        re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
-        im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
-        got = (re.copy(), im.copy())
-        with block_size(block):
-            run_diag([(c0, c1, mask)], *got, base)
-        assert as_cfx(*got) == scalar_diag(c0, c1, mask, base, re, im, range(size))
+        re = words(data.draw(word_lists(size)))
+        im = words(data.draw(word_lists(size)))
+        want = scalar_diag(c0, c1, mask, base, re, im, range(size))
+        for body in bodies:
+            got = (re.copy(), im.copy())
+            with body.pinned(), block_size(block):
+                run_diag([(c0, c1, mask)], *got, base)
+            assert as_cfx(*got) == want, body.name
 
     @pytest.mark.parametrize("size", LANE_SIZES)
-    def test_lane_boundaries(self, size):
+    def test_lane_boundaries(self, bodies, size):
         # EDGES words and exact ties on every lane, the clip-boundary
         # coefficients, every kind of mask, aligned and unaligned bases
         re, im = lane_bank(size)
@@ -343,51 +390,42 @@ class TestDiag:
             for base in (0, 5, 16 + 3):
                 for c0, c1 in LANE_COEFFS:
                     for a, b in ((c0, c1), (c1, c0)):
-                        got = (re.copy(), im.copy())
-                        run_diag([(a, b, mask)], *got, base)
-                        assert as_cfx(got[0][ks], got[1][ks]) == scalar_diag(
-                            a, b, mask, base, re, im, ks), (mask, base, a, b)
+                        want = scalar_diag(a, b, mask, base, re, im, ks)
+                        for body in bodies:
+                            got = (re.copy(), im.copy())
+                            with body.pinned():
+                                run_diag([(a, b, mask)], *got, base)
+                            assert as_cfx(got[0][ks], got[1][ks]) == want, (
+                                body.name, mask, base, a, b)
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
+    @settings(max_examples=60, deadline=None)
     @given(steps=st.lists(st.tuples(cfxs, cfxs, diag_masks), min_size=1, max_size=70),
            base=st.integers(0, 300), block=small_blocks, data=st.data())
-    def test_stretch_matches_steps(self, steps, base, block, data):
+    def test_stretch_matches_steps(self, bodies, steps, base, block, data):
         # a stretch of k = 1..70 steps (three passes of the native body at
-        # its cap) gives the bits of its steps run one call each, and of
-        # cfx_mul applied step after step
+        # its cap)
         size = data.draw(st.integers(0, 70))
-        re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
-        im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
-        got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
-        with block_size(block):
-            run_diag(steps, *got, base)
-            for step in steps:
-                run_diag([step], *one, base)
-        assert as_cfx(*got) == as_cfx(*one) == scalar_stretch(steps, base, re, im,
-                                                              range(size))
+        re = words(data.draw(word_lists(size)))
+        im = words(data.draw(word_lists(size)))
+        check_stretch(bodies, steps, base, re, im, block)
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
+    @settings(max_examples=60, deadline=None)
     @given(steps=st.lists(st.tuples(unit_cfxs, unit_cfxs, diag_masks), min_size=1,
                           max_size=70),
            base=st.integers(0, 40), data=st.data())
-    def test_stretch_of_unit_steps(self, steps, base, data):
+    def test_stretch_of_unit_steps(self, bodies, steps, base, data):
         # words in [-2^30, 2^30] and coefficients with cr^2 + ci^2 at most
         # 2^60 + 2^50, where the vector body skips the clips between steps,
         # and coefficients just past that bound, where it keeps them
         size = data.draw(st.integers(16, 70))
         small = st.one_of(st.sampled_from((-SCALE, SCALE, 0, -1, TIE, -TIE)),
                           st.integers(-SCALE, SCALE))
-        re, im = (np.array(data.draw(st.lists(small, min_size=size, max_size=size)),
-                           dtype=fxp.WORD) for _ in range(2))
-        got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
-        run_diag(steps, *got, base)
-        for step in steps:
-            run_diag([step], *one, base)
-        assert as_cfx(*got) == as_cfx(*one) == scalar_stretch(steps, base, re, im,
-                                                              range(size))
+        re, im = (words(data.draw(st.lists(small, min_size=size, max_size=size)))
+                  for _ in range(2))
+        check_stretch(bodies, steps, base, re, im)
 
     @pytest.mark.parametrize("size", LANE_SIZES)
-    def test_stretch_lane_boundaries(self, size):
+    def test_stretch_lane_boundaries(self, bodies, size):
         # EDGES words and exact ties on every lane; RZ(2 pi)'s -2^30 and the
         # other clip-boundary coefficients, which saturate words between
         # steps; masks below and above bit 4; aligned and unaligned bases
@@ -398,73 +436,77 @@ class TestDiag:
         steps = [(coeffs[j % len(coeffs)], coeffs[(3 * j + 1) % len(coeffs)],
                   MASKS[j % len(MASKS)]) for j in range(70)]
         for base in (0, 5, 16 + 3):
-            for k in (1, 4, 33, 70):
-                got, one = (re.copy(), im.copy()), (re.copy(), im.copy())
-                run_diag(steps[:k], *got, base)
-                for step in steps[:k]:
-                    run_diag([step], *one, base)
-                assert got[0].tobytes() == one[0].tobytes(), (base, k)
-                assert got[1].tobytes() == one[1].tobytes(), (base, k)
-            assert as_cfx(got[0][ks], got[1][ks]) == scalar_stretch(steps, base, re, im, ks)
+            want = scalar_stretch(steps, base, re, im, ks)
+            for body in bodies:
+                one, done = (re.copy(), im.copy()), 0
+                with body.pinned():
+                    for k in (1, 4, 33, 70):
+                        got = (re.copy(), im.copy())
+                        run_diag(steps[:k], *got, base)
+                        for step in steps[done:k]:      # one holds steps[:done]
+                            run_diag([step], *one, base)
+                        done = k
+                        assert got[0].tobytes() == one[0].tobytes(), (body.name, base, k)
+                        assert got[1].tobytes() == one[1].tobytes(), (body.name, base, k)
+                assert as_cfx(got[0][ks], got[1][ks]) == want, (body.name, base)
 
-    def test_rz_two_pi_needs_the_clip(self):
+    def test_rz_two_pi_needs_the_clip(self, bodies):
         # RZ(2 pi) is -1: its coefficient -2^30 times RAW_MIN saturates
         rz = gateset.single("RZ", 0, 2 * np.pi)
         m00, _, _, m11 = rz.matrix
         assert m00.re == m11.re == -SCALE
-        words = np.array([RAW_MIN, RAW_MAX, RAW_MIN, 0, -SCALE, SCALE] * 7, dtype=fxp.WORD)
+        re = words([RAW_MIN, RAW_MAX, RAW_MIN, 0, -SCALE, SCALE] * 7)
+        im = re[::-1].copy()
         for mask, base in ((1, 0), (0b10001, 3), (16, 16)):
-            got = (words.copy(), words[::-1].copy())
-            run_diag([(m00, m11, mask)], *got, base)
-            assert as_cfx(*got) == scalar_diag(m00, m11, mask, base, words, words[::-1],
-                                               range(words.size))
-            assert RAW_MAX in got[0]
+            want = scalar_diag(m00, m11, mask, base, re, im, range(re.size))
+            assert RAW_MAX in [w.re for w in want]
+            for body in bodies:
+                got = (re.copy(), im.copy())
+                with body.pinned():
+                    run_diag([(m00, m11, mask)], *got, base)
+                assert as_cfx(*got) == want, (body.name, mask, base)
 
 
 class TestPairBanks:
-    BODY = "native"
-
-    @settings(max_examples=100, deadline=None, suppress_health_check=INHERITED)
+    @settings(max_examples=100, deadline=None)
     @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), block=small_blocks,
            data=st.data())
-    def test_flat_banks_match_scalar(self, m, block, data):
+    def test_flat_banks_match_scalar(self, bodies, m, block, data):
         size = data.draw(st.integers(0, 40))
-        x = [np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
-             for _ in range(4)]
-        got = [a.copy() for a in x]
-        with block_size(block):
-            run_pair(m, *got)
-        xs, ys = as_cfx(x[0], x[1]), as_cfx(x[2], x[3])
-        assert as_cfx(got[0], got[1]) == [fxp.su_eval(m[0], m[1], a, b)
-                                          for a, b in zip(xs, ys)]
-        assert as_cfx(got[2], got[3]) == [fxp.su_eval(m[2], m[3], a, b)
-                                          for a, b in zip(xs, ys)]
+        x = [words(data.draw(word_lists(size))) for _ in range(4)]
+        want = scalar_pairs(m, as_cfx(x[0], x[1]), as_cfx(x[2], x[3]))
+        for body in bodies:
+            got = [a.copy() for a in x]
+            with body.pinned(), block_size(block):
+                run_pair(m, *got)
+            assert (as_cfx(got[0], got[1]), as_cfx(got[2], got[3])) == want, body.name
 
-    @settings(max_examples=80, deadline=None, suppress_health_check=INHERITED)
+    @settings(max_examples=80, deadline=None)
     @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), t=st.integers(0, 4),
            rows=st.integers(1, 4), block=small_blocks, data=st.data())
-    def test_strided_halves_match_scalar(self, m, t, rows, block, data):
+    def test_strided_halves_match_scalar(self, bodies, m, t, rows, block, data):
         # the pair halves (k, k + 2^t) of one bank, in rows of whole pairs
         # (2-D strided views in the numpy body)
         size = rows << (t + 1)
-        re = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
-        im = np.array(data.draw(word_lists(size)), dtype=fxp.WORD)
-        gre, gim = re.copy(), im.copy()
-        with block_size(block):
-            run_rows(m, t, gre, gim)
+        re = words(data.draw(word_lists(size)))
+        im = words(data.draw(word_lists(size)))
+        want = (re.copy(), im.copy())
         for k in range(size):
-            if (k >> t) & 1:
-                continue
-            x = CFx(int(re[k]), int(im[k]))
-            j = k | (1 << t)
-            y = CFx(int(re[j]), int(im[j]))
-            assert (int(gre[k]), int(gim[k])) == fxp.su_eval(m[0], m[1], x, y)
-            assert (int(gre[j]), int(gim[j])) == fxp.su_eval(m[2], m[3], x, y)
+            if not (k >> t) & 1:
+                j = k | (1 << t)
+                x, y = CFx(int(re[k]), int(im[k])), CFx(int(re[j]), int(im[j]))
+                want[0][k], want[1][k] = fxp.su_eval(m[0], m[1], x, y)
+                want[0][j], want[1][j] = fxp.su_eval(m[2], m[3], x, y)
+        for body in bodies:
+            gre, gim = re.copy(), im.copy()
+            with body.pinned(), block_size(block):
+                run_rows(m, t, gre, gim)
+            assert as_cfx(gre, gim) == as_cfx(*want), body.name
 
-    @settings(max_examples=150, deadline=None, suppress_health_check=INHERITED)
+    @settings(max_examples=150, deadline=None)
     @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), t=st.integers(0, 8), block=small_blocks,
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_any_pair_range_matches_scalar(self, m, t, block, seed, data):
+    def test_any_pair_range_matches_scalar(self, bodies, m, t, block, seed, data):
         # Banks.pair on pairs [lo, hi) of a whole state: pair j is word k =
         # j + (j & -2^t) and word k + 2^t. The ends fall anywhere, or on or
         # next to a vector (8 or 16 pairs) or row (2^t pairs) boundary;
@@ -479,50 +521,51 @@ class TestPairBanks:
         rng = np.random.default_rng(seed)
         re, im = (np.where(rng.random(1 << n) < 0.3, rng.choice(EDGES, 1 << n),
                            random_words(rng, 1 << n)).astype(fxp.WORD) for _ in range(2))
-        got = (re.copy(), im.copy())
-        with block_size(block):
-            fxp.Banks(*got).pair(m, t, lo, hi)
         want = (re.copy(), im.copy())
         for j in range(lo, hi):
             k = j + (j & -(1 << t))
             x, y = (CFx(int(re[i]), int(im[i])) for i in (k, k + (1 << t)))
             for i, a, b in ((k, m[0], m[1]), (k + (1 << t), m[2], m[3])):
                 want[0][i], want[1][i] = fxp.su_eval(a, b, x, y)
-        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        for body in bodies:
+            got = (re.copy(), im.copy())
+            with body.pinned(), block_size(block):
+                fxp.Banks(*got).pair(m, t, lo, hi)
+            assert got[0].tobytes() == want[0].tobytes(), body.name
+            assert got[1].tobytes() == want[1].tobytes(), body.name
 
-    def test_real_block_partial_tail(self):
+    def test_real_block_partial_tail(self, bodies):
         rng = np.random.default_rng(71)
         m = [random_coeff(rng) for _ in range(4)]
         size = fxp.BLOCK + 37
         x = [random_words(rng, size) for _ in range(4)]
-        got = [a.copy() for a in x]
-        run_pair(m, *got)
-        xs, ys = as_cfx(x[0], x[1]), as_cfx(x[2], x[3])
-        assert as_cfx(got[0], got[1]) == [fxp.su_eval(m[0], m[1], a, b)
-                                          for a, b in zip(xs, ys)]
-        assert as_cfx(got[2], got[3]) == [fxp.su_eval(m[2], m[3], a, b)
-                                          for a, b in zip(xs, ys)]
-
+        want = scalar_pairs(m, as_cfx(x[0], x[1]), as_cfx(x[2], x[3]))
+        for body in bodies:
+            got = [a.copy() for a in x]
+            with body.pinned():
+                run_pair(m, *got)
+            assert (as_cfx(got[0], got[1]), as_cfx(got[2], got[3])) == want, body.name
 
     @pytest.mark.parametrize("size", LANE_SIZES)
-    def test_lane_boundaries_flat(self, size):
+    def test_lane_boundaries_flat(self, bodies, size):
         re, im = lane_bank(size)
         ks = lane_checked(size)
+        x = [re, im, im[::-1].copy(), re[::-1].copy()]
+        xs = [CFx(int(x[0][k]), int(x[1][k])) for k in ks]
+        ys = [CFx(int(x[2][k]), int(x[3][k])) for k in ks]
         for (a, b), (c, d) in zip(LANE_COEFFS, LANE_COEFFS[1:] + LANE_COEFFS[:1]):
             m = (a, c, d, b)
-            x = [re, im, im[::-1].copy(), re[::-1].copy()]
-            got = [v.copy() for v in x]
-            run_pair(m, *got)
-            xs = [CFx(int(x[0][k]), int(x[1][k])) for k in ks]
-            ys = [CFx(int(x[2][k]), int(x[3][k])) for k in ks]
-            assert as_cfx(got[0][ks], got[1][ks]) == [fxp.su_eval(m[0], m[1], p, q)
-                                                      for p, q in zip(xs, ys)]
-            assert as_cfx(got[2][ks], got[3][ks]) == [fxp.su_eval(m[2], m[3], p, q)
-                                                      for p, q in zip(xs, ys)]
+            want = scalar_pairs(m, xs, ys)
+            for body in bodies:
+                got = [v.copy() for v in x]
+                with body.pinned():
+                    run_pair(m, *got)
+                assert (as_cfx(got[0][ks], got[1][ks]),
+                        as_cfx(got[2][ks], got[3][ks])) == want, (body.name, m)
 
     @pytest.mark.parametrize("t", range(7))
     @pytest.mark.parametrize("large", (False, True))
-    def test_lane_boundaries_halves(self, t, large):
+    def test_lane_boundaries_halves(self, bodies, t, large):
         # the mode-1 views: rows of 1 to 8 words pack whole pairs into a
         # vector, wider rows run whole vectors; some rows lie past the
         # last whole vector
@@ -530,23 +573,24 @@ class TestPairBanks:
         size = rows << (t + 1)
         re, im = lane_bank(size)
         ks = [k for k in lane_checked(size) if not (k >> t) & 1]
+        js = [k | (1 << t) for k in ks]
+        xs, ys = as_cfx(re[ks], im[ks]), as_cfx(re[js], im[js])
         for (a, b), (c, d) in zip(LANE_COEFFS, LANE_COEFFS[1:] + LANE_COEFFS[:1]):
             m = (a, c, d, b)
-            gre, gim = re.copy(), im.copy()
-            run_rows(m, t, gre, gim)
-            for k in ks:
-                j = k | (1 << t)
-                x, y = CFx(int(re[k]), int(im[k])), CFx(int(re[j]), int(im[j]))
-                assert (int(gre[k]), int(gim[k])) == fxp.su_eval(m[0], m[1], x, y), (m, k)
-                assert (int(gre[j]), int(gim[j])) == fxp.su_eval(m[2], m[3], x, y), (m, k)
+            want = scalar_pairs(m, xs, ys)
+            for body in bodies:
+                gre, gim = re.copy(), im.copy()
+                with body.pinned():
+                    run_rows(m, t, gre, gim)
+                assert (as_cfx(gre[ks], gim[ks]), as_cfx(gre[js], gim[js])) == want, (
+                    body.name, m)
 
 
 class TestRoundingTies:
     # c = a * 2^29 with a odd and x = 2k + 1 odd makes c*x an exact tie
     # (c*x mod 2^30 == 2^29) with floor quotient of either parity
-    BODY = "native"
 
-    @settings(max_examples=200, deadline=None, suppress_health_check=INHERITED)
+    @settings(max_examples=200, deadline=None)
     @given(k=st.integers(-(1 << 30), (1 << 30) - 1),
            a=st.sampled_from((1, -1, 3, -3)))
     @example(k=0, a=1)        # 0.5 -> 0, even quotient
@@ -554,41 +598,43 @@ class TestRoundingTies:
     @example(k=-1, a=1)       # -0.5 -> 0
     @example(k=-2, a=1)       # -1.5 -> -2
     @example(k=(1 << 30) - 1, a=3)   # saturates after rounding
-    def test_ties_round_half_even(self, k, a):
+    def test_ties_round_half_even(self, bodies, k, a):
         c, x = a * fxp.HALF_ULP, 2 * k + 1
         assert (c * x) % SCALE == fxp.HALF_ULP
         want = max(RAW_MIN, min(RAW_MAX, rne(Fraction(c * x, SCALE))))
         assert fxp.fx_mul(c, x) == want
         for coeff, part in ((CFx(c, 0), 0), (CFx(0, c), 1)):
-            re, im = np.array([x, 0], dtype=fxp.WORD), np.array([0, x], dtype=fxp.WORD)
-            scale_halves(coeff, coeff, 0, re, im)
             # (x + 0i) * coeff puts the product in part `part` of word 0
-            assert (int(re[0]), int(im[0]))[part] == want
-            assert as_cfx(re, im) == [fxp.cfx_mul(coeff, CFx(x, 0)),
-                                      fxp.cfx_mul(coeff, CFx(0, x))]
+            words_want = [fxp.cfx_mul(coeff, CFx(x, 0)), fxp.cfx_mul(coeff, CFx(0, x))]
+            assert words_want[0][part] == want
+            for body in bodies:
+                re, im = words([x, 0]), words([0, x])
+                with body.pinned():
+                    scale_halves(coeff, coeff, 0, re, im)
+                assert as_cfx(re, im) == words_want, (body.name, coeff)
 
 
-class ClipElisionKernels:
+class TestClipElision:
     @pytest.mark.parametrize("c", (-SCALE, -SCALE + 1, SCALE))
-    def test_boundary_coefficients_against_raw_min(self, c):
+    def test_boundary_coefficients_against_raw_min(self, bodies, c):
         expected = {-SCALE: RAW_MAX, -SCALE + 1: RAW_MAX - 1, SCALE: RAW_MIN}
         assert fxp.fx_mul(c, RAW_MIN) == expected[c]
-        re = np.array([RAW_MIN, RAW_MIN, RAW_MAX], dtype=fxp.WORD)
-        im = np.array([RAW_MIN, 0, RAW_MIN], dtype=fxp.WORD)
+        re = words([RAW_MIN, RAW_MIN, RAW_MAX])
+        im = words([RAW_MIN, 0, RAW_MIN])
+        xs, ys = as_cfx(re, im), as_cfx(im, re)
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c)):
-            got = [a.copy() for a in (re, im, im, re)]
-            run_pair(diagonal(coeff, coeff), *got)
-            assert as_cfx(got[0], got[1]) == [fxp.cfx_mul(coeff, x) for x in as_cfx(re, im)]
-            assert as_cfx(got[2], got[3]) == [fxp.cfx_mul(coeff, x) for x in as_cfx(im, re)]
-            got = [a.copy() for a in (re, im, im, re)]
-            run_pair((coeff, coeff, coeff, coeff), *got)
-            xs, ys = as_cfx(re, im), as_cfx(im, re)
-            assert as_cfx(got[0], got[1]) == [fxp.su_eval(coeff, coeff, a, b)
-                                              for a, b in zip(xs, ys)]
-
-
-class TestClipElision(ClipElisionKernels):
-    BODY = "numpy"
+            want_diag = ([fxp.cfx_mul(coeff, v) for v in xs],
+                         [fxp.cfx_mul(coeff, v) for v in ys])
+            want_dense = [fxp.su_eval(coeff, coeff, a, b) for a, b in zip(xs, ys)]
+            for body in bodies:
+                with body.pinned():
+                    got = [a.copy() for a in (re, im, im, re)]
+                    run_pair(diagonal(coeff, coeff), *got)
+                    assert (as_cfx(got[0], got[1]),
+                            as_cfx(got[2], got[3])) == want_diag, (body.name, coeff)
+                    got = [a.copy() for a in (re, im, im, re)]
+                    run_pair((coeff, coeff, coeff, coeff), *got)
+                    assert as_cfx(got[0], got[1]) == want_dense, (body.name, coeff)
 
     def test_boundary(self):
         assert not fxp.product_fits(-SCALE)
@@ -603,21 +649,16 @@ class TestClipElision(ClipElisionKernels):
         assert RAW_MIN <= rne(Fraction(c * x, SCALE)) <= RAW_MAX
 
 
-class TestClipElisionNative(ClipElisionKernels):
-    BODY = "native"
-
-
 class TestNarrowing:
     # the numpy body computes in int64 scratch and narrows to the word only
     # after the final clip: an int64 result written into a WORD bank
     # through a ufunc's out= would wrap 2^31 to RAW_MIN instead
-    BODY = "numpy"
     WORDS = (RAW_MIN, RAW_MAX, -SCALE, SCALE, -1, 0)
 
     def test_edge_words_saturate_before_narrowing(self):
         pairs = [(a, b) for a in self.WORDS for b in self.WORDS]
-        re = np.array([a for a, _ in pairs], dtype=fxp.WORD)
-        im = np.array([b for _, b in pairs], dtype=fxp.WORD)
+        re = words([a for a, _ in pairs])
+        im = words([b for _, b in pairs])
         xs = as_cfx(re, im)
         ys = xs[::-1]
         c = -SCALE
@@ -638,45 +679,76 @@ class TestNarrowing:
 class TestBanks:
     # fxp.Banks is the one door to the library: a writable, contiguous
     # 1-D WORD pair takes it for every kernel; any other pair of arrays
-    # runs the numpy bodies, whose scratch allocation fails under this
+    # runs the numpy bodies, whose scratch allocation fails under a C
     # pin, and never reaches the int32_t * C code
-    BODY = "native"
 
-    def test_takes_only_the_word(self, monkeypatch):
-        calls = []
-        lib = fxp.native_kernels()
-
-        class Recording:
-            def __getattr__(self, name):
-                calls.append(name)
-                return getattr(lib, name)
-
-        monkeypatch.setattr(fxp, "_native", [Recording()])
+    def test_takes_only_the_word(self, bodies):
         h = gateset.single("H", 0).matrix
         step = [(fxp.CFX_ONE, CFx(0, SCALE), 1)]
         a = np.zeros(16, dtype=fxp.WORD)
-        banks = fxp.Banks(a, a.copy())
-        banks.pair(h, 0, 0, 8)
-        banks.diag(step, 0, 16)
-        banks.cx(1, 0)
-        assert calls == ["hpqe_pair_banks", "hpqe_diag", "hpqe_cx"]
-        calls.clear()
         read_only = a.copy()
         read_only.flags.writeable = False
         others = [(b, b.copy()) for b in (np.zeros(16, dtype=wide)
                                           for wide in (np.int64, np.uint32, np.float32))]
         others += [(a, np.zeros(16, dtype=np.int64)), (read_only, a.copy()),
                    (a[::2], a[1::2])]                   # an 8-byte word stride
-        for re, im in others:
-            banks = fxp.Banks(re, im)
-            for run in (lambda: banks.pair(h, 0, 0, 4), lambda: banks.diag(step, 0, 8)):
+        for body in bodies:
+            calls = []
+
+            class Recording:
+                def __getattr__(self, name):
+                    calls.append(name)
+                    return getattr(body.lib, name)
+
+            with body.pinned(), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fxp, "_native", [Recording()])
+                banks = fxp.Banks(a, a.copy())
+                banks.pair(h, 0, 0, 8)
+                banks.diag(step, 0, 16)
+                banks.cx(1, 0)
+                if body.lib is None:
+                    # the numpy pin finds no library, so nothing reaches one
+                    assert calls == [], body.name
+                    continue
+                assert calls == ["hpqe_pair_banks", "hpqe_diag", "hpqe_cx"], body.name
+                calls.clear()
+                for re, im in others:
+                    banks = fxp.Banks(re, im)
+                    for run in (lambda: banks.pair(h, 0, 0, 4),
+                                lambda: banks.diag(step, 0, 8)):
+                        with pytest.raises(AssertionError, match="numpy kernel body ran"):
+                            run()
+                # one word per array passes every stride rule: only the type
+                # refuses it
+                wide = np.zeros(1, dtype=np.int64)
                 with pytest.raises(AssertionError, match="numpy kernel body ran"):
-                    run()
-        # one word per array passes every stride rule: only the type refuses it
-        wide = np.zeros(1, dtype=np.int64)
-        with pytest.raises(AssertionError, match="numpy kernel body ran"):
-            fxp.Banks(wide, wide.copy()).diag(step, 0, 1)
-        assert calls == []
+                    fxp.Banks(wide, wide.copy()).diag(step, 0, 1)
+                assert calls == [], body.name
+
+    @pytest.mark.parametrize("name", (*C_BODIES, "numpy"))
+    def test_pin(self, bodies, name):
+        # a C pin hands every Banks its library and fails a numpy scratch
+        # allocation; the numpy pin leaves every Banks without a library;
+        # after each, even one left by an error, the loader is as before.
+        # A C body this host cannot build is this test's one skip for it.
+        body = next((b for b in bodies if b.name == name), None)
+        if body is None:
+            pytest.skip(f"the {name} body cannot be built or loaded on this host; "
+                        "the kernel checks ran without it")
+        saved = (fxp._native, fxp.native_kernels, fxp.new_scratch)
+        a = np.zeros(16, dtype=fxp.WORD)
+        with body.pinned():
+            assert fxp.Banks(a, a.copy())._lib is body.lib
+            if body.lib is None:
+                assert fxp.new_scratch().shape == (fxp.SCRATCH_ROWS, fxp.BLOCK)
+            else:
+                assert fxp.native_kernels() is body.lib
+                with pytest.raises(AssertionError, match="numpy kernel body ran"):
+                    fxp.new_scratch()
+        with pytest.raises(ZeroDivisionError), body.pinned():
+            1 // 0
+        now = (fxp._native, fxp.native_kernels, fxp.new_scratch)
+        assert all(x is y for x, y in zip(now, saved))
 
 
 def _random_state(n: int, rng) -> state.StateVector:
@@ -686,9 +758,9 @@ def _random_state(n: int, rng) -> state.StateVector:
     return sv
 
 
-def _check_gate(n: int, rng, exhaustive: bool, workers=(None,)) -> None:
+def _check_gate(bodies, n: int, rng, exhaustive: bool, workers=(None,)) -> None:
     # one gate per target, sparse and dense, through apply_single (None)
-    # or through run_circuit on each worker count in `workers`
+    # or through run_circuit on each worker count in `workers`, on each body
     sv0 = _random_state(n, rng)
     pairs = 1 << (n - 1)
     for t in range(n):
@@ -704,61 +776,62 @@ def _check_gate(n: int, rng, exhaustive: bool, workers=(None,)) -> None:
             for k in ks:
                 i0 = ((k >> t) << (t + 1)) | (k & ((1 << t) - 1))
                 i1 = i0 | (1 << t)
-                x, y = sv0.get(i0), sv0.get(i1)
+                x, y = as_cfx(sv0.re[[i0, i1]], sv0.im[[i0, i1]])
                 index += [i0, i1]
                 if sparse:
                     want += [fxp.cfx_mul(m[0], x), fxp.cfx_mul(m[3], y)]
                 else:
                     want += [fxp.su_eval(m[0], m[1], x, y),
                              fxp.su_eval(m[2], m[3], x, y)]
-            for w in workers:
-                sv = sv0.copy()
-                if w is None:
-                    engine.apply_single(sv, op)
-                else:
-                    engine.run_circuit(sv, gateset.Circuit(n=n, ops=[op]), workers=w)
-                assert as_cfx(sv.re[index], sv.im[index]) == want, (n, t, sparse, w)
+            for body in bodies:
+                with body.pinned():
+                    for w in workers:
+                        sv = sv0.copy()
+                        if w is None:
+                            engine.apply_single(sv, op)
+                        else:
+                            engine.run_circuit(sv, gateset.Circuit(n=n, ops=[op]),
+                                               workers=w)
+                        assert as_cfx(sv.re[index], sv.im[index]) == want, (
+                            body.name, n, t, sparse, w)
 
 
 class TestEngineEveryTarget:
-    BODY = "native"
-
     @pytest.mark.parametrize("n", range(3, 18))
-    def test_every_target_both_modes(self, n):
+    def test_every_target_both_modes(self, bodies, n):
         # t <= n-4 is access mode 1, t >= n-3 mode 2; sparse and dense each
         modes = {engine.access_mode(t, n) for t in range(n)}
         assert modes == ({engine.MODE2} if n == 3 else {engine.MODE1, engine.MODE2})
-        _check_gate(n, np.random.default_rng(100 + n), exhaustive=n <= 10)
+        _check_gate(bodies, n, np.random.default_rng(100 + n), exhaustive=n <= 10)
 
     @pytest.mark.parametrize("n", range(3, 10))
-    def test_small_block_exhaustive(self, n):
+    def test_small_block_exhaustive(self, bodies, n):
         # banks of several blocks, pair halves wider than a block
         with block_size(4):
-            _check_gate(n, np.random.default_rng(200 + n), exhaustive=True)
+            _check_gate(bodies, n, np.random.default_rng(200 + n), exhaustive=True)
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_every_cut(self, n):
+    def test_every_cut(self, bodies, n):
         # p = min(workers, 2^(n-1)) pieces: sparse pieces shorter than the
         # period 2^(t+1), inside one half, and dense pair ranges inside one
         # row when the 2^(n-1-t) rows are fewer than p
         with split_every_state():
-            _check_gate(n, np.random.default_rng(400 + n), exhaustive=True,
+            _check_gate(bodies, n, np.random.default_rng(400 + n), exhaustive=True,
                         workers=range(2, 9))
 
 
 class TestDeferral:
     # run_circuit defers every CX as a relabeling and runs each stretch of
     # diagonal gates as one call per piece, each gate with its parity mask;
-    # a gate-by-gate replay through the eager apply_single and apply_cx
-    # must end on the same bits. Stretches cross CX relabelings and end at
-    # dense gates and at the end of the circuit; the state is cut into
-    # pieces at every worker count.
-    BODY = "native"
+    # a gate-by-gate replay through the eager apply_single and apply_cx on
+    # the same body must end on the same bits. Stretches cross CX
+    # relabelings and end at dense gates and at the end of the circuit;
+    # the state is cut into pieces at every worker count.
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
+    @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 10), workers=st.integers(1, 8),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_run_equals_eager_replay(self, n, workers, seed, data):
+    def test_run_equals_eager_replay(self, bodies, n, workers, seed, data):
         rng = np.random.default_rng(seed)
         qubit = st.integers(0, n - 1)
         cx = st.tuples(st.just("CX"), qubit, qubit).filter(lambda g: g[1] != g[2])
@@ -779,129 +852,64 @@ class TestDeferral:
                     angle = float(rng.uniform(0, 4 * np.pi)) if g[0] not in ("H", "S") else None
                     ops.append(gateset.single(g[0], g[1], angle))
         start = _random_state(n, rng)
-        with split_every_state():
-            sv, _ = engine.run_circuit(start.copy(), gateset.Circuit(n=n, ops=ops),
-                                       workers=workers)
-        want = start.copy()
-        for op in ops:
-            if op.kind == "CX":
-                engine.apply_cx(want, op.control, op.target)
-            else:
-                engine.apply_single(want, op)
-        assert sv.dump() == want.dump()
+        for body in bodies:
+            with body.pinned():
+                with split_every_state():
+                    sv, _ = engine.run_circuit(start.copy(), gateset.Circuit(n=n, ops=ops),
+                                               workers=workers)
+                want = start.copy()
+                for op in ops:
+                    if op.kind == "CX":
+                        engine.apply_cx(want, op.control, op.target)
+                    else:
+                        engine.apply_single(want, op)
+            assert sv.dump() == want.dump(), body.name
 
 
 class TestWorkers:
-    BODY = "numpy"
-
     @pytest.mark.parametrize("block", (fxp.BLOCK, 1 << 12))
-    def test_bit_identical_across_workers(self, block):
+    def test_bit_identical_across_workers(self, bodies, block):
         # at n = 17 a piece is 2^14 to 2^17 words; with BLOCK = 2^12 it
         # spans several blocks, so every worker streams several blocks per gate
         n = 17
         rng = np.random.default_rng(17)
         circuit = random_circuit(n, 40, rng)
         start = _random_state(n, rng)
-        results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with block_size(block), split_every_state():
-                for workers in range(1, 9):
-                    sv, report = engine.run_circuit(start.copy(), circuit,
-                                                    workers=workers)
-                    results.append((sv.dump(), report.total_cycles))
+            for body in bodies:
+                results = []
+                with body.pinned(), block_size(block), split_every_state():
+                    for workers in range(1, 9):
+                        sv, report = engine.run_circuit(start.copy(), circuit,
+                                                        workers=workers)
+                        results.append((sv.dump(), report.total_cycles))
+                assert all(r == results[0] for r in results[1:]), body.name
         finally:
             sys.setswitchinterval(interval)
-        assert all(r == results[0] for r in results[1:])
-
-
-class TestWorkersNative(TestWorkers):
-    BODY = "native"
-
-
-class TestWorkersPortable(TestWorkers):
-    BODY = "portable"
-
-
-# The same tests on the numpy body.
-
-class TestScaleBankNumpy(TestScaleBank):
-    BODY = "numpy"
-
-
-class TestPairBanksNumpy(TestPairBanks):
-    BODY = "numpy"
-
-
-class TestRoundingTiesNumpy(TestRoundingTies):
-    BODY = "numpy"
-
-
-class TestEngineEveryTargetNumpy(TestEngineEveryTarget):
-    BODY = "numpy"
-
-
-class TestDiagNumpy(TestDiag):
-    BODY = "numpy"
-
-
-class TestDeferralNumpy(TestDeferral):
-    BODY = "numpy"
 
 
 class TestCx:
-    BODY = "native"
-
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_native_matches_views(self, n, monkeypatch):
-        # the native swap against the [2]*n view swap, for every pair; from
-        # n = 4 the vector body takes 16-word blocks, and control and target
-        # each fall below or above a block
+    def test_native_matches_views(self, bodies, n):
+        # each C body's swap against the numpy [2]*n view swap, for every
+        # pair; from n = 4 the vector body takes 16-word blocks, and control
+        # and target each fall below or above a block
         rng = np.random.default_rng(300 + n)
-        sv0 = state.init_basis(n, 0)
-        sv0.re[:] = random_words(rng, 1 << n)
-        sv0.im[:] = random_words(rng, 1 << n)
-        native = {}
-        for control in range(n):
-            for target in range(n):
-                if control != target:
+        sv0 = _random_state(n, rng)
+        pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+        views = {}
+        with Body("numpy").pinned():
+            for control, target in pairs:
+                sv = sv0.copy()
+                engine.apply_cx(sv, control, target)
+                views[control, target] = sv.dump()
+                assert views[control, target] != sv0.dump()
+        for body in (b for b in bodies if b.lib is not None):
+            with body.pinned():
+                for control, target in pairs:
                     sv = sv0.copy()
                     engine.apply_cx(sv, control, target)
-                    native[control, target] = sv.dump()
-        monkeypatch.setattr(fxp, "native_kernels", lambda: None)
-        for (control, target), got in native.items():
-            sv = sv0.copy()
-            engine.apply_cx(sv, control, target)
-            assert got == sv.dump(), (n, control, target)
-            assert got != sv0.dump()
-
-
-# The same tests on the portable C body.
-
-class TestScaleBankPortable(TestScaleBank):
-    BODY = "portable"
-
-
-class TestPairBanksPortable(TestPairBanks):
-    BODY = "portable"
-
-
-class TestRoundingTiesPortable(TestRoundingTies):
-    BODY = "portable"
-
-
-class TestEngineEveryTargetPortable(TestEngineEveryTarget):
-    BODY = "portable"
-
-
-class TestCxPortable(TestCx):
-    BODY = "portable"
-
-
-class TestDiagPortable(TestDiag):
-    BODY = "portable"
-
-
-class TestDeferralPortable(TestDeferral):
-    BODY = "portable"
+                    assert sv.dump() == views[control, target], (body.name, n, control,
+                                                                 target)

@@ -37,7 +37,7 @@ class TestRefRun:
         rng = np.random.default_rng(60)
         c = random_circuit(5, 1000, rng)
         out = oracle.ref_run(c, RefState(5, random_ref_amplitudes(5, rng)))
-        assert abs(out.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
 
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
@@ -231,8 +231,6 @@ class TestFidelity:
     def test_accepts_fixed_point_inputs(self):
         sv = state.init_basis(3, 1)
         assert oracle.fidelity(sv, oracle.basis_state(3, 1)) == \
-            pytest.approx(1.0, abs=1e-12)
-        assert oracle.fidelity(sv.flatten(), oracle.basis_state(3, 1)) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from hpqe import fxp, perfmodel, state
 from hpqe.perfmodel import CapacityError
 
-from helpers import random_ref_amplitudes
+from helpers import as_cfx, random_ref_amplitudes
 
 
 def segment_of_bitstring(i: int, n: int):
@@ -17,12 +17,12 @@ def segment_of_bitstring(i: int, n: int):
 class TestInitBasis:
     def test_single_qubit(self):
         sv = state.init_basis(1, 0)
-        assert sv.flatten() == [fxp.CFX_ONE, fxp.CFX_ZERO]
+        assert as_cfx(sv.re, sv.im) == [fxp.CFX_ONE, fxp.CFX_ZERO]
 
     def test_three_qubit_index_five(self):
         sv = state.init_basis(3, 5)
         assert state.segment_of(5, 3) == (1, 1, 0)   # segment id 5 = pea*4 + pe
-        assert sv.get(5) == fxp.CFX_ONE
+        assert as_cfx(sv.re, sv.im)[5] == fxp.CFX_ONE
         assert sv.norm_sq() == 1.0
 
     def test_hard_ceiling(self):
@@ -113,28 +113,19 @@ class TestSegmentOf:
 class TestFlatten:
     def test_basis_one_hot(self):
         for n, k in ((3, 2), (4, 9), (1, 1)):
-            flat = state.init_basis(n, k).flatten()
+            sv = state.init_basis(n, k)
+            flat = as_cfx(sv.re, sv.im)
             assert flat[k] == fxp.CFX_ONE
             assert sum(1 for c in flat if c != fxp.CFX_ZERO) == 1
 
     def test_flatten_matches_segment_addressing(self):
         rng = np.random.default_rng(23)
         sv = state.from_amplitudes(5, random_ref_amplitudes(5, rng))
-        flat = sv.flatten()
+        flat = as_cfx(sv.re, sv.im)
         for i in range(sv.size):
             pea, pe, off = state.segment_of(i, 5)
             j = (pea * 4 + pe) << 2 | off    # segment s starts at s * 2^(n-3)
             assert flat[i] == (int(sv.re[j]), int(sv.im[j]))
-            assert flat[i] == sv.get(i)
-
-    def test_flatten_then_resegment_is_identity(self):
-        rng = np.random.default_rng(27)
-        sv = state.from_amplitudes(5, random_ref_amplitudes(5, rng))
-        rebuilt = state.init_basis(5, 0)
-        for i, c in enumerate(sv.flatten()):
-            rebuilt.set(i, c)
-        assert np.array_equal(rebuilt.re, sv.re)
-        assert np.array_equal(rebuilt.im, sv.im)
 
     def test_segments_concatenate_to_flat_order(self):
         # segment id pea*4 + pe, then offset, is the global index order
