@@ -14,6 +14,7 @@ matrices are quantized, once, when a gate is built.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -226,3 +227,45 @@ def circuit_from_text(text: str, n: int | None = None) -> Circuit:
     circuit.validate()
     return circuit
 
+
+# ---------------------------------------------------------------------------
+# Binary gate-instruction record (the arbiter stream): 40 bytes.
+#   byte 0      kind code (H=0, S=1, RX=2, RY=3, RZ=4, CX=5)
+#   byte 1      control qubit (0xFF when none)
+#   byte 2      target qubit
+#   byte 3      sparse flag
+#   bytes 4-7   reserved (zero)
+#   bytes 8-39  m00, m01, m10, m11 as (re, im) int32 little-endian
+# The record carries coefficients, not angles: what the hardware sees.
+# It is a machine fact that the tests pin; no computation reads it.
+# ---------------------------------------------------------------------------
+
+GATE_RECORD_BYTES = 40
+_KIND_CODES = {H: 0, S: 1, RX: 2, RY: 3, RZ: 4, CX: 5}
+_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_NO_CONTROL = 0xFF
+
+
+def pack_gate_record(op: GateOp) -> bytes:
+    control = _NO_CONTROL if op.control is None else op.control
+    matrix = op.matrix if op.matrix is not None else (fxp.CFX_ZERO,) * 4
+    flat = [x for entry in matrix for x in entry]
+    return struct.pack("<BBBB4x8i", _KIND_CODES[op.kind], control,
+                       op.target, int(op.sparse), *flat)
+
+
+def unpack_gate_record(data: bytes) -> GateOp:
+    if len(data) != GATE_RECORD_BYTES:
+        raise ValueError(f"gate record must be {GATE_RECORD_BYTES} bytes")
+    code, control, target, sparse, *flat = struct.unpack("<BBBB4x8i", data)
+    kind = _CODE_KINDS[code]
+    matrix = None
+    if kind != CX:
+        matrix = tuple(CFx(flat[2 * k], flat[2 * k + 1]) for k in range(4))
+    return GateOp(
+        kind=kind,
+        target=target,
+        control=None if control == _NO_CONTROL else control,
+        matrix=matrix,
+        sparse=bool(sparse),
+    )

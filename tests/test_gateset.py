@@ -235,3 +235,36 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=f"^line 3: global phase '{phase}'"):
             gateset.circuit_from_text(text)
 
+
+class TestGateRecord:
+    def test_size_and_header(self):
+        rec = gateset.pack_gate_record(gateset.single("H", 3))
+        assert len(rec) == gateset.GATE_RECORD_BYTES == 40
+        assert rec[0] == 0            # kind code H
+        assert rec[1] == 0xFF         # no control
+        assert rec[2] == 3            # target
+        assert rec[3] == 0            # dense
+        assert rec[4:8] == b"\x00\x00\x00\x00"
+        r = fxp.RAW_SQRT_HALF         # m00 = (r, 0), int32 little-endian
+        assert rec[8:16] == r.to_bytes(4, "little", signed=True) + bytes(4)
+
+    def test_cx_record(self):
+        rec = gateset.pack_gate_record(gateset.cx(1, 0))
+        assert rec[0] == 5 and rec[1] == 1 and rec[2] == 0
+        assert rec[8:] == b"\x00" * 32
+        back = gateset.unpack_gate_record(rec)
+        assert (back.kind, back.control, back.target) == ("CX", 1, 0)
+        assert back.matrix is None
+
+    def test_round_trip_preserves_coefficients(self):
+        for g in (gateset.single("RZ", 2, 0.7), gateset.single("S", 1),
+                  gateset.single("RY", 0, -1.9)):
+            back = gateset.unpack_gate_record(gateset.pack_gate_record(g))
+            assert back.kind == g.kind
+            assert back.target == g.target
+            assert back.sparse == g.sparse
+            assert back.matrix == g.matrix    # angles travel as coefficients
+
+    def test_bad_length(self):
+        with pytest.raises(ValueError):
+            gateset.unpack_gate_record(b"\x00" * 39)

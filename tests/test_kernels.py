@@ -9,16 +9,18 @@ boundary), and every element is compared with `fxp.su_eval` /
 must keep their values. `run_circuit`, which defers CX gates, is held
 to an eager gate-by-gate replay.
 
-Every kernel check runs on each body the host has, from one draw: a
-test draws its case once (or builds its fixed case) and computes the
-scalar expectation once, then pins each body in turn (`bodies`) and
-asserts it against that expectation, naming the body in the message.
-The bodies are the native library as built for this host (on an
-AVX-512F CPU its vector body), the same library built without the
-vector body, so that its portable C loops run, and the numpy bodies.
-Where a C body cannot be built or loaded, the checks run on the others
-and `TestBanks.test_pin` skips once for it. `TestCx` holds the C swap to
-the numpy view swap.
+Each kernel test runs on three bodies: its class names in BODIES the
+bodies it pins (`bodies`), and the test computes its scalar expectation
+once and asserts each of them against it, naming the body in the
+message. A base class pins the native library as built for this host
+(on an AVX-512F CPU its vector body), a `...Portable` subclass the same
+library built without the vector body, so that its portable C loops
+run, and a `...Numpy` subclass the numpy bodies. `TestClipElision` and
+`TestWorkers` are pinned to numpy, and a `...Native` subclass reruns
+their kernel tests (a `...Portable` one too for `TestWorkers`); `TestCx`
+holds each C body's swap to the numpy view swap. A class that names a
+C body the host cannot build or load skips, and `TestBanks.test_pin`
+names each such body.
 Most property tests shrink BLOCK to a few elements, so a bank spans many
 blocks of the numpy body and ends in a partial one while staying small
 enough for the scalar reference; the rest run at the real BLOCK.
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hpqe import engine, fxp, gateset, state
 from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
@@ -46,6 +48,9 @@ EDGES = (RAW_MIN, RAW_MIN + 1, -SCALE - 1, -SCALE, -SCALE + 1, -fxp.HALF_ULP,
 raws = st.one_of(st.sampled_from(EDGES), st.integers(RAW_MIN, RAW_MAX))
 cfxs = st.builds(CFx, raws, raws)
 small_blocks = st.sampled_from((1, 2, 4, 8, 16))
+# the per-body subclasses rerun each hypothesis test with a `self` of
+# another class, which hypothesis otherwise reports as a health failure
+INHERITED = [HealthCheck.differing_executors]
 
 C_BODIES = ("native", "portable")
 
@@ -81,9 +86,9 @@ class Body(NamedTuple):
 
 
 @pytest.fixture(scope="session")
-def bodies(tmp_path_factory) -> tuple:
-    """Every body this host has, the C ones that build and load first:
-    pin each in turn with `with body.pinned():`.
+def host_bodies(tmp_path_factory) -> dict:
+    """Every body this host has, by name, the C ones that build and load
+    first.
 
     The portable library is built with PORTABLE_FLAG into a cache of its
     own, because a build deletes every other library in its cache; the
@@ -98,8 +103,20 @@ def bodies(tmp_path_factory) -> tuple:
         libs["portable"] = fxp.native_kernels()
     finally:
         mp.undo()
-    return (*(Body(name, lib) for name, lib in libs.items() if lib is not None),
-            Body("numpy"))
+    return {**{name: Body(name, lib) for name, lib in libs.items() if lib is not None},
+            "numpy": Body("numpy")}
+
+
+@pytest.fixture(scope="class")
+def bodies(request, host_bodies) -> tuple:
+    """The bodies the test's class names in BODIES (every body the host
+    has where it names none): pin each in turn with `with body.pinned():`.
+    A class that names a C body the host cannot build or load skips."""
+    names = getattr(request.cls, "BODIES", tuple(host_bodies))
+    missing = [name for name in names if name not in host_bodies]
+    if missing:
+        pytest.skip(f"the {missing[0]} body cannot be built or loaded on this host")
+    return tuple(host_bodies[name] for name in names)
 
 
 @contextlib.contextmanager
@@ -241,12 +258,13 @@ def lane_checked(size: int) -> range | list:
                    *range(size - 48, size), *rng.integers(0, size, 256).tolist()})
 
 
-class TestSparseStep:
+class TestScaleBank:
     # the sparse SU step: Banks.diag with the mask 2^t on a bank, and a
     # dense Banks.pair with zero off-diagonals, which gives the same bits,
     # on flat banks
+    BODIES = ("native",)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, suppress_health_check=INHERITED)
     @given(c0=cfxs, c1=cfxs, t=st.integers(0, 5), block=small_blocks,
            data=st.data())
     def test_matches_scalar(self, bodies, c0, c1, t, block, data):
@@ -365,8 +383,9 @@ class TestDiag:
     # the diagonal step Banks.diag (native hpqe_diag) on the words [base,
     # base + size) of a bank: bases and lengths that are not multiples of
     # 16 put words before the first whole vector and after the last one
+    BODIES = ("native",)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, suppress_health_check=INHERITED)
     @given(c0=cfxs, c1=cfxs, base=st.integers(0, 300), block=small_blocks,
            mask=diag_masks, data=st.data())
     def test_matches_scalar(self, bodies, c0, c1, base, mask, block, data):
@@ -398,7 +417,7 @@ class TestDiag:
                             assert as_cfx(got[0][ks], got[1][ks]) == want, (
                                 body.name, mask, base, a, b)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
     @given(steps=st.lists(st.tuples(cfxs, cfxs, diag_masks), min_size=1, max_size=70),
            base=st.integers(0, 300), block=small_blocks, data=st.data())
     def test_stretch_matches_steps(self, bodies, steps, base, block, data):
@@ -409,7 +428,7 @@ class TestDiag:
         im = words(data.draw(word_lists(size)))
         check_stretch(bodies, steps, base, re, im, block)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
     @given(steps=st.lists(st.tuples(unit_cfxs, unit_cfxs, diag_masks), min_size=1,
                           max_size=70),
            base=st.integers(0, 40), data=st.data())
@@ -468,7 +487,9 @@ class TestDiag:
 
 
 class TestPairBanks:
-    @settings(max_examples=100, deadline=None)
+    BODIES = ("native",)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=INHERITED)
     @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), block=small_blocks,
            data=st.data())
     def test_flat_banks_match_scalar(self, bodies, m, block, data):
@@ -481,7 +502,7 @@ class TestPairBanks:
                 run_pair(m, *got)
             assert (as_cfx(got[0], got[1]), as_cfx(got[2], got[3])) == want, body.name
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, suppress_health_check=INHERITED)
     @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), t=st.integers(0, 4),
            rows=st.integers(1, 4), block=small_blocks, data=st.data())
     def test_strided_halves_match_scalar(self, bodies, m, t, rows, block, data):
@@ -503,7 +524,7 @@ class TestPairBanks:
                 run_rows(m, t, gre, gim)
             assert as_cfx(gre, gim) == as_cfx(*want), body.name
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, suppress_health_check=INHERITED)
     @given(m=st.tuples(cfxs, cfxs, cfxs, cfxs), t=st.integers(0, 8), block=small_blocks,
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_any_pair_range_matches_scalar(self, bodies, m, t, block, seed, data):
@@ -589,8 +610,9 @@ class TestPairBanks:
 class TestRoundingTies:
     # c = a * 2^29 with a odd and x = 2k + 1 odd makes c*x an exact tie
     # (c*x mod 2^30 == 2^29) with floor quotient of either parity
+    BODIES = ("native",)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, suppress_health_check=INHERITED)
     @given(k=st.integers(-(1 << 30), (1 << 30) - 1),
            a=st.sampled_from((1, -1, 3, -3)))
     @example(k=0, a=1)        # 0.5 -> 0, even quotient
@@ -614,7 +636,7 @@ class TestRoundingTies:
                 assert as_cfx(re, im) == words_want, (body.name, coeff)
 
 
-class TestClipElision:
+class ClipElisionKernels:
     @pytest.mark.parametrize("c", (-SCALE, -SCALE + 1, SCALE))
     def test_boundary_coefficients_against_raw_min(self, bodies, c):
         expected = {-SCALE: RAW_MAX, -SCALE + 1: RAW_MAX - 1, SCALE: RAW_MIN}
@@ -635,6 +657,10 @@ class TestClipElision:
                     got = [a.copy() for a in (re, im, im, re)]
                     run_pair((coeff, coeff, coeff, coeff), *got)
                     assert as_cfx(got[0], got[1]) == want_dense, (body.name, coeff)
+
+
+class TestClipElision(ClipElisionKernels):
+    BODIES = ("numpy",)
 
     def test_boundary(self):
         assert not fxp.product_fits(-SCALE)
@@ -730,7 +756,7 @@ class TestBanks:
         # a C pin hands every Banks its library and fails a numpy scratch
         # allocation; the numpy pin leaves every Banks without a library;
         # after each, even one left by an error, the loader is as before.
-        # A C body this host cannot build is this test's one skip for it.
+        # A C body this host cannot build skips here, naming it.
         body = next((b for b in bodies if b.name == name), None)
         if body is None:
             pytest.skip(f"the {name} body cannot be built or loaded on this host; "
@@ -797,6 +823,8 @@ def _check_gate(bodies, n: int, rng, exhaustive: bool, workers=(None,)) -> None:
 
 
 class TestEngineEveryTarget:
+    BODIES = ("native",)
+
     @pytest.mark.parametrize("n", range(3, 18))
     def test_every_target_both_modes(self, bodies, n):
         # t <= n-4 is access mode 1, t >= n-3 mode 2; sparse and dense each
@@ -827,8 +855,9 @@ class TestDeferral:
     # the same body must end on the same bits. Stretches cross CX
     # relabelings and end at dense gates and at the end of the circuit;
     # the state is cut into pieces at every worker count.
+    BODIES = ("native",)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
     @given(n=st.integers(2, 10), workers=st.integers(1, 8),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_run_equals_eager_replay(self, bodies, n, workers, seed, data):
@@ -867,6 +896,8 @@ class TestDeferral:
 
 
 class TestWorkers:
+    BODIES = ("numpy",)
+
     @pytest.mark.parametrize("block", (fxp.BLOCK, 1 << 12))
     def test_bit_identical_across_workers(self, bodies, block):
         # at n = 17 a piece is 2^14 to 2^17 words; with BLOCK = 2^12 it
@@ -891,6 +922,8 @@ class TestWorkers:
 
 
 class TestCx:
+    BODIES = ("native",)
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_native_matches_views(self, bodies, n):
         # each C body's swap against the numpy [2]*n view swap, for every
@@ -913,3 +946,69 @@ class TestCx:
                     engine.apply_cx(sv, control, target)
                     assert sv.dump() == views[control, target], (body.name, n, control,
                                                                  target)
+
+
+class TestClipElisionNative(ClipElisionKernels):
+    BODIES = ("native",)
+
+
+class TestWorkersNative(TestWorkers):
+    BODIES = ("native",)
+
+
+class TestWorkersPortable(TestWorkers):
+    BODIES = ("portable",)
+
+
+class TestCxPortable(TestCx):
+    BODIES = ("portable",)
+
+
+# The same tests on the numpy body and on the portable C body.
+
+class TestScaleBankNumpy(TestScaleBank):
+    BODIES = ("numpy",)
+
+
+class TestScaleBankPortable(TestScaleBank):
+    BODIES = ("portable",)
+
+
+class TestDiagNumpy(TestDiag):
+    BODIES = ("numpy",)
+
+
+class TestDiagPortable(TestDiag):
+    BODIES = ("portable",)
+
+
+class TestPairBanksNumpy(TestPairBanks):
+    BODIES = ("numpy",)
+
+
+class TestPairBanksPortable(TestPairBanks):
+    BODIES = ("portable",)
+
+
+class TestRoundingTiesNumpy(TestRoundingTies):
+    BODIES = ("numpy",)
+
+
+class TestRoundingTiesPortable(TestRoundingTies):
+    BODIES = ("portable",)
+
+
+class TestEngineEveryTargetNumpy(TestEngineEveryTarget):
+    BODIES = ("numpy",)
+
+
+class TestEngineEveryTargetPortable(TestEngineEveryTarget):
+    BODIES = ("portable",)
+
+
+class TestDeferralNumpy(TestDeferral):
+    BODIES = ("numpy",)
+
+
+class TestDeferralPortable(TestDeferral):
+    BODIES = ("portable",)
