@@ -10,8 +10,8 @@ Commands:
 Exit codes: 0 success, 2 usage error (bad options, an empty --n range,
 an --init outside the state), 3 capacity error (a qubit count past the
 ceiling, or an allocation the host refuses), 4 I/O or input parse
-error (including a bad --config). An exit 2 prints the usage line and
-one error line; an exit 3 or 4 prints one line. Every error line holds
+error (including a bad --config). An exit 2 prints the subcommand's
+usage line and one error line; an exit 3 or 4 prints one line. Every error line holds
 at most ERROR_LINE_MAX characters, however long the input it quotes.
 All outputs are deterministic for a fixed seed and config; the modeled
 device time and the emulator's own wall clock are reported in separate
@@ -303,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", default=None, help="circuit text file")
     p.add_argument("--init", type=int, default=0, help="initial basis index")
     _add_common(p)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, parser=p)
 
     p = sub.add_parser("compare", help="fixed-point vs reference metrics")
     p.add_argument("--gen", choices=GENERATORS, default=None)
     p.add_argument("--circuit", default=None)
     p.add_argument("--init", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, parser=p)
 
     p = sub.add_parser("bench", help="sweep a generator over a qubit range")
     p.add_argument("--gen", choices=GENERATORS, required=True)
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-wall-clock", action="store_true",
                    help="omit wall clock for byte-identical reruns")
     _add_common(p, with_n=False)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("gen", help="emit a circuit in the text format")
     p.add_argument("generator", choices=GENERATORS)
@@ -327,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("cx-compare", help="legacy vs pipelined CX cycles")
     p.add_argument("--n", required=True, help="qubit count or range a..b")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cx_compare)
+    p.set_defaults(func=cmd_cx_compare, parser=p)
 
     return parser
 
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        parser.error(str(exc))        # prints usage, exits 2
+        args.parser.error(str(exc))   # the subcommand's usage line; exits 2
     except (CapacityError, MemoryError) as exc:
         _print_error(f"capacity error: {exc}")
         return 3

@@ -8,8 +8,8 @@ their composite targets.
 
 ref_run works in place, in numpy alone: it shares no kernel with the
 fixed-point engine. A single-qubit gate on qubit q pairs the two
-strided halves x, y of amps.reshape(-1, 2, 2^q) and streams them, BLOCK
-pairs at a time, through three reused contiguous scratch buffers:
+strided halves x, y of amps.reshape(-1, 2, 2^q) and streams them, piece
+by piece, through three reused contiguous scratch buffers:
     x <- m00*x + m01*y,    y <- m11*y + m10*x
 each product one multiply and each output one add, as a whole-array
 evaluation would (IEEE addition commutes, so the order of the two terms
@@ -17,19 +17,55 @@ does not matter). Both outputs need both old halves, so they are built
 in scratch and copied back. A diagonal matrix (m01 == m10 == 0: RZ, S)
 skips the off-diagonal product: for finite amplitudes it is an exact
 +-0, and adding +-0 to a nonzero product changes no bit. Added to a zero
-product it can change the zero's sign (-0 + +0 is +0), so a block whose
+product it can change the zero's sign (-0 + +0 is +0), so a piece whose
 diagonal product has a zero part still takes the full sum. The result
 is byte-identical to the whole-array form, which the tests keep as the
-reference; path and block size never show in the output. A small state
-(at most WHOLE_MAX_PAIRS pairs) takes that whole-array form itself
-(`_apply_1q_whole`, `_apply_cx_whole`): on it, the blocked form's
-slicing and scratch views cost more per gate than they save.
+reference, however the halves are cut into pieces. A CX swaps the
+target = 0 and = 1 halves where the control bit is 1, piece by piece.
 
 Every product has the matrix element as its first operand, e.g.
 np.multiply(m00, x, out=...). With numpy's SIMD complex loops m * x and
 x * m can differ in the last bit, while the scalar-first product into a
 separate buffer equals the whole-array one on strided and contiguous
 operands alike (a one-element product taken in place does not).
+
+The state's size picks one of three forms, all with the same bytes:
+- at most WHOLE_MAX_PAIRS pairs (n <= 13): whole-array expressions
+  (`_apply_1q_whole`, `_apply_cx_whole`); on so small a state the
+  pieces' slicing and scratch views cost more per gate than they save;
+- up to 2^BLOCK_BITS amplitudes (n = 14, 15): each gate streams the
+  whole state in pieces of BLOCK pairs;
+- above that: clusters, one pass over the state per cluster.
+
+A cluster is a maximal run of consecutive ops that together touch at
+most CLUSTER_QUBITS qubits, a CX counting its control and its target;
+`_clusters` cuts the circuit greedily, in order. A cluster on the k
+qubits Q runs block by block. With b = BLOCK_BITS, a block is the 2^b
+amplitudes that agree on every bit outside Q and the lowest b - k
+bits outside Q (the filler). np.copyto gathers it, through a transposed
+view of amps.reshape([2] * n), into one contiguous 2^b buffer: the
+filler on the buffer's low bits and Q, in ascending order, on its top
+bits, where the halves of a gate have the widest rows. Every op of the
+cluster then runs on the buffer at its mapped bits, and the buffer is
+copied back. The state is read and written once per cluster, and the
+ops between work on a buffer that stays in L2. The bytes cannot change:
+- every pair an op touches differs only in a bit of Q, so it lies in
+  one block;
+- the gather and scatter only move values, and inside the buffer each
+  amplitude meets the same matrix elements and partners, in the same
+  products and the same add, as in the whole state;
+- the blocks are disjoint and each runs the cluster's ops in circuit
+  order, so every amplitude sees every gate in order;
+- a diagonal gate's zero test decides per piece (a half of the
+  buffer), and any partition into pieces gives the same bytes (above).
+No gate is reordered or fused. README's "Reference oracle" section
+holds the measurements. Measured and slower, so not done: blocks of the
+natural low bits with no relabeling; b = 16; ping-pong buffers in place
+of the copy-back; broadcast (1, 2, 1) coefficient arrays; real-
+coefficient float64-view products for RY with a zero guard; two threads
+over a cluster's blocks; each output's add written straight into its
+half (an out-of-place add costs what the in-place add and the copy-back
+cost together).
 
 Fixed-point states are converted to doubles before any metric; metrics
 are never computed in fixed point. Reductions use numpy's fixed
@@ -41,6 +77,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,6 +93,17 @@ BLOCK = 1 << 14          # amplitude pairs per ref_run step (256 KiB per buffer)
 # 100-122 ms against 36-47 ms at n = 14, where the full sums of its
 # diagonal gates cost more than the blocked form's per-gate overhead
 WHOLE_MAX_PAIRS = 1 << 12
+# states of more than 2^BLOCK_BITS amplitudes run in clusters: one buffer
+# of 2^15 amplitudes (512 KiB) and the 768 KiB of scratch stay in a 2 MiB
+# L2. Chain-20x3 ref_run, best of 6 in one process on a 2-core Xeon, took
+# 0.58 / 0.59 / 0.82 s at BLOCK_BITS = 15 / 14 / 16 (CLUSTER_QUBITS = 8)
+# and 0.72 s at 13 (CLUSTER_QUBITS = 6)
+BLOCK_BITS = 15
+# at most this many qubits per cluster: chain-20x3 ref_run took 0.59 /
+# 0.61 / 0.57 s (32 / 27 / 24 clusters) at 6 / 7 / 8, best of 10, and
+# QFT-20 3.37 / 3.11 s (43 / 29 clusters) at 6 / 8, best of 2; more
+# qubits put gates on lower buffer bits, whose halves have narrower rows
+CLUSTER_QUBITS = 8
 
 
 class SizeError(Exception):
@@ -82,25 +130,59 @@ def _has_zero(v: np.ndarray) -> bool:
     return 0 in v.view(np.float64)
 
 
-def _apply_1q(amps: np.ndarray, m: np.ndarray, q: int, scratch: np.ndarray) -> None:
-    """Apply the 2x2 matrix m to qubit q of amps, in place.
-
-    scratch is a (3, block) complex128 array, block a power of two; the
-    pair halves are cut into pieces of at most block elements.
-    """
-    a = amps.reshape(-1, 2, 1 << q)
-    x, y = a[:, 0], a[:, 1]
-    diagonal = m[0, 1] == 0 and m[1, 0] == 0
+def _pieces(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> list:
+    """Cut the same-shape halves x, y into pieces of at most
+    scratch.shape[1] elements: (x piece, y piece, and the three scratch
+    rows in the piece's shape) per piece. scratch is a (3, block)
+    complex128 array, block a power of two."""
+    pieces = []
     for sl in fxp.block_slices(x.shape, scratch.shape[1]):
-        xb, yb = x[sl], y[sl]
-        nx, ny, t = (buf[:xb.size].reshape(xb.shape) for buf in scratch)
-        np.multiply(m[0, 0], xb, out=nx)
-        np.multiply(m[1, 1], yb, out=ny)
-        for out, c, v in ((nx, m[0, 1], yb), (ny, m[1, 0], xb)):
+        xb = x[sl]
+        pieces.append((xb, y[sl], *(buf[:xb.size].reshape(xb.shape) for buf in scratch)))
+    return pieces
+
+
+def _halves_1q(amps: np.ndarray, q: int):
+    # the qubit-q = 0 and = 1 halves, as views of amps
+    a = amps.reshape(-1, 2, 1 << q)
+    return a[:, 0], a[:, 1]
+
+
+def _halves_cx(amps: np.ndarray, control: int, target: int):
+    # the target = 0 and = 1 halves where the control bit is 1
+    lo, hi = sorted((control, target))
+    # axis 1 is bit hi of the index, axis 3 bit lo
+    grid = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    a = grid[:, 1, :, 0, :] if control == hi else grid[:, 0, :, 1, :]
+    return a, grid[:, 1, :, 1, :]
+
+
+def _step_1q(m: np.ndarray, pieces) -> None:
+    # the 2x2 matrix m on the pieces of `_pieces`, in place
+    m00, m01, m10, m11 = m.ravel()
+    diagonal = m01 == 0 and m10 == 0
+    for xb, yb, nx, ny, t in pieces:
+        np.multiply(m00, xb, out=nx)
+        np.multiply(m11, yb, out=ny)
+        for out, c, v in ((nx, m01, yb), (ny, m10, xb)):
             if not diagonal or _has_zero(out):
                 out += np.multiply(c, v, out=t)
         xb[...] = nx
         yb[...] = ny
+
+
+def _step_cx(pieces) -> None:
+    # swap the two halves of `_pieces`, piece by piece through scratch
+    for ab, bb, t, _, _ in pieces:
+        np.copyto(t, ab)
+        ab[...] = bb
+        bb[...] = t
+
+
+def _apply_1q(amps: np.ndarray, m: np.ndarray, q: int, scratch: np.ndarray) -> None:
+    """Apply the 2x2 matrix m to qubit q of amps, in place, through the
+    (3, block) scratch."""
+    _step_1q(m, _pieces(*_halves_1q(amps, q), scratch))
 
 
 def _apply_1q_whole(amps: np.ndarray, m: np.ndarray, q: int) -> None:
@@ -125,23 +207,58 @@ def _apply_cx_whole(amps: np.ndarray, control: int, target: int, n: int) -> None
 
 def _apply_cx(amps: np.ndarray, control: int, target: int,
               scratch: np.ndarray) -> None:
-    """Swap the target=0 and target=1 halves where the control bit is 1.
+    """Swap the target=0 and target=1 halves where the control bit is 1,
+    in place, through the (3, block) scratch."""
+    _step_cx(_pieces(*_halves_cx(amps, control, target), scratch))
 
-    The halves are 3-D views of amps (no copy, so writes land in amps);
-    they are swapped block by block through scratch[0].
-    """
-    lo, hi = sorted((control, target))
-    # axis 1 is bit hi of the index, axis 3 bit lo
-    grid = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    a = grid[:, 1, :, 0, :] if control == hi else grid[:, 0, :, 1, :]
-    b = grid[:, 1, :, 1, :]
-    buf = scratch[0]
-    for sl in fxp.block_slices(a.shape, buf.size):
-        ab, bb = a[sl], b[sl]
-        t = buf[:ab.size].reshape(ab.shape)
-        np.copyto(t, ab)
-        ab[...] = bb
-        bb[...] = t
+
+def _clusters(ops, limit: int):
+    """Cut ops, in order, into maximal runs that touch at most `limit`
+    qubits together; yields (ops, qubits) per run."""
+    run, qubits = [], set()
+    for op in ops:
+        touched = {op.control, op.target} if op.kind == CX else {op.target}
+        if len(qubits | touched) > limit:
+            yield run, qubits
+            run, qubits = [], set()
+        run.append(op)
+        qubits |= touched
+    if run:
+        yield run, qubits
+
+
+def _run_clusters(amps: np.ndarray, n: int, ops) -> None:
+    """ref_run's gates on a state of more than 2^BLOCK_BITS amplitudes,
+    one pass over the state per cluster."""
+    b = BLOCK_BITS
+    buf = np.empty(1 << b, dtype=np.complex128)
+    scratch = np.empty((3, 1 << (b - 1)), dtype=np.complex128)
+    grid = amps.reshape([2] * n)
+    block_grid = buf.reshape([2] * b)
+    for run, qubits in _clusters(ops, CLUSTER_QUBITS):
+        rest = [q for q in range(n) if q not in qubits]
+        inner = rest[:b - len(qubits)] + sorted(qubits)   # buffer bit i -> qubit
+        outer = rest[b - len(qubits):]
+        bit = {q: i for i, q in enumerate(inner)}
+        # each op's pieces of the buffer, cut once for all blocks
+        steps = []
+        for op in run:
+            if op.kind == CX:
+                halves = _halves_cx(buf, bit[op.control], bit[op.target])
+                steps.append(partial(_step_cx, _pieces(*halves, scratch)))
+            else:
+                halves = _halves_1q(buf, bit[op.target])
+                steps.append(partial(_step_1q, matrix_of(op.kind, op.angle),
+                                     _pieces(*halves, scratch)))
+        # axis n-1-q of grid is qubit q; a block's axes run from its top bit
+        view = grid.transpose([n - 1 - q for q in reversed(outer)]
+                              + [n - 1 - q for q in reversed(inner)])
+        for index in np.ndindex(*view.shape[:n - b]):
+            block = view[index]
+            np.copyto(block_grid, block)
+            for step in steps:
+                step()
+            np.copyto(block, block_grid)
 
 
 def ref_run(circuit: Circuit, init: RefState) -> RefState:
@@ -150,7 +267,9 @@ def ref_run(circuit: Circuit, init: RefState) -> RefState:
         raise ValueError(f"circuit n={circuit.n} vs state n={init.n}")
     out = init.copy()
     amps = out.amps
-    if amps.size >> 1 <= WHOLE_MAX_PAIRS:
+    if out.n > BLOCK_BITS:
+        _run_clusters(amps, out.n, circuit.ops)
+    elif amps.size >> 1 <= WHOLE_MAX_PAIRS:
         for op in circuit.ops:
             if op.kind == CX:
                 _apply_cx_whole(amps, op.control, op.target, out.n)

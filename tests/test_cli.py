@@ -544,7 +544,10 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli("bench", "--gen", "qft", "--n", "5..3", "--out", tmp_path)
         assert exc.value.code == 2
-        assert "empty" in capsys.readouterr().err
+        # reported through the subcommand's parser, as argparse's own errors are
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: hpqe bench ")
+        assert lines[-1] == "hpqe bench: error: --n range '5..3' is empty"
         assert not (tmp_path / "bench.csv").exists()
 
     def test_cx_compare_below_two_is_usage_error(self, tmp_path, capsys):

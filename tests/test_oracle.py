@@ -46,15 +46,16 @@ class TestRefRun:
 
 # diagonal (RZ on both sides of pi, S), real dense (RY) and complex
 # dense (RX, H); RY(0) is diagonal with a -0 off the diagonal
-KERNEL_MATRICES = {
-    "RZ(0.7)": gateset.matrix_of("RZ", 0.7),
-    "RZ(4.1)": gateset.matrix_of("RZ", 4.1),
-    "S": gateset.matrix_of("S"),
-    "RY(1.1)": gateset.matrix_of("RY", 1.1),
-    "RY(0)": gateset.matrix_of("RY", 0.0),
-    "RX(2.3)": gateset.matrix_of("RX", 2.3),
-    "H": gateset.matrix_of("H"),
+KERNEL_GATES = {
+    "RZ(0.7)": ("RZ", 0.7),
+    "RZ(4.1)": ("RZ", 4.1),
+    "S": ("S", None),
+    "RY(1.1)": ("RY", 1.1),
+    "RY(0)": ("RY", 0.0),
+    "RX(2.3)": ("RX", 2.3),
+    "H": ("H", None),
 }
+KERNEL_MATRICES = {name: gateset.matrix_of(*gate) for name, gate in KERNEL_GATES.items()}
 
 
 def _kernel_inputs(n: int, rng):
@@ -67,18 +68,23 @@ def _kernel_inputs(n: int, rng):
     yield words.view(np.complex128)
 
 
+def _replay(circuit: gateset.Circuit, amps: np.ndarray) -> np.ndarray:
+    # the circuit's gates through the whole-array reference forms
+    want = amps.copy()
+    for op in circuit.ops:
+        if op.kind == "CX":
+            apply_cx_reference(want, op.control, op.target, circuit.n)
+        else:
+            apply_1q_reference(want, gateset.matrix_of(op.kind, op.angle), op.target)
+    return want
+
+
 def _check_ref_run_bytes(n: int) -> None:
     # ref_run of a random circuit against the whole-array reference forms
     rng = np.random.default_rng(74)
     c = random_circuit(n, 200, rng)
     init = RefState(n, random_ref_amplitudes(n, rng))
-    want = init.amps.copy()
-    for op in c.ops:
-        if op.kind == "CX":
-            apply_cx_reference(want, op.control, op.target, c.n)
-        else:
-            apply_1q_reference(want, gateset.matrix_of(op.kind, op.angle), op.target)
-    assert oracle.ref_run(c, init).amps.tobytes() == want.tobytes()
+    assert oracle.ref_run(c, init).amps.tobytes() == _replay(c, init.amps).tobytes()
 
 
 class TestApply1q:
@@ -150,6 +156,95 @@ class TestApply1q:
         before = init.amps.tobytes()
         oracle.ref_run(random_circuit(6, 50, rng), init)
         assert init.amps.tobytes() == before
+
+
+def _kernel_circuit(n: int, gates: int, rng) -> gateset.Circuit:
+    # random gates of every KERNEL_GATES kind and CX, on random qubits
+    kinds = sorted(KERNEL_GATES) + ["CX"]
+    c = gateset.Circuit(n=n)
+    for _ in range(gates):
+        kind = kinds[rng.integers(0, len(kinds))]
+        if kind == "CX":
+            control, target = rng.choice(n, size=2, replace=False)
+            c.ops.append(gateset.cx(int(control), int(target)))
+        else:
+            name, angle = KERNEL_GATES[kind]
+            c.ops.append(gateset.single(name, int(rng.integers(0, n)), angle))
+    return c
+
+
+@pytest.fixture(params=((4, 2), (4, 3), (5, 4)), ids=("b4k2", "b4k3", "b5k4"))
+def small_blocks(request, monkeypatch):
+    """Blocks of 2^b amplitudes and clusters of at most k qubits, so
+    that n = b+1..10 runs many blocks and clusters in milliseconds."""
+    b, k = request.param
+    monkeypatch.setattr(oracle, "BLOCK_BITS", b)
+    monkeypatch.setattr(oracle, "CLUSTER_QUBITS", k)
+    return b, k
+
+
+class TestClusters:
+    """ref_run above 2^BLOCK_BITS amplitudes, by clusters of gates, against
+    the whole-array reference forms, bit for bit."""
+
+    def test_random_circuits_match_reference(self, small_blocks):
+        # from n = b+1 (two blocks per cluster) to 2^(10-b) blocks
+        b, _ = small_blocks
+        rng = np.random.default_rng(78)
+        for n in range(b + 1, 11):
+            c = _kernel_circuit(n, 60, rng)
+            for amps in _kernel_inputs(n, rng):
+                got = oracle.ref_run(c, RefState(n, amps)).amps
+                assert got.tobytes() == _replay(c, amps).tobytes(), n
+
+    def test_cx_between_filler_and_cluster_qubits(self, small_blocks):
+        # qubit 0 is filler in the clusters around these CX and a cluster
+        # qubit in theirs, mapped to a buffer bit above the filler
+        b, k = small_blocks
+        n = b + 3
+        rng = np.random.default_rng(79)
+        c = gateset.Circuit(n=n)
+        for high in (n - 1, b):
+            c.ops += [gateset.single("H", q) for q in range(n)]
+            c.ops += [gateset.cx(high, 0), gateset.single("RX", high, 2.3),
+                      gateset.cx(0, high), gateset.single("RZ", 0, 4.1)]
+        clusters = [qubits for _, qubits in oracle._clusters(c.ops, k)]
+        assert any(0 in q for q in clusters) and any(0 not in q for q in clusters)
+        for amps in _kernel_inputs(n, rng):
+            got = oracle.ref_run(c, RefState(n, amps)).amps
+            assert got.tobytes() == _replay(c, amps).tobytes()
+
+    def test_cluster_of_exactly_k_qubits(self, small_blocks):
+        # k single-qubit gates fill one cluster; the next gate opens another
+        b, k = small_blocks
+        n = b + 2
+        c = gateset.Circuit(n=n, ops=[gateset.single("RY", n - 1 - q, 1.1)
+                                      for q in range(k + 1)])
+        assert [len(qubits) for _, qubits in oracle._clusters(c.ops, k)] == [k, 1]
+        rng = np.random.default_rng(80)
+        for amps in _kernel_inputs(n, rng):
+            got = oracle.ref_run(c, RefState(n, amps)).amps
+            assert got.tobytes() == _replay(c, amps).tobytes()
+
+    def test_leaves_init_untouched(self, small_blocks):
+        rng = np.random.default_rng(81)
+        init = RefState(8, random_ref_amplitudes(8, rng))
+        before = init.amps.tobytes()
+        oracle.ref_run(random_circuit(8, 50, rng), init)
+        assert init.amps.tobytes() == before
+
+    def test_cp_decomposition_phase(self, small_blocks):
+        # the tracked global phase on the cluster path, for a CP between
+        # the lowest and the highest qubit: its cluster puts qubit 0 on a
+        # buffer bit above the filler
+        theta, n = 2.31, 7
+        ops, phase = gateset.decompose_cp(theta, 0, n - 1)
+        c = gateset.Circuit(n=n, ops=ops, global_phase=phase)
+        init = random_ref_amplitudes(n, np.random.default_rng(82))
+        got = oracle.ref_run(c, RefState(n, init))
+        both = (np.arange(1 << n) & 1) & (np.arange(1 << n) >> (n - 1))
+        want = np.where(both == 1, np.exp(1j * theta), 1.0) * init
+        assert np.abs(got.amps - want).max() < 1e-12
 
 
 class TestRefRunMatrix:

@@ -41,6 +41,10 @@ COMMANDS = (
     "compare --gen chain --n 20 --layers 3 --workers 2 --seed 0",
     "compare --gen chain --n 20 --layers 3 --workers 2 --seed 7",
     "compare --gen all_to_all --n 8 --workers 2",
+    # the oracle's clusters: zero-heavy diagonal gates taking the full
+    # sum, and clusters of CX alone
+    "compare --gen qft --n 17 --init 5 --workers 1",
+    "compare --gen all_to_all --n 16 --workers 1",
     "run --gen rotation --n 18 --layers 3 --workers 8",
     "bench --gen qft --n 1..14 --no-wall-clock",
     "bench --gen chain --n 2..12 --layers 2 --no-wall-clock --format json",
