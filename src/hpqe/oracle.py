@@ -58,14 +58,38 @@ ops between work on a buffer that stays in L2. The bytes cannot change:
   order, so every amplitude sees every gate in order;
 - a diagonal gate's zero test decides per piece (a half of the
   buffer), and any partition into pieces gives the same bytes (above).
-No gate is reordered or fused. README's "Reference oracle" section
-holds the measurements. Measured and slower, so not done: blocks of the
-natural low bits with no relabeling; b = 16; ping-pong buffers in place
-of the copy-back; broadcast (1, 2, 1) coefficient arrays; real-
-coefficient float64-view products for RY with a zero guard; two threads
-over a cluster's blocks; each output's add written straight into its
-half (an out-of-place add costs what the in-place add and the copy-back
-cost together).
+No gate is reordered or fused.
+
+The cluster loop runs with numpy's ufunc buffer set, inside
+np.errstate(), to 2^(b - CLUSTER_QUBITS) = 128 elements (at least 16,
+numpy's smallest legal size). The cluster's qubits sit on the buffer's
+top CLUSTER_QUBITS bits, so that is the shortest row of any half a step
+reads. numpy copies the operands of a row shorter than its buffer
+through the buffer before the multiply. The default buffer holds 8192
+elements, and with it a product on a half of rows of 2^10 or 2^12 cost
+1.6-1.8 times one on rows read in place. With a buffer no longer than
+the rows, each row is read in place. The bytes hold: either way the
+same SIMD complex multiply runs on contiguous rows, and the copy only
+moves values. The tests compare the bytes at buffer sizes 16, 128 and
+8192. np.errstate restores the setting on exit, on an error too, and
+threads start with numpy's default, so nothing outside ref_run sees it.
+The n <= 15 forms keep the default. The whole-array forms multiply
+contiguous copies, which numpy never buffers. The one-pass form reads
+halves of every row length from 1 up, so no one setting is the
+shortest row there; it is left as it was (README has its numbers).
+
+README's "Reference oracle" section holds the measurements. Measured
+and slower, so not done: blocks of the natural low bits with no
+relabeling; b = 16 or 17; ping-pong buffers in place of the copy-back;
+broadcast (1, 2, 1) coefficient arrays; real-coefficient float64-view
+products for RY with a zero guard; two threads over a cluster's blocks;
+each output's add written straight into its half (an out-of-place add
+costs what the in-place add and the copy-back cost together; with four
+scratch rows, 20-40% slower per RY); super-clusters of up to 15 qubits
+with an in-cache transpose between their sub-clusters; a CX joining a
+cluster whenever both its qubits fit in the block; a 256-float probe
+before each full zero test (about 5 us more per test where no zero is
+found, as on chain).
 
 Fixed-point states are converted to doubles before any metric; metrics
 are never computed in fixed point. Reductions use numpy's fixed
@@ -235,30 +259,35 @@ def _run_clusters(amps: np.ndarray, n: int, ops) -> None:
     scratch = np.empty((3, 1 << (b - 1)), dtype=np.complex128)
     grid = amps.reshape([2] * n)
     block_grid = buf.reshape([2] * b)
-    for run, qubits in _clusters(ops, CLUSTER_QUBITS):
-        rest = [q for q in range(n) if q not in qubits]
-        inner = rest[:b - len(qubits)] + sorted(qubits)   # buffer bit i -> qubit
-        outer = rest[b - len(qubits):]
-        bit = {q: i for i, q in enumerate(inner)}
-        # each op's pieces of the buffer, cut once for all blocks
-        steps = []
-        for op in run:
-            if op.kind == CX:
-                halves = _halves_cx(buf, bit[op.control], bit[op.target])
-                steps.append(partial(_step_cx, _pieces(*halves, scratch)))
-            else:
-                halves = _halves_1q(buf, bit[op.target])
-                steps.append(partial(_step_1q, matrix_of(op.kind, op.angle),
-                                     _pieces(*halves, scratch)))
-        # axis n-1-q of grid is qubit q; a block's axes run from its top bit
-        view = grid.transpose([n - 1 - q for q in reversed(outer)]
-                              + [n - 1 - q for q in reversed(inner)])
-        for index in np.ndindex(*view.shape[:n - b]):
-            block = view[index]
-            np.copyto(block_grid, block)
-            for step in steps:
-                step()
-            np.copyto(block, block_grid)
+    # numpy's ufunc buffer no longer than the shortest row a step reads,
+    # 2^(b - CLUSTER_QUBITS), so products read the rows in place (16 is
+    # numpy's smallest legal size); errstate restores it on exit
+    with np.errstate():
+        np.setbufsize(max(16, 1 << (b - CLUSTER_QUBITS)))
+        for run, qubits in _clusters(ops, CLUSTER_QUBITS):
+            rest = [q for q in range(n) if q not in qubits]
+            inner = rest[:b - len(qubits)] + sorted(qubits)   # buffer bit i -> qubit
+            outer = rest[b - len(qubits):]
+            bit = {q: i for i, q in enumerate(inner)}
+            # each op's pieces of the buffer, cut once for all blocks
+            steps = []
+            for op in run:
+                if op.kind == CX:
+                    halves = _halves_cx(buf, bit[op.control], bit[op.target])
+                    steps.append(partial(_step_cx, _pieces(*halves, scratch)))
+                else:
+                    halves = _halves_1q(buf, bit[op.target])
+                    steps.append(partial(_step_1q, matrix_of(op.kind, op.angle),
+                                         _pieces(*halves, scratch)))
+            # axis n-1-q of grid is qubit q; a block's axes run from its top bit
+            view = grid.transpose([n - 1 - q for q in reversed(outer)]
+                                  + [n - 1 - q for q in reversed(inner)])
+            for index in np.ndindex(*view.shape[:n - b]):
+                block = view[index]
+                np.copyto(block_grid, block)
+                for step in steps:
+                    step()
+                np.copyto(block, block_grid)
 
 
 def ref_run(circuit: Circuit, init: RefState) -> RefState:

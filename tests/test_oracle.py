@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -150,6 +151,32 @@ class TestApply1q:
                         oracle._apply_cx(got, control, target, scratch)
                         assert got.tobytes() == want.tobytes(), (n, control, target)
 
+    @pytest.mark.parametrize("bufsize", (16, 128, 8192))
+    def test_bytes_match_reference_at_buffer_sizes(self, bufsize):
+        # numpy's ufunc buffer size decides whether a product on a strided
+        # half copies its rows through the buffer (rows shorter than the
+        # buffer) or reads them in place: n = 10..12 has rows of 1..2^11
+        rng = np.random.default_rng(83)
+        for n in range(10, 13):
+            scratch = np.empty((3, 1 << (n - 1)), dtype=np.complex128)
+            for amps in _kernel_inputs(n, rng):
+                for q in range(n):
+                    for name, m in KERNEL_MATRICES.items():
+                        want, got = amps.copy(), amps.copy()
+                        apply_1q_reference(want, m, q)
+                        with np.errstate():
+                            np.setbufsize(bufsize)
+                            oracle._apply_1q(got, m, q, scratch)
+                        assert got.tobytes() == want.tobytes(), (n, q, name)
+                    for target in range(n):
+                        if target != q:
+                            want, got = amps.copy(), amps.copy()
+                            apply_cx_reference(want, q, target, n)
+                            with np.errstate():
+                                np.setbufsize(bufsize)
+                                oracle._apply_cx(got, q, target, scratch)
+                            assert got.tobytes() == want.tobytes(), (n, q, target)
+
     def test_leaves_init_untouched(self):
         rng = np.random.default_rng(75)
         init = RefState(6, random_ref_amplitudes(6, rng))
@@ -181,6 +208,25 @@ def small_blocks(request, monkeypatch):
     monkeypatch.setattr(oracle, "BLOCK_BITS", b)
     monkeypatch.setattr(oracle, "CLUSTER_QUBITS", k)
     return b, k
+
+
+@pytest.fixture
+def wide_rows(monkeypatch):
+    """Blocks of 2^10 amplitudes and clusters of at most 3 qubits: every
+    half a cluster's gate reads has rows of at least 2^7 elements, so
+    the cluster path sets numpy's buffer to 128 and its products read
+    the rows in place. Records the buffer size each step runs at."""
+    monkeypatch.setattr(oracle, "BLOCK_BITS", 10)
+    monkeypatch.setattr(oracle, "CLUSTER_QUBITS", 3)
+    seen = set()
+    for name in ("_step_1q", "_step_cx"):
+        step = getattr(oracle, name)
+
+        def recorded(*args, step=step):
+            seen.add(np.getbufsize())
+            step(*args)
+        monkeypatch.setattr(oracle, name, recorded)
+    return seen
 
 
 class TestClusters:
@@ -245,6 +291,32 @@ class TestClusters:
         both = (np.arange(1 << n) & 1) & (np.arange(1 << n) >> (n - 1))
         want = np.where(both == 1, np.exp(1j * theta), 1.0) * init
         assert np.abs(got.amps - want).max() < 1e-12
+
+    def test_wide_rows_match_reference(self, wide_rows):
+        rng = np.random.default_rng(84)
+        for n in (11, 12):
+            c = _kernel_circuit(n, 60, rng)
+            for amps in _kernel_inputs(n, rng):
+                got = oracle.ref_run(c, RefState(n, amps)).amps
+                assert got.tobytes() == _replay(c, amps).tobytes(), n
+        assert wide_rows == {128}
+
+    @pytest.mark.parametrize("fails", (False, True), ids=("returns", "raises"))
+    def test_restores_buffer_size(self, wide_rows, monkeypatch, fails):
+        # the caller's own setting comes back, also when a gate raises
+        # inside a cluster
+        if fails:
+            def broken(*args):
+                raise FloatingPointError("gate failed")
+            monkeypatch.setattr(oracle, "_step_cx", broken)
+        c = _kernel_circuit(11, 30, np.random.default_rng(85))
+        outcome = pytest.raises(FloatingPointError) if fails else contextlib.nullcontext()
+        with np.errstate():
+            np.setbufsize(4096)
+            with outcome:
+                oracle.ref_run(c, oracle.basis_state(11, 3))
+            assert np.getbufsize() == 4096
+        assert 128 in wide_rows
 
 
 class TestRefRunMatrix:

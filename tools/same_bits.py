@@ -45,6 +45,8 @@ COMMANDS = (
     # sum, and clusters of CX alone
     "compare --gen qft --n 17 --init 5 --workers 1",
     "compare --gen all_to_all --n 16 --workers 1",
+    # the alternating template's clusters
+    "compare --gen alternating --n 18 --layers 2 --workers 1",
     "run --gen rotation --n 18 --layers 3 --workers 8",
     "bench --gen qft --n 1..14 --no-wall-clock",
     "bench --gen chain --n 2..12 --layers 2 --no-wall-clock --format json",
