@@ -340,7 +340,7 @@ def _cmul_part(c, xr, xi, imag: bool, out, s, t):
                      True, out)
 
 
-def block_slices(shape, block: int):
+def _block_slices(shape, block: int):
     """Index expressions cutting an array of this shape into pieces.
 
     Every axis after the first has a power-of-two length; each piece
@@ -355,7 +355,7 @@ def block_slices(shape, block: int):
     width = math.prod(shape[1:])
     if width >= block:
         for r in range(shape[0]):
-            for sl in block_slices(shape[1:], block):
+            for sl in _block_slices(shape[1:], block):
                 yield (r, *sl) if isinstance(sl, tuple) else (r, sl)
         return
     step = block // width
@@ -382,7 +382,7 @@ def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
     gxr, gxi, gyr, gyi, acc, y, s, tmp = new_scratch()
     outputs = ((c00, c01, xr, False), (c00, c01, xi, True),
                (c10, c11, yr, False), (c10, c11, yi, True))
-    for sl in block_slices(xr.shape, BLOCK):
+    for sl in _block_slices(xr.shape, BLOCK):
         shape = xr[sl].shape
         m = xr[sl].size
         g = [buf[:m].reshape(shape) for buf in (gxr, gxi, gyr, gyi)]

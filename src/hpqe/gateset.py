@@ -54,7 +54,8 @@ class Circuit:
 
     def validate(self) -> None:
         """ValueError for a target or control outside 0..n-1;
-        `circuit_from_text` runs it on every parsed circuit."""
+        `circuit_from_text` runs it on every parsed circuit and
+        `oracle.ref_run` on every circuit it runs."""
         for op in self.ops:
             if not 0 <= op.target < self.n:
                 raise ValueError(f"target {op.target} out of range for n={self.n}")

@@ -6,49 +6,37 @@ operators (ref_run_matrix, n <= 6). Both apply the circuit's tracked
 global phase at the end so transpiled circuits compare directly against
 their composite targets.
 
-ref_run works in place, in numpy alone: it shares no kernel with the
-fixed-point engine. A single-qubit gate on qubit q pairs the two
-strided halves x, y of amps.reshape(-1, 2, 2^q) and streams them, piece
-by piece, through three reused contiguous scratch buffers:
-    x <- m00*x + m01*y,    y <- m11*y + m10*x
-each product one multiply and each output one add, as a whole-array
-evaluation would (IEEE addition commutes, so the order of the two terms
-does not matter). Both outputs need both old halves, so they are built
-in scratch and copied back. A diagonal matrix (m01 == m10 == 0: RZ, S)
-skips the off-diagonal product: for finite amplitudes it is an exact
-+-0, and adding +-0 to a nonzero product changes no bit. Added to a zero
-product it can change the zero's sign (-0 + +0 is +0), so a piece whose
-diagonal product has a zero part still takes the full sum. The result
-is byte-identical to the whole-array form, which the tests keep as the
-reference, however the halves are cut into pieces. A CX swaps the
-target = 0 and = 1 halves where the control bit is 1, piece by piece.
-
-Every product has the matrix element as its first operand, e.g.
-np.multiply(m00, x, out=...). With numpy's SIMD complex loops m * x and
-x * m can differ in the last bit, while the scalar-first product into a
-separate buffer equals the whole-array one on strided and contiguous
-operands alike (a one-element product taken in place does not).
-
-The state's size picks one of three forms, all with the same bytes:
-- at most WHOLE_MAX_PAIRS pairs (n <= 13): whole-array expressions
-  (`_apply_1q_whole`, `_apply_cx_whole`); on so small a state the
-  pieces' slicing and scratch views cost more per gate than they save;
-- up to 2^BLOCK_BITS amplitudes (n = 14, 15): each gate streams the
-  whole state in pieces of BLOCK pairs;
-- above that: clusters, one pass over the state per cluster.
+ref_run works in place, in numpy alone: it shares no code with the
+fixed-point engine. It has one form for every state size: clusters,
+one pass over the state per cluster.
 
 A cluster is a maximal run of consecutive ops that together touch at
 most CLUSTER_QUBITS qubits, a CX counting its control and its target;
 `_clusters` cuts the circuit greedily, in order. A cluster on the k
-qubits Q runs block by block. With b = BLOCK_BITS, a block is the 2^b
-amplitudes that agree on every bit outside Q and the lowest b - k
-bits outside Q (the filler). np.copyto gathers it, through a transposed
+qubits Q runs block by block. With b = min(BLOCK_BITS, n), a block is
+the 2^b amplitudes that agree on every bit outside Q and the lowest
+b - k bits outside Q (the filler), so a state of at most 2^BLOCK_BITS
+amplitudes is one block. np.copyto gathers it, through a transposed
 view of amps.reshape([2] * n), into one contiguous 2^b buffer: the
 filler on the buffer's low bits and Q, in ascending order, on its top
 bits, where the halves of a gate have the widest rows. Every op of the
 cluster then runs on the buffer at its mapped bits, and the buffer is
 copied back. The state is read and written once per cluster, and the
-ops between work on a buffer that stays in L2. The bytes cannot change:
+ops between work on a buffer that stays in L2.
+
+A single-qubit gate on buffer bit q pairs the two strided halves x, y
+of buf.reshape(-1, 2, 2^q) and computes, through three contiguous
+scratch rows of 2^(b-1) elements, one half each:
+    x <- m00*x + m01*y,    y <- m11*y + m10*x
+each product one multiply and each output one add, as a whole-array
+evaluation would (IEEE addition commutes, so the order of the two terms
+does not matter). Both outputs need both old halves, so they are built
+in scratch and copied back. A CX swaps the target = 0 and = 1 halves
+where the control bit is 1, 2^(b-2) elements each, through the front of
+one scratch row.
+
+The bytes equal those of the whole-array form, which the tests keep as
+the reference:
 - every pair an op touches differs only in a bit of Q, so it lies in
   one block;
 - the gather and scatter only move values, and inside the buffer each
@@ -56,27 +44,43 @@ ops between work on a buffer that stays in L2. The bytes cannot change:
   products and the same add, as in the whole state;
 - the blocks are disjoint and each runs the cluster's ops in circuit
   order, so every amplitude sees every gate in order;
-- a diagonal gate's zero test decides per piece (a half of the
-  buffer), and any partition into pieces gives the same bytes (above).
+- a diagonal matrix (m01 == m10 == 0: RZ, S) skips the off-diagonal
+  product of an output half whose diagonal product has no zero part.
+  For finite amplitudes that product is an exact +-0, and adding +-0 to
+  a nonzero part changes no bit. Added to a zero it can change the
+  zero's sign (-0 + +0 is +0), so a half with a zero part takes the
+  full sum;
+- every product has the matrix element as its first operand, e.g.
+  np.multiply(m00, x, out=...). With numpy's SIMD complex loops m * x
+  and x * m can differ in the last bit, while the scalar-first product
+  into a separate buffer equals the whole-array one on strided and
+  contiguous operands alike (a one-element product taken in place does
+  not).
 No gate is reordered or fused.
 
 The cluster loop runs with numpy's ufunc buffer set, inside
-np.errstate(), to 2^(b - CLUSTER_QUBITS) = 128 elements (at least 16,
-numpy's smallest legal size). The cluster's qubits sit on the buffer's
-top CLUSTER_QUBITS bits, so that is the shortest row of any half a step
-reads. numpy copies the operands of a row shorter than its buffer
-through the buffer before the multiply. The default buffer holds 8192
-elements, and with it a product on a half of rows of 2^10 or 2^12 cost
-1.6-1.8 times one on rows read in place. With a buffer no longer than
-the rows, each row is read in place. The bytes hold: either way the
-same SIMD complex multiply runs on contiguous rows, and the copy only
-moves values. The tests compare the bytes at buffer sizes 16, 128 and
-8192. np.errstate restores the setting on exit, on an error too, and
-threads start with numpy's default, so nothing outside ref_run sees it.
-The n <= 15 forms keep the default. The whole-array forms multiply
-contiguous copies, which numpy never buffers. The one-pass form reads
-halves of every row length from 1 up, so no one setting is the
-shortest row there; it is left as it was (README has its numbers).
+np.errstate(), to 2^(b - CLUSTER_QUBITS) elements: 128 at b = 15. The
+cluster's qubits sit on the buffer's top bits, so that is the shortest
+row of any half a step reads. numpy copies the operands of a row
+shorter than its buffer through the buffer before the multiply. The
+default buffer holds 8192 elements, and with it a product on a half of
+rows of 2^10 or 2^12 cost 1.6-1.8 times one on rows read in place.
+With a buffer no longer than the rows, each row is read in place.
+numpy's smallest legal size is 16, and for b < CLUSTER_QUBITS the
+exponent is negative, so the size is 1 << max(4, b - CLUSTER_QUBITS):
+16 for every b < 12. There a step's rows can be shorter than the
+buffer (one element, when b <= CLUSTER_QUBITS) and numpy copies them
+through it. The bytes hold at any size: either way the same SIMD
+complex multiply runs on contiguous rows, and the copy only moves
+values. The tests compare the bytes at buffer sizes 16, 128 and 8192.
+np.errstate restores the setting on exit, on an error too, and threads
+start with numpy's default, so nothing outside ref_run sees it.
+
+The one form costs a state of at most 2^12 amplitudes a few
+microseconds more per gate than the whole-array expressions it once
+took (README has the table). No benchmark workload runs a state below
+2^20 amplitudes, and a second form for small states would be a size
+switch with no workload on its small side.
 
 README's "Reference oracle" section holds the measurements. Measured
 and slower, so not done: blocks of the natural low bits with no
@@ -101,25 +105,17 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
-from . import fxp
 from .gateset import CX, Circuit, GateOp, matrix_of
 from .state import StateVector
 
 MATRIX_MAX_QUBITS = 6
-BLOCK = 1 << 14          # amplitude pairs per ref_run step (256 KiB per buffer)
-# states of at most this many pairs take the whole-array forms: QFT-n
-# ref_run, best of 5 to 100 on a 2-core Xeon, took 0.6 / 1.3 / 2.9 / 8.9
-# ms at n = 6 / 8 / 10 / 12 against 1.3 / 2.6 / 5.0 / 11.9 ms blocked, but
-# 100-122 ms against 36-47 ms at n = 14, where the full sums of its
-# diagonal gates cost more than the blocked form's per-gate overhead
-WHOLE_MAX_PAIRS = 1 << 12
-# states of more than 2^BLOCK_BITS amplitudes run in clusters: one buffer
-# of 2^15 amplitudes (512 KiB) and the 768 KiB of scratch stay in a 2 MiB
-# L2. Chain-20x3 ref_run, best of 6 in one process on a 2-core Xeon, took
+# blocks of at most 2^BLOCK_BITS amplitudes: one buffer of 2^15
+# amplitudes (512 KiB) and the 768 KiB of scratch stay in a 2 MiB L2.
+# Chain-20x3 ref_run, best of 6 in one process on a 2-core Xeon, took
 # 0.58 / 0.59 / 0.82 s at BLOCK_BITS = 15 / 14 / 16 (CLUSTER_QUBITS = 8)
 # and 0.72 s at 13 (CLUSTER_QUBITS = 6)
 BLOCK_BITS = 15
@@ -154,18 +150,6 @@ def _has_zero(v: np.ndarray) -> bool:
     return 0 in v.view(np.float64)
 
 
-def _pieces(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> list:
-    """Cut the same-shape halves x, y into pieces of at most
-    scratch.shape[1] elements: (x piece, y piece, and the three scratch
-    rows in the piece's shape) per piece. scratch is a (3, block)
-    complex128 array, block a power of two."""
-    pieces = []
-    for sl in fxp.block_slices(x.shape, scratch.shape[1]):
-        xb = x[sl]
-        pieces.append((xb, y[sl], *(buf[:xb.size].reshape(xb.shape) for buf in scratch)))
-    return pieces
-
-
 def _halves_1q(amps: np.ndarray, q: int):
     # the qubit-q = 0 and = 1 halves, as views of amps
     a = amps.reshape(-1, 2, 1 << q)
@@ -181,59 +165,26 @@ def _halves_cx(amps: np.ndarray, control: int, target: int):
     return a, grid[:, 1, :, 1, :]
 
 
-def _step_1q(m: np.ndarray, pieces) -> None:
-    # the 2x2 matrix m on the pieces of `_pieces`, in place
+def _step_1q(m: np.ndarray, x: np.ndarray, y: np.ndarray,
+             nx: np.ndarray, ny: np.ndarray, t: np.ndarray) -> None:
+    # the 2x2 matrix m on the halves x, y, in place, through the
+    # contiguous scratch nx, ny, t of their shape
     m00, m01, m10, m11 = m.ravel()
     diagonal = m01 == 0 and m10 == 0
-    for xb, yb, nx, ny, t in pieces:
-        np.multiply(m00, xb, out=nx)
-        np.multiply(m11, yb, out=ny)
-        for out, c, v in ((nx, m01, yb), (ny, m10, xb)):
-            if not diagonal or _has_zero(out):
-                out += np.multiply(c, v, out=t)
-        xb[...] = nx
-        yb[...] = ny
+    np.multiply(m00, x, out=nx)
+    np.multiply(m11, y, out=ny)
+    for out, c, v in ((nx, m01, y), (ny, m10, x)):
+        if not diagonal or _has_zero(out):
+            out += np.multiply(c, v, out=t)
+    x[...] = nx
+    y[...] = ny
 
 
-def _step_cx(pieces) -> None:
-    # swap the two halves of `_pieces`, piece by piece through scratch
-    for ab, bb, t, _, _ in pieces:
-        np.copyto(t, ab)
-        ab[...] = bb
-        bb[...] = t
-
-
-def _apply_1q(amps: np.ndarray, m: np.ndarray, q: int, scratch: np.ndarray) -> None:
-    """Apply the 2x2 matrix m to qubit q of amps, in place, through the
-    (3, block) scratch."""
-    _step_1q(m, _pieces(*_halves_1q(amps, q), scratch))
-
-
-def _apply_1q_whole(amps: np.ndarray, m: np.ndarray, q: int) -> None:
-    """`_apply_1q` on a small state, by whole-array expressions."""
-    a = amps.reshape(-1, 2, 1 << q)
-    x, y = a[:, 0].copy(), a[:, 1].copy()
-    a[:, 0] = m[0, 0] * x + m[0, 1] * y
-    a[:, 1] = m[1, 0] * x + m[1, 1] * y
-
-
-def _apply_cx_whole(amps: np.ndarray, control: int, target: int, n: int) -> None:
-    """`_apply_cx` on a small state, through a copy of one half."""
-    grid = amps.reshape([2] * n)
-    a, b = [slice(None)] * n, [slice(None)] * n
-    a[n - 1 - control] = b[n - 1 - control] = 1
-    a[n - 1 - target], b[n - 1 - target] = 0, 1
-    a, b = tuple(a), tuple(b)
-    t = grid[a].copy()
-    grid[a] = grid[b]
-    grid[b] = t
-
-
-def _apply_cx(amps: np.ndarray, control: int, target: int,
-              scratch: np.ndarray) -> None:
-    """Swap the target=0 and target=1 halves where the control bit is 1,
-    in place, through the (3, block) scratch."""
-    _step_cx(_pieces(*_halves_cx(amps, control, target), scratch))
+def _step_cx(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
+    # swap the halves a, b through the contiguous scratch t of their shape
+    np.copyto(t, a)
+    a[...] = b
+    b[...] = t
 
 
 def _clusters(ops, limit: int):
@@ -252,33 +203,43 @@ def _clusters(ops, limit: int):
 
 
 def _run_clusters(amps: np.ndarray, n: int, ops) -> None:
-    """ref_run's gates on a state of more than 2^BLOCK_BITS amplitudes,
-    one pass over the state per cluster."""
-    b = BLOCK_BITS
+    """ref_run's gates on the 2^n amplitudes, in place, one pass over
+    the state per cluster."""
+    b = min(BLOCK_BITS, n)
     buf = np.empty(1 << b, dtype=np.complex128)
     scratch = np.empty((3, 1 << (b - 1)), dtype=np.complex128)
     grid = amps.reshape([2] * n)
     block_grid = buf.reshape([2] * b)
+
+    # the views a step on the buffer takes, built once per buffer bit: a
+    # single-qubit gate's halves fill the scratch rows, a CX's halves a
+    # quarter of the buffer each
+    @cache
+    def views_1q(q):
+        x, y = _halves_1q(buf, q)
+        return (x, y, *(row.reshape(x.shape) for row in scratch))
+
+    @cache
+    def views_cx(control, target):
+        x, y = _halves_cx(buf, control, target)
+        return x, y, scratch[0, :x.size].reshape(x.shape)
+
     # numpy's ufunc buffer no longer than the shortest row a step reads,
-    # 2^(b - CLUSTER_QUBITS), so products read the rows in place (16 is
-    # numpy's smallest legal size); errstate restores it on exit
+    # 2^(b - CLUSTER_QUBITS), so products read the rows in place; at
+    # least 16, numpy's smallest legal size, also where b < CLUSTER_QUBITS;
+    # errstate restores it on exit
     with np.errstate():
-        np.setbufsize(max(16, 1 << (b - CLUSTER_QUBITS)))
+        np.setbufsize(1 << max(4, b - CLUSTER_QUBITS))
         for run, qubits in _clusters(ops, CLUSTER_QUBITS):
             rest = [q for q in range(n) if q not in qubits]
             inner = rest[:b - len(qubits)] + sorted(qubits)   # buffer bit i -> qubit
             outer = rest[b - len(qubits):]
             bit = {q: i for i, q in enumerate(inner)}
-            # each op's pieces of the buffer, cut once for all blocks
-            steps = []
-            for op in run:
-                if op.kind == CX:
-                    halves = _halves_cx(buf, bit[op.control], bit[op.target])
-                    steps.append(partial(_step_cx, _pieces(*halves, scratch)))
-                else:
-                    halves = _halves_1q(buf, bit[op.target])
-                    steps.append(partial(_step_1q, matrix_of(op.kind, op.angle),
-                                         _pieces(*halves, scratch)))
+            # each op's step on the buffer, built once for all blocks
+            steps = [partial(_step_cx, *views_cx(bit[op.control], bit[op.target]))
+                     if op.kind == CX else
+                     partial(_step_1q, matrix_of(op.kind, op.angle), *views_1q(bit[op.target]))
+                     for op in run]
             # axis n-1-q of grid is qubit q; a block's axes run from its top bit
             view = grid.transpose([n - 1 - q for q in reversed(outer)]
                                   + [n - 1 - q for q in reversed(inner)])
@@ -291,26 +252,13 @@ def _run_clusters(amps: np.ndarray, n: int, ops) -> None:
 
 
 def ref_run(circuit: Circuit, init: RefState) -> RefState:
-    """Gate-by-gate exact action, then the tracked global phase."""
+    """Gate-by-gate exact action, then the tracked global phase.
+    ValueError for a qubit outside 0..n-1 or a state of another n."""
     if circuit.n != init.n:
         raise ValueError(f"circuit n={circuit.n} vs state n={init.n}")
+    circuit.validate()
     out = init.copy()
-    amps = out.amps
-    if out.n > BLOCK_BITS:
-        _run_clusters(amps, out.n, circuit.ops)
-    elif amps.size >> 1 <= WHOLE_MAX_PAIRS:
-        for op in circuit.ops:
-            if op.kind == CX:
-                _apply_cx_whole(amps, op.control, op.target, out.n)
-            else:
-                _apply_1q_whole(amps, matrix_of(op.kind, op.angle), op.target)
-    else:
-        scratch = np.empty((3, min(BLOCK, amps.size >> 1)), dtype=np.complex128)
-        for op in circuit.ops:
-            if op.kind == CX:
-                _apply_cx(amps, op.control, op.target, scratch)
-            else:
-                _apply_1q(amps, matrix_of(op.kind, op.angle), op.target, scratch)
+    _run_clusters(out.amps, out.n, circuit.ops)
     if circuit.global_phase:
         out.amps *= cmath.exp(1j * circuit.global_phase)
     return out

@@ -44,6 +44,23 @@ class TestRefRun:
         with pytest.raises(ValueError):
             oracle.ref_run(gateset.Circuit(n=3), oracle.basis_state(2, 0))
 
+    @pytest.mark.parametrize("n, op, qubit", (
+        (4, gateset.single("H", 5), "target 5"),
+        (4, gateset.single("RZ", 17, 0.7), "target 17"),
+        (4, gateset.single("RY", -1, 1.1), "target -1"),
+        (4, gateset.cx(0, 4), "target 4"),
+        (4, gateset.cx(4, 0), "control 4"),
+        (17, gateset.single("S", 17), "target 17"),
+        (17, gateset.single("H", -1), "target -1"),
+        (17, gateset.cx(0, 17), "target 17"),
+    ), ids=("n4-h5", "n4-rz17", "n4-ry-1", "n4-cx0-4", "n4-cx4-0",
+            "n17-s17", "n17-h-1", "n17-cx0-17"))
+    def test_rejects_qubit_out_of_range(self, n, op, qubit):
+        # before any gate runs, with the qubit named
+        c = gateset.Circuit(n=n, ops=[gateset.single("H", 0), op])
+        with pytest.raises(ValueError, match=f"^{qubit} out of range for n={n}$"):
+            oracle.ref_run(c, oracle.basis_state(n, 0))
+
 
 # diagonal (RZ on both sides of pi, S), real dense (RY) and complex
 # dense (RX, H); RY(0) is diagonal with a -0 off the diagonal
@@ -89,66 +106,52 @@ def _check_ref_run_bytes(n: int) -> None:
 
 
 class TestApply1q:
-    """The blocked kernel against the whole-array reference, bit for bit."""
+    """ref_run of one-gate circuits, and its steps, against the
+    whole-array reference, bit for bit."""
+
+    @pytest.fixture(params=(1 << 3, 1 << (oracle.BLOCK_BITS - 1)))
+    def pairs(self, request, monkeypatch):
+        """Pairs per step, 2^(BLOCK_BITS - 1): at the real 2^14 every
+        state of n <= 10 is one block; at 8 (BLOCK_BITS = 4) a state of
+        n >= 5 runs in several blocks per gate."""
+        monkeypatch.setattr(oracle, "BLOCK_BITS", request.param.bit_length())
+        return request.param
 
     @pytest.mark.parametrize("name", sorted(KERNEL_MATRICES))
-    @pytest.mark.parametrize("block", (1 << 3, oracle.BLOCK))
-    def test_bytes_match_reference(self, name, block):
-        # with 8-pair blocks, halves wider than a block are cut along a
-        # row and narrower ones span several rows, from n = 4 on
+    def test_bytes_match_reference(self, pairs, name):
+        kind, angle = KERNEL_GATES[name]
         m = KERNEL_MATRICES[name]
         rng = np.random.default_rng(73)
         for n in range(1, 11):
-            scratch = np.empty((3, min(block, 1 << (n - 1))), dtype=np.complex128)
             for amps in _kernel_inputs(n, rng):
                 for q in range(n):
-                    want, got = amps.copy(), amps.copy()
+                    c = gateset.Circuit(n=n, ops=[gateset.single(kind, q, angle)])
+                    want = amps.copy()
                     apply_1q_reference(want, m, q)
-                    oracle._apply_1q(got, m, q, scratch)
+                    got = oracle.ref_run(c, RefState(n, amps)).amps
                     assert got.tobytes() == want.tobytes(), (n, q)
 
     def test_ref_run_bytes_match_reference(self):
         _check_ref_run_bytes(9)
 
     def test_blocked_ref_run_bytes_match_reference(self):
-        # the state above takes the whole-array forms, this one the blocked
-        assert 1 << 8 <= oracle.WHOLE_MAX_PAIRS < 1 << 13
-        _check_ref_run_bytes(14)
+        # one block of 2^14 and 2^15 amplitudes, and two blocks of 2^15
+        for n in (14, 15, 16):
+            _check_ref_run_bytes(n)
 
-    @pytest.mark.parametrize("name", sorted(KERNEL_MATRICES))
-    def test_whole_forms_match_reference(self, name):
-        # the forms a small state takes, every qubit and qubit pair
-        m = KERNEL_MATRICES[name]
-        rng = np.random.default_rng(77)
-        for n in range(1, 11):
-            for amps in _kernel_inputs(n, rng):
-                for q in range(n):
-                    want, got = amps.copy(), amps.copy()
-                    apply_1q_reference(want, m, q)
-                    oracle._apply_1q_whole(got, m, q)
-                    assert got.tobytes() == want.tobytes(), (n, q)
-                    for target in range(n):
-                        if target != q:
-                            want, got = amps.copy(), amps.copy()
-                            apply_cx_reference(want, q, target, n)
-                            oracle._apply_cx_whole(got, q, target, n)
-                            assert got.tobytes() == want.tobytes(), (n, q, target)
-
-    @pytest.mark.parametrize("block", (1 << 3, oracle.BLOCK))
-    def test_cx_bytes_match_reference(self, block):
-        # with 8-pair blocks the swapped halves (2^(n-2) words) are cut
-        # into several pieces from n = 6 on
+    def test_cx_bytes_match_reference(self, pairs):
+        # a CX's halves hold half a step's pairs each
         rng = np.random.default_rng(76)
-        for n in range(2, 10):
-            scratch = np.empty((3, min(block, 1 << (n - 1))), dtype=np.complex128)
+        for n in range(2, 11):
             for amps in _kernel_inputs(n, rng):
                 for control in range(n):
                     for target in range(n):
                         if control == target:
                             continue
-                        want, got = amps.copy(), amps.copy()
+                        c = gateset.Circuit(n=n, ops=[gateset.cx(control, target)])
+                        want = amps.copy()
                         apply_cx_reference(want, control, target, n)
-                        oracle._apply_cx(got, control, target, scratch)
+                        got = oracle.ref_run(c, RefState(n, amps)).amps
                         assert got.tobytes() == want.tobytes(), (n, control, target)
 
     @pytest.mark.parametrize("bufsize", (16, 128, 8192))
@@ -164,17 +167,19 @@ class TestApply1q:
                     for name, m in KERNEL_MATRICES.items():
                         want, got = amps.copy(), amps.copy()
                         apply_1q_reference(want, m, q)
+                        x, y = oracle._halves_1q(got, q)
                         with np.errstate():
                             np.setbufsize(bufsize)
-                            oracle._apply_1q(got, m, q, scratch)
+                            oracle._step_1q(m, x, y, *(row.reshape(x.shape) for row in scratch))
                         assert got.tobytes() == want.tobytes(), (n, q, name)
                     for target in range(n):
                         if target != q:
                             want, got = amps.copy(), amps.copy()
                             apply_cx_reference(want, q, target, n)
+                            x, y = oracle._halves_cx(got, q, target)
                             with np.errstate():
                                 np.setbufsize(bufsize)
-                                oracle._apply_cx(got, q, target, scratch)
+                                oracle._step_cx(x, y, scratch[0, :x.size].reshape(x.shape))
                             assert got.tobytes() == want.tobytes(), (n, q, target)
 
     def test_leaves_init_untouched(self):
@@ -211,13 +216,8 @@ def small_blocks(request, monkeypatch):
 
 
 @pytest.fixture
-def wide_rows(monkeypatch):
-    """Blocks of 2^10 amplitudes and clusters of at most 3 qubits: every
-    half a cluster's gate reads has rows of at least 2^7 elements, so
-    the cluster path sets numpy's buffer to 128 and its products read
-    the rows in place. Records the buffer size each step runs at."""
-    monkeypatch.setattr(oracle, "BLOCK_BITS", 10)
-    monkeypatch.setattr(oracle, "CLUSTER_QUBITS", 3)
+def step_bufsizes(monkeypatch):
+    """Records the numpy buffer size each cluster step runs at."""
     seen = set()
     for name in ("_step_1q", "_step_cx"):
         step = getattr(oracle, name)
@@ -229,9 +229,20 @@ def wide_rows(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def wide_rows(monkeypatch, step_bufsizes):
+    """Blocks of 2^10 amplitudes and clusters of at most 3 qubits: every
+    half a cluster's gate reads has rows of at least 2^7 elements, so
+    the cluster path sets numpy's buffer to 128 and its products read
+    the rows in place. Records the buffer size each step runs at."""
+    monkeypatch.setattr(oracle, "BLOCK_BITS", 10)
+    monkeypatch.setattr(oracle, "CLUSTER_QUBITS", 3)
+    return step_bufsizes
+
+
 class TestClusters:
-    """ref_run above 2^BLOCK_BITS amplitudes, by clusters of gates, against
-    the whole-array reference forms, bit for bit."""
+    """ref_run over several blocks per cluster, against the whole-array
+    reference forms, bit for bit."""
 
     def test_random_circuits_match_reference(self, small_blocks):
         # from n = b+1 (two blocks per cluster) to 2^(10-b) blocks
@@ -301,22 +312,28 @@ class TestClusters:
                 assert got.tobytes() == _replay(c, amps).tobytes(), n
         assert wide_rows == {128}
 
-    @pytest.mark.parametrize("fails", (False, True), ids=("returns", "raises"))
-    def test_restores_buffer_size(self, wide_rows, monkeypatch, fails):
+    @pytest.mark.parametrize("fails, n, bufsize", (
+        (False, 11, 128), (True, 11, 128), (False, 3, 16), (True, 3, 16)),
+        ids=("returns", "raises", "returns-n3", "raises-n3"))
+    def test_restores_buffer_size(self, request, step_bufsizes, monkeypatch, fails, n,
+                                  bufsize):
         # the caller's own setting comes back, also when a gate raises
-        # inside a cluster
+        # inside a cluster; n = 11 runs at the wide_rows constants, n = 3
+        # at the real ones, one block of b = 3 < CLUSTER_QUBITS bits
+        if n == 11:
+            request.getfixturevalue("wide_rows")
         if fails:
             def broken(*args):
                 raise FloatingPointError("gate failed")
             monkeypatch.setattr(oracle, "_step_cx", broken)
-        c = _kernel_circuit(11, 30, np.random.default_rng(85))
+        c = _kernel_circuit(n, 30, np.random.default_rng(85))
         outcome = pytest.raises(FloatingPointError) if fails else contextlib.nullcontext()
         with np.errstate():
             np.setbufsize(4096)
             with outcome:
-                oracle.ref_run(c, oracle.basis_state(11, 3))
+                oracle.ref_run(c, oracle.basis_state(n, 3))
             assert np.getbufsize() == 4096
-        assert 128 in wide_rows
+        assert bufsize in step_bufsizes
 
 
 class TestRefRunMatrix:

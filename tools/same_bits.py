@@ -48,6 +48,11 @@ COMMANDS = (
     # the alternating template's clusters
     "compare --gen alternating --n 18 --layers 2 --workers 1",
     "run --gen rotation --n 18 --layers 3 --workers 8",
+    # the oracle's one block, from 2^13 to 2^15 amplitudes
+    "compare --gen qft --n 15 --init 5 --workers 1",
+    "compare --gen qft --n 14 --init 3 --workers 1",
+    "compare --gen chain --n 15 --layers 3 --workers 1 --seed 3",
+    "compare --gen alternating --n 13 --layers 2 --workers 1",
     "bench --gen qft --n 1..14 --no-wall-clock",
     "bench --gen chain --n 2..12 --layers 2 --no-wall-clock --format json",
 )
