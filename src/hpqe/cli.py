@@ -19,10 +19,10 @@ columns and never mixed.
 
 `compare` runs the fixed-point engine on one helper thread while the
 double-precision oracle runs on the calling thread: the two share no
-data, and the engine's native kernels release the GIL. The helper also
-converts the engine's final state to double precision, so that the
-conversion leaves the critical path and the fixed-point state is freed
-before the metrics run. Its engine gets at most one thread fewer than
+data, and the engine's native kernels release the GIL. The helper
+returns the engine's final fixed-point state, whose words the metrics
+read block by block, so `compare` holds 8 bytes (engine) and 16 bytes
+(oracle) per amplitude. Its engine gets at most one thread fewer than
 the cores the process may use (`compare_workers`), so that the oracle
 keeps a core. `bench` keeps the two one after the other, because its
 wall_clock_s times the engine alone.
@@ -155,29 +155,20 @@ def compare_workers(requested: int) -> int:
     return min(requested, max(1, cores - 1))
 
 
-def _engine_amplitudes(sv, circuit, cfg, workers: int):
-    """`compare`'s engine job: run the circuit on sv and return the final
-    state in double precision (`StateVector.to_complex`)."""
-    final, _ = engine.run_circuit(sv, circuit, cfg, workers=workers)
-    return final.to_complex()
-
-
 def cmd_compare(args) -> int:
     label, circuit = _build_circuit(args)
     _check_init(args.init, circuit.n)
     cfg = _load_config(args.config)
     sv = state.init_basis(circuit.n, args.init, max_qubits=args.max_qubits)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        run = pool.submit(_engine_amplitudes, sv, circuit, cfg,
-                          compare_workers(args.workers))
-        # the job holds the fixed-point state; it is freed when the job ends
-        del sv
+        run = pool.submit(engine.run_circuit, sv, circuit, cfg,
+                          workers=compare_workers(args.workers))
         try:
             ref = oracle.ref_run(circuit, oracle.basis_state(circuit.n, args.init))
         finally:
             # an engine error outranks the oracle's, as when they ran in turn
-            amps = run.result()
-    result = oracle.metrics(ref, amps)
+            final, _ = run.result()
+    result = oracle.metrics(ref, final)
     doc = result.to_json(n=circuit.n, gates=len(circuit.ops))
     out = _out_dir(args)
     (out / "metrics.json").write_text(doc + "\n", encoding="utf-8")

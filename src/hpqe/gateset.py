@@ -53,14 +53,17 @@ class Circuit:
         return self
 
     def validate(self) -> None:
-        """ValueError for a target or control outside 0..n-1;
-        `circuit_from_text` runs it on every parsed circuit and
-        `oracle.ref_run` on every circuit it runs."""
+        """ValueError for a target or control outside 0..n-1, or a CX
+        whose control is its target; `circuit_from_text` runs it on
+        every parsed circuit and `oracle.ref_run` on every circuit it
+        runs."""
         for op in self.ops:
             if not 0 <= op.target < self.n:
                 raise ValueError(f"target {op.target} out of range for n={self.n}")
             if op.control is not None and not 0 <= op.control < self.n:
                 raise ValueError(f"control {op.control} out of range for n={self.n}")
+            if op.control == op.target:
+                raise ValueError(f"CX control and target are both qubit {op.target}")
 
 
 def matrix_of(kind: str, angle: float | None = None) -> np.ndarray:

@@ -95,9 +95,12 @@ cluster whenever both its qubits fit in the block; a 256-float probe
 before each full zero test (about 5 us more per test where no zero is
 found, as on chain).
 
-Fixed-point states are converted to doubles before any metric; metrics
-are never computed in fixed point. Reductions use numpy's fixed
-pairwise summation so reported values are reproducible.
+`metrics` reads its two states in blocks of min(2^BLOCK_BITS, size)
+amplitudes. A fixed-point state's words are converted to doubles one
+block at a time (StateVector.to_complex), so no state-sized array is
+built; metrics are never computed in fixed point. Each block's sums are
+numpy's pairwise sums, and the block sums are combined in numpy's tree,
+so the values are the whole-array ones, bit for bit.
 """
 
 from __future__ import annotations
@@ -332,31 +335,38 @@ class Metrics:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _amplitudes(x) -> np.ndarray:
-    if isinstance(x, RefState):
-        return x.amps
+def _reader(x):
+    """(size, read): x's amplitude count, and read(lo), its
+    min(2^BLOCK_BITS, size) amplitudes from lo as complex128. A
+    double-precision state gives views; a StateVector's words are
+    converted (StateVector.to_complex) into one reused buffer."""
     if isinstance(x, StateVector):
-        return x.to_complex()
-    return np.asarray(x, dtype=np.complex128)
+        out = np.empty(min(1 << BLOCK_BITS, x.size), dtype=np.complex128)
+        return x.size, partial(x.to_complex, out=out)
+    amps = x.amps if isinstance(x, RefState) else np.asarray(x, dtype=np.complex128)
+    step = min(1 << BLOCK_BITS, amps.size)
+    return amps.size, lambda lo: amps[lo:lo + step]
 
 
-def _pair(a, b):
-    av, bv = _amplitudes(a), _amplitudes(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
-    return av, bv
+def _sum(parts):
+    # numpy's pairwise sum of the whole array from the sums of its
+    # blocks: for a power-of-two length it splits at exact halves, so a
+    # power-of-two count of equal blocks combines in pairs, level by
+    # level; then its +0 start (np.sum([-0.0]) is +0.0)
+    while len(parts) > 1:
+        parts = [x + y for x, y in zip(parts[::2], parts[1::2])]
+    return 0.0 + parts[0]
 
 
 def _sum_sq_abs(d: np.ndarray, buf: np.ndarray) -> float:
     # sum(|d|^2), with |d|^2 built in buf
     np.abs(d, out=buf)
-    return float(np.sum(np.square(buf, out=buf)))
+    return np.sum(np.square(buf, out=buf))
 
 
 def fidelity(a, b) -> float:
     """|<a|b>|^2: global-phase-invariant overlap of two state vectors."""
-    av, bv = _pair(a, b)
-    return float(abs(np.sum(np.conj(av) * bv)) ** 2)
+    return metrics(a, b).fidelity
 
 
 def mse(a, b):
@@ -366,27 +376,49 @@ def mse(a, b):
     aligned error, so mse_aligned <= mse_raw always holds; for a sign
     flip it comes out as pi.
     """
-    av, bv = _pair(a, b)
-    size = av.size
-    # Kept as one expression: from 256 KiB up numpy's temporary elision
-    # evaluates it as conj(bv) * av in the temporary's buffer, below as
-    # av * conj(bv), and the two orders can differ in the last bit.
-    # Taken first, its temporary is gone before d and sq exist.
-    overlap = np.sum(av * np.conj(bv))
-    d = np.subtract(av, bv)
-    sq = np.empty(size, dtype=np.float64)
-    mse_raw = _sum_sq_abs(d, sq) / size
-    if mse_raw == 0.0:
-        return 0.0, 0.0, 0.0
-    phase = float(np.angle(overlap)) if abs(overlap) > 0 else 0.0
-    np.multiply(np.exp(1j * phase), bv, out=d)
-    mse_aligned = _sum_sq_abs(np.subtract(av, d, out=d), sq) / size
-    return mse_raw, mse_aligned, phase
+    m = metrics(a, b)
+    return m.mse_raw, m.mse_aligned, m.phase
 
 
 def metrics(a, b) -> Metrics:
-    """Fidelity and MSE of a against b, each state converted once."""
-    av, bv = _pair(a, b)
-    mse_raw, mse_aligned, phase = mse(av, bv)
-    return Metrics(fidelity=fidelity(av, bv), mse_raw=mse_raw,
-                   mse_aligned=mse_aligned, phase=phase)
+    """Fidelity and MSE of a against b, in blocks of
+    min(2^BLOCK_BITS, size) amplitudes: one pass for the overlaps and
+    the raw error, and one for the aligned error where the raw is not 0.
+
+    The bytes equal those of the whole-array expressions (the tests keep
+    them as the reference): every amplitude meets the same elementwise
+    operations, and `_sum` combines the block sums in numpy's tree.
+    From 256 KiB (2^14 amplitudes) up, numpy's temporary elision
+    evaluates the whole-array overlap np.sum(a * np.conj(b)) as
+    conj(b) * a, below as a * conj(b); the two orders can differ in the
+    last bit, so the state's size picks the order for every block."""
+    size, read_a = _reader(a)
+    size_b, read_b = _reader(b)
+    if size != size_b:
+        raise ValueError(f"length mismatch: {size} vs {size_b}")
+    step = min(1 << BLOCK_BITS, size)
+    elided = size >= 1 << 14
+    t = np.empty(step, dtype=np.complex128)
+    sq = np.empty(step, dtype=np.float64)
+    inner, overlap, raw = [], [], []
+    for lo in range(0, size, step):
+        x, y = read_a(lo), read_b(lo)
+        np.conj(x, out=t)
+        inner.append(np.sum(np.multiply(t, y, out=t)))
+        np.conj(y, out=t)
+        overlap.append(np.sum(np.multiply(t, x, out=t) if elided
+                              else np.multiply(x, t, out=t)))
+        raw.append(_sum_sq_abs(np.subtract(x, y, out=t), sq))
+    fid = float(abs(_sum(inner)) ** 2)
+    mse_raw = float(_sum(raw)) / size
+    if mse_raw == 0.0:
+        return Metrics(fidelity=fid, mse_raw=0.0, mse_aligned=0.0, phase=0.0)
+    total = _sum(overlap)
+    phase = float(np.angle(total)) if abs(total) > 0 else 0.0
+    turn = np.exp(1j * phase)
+    aligned = []
+    for lo in range(0, size, step):
+        np.multiply(turn, read_b(lo), out=t)
+        aligned.append(_sum_sq_abs(np.subtract(read_a(lo), t, out=t), sq))
+    return Metrics(fidelity=fid, mse_raw=mse_raw,
+                   mse_aligned=float(_sum(aligned)) / size, phase=phase)

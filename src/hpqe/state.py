@@ -67,11 +67,15 @@ class StateVector:
     def size(self) -> int:
         return 1 << self.n
 
-    def to_complex(self) -> np.ndarray:
-        """Double-precision copy of the state, for metrics only."""
-        out = np.empty(self.size, dtype=np.complex128)
-        out.real = self.re
-        out.imag = self.im
+    def to_complex(self, lo: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """Double-precision copy of the amplitudes from lo (the whole
+        state by default), for metrics only; with out, its out.size
+        amplitudes from lo are converted into it."""
+        if out is None:
+            out = np.empty(self.size - lo, dtype=np.complex128)
+        hi = lo + out.size
+        out.real = self.re[lo:hi]
+        out.imag = self.im[lo:hi]
         out /= fxp.SCALE        # a power of two: exact
         return out
 

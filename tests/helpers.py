@@ -111,10 +111,14 @@ def apply_cx_reference(amps: np.ndarray, control: int, target: int, n: int) -> N
 def metrics_reference(av: np.ndarray, bv: np.ndarray):
     """(fidelity, mse_raw, mse_aligned, phase) by whole-array expressions.
 
-    The form oracle.metrics had before it reused its buffers.
+    The form oracle.metrics had before it read its inputs in blocks; its
+    blocked core must match it byte for byte. Equal states (mse_raw 0)
+    report no phase, as oracle.mse always has.
     """
     fidelity = float(abs(np.sum(np.conj(av) * bv)) ** 2)
     mse_raw = float(np.sum(np.abs(av - bv) ** 2)) / av.size
+    if mse_raw == 0.0:
+        return fidelity, 0.0, 0.0, 0.0
     overlap = np.sum(av * np.conj(bv))
     phase = float(np.angle(overlap)) if abs(overlap) > 0 else 0.0
     mse_aligned = float(np.sum(np.abs(av - np.exp(1j * phase) * bv) ** 2)) / av.size

@@ -1,11 +1,12 @@
 import csv
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hpqe import cli, engine, gateset, oracle, state
+from hpqe import cli, engine, fxp, gateset, oracle, state
 from hpqe.perfmodel import CapacityError
 
 
@@ -169,6 +170,23 @@ class TestCompareOverlap:
         assert run_cli("compare", "--gen", "chain", "--n", 16, "--workers", 4,
                        "--out", tmp_path) == 0
         assert pools == [3]
+
+    def test_peak_is_engine_words_and_oracle_state(self, tmp_path):
+        # 40 B/amp: the engine's basis words (8), the oracle's basis
+        # state (16) and its result (16), plus blocks; the engine's
+        # words are read by the metrics, never converted whole. The
+        # numpy kernel bodies add int64 scratch of their own
+        if fxp.native_kernels() is None:
+            pytest.skip("the native kernels cannot be built or loaded on this host")
+        n = 18
+        tracemalloc.start()
+        try:
+            assert run_cli("compare", "--gen", "chain", "--n", n, "--layers", 3,
+                           "--workers", 2, "--out", tmp_path) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * (1 << n) + (3 << 20)
 
     def test_engine_error_outranks_oracle_error(self, tmp_path, monkeypatch, capsys):
         oracle_failed = threading.Event()

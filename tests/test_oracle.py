@@ -1,11 +1,12 @@
 import contextlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hpqe import circuits, fxp, gateset, oracle, state
+from hpqe import circuits, engine, fxp, gateset, oracle, state
 from hpqe.oracle import RefState, SizeError
 
 from helpers import (apply_1q_reference, apply_cx_reference, metrics_reference,
@@ -60,6 +61,16 @@ class TestRefRun:
         c = gateset.Circuit(n=n, ops=[gateset.single("H", 0), op])
         with pytest.raises(ValueError, match=f"^{qubit} out of range for n={n}$"):
             oracle.ref_run(c, oracle.basis_state(n, 0))
+
+    def test_rejects_cx_on_one_qubit(self):
+        # GateOp itself does not check what gateset.cx does
+        c = gateset.Circuit(n=4, ops=[gateset.GateOp(kind="CX", target=1, control=1)])
+        with pytest.raises(ValueError, match="^CX control and target are both qubit 1$"):
+            c.validate()
+        with pytest.raises(ValueError, match="^CX control and target are both qubit 1$"):
+            oracle.ref_run(c, oracle.basis_state(4, 0))
+        with pytest.raises(ValueError, match=r"^bad CX qubits \(1, 1\) for n=4$"):
+            engine.run_circuit(state.init_basis(4, 0), c)
 
 
 # diagonal (RZ on both sides of pi, S), real dense (RY) and complex
@@ -466,18 +477,57 @@ class TestMetrics:
         assert doc["fidelity"] == pytest.approx(1.0)
         assert doc["mse_raw"] == pytest.approx(0.0)
 
-    @pytest.mark.parametrize("n", (5, 15))
-    def test_bits_match_whole_array_formulas(self, n):
-        # n = 15 puts the arrays above numpy's 256 KiB elision threshold
-        rng = np.random.default_rng(76)
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_bits_match_whole_array_formulas(self, n, monkeypatch):
+        # n = 14 is numpy's 256 KiB elision edge; from n = 16 up a state
+        # is several blocks, and at BLOCK_BITS = 7 so is every n >= 8
+        rng = np.random.default_rng(76 + n)
+        size = 1 << n
         ref = RefState(n, random_ref_amplitudes(n, rng))
         noisy = ref.amps + 1e-6 * random_ref_amplitudes(n, rng)
         sv = state.from_amplitudes(n, np.exp(0.4j) * noisy)
         converted = sv.to_complex()
         assert converted.tobytes() == ((sv.re + 1j * sv.im) / fxp.SCALE).tobytes()
-        got = oracle.metrics(ref, sv)
-        want = metrics_reference(ref.amps, converted)
-        assert (got.fidelity, got.mse_raw, got.mse_aligned, got.phase) == want
+        # zero and RAW_MIN words, and parts of +-0 beside nonzero ones
+        edge = sv.copy()
+        edge.re[rng.random(size) < 0.3] = 0
+        edge.im[rng.random(size) < 0.3] = fxp.RAW_MIN
+        signed = rng.choice([0.0, -0.0, 0.5, -0.25], size=2 * size).view(np.complex128)
+        pairs = [(ref, sv), (sv, ref), (ref.amps, converted), (edge, ref),
+                 (signed, ref.amps), (ref.amps, signed),
+                 (ref, ref.amps.copy()),      # identical: mse_raw == 0
+                 (ref.amps, -ref.amps)]       # a sign flip: phase pi
+
+        def amps(x):
+            return x.to_complex() if isinstance(x, state.StateVector) else getattr(x, "amps", x)
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        for block_bits in (oracle.BLOCK_BITS, 7):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", block_bits)
+            for a, b in pairs:
+                want = bits(metrics_reference(amps(a), amps(b)))
+                got = oracle.metrics(a, b)
+                assert bits((got.fidelity, got.mse_raw, got.mse_aligned, got.phase)) == want
+                assert bits((oracle.fidelity(a, b), *oracle.mse(a, b))) == want
+        with pytest.raises(ValueError, match=f"^length mismatch: {size} vs {2 * size}$"):
+            oracle.metrics(ref, state.init_basis(n + 1, 0))
+
+    def test_blocks_hold_no_state_sized_array(self):
+        # converting the whole fixed-point state would take 2 MiB of
+        # complex128 at n = 17
+        n = 17
+        rng = np.random.default_rng(77)
+        ref = RefState(n, random_ref_amplitudes(n, rng))
+        sv = state.from_amplitudes(n, ref.amps)
+        tracemalloc.start()
+        try:
+            oracle.metrics(ref, sv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_equal_up_to_phase_helper(self):
         rng = np.random.default_rng(72)
