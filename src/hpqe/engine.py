@@ -10,7 +10,8 @@ the second multiplier, it never reads the op's off-diagonal entries.
 The state holds the machine's 32-bit words (`fxp.WORD`), and every
 rounding and saturation step of the scalar `fxp.su_eval` is kept,
 except the provably inert ones the `fxp` docstring lists. Every kernel
-call, native or numpy, goes through `fxp.Banks`.
+call, native or numpy, goes through `fxp.Banks`, and every gate passes
+`gateset.check_gate` before it.
 
 Each pair's words depend on that pair alone, so a gate may be cut into
 contiguous pieces computed in any order, or at once, with the same
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 import json
 
 from . import fxp, perfmodel
-from .gateset import Circuit, GateOp, CX
+from .gateset import CX, Circuit, GateOp, check_gate
 from .state import StateVector
 
 MODE1 = "Mode1"
@@ -135,18 +136,11 @@ def cx_pair(k: int, n: int, control: int, target: int) -> tuple[int, int]:
     return i0, i0 | (1 << target)
 
 
-def _check_cx(n: int, control: int, target: int) -> None:
-    if n < 2:
-        raise ValueError("CX requires n >= 2")
-    if control == target or not (0 <= control < n and 0 <= target < n):
-        raise ValueError(f"bad CX qubits ({control}, {target}) for n={n}")
-
-
 def apply_cx(state: StateVector, control: int, target: int) -> None:
     """Swap the control=1 amplitude pairs in place (cycles: `cx_cycles`):
     words i and i | 2^target for every i whose control bit is set and
-    target bit clear (`fxp.Banks.cx`)."""
-    _check_cx(state.n, control, target)
+    target bit clear (`fxp.Banks.cx`), once `check_gate` passes the CX."""
+    check_gate(GateOp(kind=CX, target=target, control=control), state.n)
     fxp.Banks(state.re, state.im).cx(control, target)
 
 
@@ -224,19 +218,6 @@ def _diag_step(op: GateOp, mask: int) -> tuple:
     return m00, m11, mask
 
 
-def _check_single(n: int, op: GateOp) -> None:
-    # a single-qubit gate the kernels can run: a quantized matrix whose
-    # parts are all words (a wider part would overflow their int64
-    # products), on a target in range
-    if op.matrix is None:
-        raise ValueError("gate matrix not quantized (use gateset.single)")
-    wide = [v for c in op.matrix for v in c if not fxp.RAW_MIN <= v <= fxp.RAW_MAX]
-    if wide:
-        raise ValueError(f"gate matrix part {wide[0]} lies outside the Q2.30 word")
-    if not 0 <= op.target < n:
-        raise ValueError(f"target {op.target} out of range for n={n}")
-
-
 def apply_single(state: StateVector, gate: GateOp,
                  cfg: perfmodel.PerfConfig = perfmodel.DEFAULT_CONFIG) -> None:
     """Apply one quantized single-qubit gate in place, as one kernel call.
@@ -246,7 +227,7 @@ def apply_single(state: StateVector, gate: GateOp,
     """
     if gate.kind == CX:
         raise ValueError("apply_single does not take CX")
-    _check_single(state.n, gate)
+    check_gate(gate, state.n)
     banks = fxp.Banks(state.re, state.im)
     if gate.sparse:
         banks.diag([_diag_step(gate, 1 << gate.target)], 0, state.size)
@@ -345,8 +326,9 @@ def run_circuit(state: StateVector, circuit: Circuit,
     stretch of diagonal gates between two dense gates runs as one
     `Banks.diag` call per piece (see the module docstring). The stretch
     runs, and then the deferred CXs are flushed, before each dense gate
-    and when the loop ends, an error included: a gate that fails its
-    checks leaves the state holding every gate before it.
+    and when the loop ends, an error included: a gate that fails
+    `check_gate` when the loop reaches it leaves the state holding every
+    gate before it.
     """
     if circuit.n != state.n:
         raise ValueError(f"circuit is for n={circuit.n}, state has n={state.n}")
@@ -378,11 +360,10 @@ def run_circuit(state: StateVector, circuit: Circuit,
     with pool or contextlib.nullcontext():
         try:
             for op in circuit.ops:
+                check_gate(op, n)
                 if op.kind == CX:
-                    _check_cx(n, op.control, op.target)
                     labels.cx(op.control, op.target)
                     continue
-                _check_single(n, op)
                 if op.sparse:
                     steps.append(_diag_step(op, labels.parity[op.target]))
                     continue

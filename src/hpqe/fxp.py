@@ -25,13 +25,16 @@ calls the native library. Each kernel has two bodies:
     __pycache__ under a hash of the source and the flags; see
     `native_kernels`. It holds an AVX-512F body, taken per call on a
     CPU that has it, and portable C loops for every other host.
-  * numpy: `pair_banks` and `diag`, and a swap of views for the CX; the
-    fallback where the library cannot be built or loaded, and for
-    arrays the native body does not take. They copy each bank BLOCK
-    elements at a time into int64 rows of one scratch array, allocated
-    per call so that concurrent calls share none, compute there (every
-    step of a stretch) and narrow on write-back; their temporaries are
-    bounded by the block, not by the state.
+  * numpy: `pair_banks`, `diag` and `cx_banks`, each taking its
+    `kernels.c` entry's arguments in the same order; the fallback where
+    the library cannot be built or loaded, and for arrays the native
+    body does not take. Like the native body, each cuts its own range
+    and knows where a pair's words are. `pair_banks` and `diag` copy
+    each bank at most BLOCK elements at a time into int64 rows of one
+    scratch array, allocated per call so that concurrent calls share
+    none, compute there (every step of a stretch) and narrow on
+    write-back; their temporaries are bounded by the block, not by the
+    state. `cx_banks` swaps strided views of the halves.
 
 Both round each real product as (p + 2^29 - 1 + ((p >> 30) & 1)) >> 30,
 which is fx_mul's round-half-even, and saturate every sum as fx_add /
@@ -340,61 +343,54 @@ def _cmul_part(c, xr, xi, imag: bool, out, s, t):
                      True, out)
 
 
-def _block_slices(shape, block: int):
-    """Index expressions cutting an array of this shape into pieces.
-
-    Every axis after the first has a power-of-two length; each piece
-    holds at most `block` (a power of two) elements: whole rows along
-    the first axis while a row is narrower than the block, pieces of
-    one row otherwise.
-    """
-    if len(shape) == 1:
-        for lo in range(0, shape[0], block):
-            yield slice(lo, lo + block)
-        return
-    width = math.prod(shape[1:])
-    if width >= block:
-        for r in range(shape[0]):
-            for sl in _block_slices(shape[1:], block):
-                yield (r, *sl) if isinstance(sl, tuple) else (r, sl)
-        return
-    step = block // width
-    for lo in range(0, shape[0], step):
-        yield slice(lo, lo + step)
-
-
 def _coefs(*cs: CFx) -> bytes:
     # the (re, im) parts of the coefficients as the native kernels read them
     return struct.pack(f"<{2 * len(cs)}q", *itertools.chain.from_iterable(cs))
 
 
-def pair_banks(c00: CFx, c01: CFx, c10: CFx, c11: CFx,
-               xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray) -> None:
-    """SU step over paired banks, in place: the numpy body of `Banks.pair`.
+def pair_banks(re: np.ndarray, im: np.ndarray, t: int, lo: int, hi: int,
+               m: tuple) -> None:
+    """SU step on the pairs [lo, hi) of qubit t, in place: the numpy body
+    of `Banks.pair`, with the arguments of hpqe_pair_banks.
 
-    x <- su_eval(c00, c01, x, y) and y <- su_eval(c10, c11, x, y), both
-    from the old x and y. The four integer arrays share one shape: 1-D of
-    any length, or 2-D (strided views of the pair halves inside a bank).
-    It allocates its scratch (`new_scratch`) per call, copies each block
-    of x and y into it as int64, sums each output there and narrows it
-    on write-back.
+    m = (m00, m01, m10, m11); pair j is word k = j + (j & -2^t), j with a
+    0 inserted at bit t, and word k + 2^t, and x <- su_eval(m00, m01, x,
+    y) and y <- su_eval(m10, m11, x, y), both from the old x and y. re
+    and im are the state's 1-D integer arrays, of one length. The range
+    runs as pieces of at most BLOCK pairs: part of one row (2^t pairs of
+    consecutive words) as flat views, or whole rows as 2-D views of the
+    pair halves. It allocates its scratch (`new_scratch`) per call,
+    copies each piece of x and y into it as int64, sums each output
+    there and narrows it on write-back.
     """
-    gxr, gxi, gyr, gyi, acc, y, s, tmp = new_scratch()
-    outputs = ((c00, c01, xr, False), (c00, c01, xi, True),
-               (c10, c11, yr, False), (c10, c11, yi, True))
-    for sl in _block_slices(xr.shape, BLOCK):
-        shape = xr[sl].shape
-        m = xr[sl].size
-        g = [buf[:m].reshape(shape) for buf in (gxr, gxi, gyr, gyi)]
-        for dst, src in zip(g, (xr, xi, yr, yi)):
-            np.copyto(dst, src[sl])
-        a, b, s_, t_ = (buf[:m].reshape(shape) for buf in (acc, y, s, tmp))
-        for ca, cb, out, imag in outputs:
+    half = 1 << t
+    scratch = new_scratch()
+    # the coefficients and the part of each output: x.re, x.im, y.re, y.im
+    outputs = [(m[r], m[r + 1], imag) for r in (0, 2) for imag in (False, True)]
+    j = lo
+    while j < hi:
+        if j & (half - 1) or hi - j < half or half >= BLOCK:
+            # part of one row: j inside a row, less than a row left, or
+            # rows of at least BLOCK pairs
+            end = min(hi, (j & -half) + half, j + BLOCK)
+            k = j + (j & -half)
+            banks = [w[h:h + end - j] for h in (k, k + half) for w in (re, im)]
+        else:
+            # whole rows, narrower than BLOCK
+            end = min(hi & -half, j + BLOCK)
+            banks = [w[2 * j:2 * end].reshape(-1, 2, half)[:, h]
+                     for h in (0, 1) for w in (re, im)]
+        # the piece's x and y in int64, then four free rows, all of its shape
+        *g, a, b, s, tmp = (row[:end - j].reshape(banks[0].shape) for row in scratch)
+        for dst, src in zip(g, banks):
+            np.copyto(dst, src)
+        for (ca, cb, imag), out in zip(outputs, banks):
             # one part of su_eval: fx_add(cfx_mul(ca, x), cfx_mul(cb, y))
-            part = _sum_into(_cmul_part(ca, g[0], g[1], imag, a, s_, t_),
-                             _cmul_part(cb, g[2], g[3], imag, b, s_, t_),
+            part = _sum_into(_cmul_part(ca, g[0], g[1], imag, a, s, tmp),
+                             _cmul_part(cb, g[2], g[3], imag, b, s, tmp),
                              False, a)
-            out[sl] = 0 if part is None else part
+            out[...] = 0 if part is None else part
+        j = end
 
 
 class _PerWord(NamedTuple):
@@ -433,9 +429,10 @@ def _steps(steps) -> tuple:
             _coefs(*itertools.chain.from_iterable(c[:2] for c in steps)))
 
 
-def diag(steps, re: np.ndarray, im: np.ndarray, lo: int, hi: int) -> None:
+def diag(re: np.ndarray, im: np.ndarray, lo: int, hi: int, steps) -> None:
     """A stretch of diagonal steps over the words [lo, hi) of a state, in
-    place: the numpy body of `Banks.diag`.
+    place: the numpy body of `Banks.diag`, with the arguments of
+    hpqe_diag (its step count, masks and coefficients are steps).
 
     steps is a sequence of (c0, c1, mask), run in order. In each step
     word k <- cfx_mul(c1, word) where the parity of k & mask is odd and
@@ -480,6 +477,30 @@ def diag(steps, re: np.ndarray, im: np.ndarray, lo: int, hi: int) -> None:
         im[start:end] = xi
 
 
+def cx_banks(re: np.ndarray, im: np.ndarray, control: int, target: int) -> None:
+    """Swap word i with word i | 2^target for every i whose control bit
+    is set and target bit clear, in both arrays of a 2^n-word state: the
+    numpy body of `Banks.cx`, with the arguments of hpqe_cx (n is the
+    arrays' length).
+
+    Each array is viewed as an n-axis array of shape [2]*n (qubit q is
+    axis n-1-q), so the control=1, target=0 and target=1 halves are
+    strided views and the swap needs no index arrays.
+    """
+    n = re.size.bit_length() - 1
+    lo = [slice(None)] * n
+    lo[n - 1 - control] = slice(1, 2)       # slices keep every view an array
+    hi = list(lo)
+    lo[n - 1 - target] = slice(0, 1)
+    hi[n - 1 - target] = slice(1, 2)
+    for arr in (re, im):
+        grid = arr.reshape([2] * n)
+        a, b = grid[tuple(lo)], grid[tuple(hi)]
+        tmp = a.copy()
+        a[...] = b
+        b[...] = tmp
+
+
 class Banks:
     """A flat state's two WORD arrays, bound to the bank kernels once.
 
@@ -489,14 +510,15 @@ class Banks:
     writable, C-contiguous 1-D WORD arrays of one length, each call is
     one foreign call on the base addresses taken here and the range,
     with no views and no per-call checks of the arrays. Anything else (no
-    library, a wider integer type, a read-only or strided array) runs the
-    numpy bodies: `pair_banks` on views of the piece, `diag` on the two
-    arrays and the range, and the CX as a swap of views. Pieces that
+    library, a wider integer type, a read-only or strided array) runs
+    the numpy body on the two arrays and the same arguments:
+    `pair_banks`, `diag` or `cx_banks`. Each method is one call of one
+    body; only the bodies know where a pair's words are. Pieces that
     share no word may run at once.
 
     Every coefficient passed to `pair` and `diag` is a word, a raw in
-    [RAW_MIN, RAW_MAX]; no body checks it. `engine._check_single` checks
-    it for every gate before any kernel call.
+    [RAW_MIN, RAW_MAX]; no body checks it. `gateset.check_gate` checks
+    it for every gate before the engine makes any kernel call.
     """
 
     def __init__(self, re: np.ndarray, im: np.ndarray):
@@ -511,61 +533,26 @@ class Banks:
             # costs a fifth of `ndarray.ctypes.data`
             self._addr = tuple(ctypes.addressof(ctypes.c_char.from_buffer(a))
                                for a in (re, im))
+            self._n = re.size.bit_length() - 1     # the qubits hpqe_cx takes
 
     def pair(self, m: tuple, t: int, lo: int, hi: int) -> None:
-        """`pair_banks` with m = (m00, m01, m10, m11) on the pairs [lo, hi) of
-        qubit t: pair j is word k = j + (j & -2^t), j with a 0 inserted at
-        bit t, and word k + 2^t.
-
-        Without the library the range is at most three `pair_banks`
-        calls: the part of a row (2^t pairs of consecutive words) before
-        the first row boundary, the whole rows after it as one 2-D view,
-        and the part of a row after the last boundary.
-        """
-        if self._lib is not None:
+        """`pair_banks` with m = (m00, m01, m10, m11) on the pairs [lo, hi)
+        of qubit t."""
+        if self._lib is None:
+            pair_banks(self.re, self.im, t, lo, hi, m)
+        else:
             self._lib.hpqe_pair_banks(*self._addr, t, lo, hi, _coefs(*m))
-            return
-        half = 1 << t
-        first = min((lo + half - 1) & -half, hi)
-        last = max(hi & -half, first)
-        for j, end in ((lo, first), (last, hi)):
-            if j < end:
-                k = j + (j & -half)
-                pair_banks(*m, *(a[h:h + end - j] for h in (k, k + half)
-                                 for a in (self.re, self.im)))
-        if first < last:
-            pair_banks(*m, *(a[2 * first:2 * last].reshape(-1, 2, half)[:, h]
-                             for h in (0, 1) for a in (self.re, self.im)))
 
     def diag(self, steps, lo: int, hi: int) -> None:
         """`diag` with these steps on the words [lo, hi) of the state."""
-        if self._lib is not None:
+        if self._lib is None:
+            diag(self.re, self.im, lo, hi, steps)
+        else:
             self._lib.hpqe_diag(*self._addr, lo, hi, *_steps(steps))
-            return
-        diag(steps, self.re, self.im, lo, hi)
 
     def cx(self, control: int, target: int) -> None:
-        """Swap word i with word i | 2^target for every i whose control bit
-        is set and target bit clear, in both arrays of a 2^n-word state.
-
-        Without the library each array is viewed as an n-axis array of
-        shape [2]*n (qubit q is axis n-1-q), so the control=1, target=0
-        and target=1 halves are strided views and the swap needs no index
-        arrays.
-        """
-        n = self.re.size.bit_length() - 1
-        if self._lib is not None:
-            self._lib.hpqe_cx(*self._addr, n, control, target)
-            return
-        lo = [slice(None)] * n
-        lo[n - 1 - control] = slice(1, 2)       # slices keep every view an array
-        hi = list(lo)
-        lo[n - 1 - target] = slice(0, 1)
-        hi[n - 1 - target] = slice(1, 2)
-        for arr in (self.re, self.im):
-            grid = arr.reshape([2] * n)
-            a, b = grid[tuple(lo)], grid[tuple(hi)]
-            tmp = a.copy()
-            a[...] = b
-            b[...] = tmp
-
+        """`cx_banks`: CX(control, target) on the whole state."""
+        if self._lib is None:
+            cx_banks(self.re, self.im, control, target)
+        else:
+            self._lib.hpqe_cx(*self._addr, self._n, control, target)

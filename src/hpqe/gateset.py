@@ -53,17 +53,40 @@ class Circuit:
         return self
 
     def validate(self) -> None:
-        """ValueError for a target or control outside 0..n-1, or a CX
-        whose control is its target; `circuit_from_text` runs it on
-        every parsed circuit and `oracle.ref_run` on every circuit it
+        """`check_gate` on every op, in order; `circuit_from_text` runs it
+        on every parsed circuit and `oracle.ref_run` on every circuit it
         runs."""
         for op in self.ops:
-            if not 0 <= op.target < self.n:
-                raise ValueError(f"target {op.target} out of range for n={self.n}")
-            if op.control is not None and not 0 <= op.control < self.n:
-                raise ValueError(f"control {op.control} out of range for n={self.n}")
-            if op.control == op.target:
-                raise ValueError(f"CX control and target are both qubit {op.target}")
+            check_gate(op, self.n)
+
+
+def check_gate(op: GateOp, n: int) -> None:
+    """ValueError unless op is a gate both engines can run on n qubits.
+
+    The one owner of that contract: a base kind; a target in 0..n-1; for
+    CX, a control in 0..n-1 other than the target; for any other kind,
+    no control and a quantized matrix whose parts are all words (a wider
+    part would overflow the kernels' int64 products). `Circuit.validate`,
+    `engine.run_circuit` (per op, when it reaches it), `engine.apply_single`
+    and `engine.apply_cx` call it.
+    """
+    if op.kind not in BASE_KINDS:
+        raise ValueError(f"{op.kind!r} is not a base gate kind")
+    if not 0 <= op.target < n:
+        raise ValueError(f"target {op.target} out of range for n={n}")
+    if op.kind == CX:
+        if op.control is None or not 0 <= op.control < n:
+            raise ValueError(f"control {op.control} out of range for n={n}")
+        if op.control == op.target:
+            raise ValueError(f"CX control and target are both qubit {op.target}")
+        return
+    if op.control is not None:
+        raise ValueError(f"{op.kind} takes no control, got control {op.control}")
+    if op.matrix is None:
+        raise ValueError("gate matrix not quantized (use gateset.single)")
+    wide = [v for c in op.matrix for v in c if not fxp.RAW_MIN <= v <= fxp.RAW_MAX]
+    if wide:
+        raise ValueError(f"gate matrix part {wide[0]} lies outside the Q2.30 word")
 
 
 def matrix_of(kind: str, angle: float | None = None) -> np.ndarray:

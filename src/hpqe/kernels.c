@@ -26,14 +26,15 @@
  * computes: words [lo, hi) for a diagonal stretch, pairs [lo, hi) for
  * the SU step, where pair j of qubit t is (word k, word k + 2^t) with k
  * = j + (j & -2^t), j with a 0 inserted at bit t. Only the bodies know
- * where a pair's words are; fxp.Banks makes every call. Kernels update
- * in place; every output of one element is computed from values read
- * before any of them is written.
+ * where a pair's words are, the numpy ones in fxp.py included, which
+ * take each entry's arguments in the same order; fxp.Banks makes every
+ * call. Kernels update in place; every output of one element is
+ * computed from values read before any of them is written.
  *
  * Every coefficient of a call is a word, a raw in [RAW_MIN, RAW_MAX]:
  * the vector body reads only its low 32 bits, and the portable body's
  * int64 products of two words cannot overflow. No entry checks it;
- * engine._check_single checks every gate before any kernel call.
+ * gateset.check_gate checks every gate before any kernel call.
  *
  * Each kernel has two bodies with the same bits. The portable one is
  * plain C loops that widen each word to int64 and narrow it only after

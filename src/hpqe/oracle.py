@@ -113,7 +113,7 @@ from functools import cache, partial
 import numpy as np
 
 from .gateset import CX, Circuit, GateOp, matrix_of
-from .state import StateVector
+from .state import StateVector, sum_blocks
 
 MATRIX_MAX_QUBITS = 6
 # blocks of at most 2^BLOCK_BITS amplitudes: one buffer of 2^15
@@ -256,7 +256,8 @@ def _run_clusters(amps: np.ndarray, n: int, ops) -> None:
 
 def ref_run(circuit: Circuit, init: RefState) -> RefState:
     """Gate-by-gate exact action, then the tracked global phase.
-    ValueError for a qubit outside 0..n-1 or a state of another n."""
+    ValueError for a gate `gateset.check_gate` refuses, before any gate
+    runs, or a state of another n."""
     if circuit.n != init.n:
         raise ValueError(f"circuit n={circuit.n} vs state n={init.n}")
     circuit.validate()
@@ -348,16 +349,6 @@ def _reader(x):
     return amps.size, lambda lo: amps[lo:lo + step]
 
 
-def _sum(parts):
-    # numpy's pairwise sum of the whole array from the sums of its
-    # blocks: for a power-of-two length it splits at exact halves, so a
-    # power-of-two count of equal blocks combines in pairs, level by
-    # level; then its +0 start (np.sum([-0.0]) is +0.0)
-    while len(parts) > 1:
-        parts = [x + y for x, y in zip(parts[::2], parts[1::2])]
-    return 0.0 + parts[0]
-
-
 def _sum_sq_abs(d: np.ndarray, buf: np.ndarray) -> float:
     # sum(|d|^2), with |d|^2 built in buf
     np.abs(d, out=buf)
@@ -387,9 +378,9 @@ def metrics(a, b) -> Metrics:
 
     The bytes equal those of the whole-array expressions (the tests keep
     them as the reference): every amplitude meets the same elementwise
-    operations, and `_sum` combines the block sums in numpy's tree.
-    From 256 KiB (2^14 amplitudes) up, numpy's temporary elision
-    evaluates the whole-array overlap np.sum(a * np.conj(b)) as
+    operations, and `state.sum_blocks` combines the block sums in
+    numpy's tree. From 256 KiB (2^14 amplitudes) up, numpy's temporary
+    elision evaluates the whole-array overlap np.sum(a * np.conj(b)) as
     conj(b) * a, below as a * conj(b); the two orders can differ in the
     last bit, so the state's size picks the order for every block."""
     size, read_a = _reader(a)
@@ -409,11 +400,11 @@ def metrics(a, b) -> Metrics:
         overlap.append(np.sum(np.multiply(t, x, out=t) if elided
                               else np.multiply(x, t, out=t)))
         raw.append(_sum_sq_abs(np.subtract(x, y, out=t), sq))
-    fid = float(abs(_sum(inner)) ** 2)
-    mse_raw = float(_sum(raw)) / size
+    fid = float(abs(sum_blocks(inner)) ** 2)
+    mse_raw = float(sum_blocks(raw)) / size
     if mse_raw == 0.0:
         return Metrics(fidelity=fid, mse_raw=0.0, mse_aligned=0.0, phase=0.0)
-    total = _sum(overlap)
+    total = sum_blocks(overlap)
     phase = float(np.angle(total)) if abs(total) > 0 else 0.0
     turn = np.exp(1j * phase)
     aligned = []
@@ -421,4 +412,4 @@ def metrics(a, b) -> Metrics:
         np.multiply(turn, read_b(lo), out=t)
         aligned.append(_sum_sq_abs(np.subtract(read_a(lo), t, out=t), sq))
     return Metrics(fidelity=fid, mse_raw=mse_raw,
-                   mse_aligned=float(_sum(aligned)) / size, phase=phase)
+                   mse_aligned=float(sum_blocks(aligned)) / size, phase=phase)

@@ -80,8 +80,16 @@ class StateVector:
         return out
 
     def norm_sq(self) -> float:
-        a = self.to_complex()
-        return float(np.sum(a.real * a.real + a.imag * a.imag))
+        """The sum of |amplitude|^2, read through `to_complex` in blocks of
+        min(DUMP_BLOCK, size) amplitudes, so no state-sized array is
+        built; the bytes are those of the whole-array
+        np.sum(a.real * a.real + a.imag * a.imag) (see `sum_blocks`)."""
+        a = np.empty(min(DUMP_BLOCK, self.size), dtype=np.complex128)
+        parts = []
+        for lo in range(0, self.size, a.size):
+            self.to_complex(lo, a)
+            parts.append(np.sum(a.real * a.real + a.imag * a.imag))
+        return float(sum_blocks(parts))
 
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.re.copy(), self.im.copy())
@@ -120,6 +128,16 @@ class StateVector:
             words[0::2] = self.re[lo:lo + step]
             words[1::2] = self.im[lo:lo + step]
             write(chunk)
+
+
+def sum_blocks(parts):
+    """numpy's pairwise sum of a whole array from the sums of its equal
+    blocks, a power-of-two count of them: for a power-of-two length it
+    splits at exact halves, so the block sums combine in pairs, level by
+    level; then its +0 start (np.sum([-0.0]) is +0.0)."""
+    while len(parts) > 1:
+        parts = [x + y for x, y in zip(parts[::2], parts[1::2])]
+    return 0.0 + parts[0]
 
 
 def check_capacity(n: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> None:

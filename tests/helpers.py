@@ -51,6 +51,20 @@ def as_cfx(re, im) -> list:
     return [fxp.CFx(r, i) for r, i in zip(re.tolist(), im.tolist())]
 
 
+def pair_flat(m, xr, xi, yr, yi) -> None:
+    """`fxp.pair_banks`, the numpy body, on flat x and y banks of one
+    length and integer type, in place: the first `size` pairs of qubit t
+    of a state of that type, x at word 0 and y at word 2^t, the least
+    power of two not below the size."""
+    size = xr.size
+    t = max(size - 1, 0).bit_length()
+    re, im = (np.zeros(2 << t, dtype=xr.dtype) for _ in range(2))
+    x, y = slice(0, size), slice(1 << t, (1 << t) + size)
+    re[x], im[x], re[y], im[y] = xr, xi, yr, yi
+    fxp.pair_banks(re, im, t, 0, size, m)
+    xr[...], xi[...], yr[...], yi[...] = re[x], im[x], re[y], im[y]
+
+
 def random_raws(rng, size, lo=fxp.RAW_MIN, hi=fxp.RAW_MAX):
     vals = rng.integers(lo, hi + 1, size=size, dtype=np.int64)
     return [int(v) for v in vals]
@@ -123,3 +137,13 @@ def metrics_reference(av: np.ndarray, bv: np.ndarray):
     phase = float(np.angle(overlap)) if abs(overlap) > 0 else 0.0
     mse_aligned = float(np.sum(np.abs(av - np.exp(1j * phase) * bv) ** 2)) / av.size
     return fidelity, mse_raw, mse_aligned, phase
+
+
+def norm_sq_reference(sv) -> float:
+    """StateVector.norm_sq by the whole-array expression.
+
+    The form norm_sq had before it read the state in blocks; the blocked
+    form must match it byte for byte.
+    """
+    a = sv.to_complex()
+    return float(np.sum(a.real * a.real + a.imag * a.imag))

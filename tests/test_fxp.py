@@ -7,7 +7,7 @@ import pytest
 from hpqe import fxp
 from hpqe.fxp import CFx
 
-from helpers import quantize_oracle, random_raws, rne
+from helpers import pair_flat, quantize_oracle, random_raws, rne
 
 ULP = 2.0 ** -30
 
@@ -202,14 +202,14 @@ class TestVectorizedKernels:
         for c in coeffs:
             # a dense step with zero off-diagonals (c, 0, 0, c) on x and y
             banks = [a.copy() for a in (re, im, im, re)]
-            fxp.pair_banks(c, fxp.CFX_ZERO, fxp.CFX_ZERO, c, *banks)
+            pair_flat((c, fxp.CFX_ZERO, fxp.CFX_ZERO, c), *banks)
             for (gr, gi), (xr, xi) in (((banks[0], banks[1]), (re, im)),
                                        ((banks[2], banks[3]), (im, re))):
                 want = [fxp.cfx_mul(c, CFx(int(x), int(y))) for x, y in zip(xr, xi)]
                 assert [CFx(int(x), int(y)) for x, y in zip(gr, gi)] == want, c
             # the sparse step: c on the words of odd parity under the mask
             banks = [re.copy(), im.copy()]
-            fxp.diag([(fxp.CFX_ONE, c, 0b101)], *banks, 0, re.size)
+            fxp.diag(*banks, 0, re.size, [(fxp.CFX_ONE, c, 0b101)])
             want = [fxp.cfx_mul(c if bin(k & 0b101).count("1") & 1 else fxp.CFX_ONE,
                                 CFx(int(x), int(y)))
                     for k, (x, y) in enumerate(zip(re, im))]
@@ -222,7 +222,7 @@ class TestVectorizedKernels:
         xr, xi, yr, yi = (rng.integers(fxp.RAW_MIN, fxp.RAW_MAX + 1, size,
                                        dtype=np.int64) for _ in range(4))
         banks = [a.copy() for a in (xr, xi, yr, yi)]
-        fxp.pair_banks(c00, c01, c10, c11, *banks)
+        pair_flat((c00, c01, c10, c11), *banks)
         for k in range(size):
             x, y = CFx(int(xr[k]), int(xi[k])), CFx(int(yr[k]), int(yi[k]))
             assert (int(banks[0][k]), int(banks[1][k])) == fxp.su_eval(c00, c01, x, y)

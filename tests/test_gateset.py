@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hpqe import fxp, gateset, oracle
+from hpqe import engine, fxp, gateset, oracle, state
 from hpqe.fxp import CFx
 from hpqe.gateset import Circuit
 
@@ -30,6 +31,45 @@ SWAP_MATRIX = np.array([[1, 0, 0, 0],
                         [0, 0, 1, 0],
                         [0, 1, 0, 0],
                         [0, 0, 0, 1]], dtype=complex)
+
+
+H_GATE = gateset.single("H", 0)
+
+
+class TestCheckGate:
+    # gateset.check_gate alone decides whether a gate can run: every
+    # entry point refuses a malformed gate with its one ValueError
+    @pytest.mark.parametrize("op, message", (
+        (replace(H_GATE, kind="T"), "'T' is not a base gate kind"),
+        (gateset.GateOp(kind="CX", target=0), "control None out of range for n=4"),
+        (replace(H_GATE, control=1), "H takes no control, got control 1"),
+        (gateset.GateOp(kind="CX", target=1, control=1),
+         "CX control and target are both qubit 1"),
+        (gateset.GateOp(kind="H", target=0), "gate matrix not quantized (use gateset.single)"),
+        (replace(H_GATE, matrix=(CFx(fxp.RAW_MAX + 1, 0), *H_GATE.matrix[1:])),
+         f"gate matrix part {fxp.RAW_MAX + 1} lies outside the Q2.30 word"),
+    ), ids=("unknown-kind", "cx-without-control", "single-with-control", "cx-on-one-qubit",
+            "unquantized", "wide-matrix-part"))
+    def test_every_entry_point_raises_the_same_error(self, op, message):
+        n = 4
+        circuit = Circuit(n=n, ops=[gateset.single("H", 2), op])
+
+        def apply():
+            if op.kind == "CX":
+                engine.apply_cx(state.init_basis(n, 0), op.control, op.target)
+            else:
+                engine.apply_single(state.init_basis(n, 0), op)
+
+        entries = {
+            "validate": circuit.validate,
+            "ref_run": lambda: oracle.ref_run(circuit, oracle.basis_state(n, 0)),
+            "run_circuit": lambda: engine.run_circuit(state.init_basis(n, 0), circuit),
+            "apply_single/apply_cx": apply,
+        }
+        for name, call in entries.items():
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message, name
 
 
 class TestMatrixOf:

@@ -39,7 +39,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hpqe import engine, fxp, gateset, state
 from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
 
-from helpers import PORTABLE_FLAG, as_cfx, random_circuit, rne, split_every_state
+from helpers import PORTABLE_FLAG, as_cfx, pair_flat, random_circuit, rne, split_every_state
 
 EDGES = (RAW_MIN, RAW_MIN + 1, -SCALE - 1, -SCALE, -SCALE + 1, -fxp.HALF_ULP,
          -1, 0, 1, fxp.HALF_ULP, SCALE - 1, SCALE, SCALE + 1, RAW_MAX - 1,
@@ -691,10 +691,10 @@ class TestNarrowing:
         assert fxp.fx_mul(c, RAW_MIN) == RAW_MAX        # 2^31, clipped
         for coeff in (CFx(c, 0), CFx(0, c), CFx(c, c), CFx(c, SCALE)):
             got = (re.copy(), im.copy())
-            fxp.diag([(coeff, fxp.CFX_ONE, 1)], *got, 0, re.size)
+            fxp.diag(*got, 0, re.size, [(coeff, fxp.CFX_ONE, 1)])
             assert as_cfx(*got) == scalar_scale(coeff, fxp.CFX_ONE, 0, re, im)
             got = [re.copy(), im.copy(), re[::-1].copy(), im[::-1].copy()]
-            fxp.pair_banks(coeff, coeff, coeff, fxp.CFX_ONE, *got)
+            pair_flat((coeff, coeff, coeff, fxp.CFX_ONE), *got)
             assert all(a.dtype == fxp.WORD for a in got)
             assert as_cfx(got[0], got[1]) == [fxp.su_eval(coeff, coeff, a, b)
                                               for a, b in zip(xs, ys)]

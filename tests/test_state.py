@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, strategies as st
 from hpqe import fxp, perfmodel, state
 from hpqe.perfmodel import CapacityError
 
-from helpers import as_cfx, random_ref_amplitudes
+from helpers import as_cfx, norm_sq_reference, random_ref_amplitudes
 
 
 def segment_of_bitstring(i: int, n: int):
@@ -140,6 +142,40 @@ class TestFlatten:
             sv = state.from_amplitudes(n, random_ref_amplitudes(n, rng))
             eps = (1 << n) * 2.0 ** -28
             assert 1 - eps <= sv.norm_sq() <= 1 + eps
+
+
+def random_words(n: int, rng) -> state.StateVector:
+    sv = state.init_basis(n, 0)
+    for a in (sv.re, sv.im):
+        a[:] = rng.integers(fxp.RAW_MIN, fxp.RAW_MAX, a.size, endpoint=True)
+    return sv
+
+
+class TestNormSq:
+    # norm_sq reads the state in blocks of min(DUMP_BLOCK, size)
+    # amplitudes and combines the block sums in numpy's pairwise tree
+
+    @pytest.mark.parametrize("block", (1 << 7, 1 << 15, state.DUMP_BLOCK))
+    def test_bytes_match_the_whole_array_form(self, monkeypatch, block):
+        monkeypatch.setattr(state, "DUMP_BLOCK", block)
+        rng = np.random.default_rng(29)
+        for n in range(1, 21):
+            for sv in (random_words(n, rng),
+                       state.from_amplitudes(n, random_ref_amplitudes(n, rng))):
+                got, want = sv.norm_sq(), norm_sq_reference(sv)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), n
+
+    def test_holds_no_state_sized_array(self):
+        # one complex128 block and two float64 temporaries of it; the
+        # whole-array form takes 16 B per amplitude and two 8 B temporaries
+        sv = random_words(17, np.random.default_rng(30))
+        tracemalloc.start()
+        try:
+            sv.norm_sq()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * state.DUMP_BLOCK + (64 << 10)
 
 
 class TestDumpLoad:
