@@ -47,6 +47,9 @@ kernel runs every step on a word before it moves on to the next word,
 each step with its own roundings and saturations, so the bits are
 those of one call per gate; it reads and writes the state once per
 stretch instead of once per gate. QFT-20's 570 RZ form 19 stretches.
+From a basis state most of their words are zero, and the AVX-512F
+bodies skip the arithmetic of all-zero vectors, whose bits cannot
+change (kernels.c).
 
 The machine's 8 segments (2 PE arrays x 4 PEs, `state.segment_of`) and
 its access modes (Mode1: a pair inside one segment; Mode2: a pair

@@ -14,6 +14,7 @@ matrices are quantized, once, when a gate is built.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -63,20 +64,26 @@ class Circuit:
 def check_gate(op: GateOp, n: int) -> None:
     """ValueError unless op is a gate both engines can run on n qubits.
 
-    The one owner of that contract: a base kind; a target in 0..n-1; for
-    CX, a control in 0..n-1 other than the target; for any other kind,
-    no control and a quantized matrix whose parts are all words (a wider
-    part would overflow the kernels' int64 products). `Circuit.validate`,
+    The one owner of that contract: a base kind; `sparse` set exactly on
+    the SPARSE_KINDS (the engine runs a sparse op as a diagonal step, the
+    oracle applies its whole matrix); a target in 0..n-1; for CX, a
+    control in 0..n-1 other than the target; for any other kind, no
+    control and a quantized matrix whose parts are all words (a wider
+    part would overflow the kernels' int64 products). A qubit is anything
+    `operator.index` takes, numpy integers included. `Circuit.validate`,
     `engine.run_circuit` (per op, when it reaches it), `engine.apply_single`
     and `engine.apply_cx` call it.
     """
     if op.kind not in BASE_KINDS:
         raise ValueError(f"{op.kind!r} is not a base gate kind")
-    if not 0 <= op.target < n:
-        raise ValueError(f"target {op.target} out of range for n={n}")
+    if op.sparse != (op.kind in SPARSE_KINDS):
+        raise ValueError(f"{op.kind} gate has sparse={op.sparse!r}; "
+                         f"exactly {' and '.join(SPARSE_KINDS)} are sparse")
+    if not _is_qubit(op.target, n):
+        raise ValueError(f"target {op.target!r} out of range for n={n}")
     if op.kind == CX:
-        if op.control is None or not 0 <= op.control < n:
-            raise ValueError(f"control {op.control} out of range for n={n}")
+        if not _is_qubit(op.control, n):
+            raise ValueError(f"control {op.control!r} out of range for n={n}")
         if op.control == op.target:
             raise ValueError(f"CX control and target are both qubit {op.target}")
         return
@@ -87,6 +94,13 @@ def check_gate(op: GateOp, n: int) -> None:
     wide = [v for c in op.matrix for v in c if not fxp.RAW_MIN <= v <= fxp.RAW_MAX]
     if wide:
         raise ValueError(f"gate matrix part {wide[0]} lies outside the Q2.30 word")
+
+
+def _is_qubit(q, n: int) -> bool:
+    try:
+        return 0 <= operator.index(q) < n
+    except TypeError:
+        return False
 
 
 def matrix_of(kind: str, angle: float | None = None) -> np.ndarray:

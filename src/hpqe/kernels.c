@@ -43,6 +43,16 @@
  * has AVX-512F; every other call takes the portable one. Defining
  * HPQE_PORTABLE leaves the AVX-512F body out, which is how the tests
  * reach the portable body on any host.
+ *
+ * Both AVX-512F bodies skip the arithmetic of vectors whose words are
+ * all zero: every step maps zero words to zero words, since R(0) = (0 +
+ * 2^29 - 1 + 0) >> 30 = 0 and sat(0) = 0 with any coefficient and either
+ * clip, so the bits cannot change. From a basis state qubit q enters
+ * superposition only at its first dense gate, so most words of QFT's
+ * long stretches are zero. The skipped vectors are still stored back as
+ * loaded, so every word of the range is written as before: skipping
+ * those stores too gained no time on QFT-20, and one build that skipped
+ * them read a higher peak RSS (CHANGES.md has the measurements).
  */
 
 #include <stdint.h>
@@ -269,6 +279,12 @@ VBODY v16d vnarrow(v8q even, v8q odd)
                                    4, 12, 5, 13, 6, 14, 7, 15);
 }
 
+/* 1 when every word of v is zero (vptestmd) */
+VBODY int vzero(v16d v)
+{
+    return !__builtin_ia32_ptestmd512(v, v, -1);
+}
+
 /* word l takes c1 where the parity of l & mask is odd and c0 elsewhere */
 static VTARGET void vlanes(vcoef *v, int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
                            int64_t mask)
@@ -321,7 +337,10 @@ VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
  * of l. On t >= 4 it holds 16 pairs of one row: a vector of x words at
  * k and one of y words at k + 2^t, each with the coefficients of its
  * own half. The pairs before the first whole vector of the range and
- * after the last run the portable loop. */
+ * after the last run the portable loop.
+ *
+ * When the own and partner vectors are all zero, so are the outputs
+ * (the header's zero rule): the words are stored back as loaded. */
 VBODY void pair_vbody(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
                       const int64_t *m, const int clip)
 {
@@ -347,6 +366,12 @@ VBODY void pair_vbody(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
         /* the y words, or the partners of the pairs' words */
         for (int p = 0; p < 2; p++)
             v[1][p] = outputs == 2 ? vload(out[1][p]) : __builtin_shuffle(v[0][p], partner);
+        if (vzero(v[0][0] | v[0][1] | v[1][0] | v[1][1])) {
+            for (int o = 0; o < outputs; o++)
+                for (int p = 0; p < 2; p++)
+                    vstore(out[o][p], v[o][p]);
+            continue;
+        }
         /* a loop, not two calls: one copy of the step per variant
          * halves the compile time of this body */
 #pragma GCC unroll 1
@@ -369,9 +394,8 @@ VBODY int vsmall(v16d a, v16d b)
 {
     typedef unsigned v16u __attribute__((vector_size(64)));
     const v16u zero = {0};
-    v16d out = ((v16u)a + (1u << 30) > zero + (1u << 31))
-               | ((v16u)b + (1u << 30) > zero + (1u << 31));
-    return !__builtin_ia32_ptestmd512(out, out, -1);
+    return vzero(((v16u)a + (1u << 30) > zero + (1u << 31))
+                 | ((v16u)b + (1u << 30) > zero + (1u << 31)));
 }
 
 /* The steps of a stretch on whole vectors, DIAG_STEPS of them at most
@@ -387,7 +411,9 @@ VBODY int vsmall(v16d a, v16d b)
  * the next step reads them; after the last step vnarrow clips them as it
  * narrows them, and they are stored once. The words of [lo, hi) before
  * the first such index and after the last whole pair of vectors run the
- * portable stretch.
+ * portable stretch. A 32-word chunk whose words are all zero stays zero
+ * through every step (the header's zero rule), so it is stored back as
+ * loaded.
  *
  * unit says that every coefficient (cr, ci) of the call has
  * cr^2 + ci^2 <= 2^60 + 2^50, as a quantized unit complex number does:
@@ -423,6 +449,13 @@ VBODY void diag_vbody(int32_t *re, int32_t *im, int64_t lo, int64_t hi, int k,
             xr[2 * u + 1] = (v8q)r[u] >> 32;
             xi[2 * u] = (v8q)m[u];
             xi[2 * u + 1] = (v8q)m[u] >> 32;
+        }
+        if (vzero(r[0] | m[0] | r[1] | m[1])) {
+            for (int u = 0; u < 2; u++) {
+                vstore(re + i + 16 * u, r[u]);
+                vstore(im + i + 16 * u, m[u]);
+            }
+            continue;
         }
         int sat = k > 1 && !(unit && vsmall(r[0], m[0]) && vsmall(r[1], m[1]));
         for (int j = 0; j < k; j++) {

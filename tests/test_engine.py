@@ -366,7 +366,7 @@ class TestRunCircuit:
             assert len(results) == 1, t
             # the same matrix as a dense op does read the off-diagonals
             sv = start.copy()
-            engine.apply_single(sv, replace(dirty, sparse=False))
+            engine.apply_single(sv, replace(dirty, kind="RX", sparse=False))
             assert bytes(sv.dump()) not in results
 
     @pytest.mark.parametrize("workers", (1, 2))

@@ -48,8 +48,17 @@ class TestCheckGate:
         (gateset.GateOp(kind="H", target=0), "gate matrix not quantized (use gateset.single)"),
         (replace(H_GATE, matrix=(CFx(fxp.RAW_MAX + 1, 0), *H_GATE.matrix[1:])),
          f"gate matrix part {fxp.RAW_MAX + 1} lies outside the Q2.30 word"),
+        (replace(H_GATE, sparse=True), "H gate has sparse=True; exactly S and RZ are sparse"),
+        (replace(gateset.single("RZ", 0, 0.5), sparse=False),
+         "RZ gate has sparse=False; exactly S and RZ are sparse"),
+        (replace(H_GATE, target=None), "target None out of range for n=4"),
+        (replace(H_GATE, target="1"), "target '1' out of range for n=4"),
+        (replace(H_GATE, target=1.5), "target 1.5 out of range for n=4"),
+        (gateset.GateOp(kind="CX", target=0, control=1.5), "control 1.5 out of range for n=4"),
     ), ids=("unknown-kind", "cx-without-control", "single-with-control", "cx-on-one-qubit",
-            "unquantized", "wide-matrix-part"))
+            "unquantized", "wide-matrix-part", "dense-kind-marked-sparse",
+            "sparse-kind-marked-dense", "target-none", "target-str", "target-float",
+            "control-float"))
     def test_every_entry_point_raises_the_same_error(self, op, message):
         n = 4
         circuit = Circuit(n=n, ops=[gateset.single("H", 2), op])
@@ -70,6 +79,18 @@ class TestCheckGate:
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == message, name
+
+    def test_numpy_integer_qubits_pass(self):
+        # a qubit is anything operator.index takes
+        n = 4
+        ops = [replace(H_GATE, target=np.int64(3)),
+               gateset.GateOp(kind="CX", target=np.int32(0), control=np.uint8(3))]
+        circuit = Circuit(n=n, ops=ops)
+        circuit.validate()
+        plain = Circuit(n=n, ops=[gateset.single("H", 3), gateset.cx(3, 0)])
+        sv, _ = engine.run_circuit(state.init_basis(n, 0), circuit)
+        want, _ = engine.run_circuit(state.init_basis(n, 0), plain)
+        assert sv.dump() == want.dump()
 
 
 class TestMatrixOf:

@@ -18,7 +18,8 @@ library built without the vector body, so that its portable C loops
 run, and a `...Numpy` subclass the numpy bodies. `TestClipElision` and
 `TestWorkers` are pinned to numpy, and a `...Native` subclass reruns
 their kernel tests (a `...Portable` one too for `TestWorkers`); `TestCx`
-holds each C body's swap to the numpy view swap. A class that names a
+holds each C body's swap to the numpy view swap. `TestZeroVectors` pins
+both C bodies at once, and `TestSparseStates` all three. A class that names a
 C body the host cannot build or load skips, and `TestBanks.test_pin`
 names each such body.
 Most property tests shrink BLOCK to a few elements, so a bank spans many
@@ -36,7 +37,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hpqe import engine, fxp, gateset, state
+from hpqe import circuits, engine, fxp, gateset, state
 from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
 
 from helpers import PORTABLE_FLAG, as_cfx, pair_flat, random_circuit, rne, split_every_state
@@ -605,6 +606,118 @@ class TestPairBanks:
                     run_rows(m, t, gre, gim)
                 assert (as_cfx(gre[ks], gim[ks]), as_cfx(gre[js], gim[js])) == want, (
                     body.name, m)
+
+
+# The vector bodies skip the arithmetic of vectors whose words are all
+# zero, which random words almost never give. A diagonal chunk is 32
+# words from a stored index that is a multiple of 16: base 11 and this
+# size put 5 words before the first chunk, two chunks, and 9 words after
+# them, which the portable loop runs.
+ZERO_BASE, ZERO_SIZE = 11, 5 + 64 + 9
+NONZERO = [e for e in EDGES if e]
+# (c0, c1) of the diagonal steps: unit coefficients without the clip
+# and with it (-2^30 does not fit), then non-unit ones without and with
+ZERO_DIAG_COEFFS = (
+    (CFx(fxp.RAW_SQRT_HALF, fxp.RAW_SQRT_HALF), CFx(SCALE, 1 << 25)),
+    (CFx(-SCALE, 0), CFx(0, SCALE)),
+    (CFx(SCALE, SCALE), CFx(-SCALE + 1, SCALE - 1)),
+    (CFx(RAW_MIN, RAW_MAX), CFx(SCALE + 1, -SCALE - 1)),
+)
+# dense matrices with nonzero off-diagonal entries, without and with the clip
+ZERO_PAIR_MATRICES = (
+    gateset.single("H", 0).matrix,
+    (CFx(RAW_MIN, RAW_MAX), CFx(SCALE + 1, -SCALE - 1), CFx(-SCALE, 0), CFx(0, -SCALE)),
+)
+
+
+class TestZeroVectors:
+    # One nonzero word, in re or in im, at every position of a range:
+    # every lane of a chunk or vector, its own words and its partner's,
+    # and the head and tail the portable loop runs. Every other word of
+    # the range is zero and must stay zero, as the scalar functions give
+    BODIES = C_BODIES
+
+    @pytest.mark.parametrize("k", (1, 40))      # 40: two passes of DIAG_STEPS
+    def test_diag_single_word(self, bodies, k):
+        zeros = np.zeros(ZERO_SIZE, dtype=fxp.WORD)
+        for c0, c1 in ZERO_DIAG_COEFFS:
+            steps = [((c0, c1) if j % 2 else (c1, c0)) + (MASKS[j % len(MASKS)],)
+                     for j in range(k)]
+            rest = scalar_stretch(steps, ZERO_BASE, zeros, zeros, range(ZERO_SIZE))
+            assert rest == [fxp.CFX_ZERO] * ZERO_SIZE
+            for p in range(ZERO_SIZE):
+                for part in (0, 1):
+                    start = (zeros.copy(), zeros.copy())
+                    start[part][p] = NONZERO[p % len(NONZERO)]
+                    want = list(rest)
+                    want[p], = scalar_stretch(steps, ZERO_BASE, *start, [p])
+                    for body in bodies:
+                        got = (start[0].copy(), start[1].copy())
+                        with body.pinned():
+                            run_diag(steps, *got, ZERO_BASE)
+                        assert as_cfx(*got) == want, (body.name, k, c0, c1, p, part)
+
+    @pytest.mark.parametrize("t", (0, 2, 3, 4, 6))
+    def test_pair_single_word(self, bodies, t):
+        # pairs [3, 123) of an 8-qubit state: on t < 4 a vector holds 8
+        # whole pairs, on t >= 4 an x vector and its y vector; the words
+        # outside the range keep their random values
+        n, lo, hi, half = 8, 3, 123, 1 << t
+        rng = np.random.default_rng(500 + t)
+        outside = [random_words(rng, 1 << n) for _ in range(2)]
+        inside = [j + (j & -half) + side for j in range(lo, hi) for side in (0, half)]
+        for a in outside:
+            a[inside] = 0
+        for m in ZERO_PAIR_MATRICES:
+            assert fxp.su_eval(m[0], m[1], fxp.CFX_ZERO, fxp.CFX_ZERO) == fxp.CFX_ZERO
+            assert fxp.su_eval(m[2], m[3], fxp.CFX_ZERO, fxp.CFX_ZERO) == fxp.CFX_ZERO
+            for p in inside:
+                for part in (0, 1):
+                    start = (outside[0].copy(), outside[1].copy())
+                    start[part][p] = NONZERO[p % len(NONZERO)]
+                    want = (start[0].copy(), start[1].copy())
+                    x = p & ~half
+                    pair = as_cfx(start[0][[x, x | half]], start[1][[x, x | half]])
+                    for i, a, b in ((x, m[0], m[1]), (x | half, m[2], m[3])):
+                        want[0][i], want[1][i] = fxp.su_eval(a, b, *pair)
+                    for body in bodies:
+                        got = (start[0].copy(), start[1].copy())
+                        with body.pinned():
+                            fxp.Banks(*got).pair(m, t, lo, hi)
+                        assert got[0].tobytes() == want[0].tobytes(), (body.name, p, part)
+                        assert got[1].tobytes() == want[1].tobytes(), (body.name, p, part)
+
+
+class TestSparseStates:
+    # QFT from a basis state: qubit q enters superposition only at H(q),
+    # so most vectors of the stretches and pairs before it are all zero
+    BODIES = (*C_BODIES, "numpy")
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_qft_bodies_agree(self, bodies, n):
+        circuit = circuits.qft(n)
+        for index in (0, 1, 5, 3 << (n - 2), (1 << n) - 1):
+            dumps = set()
+            for body in bodies:
+                with body.pinned():
+                    sv, _ = engine.run_circuit(state.init_basis(n, index), circuit)
+                dumps.add(bytes(sv.dump()))
+            assert len(dumps) == 1, (n, index)
+
+    def test_qft_workers_agree(self, bodies):
+        # at n = 17 four workers cut each stretch and dense gate into
+        # pieces, some of them all zero
+        n = 17
+        circuit = circuits.qft(n)
+        for index in (5, (1 << n) - 1):
+            dumps = set()
+            for body in (b for b in bodies if b.lib is not None):
+                with body.pinned():
+                    for workers in (1, 4):
+                        sv, _ = engine.run_circuit(state.init_basis(n, index), circuit,
+                                                   workers=workers)
+                        dumps.add(bytes(sv.dump()))
+            assert len(dumps) == 1, index
 
 
 class TestRoundingTies:

@@ -55,6 +55,11 @@ COMMANDS = (
     "compare --gen alternating --n 13 --layers 2 --workers 1",
     "bench --gen qft --n 1..14 --no-wall-clock",
     "bench --gen chain --n 2..12 --layers 2 --no-wall-clock --format json",
+    # sparse states: from the basis state 2^17 - 1 each piece of a
+    # stretch holds a few nonzero words, and the first rotation column
+    # of a template starts from a state with one
+    "run --gen qft --n 17 --init 131071 --workers 4",
+    "run --gen alternating --n 16 --layers 1 --workers 1",
 )
 
 
