@@ -20,10 +20,11 @@ of a diagonal stretch, pairs [lo, hi) of a dense gate; the kernels
 alone know where a pair's words are. `apply_single` makes one kernel
 call on the whole range. `run_circuit` cuts each kernel call's range
 into one piece per thread of its pool by one rule (`_ranges`), with a
-barrier between calls, from SPLIT_MIN_AMPS amplitudes up;
-below that size it makes one call on the whole state and no pool.
-Native calls release the GIL and each numpy-body call allocates its own
-scratch, so results are bit-identical for any worker count.
+barrier between calls, for a call on SPLIT_MIN_AMPS words or more;
+below that it makes one call, and below SPLIT_MIN_AMPS amplitudes it
+makes no pool. Native calls release the GIL and each numpy-body call
+allocates its own scratch, so results are bit-identical for any worker
+count.
 
 `run_circuit` defers CX gates. A CX does no arithmetic, so instead of
 moving words it relabels the stored indices: `parity[q]` is the mask of
@@ -35,7 +36,8 @@ the same order, and the bits cannot change. Before a dense gate and at
 the end of the circuit the deferred CXs are flushed: dropped if
 together they are the identity, applied in order with `fxp.Banks.cx`
 otherwise. In QFT each controlled phase puts a CX pair around an RZ,
-and the pair cancels: QFT-20 swaps words for 30 of its 410 CX.
+and the pair cancels: QFT-20 swaps words for 30 of its 410 CX, its
+final swaps, and from a basis state for none (below).
 `apply_single` and `apply_cx` stay eager, and the modeled machine still
 swaps for every CX, so `cycle_report` counts each one.
 
@@ -47,9 +49,37 @@ kernel runs every step on a word before it moves on to the next word,
 each step with its own roundings and saturations, so the bits are
 those of one call per gate; it reads and writes the state once per
 stretch instead of once per gate. QFT-20's 570 RZ form 19 stretches.
-From a basis state most of their words are zero, and the AVX-512F
-bodies skip the arithmetic of all-zero vectors, whose bits cannot
-change (kernels.c).
+The AVX-512F bodies also skip the arithmetic of all-zero vectors,
+whose bits cannot change (kernels.c).
+
+From a basis state `run_circuit` runs each call only on the words that
+can be nonzero. It tracks, op by op and in logical coordinates, which
+qubits are free and which are fixed at a known value: a dense gate
+frees its target, and so does a CX whose control is free; a CX whose
+fixed control is 1 flips a fixed target's value. One pass over the
+circuit before the loop gives each qubit a stored bit in the order it
+becomes free, the others after it; that layout is the relabeling's
+starting value, parity[q] = 2^slot(q), and the basis state's word
+moves to its stored index. The k free qubits then sit on stored bits
+0..k-1, so the words that can be nonzero are one aligned window of
+2^k, and every stretch and dense gate runs on that window alone. The
+window moves only when words do, at a dense gate or a flush (where the
+map goes back to the layout); until then the words stand where the
+last one left them, whatever the pending CXs did to the logical
+values. A state is a basis state when it holds exactly one nonzero
+word, found by `count_nonzero` and `argmax`/`argmin` with no
+state-sized temporary; for any other state every qubit is free, the
+layout is the identity and the window is the whole state. At the end,
+if the deferred map is the natural identity (logical bit q is stored
+bit q) the pending CXs are dropped: QFT's swaps exactly undo its
+bit-reversed layout, so QFT-20 moves no word for a CX. Otherwise they
+are flushed and each stored bit is swapped back to its qubit, three
+`Banks.cx` a swap. No bit can change: a word outside the window is
+zero, a zero word stays zero through every step and every pair of two
+zero words, and every word in the window meets the same coefficients
+and partners, in the same order, as in a call on the whole state.
+From a basis state QFT-20's calls cover 3 x 2^20 words instead of
+39 x 2^20.
 
 The machine's 8 segments (2 PE arrays x 4 PEs, `state.segment_of`) and
 its access modes (Mode1: a pair inside one segment; Mode2: a pair
@@ -70,6 +100,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import contextlib
 from dataclasses import dataclass
 import json
+
+import numpy as np
 
 from . import fxp, perfmodel
 from .gateset import CX, Circuit, GateOp, check_gate
@@ -282,37 +314,124 @@ def cycle_report(circuit: Circuit,
 
 
 class _Relabeling:
-    """CX gates deferred as a GF(2) map of the stored indices.
+    """CX gates deferred as a GF(2) map of the stored indices, and the
+    window of stored words that can be nonzero.
 
     Logical bit q of the amplitude stored at index i is the parity of
-    i & parity[q]. CX(c, t) adds row c to row t of the map and joins the
-    pending list; `flush` makes the stored state the logical one again.
+    i & parity[q]. The map starts as the layout, `1 << slots[q]`: qubit q
+    is kept on stored bit slots[q]. CX(c, t) adds row c to row t of the
+    map and joins the pending list; `flush` makes the map the layout
+    again, and `finish` makes the stored state the logical one.
+
+    Each qubit is free or fixed, in logical coordinates, op by op:
+    `value[q]` is None for a free qubit and, for a fixed one, its bit on
+    every word that can be nonzero. A dense gate frees its target, and
+    so does a CX whose control is free; a CX whose fixed control is 1
+    flips a fixed target's value. The free qubits are always those on stored bits
+    0..k-1 (see `_layout`), so the words that can be nonzero are one
+    aligned window: `window` = (lo, k), the stored words [lo, lo + 2^k),
+    lo the stored bits of the fixed qubits that are 1. It moves only
+    when words do, at `flush` and `dense`: until then the pending CXs
+    have moved no word, whatever they did to the logical values.
     """
 
-    def __init__(self, n: int):
-        self.identity = [1 << q for q in range(n)]
-        self.parity = list(self.identity)
+    def __init__(self, slots: list, word: int | None):
+        # word: the logical index of a basis state; None for any other
+        # state, all of whose qubits are free
+        self.slots = slots
+        self.start = [1 << s for s in slots]
+        self.parity = list(self.start)
         self.pending: list = []
+        self.value = [None if word is None else word >> q & 1 for q in range(len(slots))]
+        self.window = self._logical_window()
+
+    def _logical_window(self) -> tuple:
+        lo = sum(1 << s for s, v in zip(self.slots, self.value) if v)
+        return lo, self.value.count(None)
 
     def cx(self, control: int, target: int) -> None:
         self.parity[target] ^= self.parity[control]
         self.pending.append((control, target))
+        if self.value[control] is None:
+            self.value[target] = None
+        elif self.value[control] and self.value[target] is not None:
+            self.value[target] ^= 1
+
+    def dense(self, target: int) -> None:
+        """A dense gate on target, run after a flush, frees it; the window
+        then holds both words of each of its pairs."""
+        self.value[target] = None
+        self.window = self._logical_window()
 
     def flush(self, banks: fxp.Banks) -> None:
-        """Apply the pending CXs in order, unless their map is the identity."""
-        if self.parity != self.identity:
+        """Apply the pending CXs in order, on their qubits' stored bits,
+        unless their map is the identity."""
+        if self.parity != self.start:
             for control, target in self.pending:
-                banks.cx(control, target)
-            self.parity = list(self.identity)
+                banks.cx(self.slots[control], self.slots[target])
+            self.parity = list(self.start)
         self.pending.clear()
+        self.window = self._logical_window()
+
+    def finish(self, banks: fxp.Banks) -> None:
+        """Make the stored state the logical one: drop the pending CXs if
+        the map is the natural identity (QFT's swaps undo its bit-reversed
+        layout), otherwise flush them and swap each stored bit back to its
+        qubit, three CXs a swap."""
+        n = len(self.slots)
+        if self.parity == [1 << q for q in range(n)]:
+            self.pending.clear()
+            return
+        self.flush(banks)
+        slots = list(self.slots)
+        held = [0] * n                  # the qubit on each stored bit
+        for q, s in enumerate(slots):
+            held[s] = q
+        for bit in range(n):
+            s, other = slots[bit], held[bit]
+            if s != bit:
+                for control, target in ((bit, s), (s, bit), (bit, s)):
+                    banks.cx(control, target)
+                slots[bit], held[bit] = bit, bit
+                slots[other], held[s] = s, other
 
 
-def _pieces(workers: int, n: int) -> int:
-    # `workers`, at most 2^(n-1), or 1 while the state is smaller than
-    # SPLIT_MIN_AMPS
-    if (1 << n) < SPLIT_MIN_AMPS:
+def _layout(ops, n: int) -> list:
+    # each qubit's stored bit: the qubits in the order `_Relabeling`
+    # frees them (at a dense gate, or at a CX whose control is free),
+    # then the others in order
+    free, order = [False] * n, []
+    for op in ops:
+        t = op.target
+        if not free[t] and (free[op.control] if op.kind == CX else not op.sparse):
+            free[t] = True
+            order.append(t)
+    slots = [0] * n
+    for s, q in enumerate(order + [q for q in range(n) if not free[q]]):
+        slots[q] = s
+    return slots
+
+
+def _basis_word(state: StateVector) -> int | None:
+    # the index of the state's one nonzero word (in re, im or both), or
+    # None; count_nonzero and argmax/argmin make no state-sized temporary
+    found = set()
+    for a in (state.re, state.im):
+        count = np.count_nonzero(a)
+        if count > 1:
+            return None
+        if count:
+            i = int(a.argmax())
+            found.add(i if a[i] else int(a.argmin()))
+    return found.pop() if len(found) == 1 else None
+
+
+def _pieces(workers: int, k: int) -> int:
+    # for a kernel call on 2^k words: `workers`, at most 2^(k-1), or 1
+    # while the call covers fewer than SPLIT_MIN_AMPS words
+    if k == 0 or (1 << k) < SPLIT_MIN_AMPS:
         return 1
-    return min(workers, 1 << (n - 1))
+    return min(workers, 1 << (k - 1))
 
 
 def run_circuit(state: StateVector, circuit: Circuit,
@@ -320,60 +439,93 @@ def run_circuit(state: StateVector, circuit: Circuit,
                 workers: int = 1):
     """Apply a base-set circuit.
 
-    Returns (state, cycle_report(circuit, cfg)). Each kernel call is cut
+    Returns (state, cycle_report(circuit, cfg)). `check_gate` runs once
+    on each op, in order, before any kernel call; the ops before the
+    first that fails run, the state is made logical, and then its error
+    is raised, so the state holds every gate before it and none after.
+
+    A state with exactly one nonzero word is a basis state. From one,
+    each qubit gets a stored bit in the order it becomes free (a dense
+    gate on it, or a CX onto it from a free control), that word moves to
+    its stored index, and each qubit is tracked as free or fixed at a
+    known value; from any other state every qubit is free and the layout
+    is the identity. Each kernel call covers only the aligned window of
+    2^k stored words that can be nonzero, k the free qubits, and is cut
     into p contiguous pieces of near-equal length, p the smaller of
-    `workers` and 2^(n-1), and a pool of p threads runs one call per
-    piece, with a barrier after every call; below SPLIT_MIN_AMPS
-    amplitudes p is 1 and no pool is made. The result is bit-identical
-    for any worker count. CX gates are deferred as a relabeling, and each
-    stretch of diagonal gates between two dense gates runs as one
-    `Banks.diag` call per piece (see the module docstring). The stretch
-    runs, and then the deferred CXs are flushed, before each dense gate
-    and when the loop ends, an error included: a gate that fails
-    `check_gate` when the loop reaches it leaves the state holding every
-    gate before it.
+    `workers` and 2^(k-1), with a barrier after every call; below
+    SPLIT_MIN_AMPS words p is 1, and below SPLIT_MIN_AMPS amplitudes no
+    pool is made. CX gates are deferred as a relabeling, and each
+    stretch of diagonal gates between two dense gates is one
+    `Banks.diag` call per piece; the stretch runs, and then the deferred
+    CXs are flushed, before each dense gate and at the end. At the end
+    the pending CXs are dropped if the map is the natural identity, and
+    otherwise flushed and the layout undone by stored-bit swaps. See the
+    module docstring.
+
+    No bit depends on the worker count, the layout or the window: a word
+    outside the window is zero and would stay zero through every step it
+    skips, and every word in it meets the same coefficients and
+    partners, in the same order, as in a call on the whole state.
     """
     if circuit.n != state.n:
         raise ValueError(f"circuit is for n={circuit.n}, state has n={state.n}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n = state.n
+    ops, error = [], None
+    for op in circuit.ops:
+        try:
+            check_gate(op, n)
+        except ValueError as exc:
+            error = exc
+            break
+        ops.append(op)
+    word = _basis_word(state)
+    labels = _Relabeling(list(range(n)) if word is None else _layout(ops, n), word)
+    if word is not None:
+        lo = labels.window[0]
+        for a in (state.re, state.im):
+            a[lo], a[word] = a[word], a[lo]
     pieces = _pieces(workers, n)
     banks = fxp.Banks(state.re, state.im)
-    labels = _Relabeling(n)
     steps: list = []          # the stretch of diagonal gates not yet run
     pool = ThreadPoolExecutor(max_workers=pieces) if pieces > 1 else None
 
-    def run(kernel, total: int, *args) -> None:
-        # kernel(*args, lo, hi) on each piece's range of [0, total)
-        ranges = _ranges(total, pieces)
-        if pool is None:
-            kernel(*args, *ranges[0])
+    def run(kernel, k: int, lo: int, hi: int, *args) -> None:
+        # kernel(*args, a, b) on each piece [a, b) of [lo, hi), a range
+        # of the 2^k-word window
+        p = _pieces(workers, k)
+        if p == 1:
+            kernel(*args, lo, hi)
             return
-        futures = [pool.submit(kernel, *args, lo, hi) for lo, hi in ranges]
+        futures = [pool.submit(kernel, *args, lo + a, lo + b)
+                   for a, b in _ranges(hi - lo, p)]
         for f in wait(futures).done:
             f.result()   # re-raise worker errors, a barrier per call
 
     def run_stretch() -> None:
         nonlocal steps
         if steps:
-            run(banks.diag, 1 << n, steps)
+            lo, k = labels.window
+            run(banks.diag, k, lo, lo + (1 << k), steps)
             steps = []
 
     with pool or contextlib.nullcontext():
-        try:
-            for op in circuit.ops:
-                check_gate(op, n)
-                if op.kind == CX:
-                    labels.cx(op.control, op.target)
-                    continue
-                if op.sparse:
-                    steps.append(_diag_step(op, labels.parity[op.target]))
-                    continue
-                run_stretch()
-                labels.flush(banks)
-                run(banks.pair, 1 << (n - 1), op.matrix, op.target)
-        finally:
+        for op in ops:
+            if op.kind == CX:
+                labels.cx(op.control, op.target)
+                continue
+            if op.sparse:
+                steps.append(_diag_step(op, labels.parity[op.target]))
+                continue
             run_stretch()
             labels.flush(banks)
+            labels.dense(op.target)
+            lo, k = labels.window
+            run(banks.pair, k, lo >> 1, (lo >> 1) + (1 << k >> 1), op.matrix,
+                labels.slots[op.target])
+        run_stretch()
+        labels.finish(banks)
+    if error is not None:
+        raise error
     return state, cycle_report(circuit, cfg)

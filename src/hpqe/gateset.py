@@ -13,6 +13,7 @@ matrices are quantized, once, when a gate is built.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -123,14 +124,22 @@ def matrix_of(kind: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"{kind!r} is not a single-qubit kind")
 
 
+@functools.lru_cache(maxsize=256)
+def _quantized(kind: str, angle: float | None) -> tuple:
+    # the four words of kind/angle; a circuit repeats few distinct
+    # matrices (QFT-20: 39 in 590 gates). Angles that compare equal, as
+    # +0.0 and -0.0 do, give the same words: quantization keeps no sign
+    # of zero
+    m = matrix_of(kind, angle)
+    return tuple(fxp.quantize_complex(complex(m[r, c])) for r in (0, 1) for c in (0, 1))
+
+
 def quantize_gate(op: GateOp) -> GateOp:
     """Populate the Q2.30 matrix from the exact unitary of kind/angle."""
     if op.kind not in SINGLE_KINDS:
         raise ValueError(f"quantize_gate applies to single-qubit kinds, not {op.kind}")
-    m = matrix_of(op.kind, op.angle)
-    quantized = tuple(fxp.quantize_complex(complex(m[r, c]))
-                      for r in (0, 1) for c in (0, 1))
-    return replace(op, matrix=quantized, sparse=op.kind in SPARSE_KINDS)
+    return replace(op, matrix=_quantized(op.kind, op.angle),
+                   sparse=op.kind in SPARSE_KINDS)
 
 
 def single(kind: str, target: int, angle: float | None = None) -> GateOp:

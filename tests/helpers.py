@@ -86,6 +86,58 @@ def random_circuit(n: int, gates: int, rng) -> gateset.Circuit:
     return circuit
 
 
+def window_model(n: int, index: int, ops) -> tuple:
+    """`engine.run_circuit`'s kernel calls from the basis state `index`,
+    by the rules its docstrings state, written without its code.
+
+    A qubit is free from a dense gate on it, or a CX onto it whose
+    control is free; free qubits take stored bits 0, 1, ... in that
+    order, the others the next bits in qubit order. Until then it keeps
+    the bit of `rep`, the index a CX with a fixed control moves
+    classically. Returns (calls, natural): calls one
+    (name, first argument, dense target's stored bit, lo, words) per
+    kernel call, the words [lo, lo + words) that can be nonzero where
+    the words stand at the call; natural whether the deferred map ends
+    as the identity of logical and stored bits.
+    """
+    free, order = 0, []
+    for op in ops:
+        frees = free >> op.control & 1 if op.kind == "CX" else not op.sparse
+        if frees and not free >> op.target & 1:
+            free |= 1 << op.target
+            order.append(op.target)
+    order += [q for q in range(n) if not free >> q & 1]
+    bit = {q: b for b, q in enumerate(order)}
+
+    def window(rep, free):
+        fixed_ones = rep & ~free
+        return (sum(1 << bit[q] for q in range(n) if fixed_ones >> q & 1),
+                1 << bin(free).count("1"))
+
+    start = [1 << bit[q] for q in range(n)]
+    parity, rep, free, steps, calls = list(start), index, 0, [], []
+    held = window(rep, free)          # where the words stand
+    for op in [*ops, None]:
+        if op is not None and op.kind == "CX":
+            parity[op.target] ^= parity[op.control]
+            if free >> op.control & 1:
+                free |= 1 << op.target
+            rep ^= (rep >> op.control & 1) << op.target
+        elif op is not None and op.sparse:
+            steps.append((op.matrix[0], op.matrix[3], parity[op.target]))
+        else:
+            if steps:
+                calls.append(("diag", steps, None, *held))
+            steps = []
+            if op is None:
+                break
+            parity = list(start)
+            free |= 1 << op.target
+            held = window(rep, free)
+            calls.append(("pair", op.matrix, bit[op.target], *held))
+    return calls, parity == [1 << q for q in range(n)]
+
+
 def random_ref_amplitudes(n: int, rng) -> np.ndarray:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return amps / np.linalg.norm(amps)

@@ -9,7 +9,8 @@ import pytest
 from hpqe import circuits, engine, fxp, gateset, oracle, state
 from hpqe.fxp import CFx
 
-from helpers import as_cfx, random_circuit, random_ref_amplitudes, split_every_state
+from helpers import (as_cfx, random_circuit, random_ref_amplitudes, split_every_state,
+                     window_model)
 
 
 def quantized(amps):
@@ -262,10 +263,12 @@ class TestRunCircuit:
         # stretch of sparse gates between two dense ones is one `diag` call
         # whose steps are the stretch's gates in order: (m00, m11) and the
         # mask of the target's stored-index parity after the CXs before it.
-        # apply_single runs a sparse gate as a stretch of one step. w
-        # workers make p = min(w, 2^(n-1)) calls per dense gate or stretch,
-        # on contiguous pieces of equal size that cover the state and share
-        # no word.
+        # apply_single runs a sparse gate as a stretch of one step. From a
+        # state of more than one nonzero word, w workers make
+        # p = min(w, 2^(n-1)) calls per dense gate or stretch, on
+        # contiguous pieces of equal size that cover the state and share
+        # no word. From a basis state each call's pieces cover exactly the
+        # window of `helpers.window_model`, at most min(w, words / 2) of them.
         calls = []
 
         def spy(name):
@@ -307,8 +310,9 @@ class TestRunCircuit:
 
         def check(n, ops, workers):
             calls.clear()
-            engine.run_circuit(state.init_basis(n, 0), gateset.Circuit(n=n, ops=ops),
-                               workers=workers)
+            dense = state.init_basis(n, 0)
+            dense.re[:] = 1 << 20          # every word nonzero
+            engine.run_circuit(dense, gateset.Circuit(n=n, ops=ops), workers=workers)
             p = min(workers, 1 << (n - 1))
             want = [w for w in executed(n, ops) for _ in range(p)]
             assert [(c[0], c[1][:1]) for c in calls] == want, (n, workers)
@@ -316,6 +320,21 @@ class TestRunCircuit:
                 pieces = [words(*c) for c in calls[k:k + p]]
                 assert {len(w) for w in pieces} == {(1 << n) // p}, (n, k)
                 assert set().union(*pieces) == set(range(1 << n))
+            for index in sorted({0, 1, (1 << n) - 1, 0x2AAAAAAA & ((1 << n) - 1)}):
+                calls.clear()
+                engine.run_circuit(state.init_basis(n, index), gateset.Circuit(n=n, ops=ops),
+                                   workers=workers)
+                got = iter(calls)
+                for name, first, bit, lo, size in window_model(n, index, ops)[0]:
+                    p = max(1, min(workers, size // 2))
+                    group = [next(got) for _ in range(p)]
+                    assert all(c[0] == name and c[1][0] == first for c in group), (n, index)
+                    if name == "pair":
+                        assert {c[1][1] for c in group} == {bit}, (n, index)
+                    pieces = [words(*c) for c in group]
+                    assert all(pieces) and sum(map(len, pieces)) == size, (n, index)
+                    assert set().union(*pieces) == set(range(lo, lo + size)), (n, index)
+                assert next(got, None) is None, (n, index)
 
         for n in (1, 2, 6):
             for t in range(n):
@@ -339,6 +358,26 @@ class TestRunCircuit:
         check(6, ops, 1)
         assert sum(name == "diag" for name, _ in calls) == 5      # one per H but the last
         assert sum(len(args[0]) for name, args in calls if name == "diag") == 45
+
+    def test_qft_covers_few_words(self, monkeypatch):
+        # a guard on the window that needs no clock: from a basis state,
+        # QFT-20's calls cover at most 3 * 2^20 words, where calls on the
+        # whole state cover 39 * 2^20, and its swaps undo its bit-reversed
+        # layout, so no word moves for a CX
+        covered = []
+        for name, per in (("pair", 2), ("diag", 1), ("cx", None)):
+            real = getattr(fxp.Banks, name)
+
+            def call(banks, *args, real=real, per=per):
+                covered.append(per and per * (args[-1] - args[-2]))
+                real(banks, *args)
+            monkeypatch.setattr(fxp.Banks, name, call)
+        circuit = circuits.qft(20)
+        for index in (0, 5, 349525, (1 << 20) - 1):
+            covered.clear()
+            engine.run_circuit(state.init_basis(20, index), circuit)
+            assert None not in covered, index
+            assert sum(covered) <= 3 << 20, index
 
     @pytest.mark.parametrize("n", (3, 9))
     def test_sparse_gate_ignores_off_diagonals(self, n):

@@ -156,6 +156,33 @@ class TestQuantizeGate:
         with pytest.raises(ValueError):
             gateset.quantize_gate(gateset.cx(0, 1))
 
+    @pytest.mark.parametrize("first", (0.0, -0.0))
+    def test_cached_words_are_fresh_words(self, first):
+        # each (kind, angle) is quantized once; the words a cache hit
+        # returns are those of a fresh quantization, for either zero
+        # cached first, whichever zero is asked for next
+        gateset._quantized.cache_clear()
+        angles = (first, -first, math.pi, -math.pi, 2 * math.pi)
+        for kind in gateset.SINGLE_KINDS:
+            for angle in angles if kind in gateset.ROTATION_KINDS else (None,):
+                m = gateset.matrix_of(kind, angle)
+                fresh = tuple(fxp.quantize_complex(complex(m[r, c]))
+                              for r in (0, 1) for c in (0, 1))
+                for _ in range(2):
+                    assert gateset.single(kind, 3, angle).matrix == fresh, (kind, angle)
+        info = gateset._quantized.cache_info()
+        assert info.hits > 0 and info.currsize < 2 * len(angles) * len(gateset.SINGLE_KINDS)
+
+    def test_cache_stays_bounded(self):
+        # a template draws a fresh angle per gate: the cache keeps at most
+        # its maxsize entries, and every gate still gets its own words
+        limit = gateset._quantized.cache_info().maxsize
+        assert limit is not None
+        for angle in np.linspace(0.0, 2 * math.pi, 2 * limit + 3):
+            g = gateset.single("RY", 0, float(angle))
+            assert g.matrix[2] == fxp.quantize_complex(complex(math.sin(angle / 2)))
+        assert gateset._quantized.cache_info().currsize == limit
+
 
 class TestDecomposeCp:
     def test_zero_angle_is_identity(self):

@@ -29,7 +29,9 @@ enough for the scalar reference; the rest run at the real BLOCK.
 
 import contextlib
 import functools
+import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,7 +42,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hpqe import circuits, engine, fxp, gateset, state
 from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
 
-from helpers import PORTABLE_FLAG, as_cfx, pair_flat, random_circuit, rne, split_every_state
+from helpers import (PORTABLE_FLAG, as_cfx, pair_flat, random_circuit, rne, split_every_state,
+                     window_model)
 
 EDGES = (RAW_MIN, RAW_MIN + 1, -SCALE - 1, -SCALE, -SCALE + 1, -fxp.HALF_ULP,
          -1, 0, 1, fxp.HALF_ULP, SCALE - 1, SCALE, SCALE + 1, RAW_MAX - 1,
@@ -1006,6 +1009,160 @@ class TestDeferral:
                     else:
                         engine.apply_single(want, op)
             assert sv.dump() == want.dump(), body.name
+
+
+def _layout_ops(n: int, rng, gates: int) -> list:
+    # mostly CX and diagonal gates and few dense ones, so that qubits stay
+    # fixed across CXs: a CX from a fixed control of value 1 onto a fixed
+    # target moves the window, one from a free control grows it, and
+    # diagonal gates fall on fixed qubits
+    ops = []
+    for _ in range(gates):
+        r, q = rng.random(), int(rng.integers(n))
+        if n >= 2 and r < 0.45:
+            a, b = rng.choice(n, size=2, replace=False)
+            ops.append(gateset.cx(int(a), int(b)))
+        elif r < 0.6:                        # full-range coefficients, clip included
+            ops.append(gateset.GateOp(kind="RZ", target=q, sparse=True, matrix=(
+                random_coeff(rng), fxp.CFX_ZERO, fxp.CFX_ZERO, random_coeff(rng))))
+        elif r < 0.85:
+            ops.append(gateset.single("S", q) if r < 0.65 else
+                       gateset.single("RZ", q, float(rng.uniform(0, 4 * np.pi))))
+        else:
+            kind = ("H", "RX", "RY")[int(rng.integers(3))]
+            ops.append(gateset.single(kind, q, None if kind == "H" else
+                                      float(rng.uniform(0, 4 * np.pi))))
+    return ops
+
+
+def _one_word(n: int, index: int, rng) -> state.StateVector:
+    # a basis state whose one nonzero word lies in re, in im or in both,
+    # of either sign
+    sv = state.init_basis(n, 0)
+    sv.re[0] = 0
+    word = random_coeff(rng)
+    parts = ((word.re, 0), (0, word.im), tuple(word))[int(rng.integers(3))]
+    sv.re[index], sv.im[index] = parts if any(parts) else (-1, 0)
+    return sv
+
+
+def _replay(start: state.StateVector, ops) -> bytearray:
+    want = start.copy()
+    for op in ops:
+        if op.kind == "CX":
+            engine.apply_cx(want, op.control, op.target)
+        else:
+            engine.apply_single(want, op)
+    return want.dump()
+
+
+def _window_cases(n: int, index: int, ops) -> set:
+    # the cases of run_circuit's window a circuit reaches from the basis
+    # state `index`, by the free/fixed rule of `helpers.window_model`
+    free, rep, order, seen = 0, index, [], set()
+    for op in ops:
+        fixed = not free >> op.target & 1
+        if op.kind == "CX" and free >> op.control & 1:
+            if fixed:
+                seen.add("grows")
+            free |= 1 << op.target
+        elif op.kind == "CX":
+            if rep >> op.control & 1 and fixed:
+                seen.add("moves")
+            rep ^= (rep >> op.control & 1) << op.target
+        elif op.sparse and fixed:
+            seen.add("fixed diagonal")
+        elif not op.sparse:
+            free |= 1 << op.target
+        if fixed and free >> op.target & 1:
+            order.append(op.target)
+    if not window_model(n, index, ops)[1]:
+        seen.add("final map")
+        if order + [q for q in range(n) if q not in order] != list(range(n)):
+            seen.add("layout undone")
+    return seen
+
+
+class TestLayout:
+    # From a basis state run_circuit keeps each qubit on a stored bit in
+    # the order it becomes free, and runs every call on the window of
+    # words that can be nonzero: the window moves, grows, runs diagonal
+    # gates of fixed qubits, and the layout is undone at the end where
+    # the deferred map is not the identity. On every body and worker
+    # count, the window shorter than the piece count included, the bits
+    # must be those of an eager gate-by-gate replay.
+    BODIES = (*C_BODIES, "numpy")
+    CASES = {"moves", "grows", "fixed diagonal", "final map", "layout undone"}
+
+    @staticmethod
+    def _agree(bodies, start, ops, want=None) -> None:
+        want = _replay(start, ops) if want is None else want
+        circuit = gateset.Circuit(n=start.n, ops=ops)
+        for body in bodies:
+            with body.pinned(), split_every_state():
+                for workers in (1, 2, 4):
+                    sv, _ = engine.run_circuit(start.copy(), circuit, workers=workers)
+                    assert sv.dump() == want, (body.name, workers)
+
+    def test_every_basis_state(self, bodies):
+        seen = set()
+        for n in range(1, 7):
+            for index in range(1 << n):
+                rng = np.random.default_rng([n, index])
+                ops = _layout_ops(n, rng, 8 * n)
+                seen |= _window_cases(n, index, ops)
+                self._agree(bodies, _one_word(n, index, rng), ops)
+        assert seen == self.CASES
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=INHERITED)
+    @given(n=st.integers(7, 14), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_basis_states(self, bodies, n, seed):
+        rng = np.random.default_rng(seed)
+        index = int(rng.integers(1 << n))
+        self._agree(bodies, _one_word(n, index, rng), _layout_ops(n, rng, 6 * n))
+
+    def test_other_starts(self, bodies):
+        # two nonzero words, in one array or one in each, a zero state and
+        # a full one: every qubit free, the identity layout
+        rng = np.random.default_rng(25)
+        for n in (2, 5, 9):
+            ops = _layout_ops(n, rng, 6 * n)
+            starts = [_random_state(n, rng), state.init_basis(n, 0)]
+            starts[1].re[0] = 0
+            for a, b in ((0, 1), (1, (1 << n) - 1), (2, 3)):
+                sv = state.init_basis(n, 0)
+                sv.re[0] = 0
+                sv.re[a], sv.im[b] = fxp.RAW_MIN, 5
+                starts.append(sv)
+            two = state.init_basis(n, 1)
+            two.re[(1 << n) - 2] = -7
+            starts.append(two)
+            for start in starts:
+                self._agree(bodies, start, ops)
+
+    @pytest.mark.parametrize("bad", (
+        gateset.GateOp(kind="CX", target=1, control=1),
+        gateset.GateOp(kind="H", target=0),
+        replace(gateset.single("RZ", 0, 0.3), target=9)))
+    def test_bad_op_fails_at_its_position(self, bodies, bad):
+        # from a basis state, with a layout that is not the identity: the
+        # ops before the bad one run, and the state is left logical
+        n = 6
+        rng = np.random.default_rng(77)
+        ops = _layout_ops(n, rng, 40)
+        with pytest.raises(ValueError) as eager:
+            gateset.check_gate(bad, n)
+        for cut in (0, 7, 23, 40):
+            start = _one_word(n, 0b101101, rng)
+            want = _replay(start, ops[:cut])
+            circuit = gateset.Circuit(n=n, ops=[*ops[:cut], bad, *ops[cut:]])
+            for body in bodies:
+                with body.pinned(), split_every_state():
+                    for workers in (1, 2, 4):
+                        sv = start.copy()
+                        with pytest.raises(ValueError, match=re.escape(str(eager.value))):
+                            engine.run_circuit(sv, circuit, workers=workers)
+                        assert sv.dump() == want, (body.name, workers, cut)
 
 
 class TestWorkers:

@@ -60,6 +60,12 @@ COMMANDS = (
     # of a template starts from a state with one
     "run --gen qft --n 17 --init 131071 --workers 4",
     "run --gen alternating --n 16 --layers 1 --workers 1",
+    # the engine's qubit layout and window: QFT from basis states with
+    # qubits set across the whole index, split at a window smaller than
+    # the state, and under the oracle
+    "run --gen qft --n 19 --init 349525 --workers 2",
+    "run --gen qft --n 17 --init 65536 --workers 8",
+    "compare --gen qft --n 16 --init 43690 --workers 1",
 )
 
 
