@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -340,6 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built once per process: parse_args returns a new
+    # namespace each call and leaves the parser as it found it
+    return build_parser()
+
+
 def _print_error(line: str) -> None:
     if len(line) > ERROR_LINE_MAX:
         line = line[:ERROR_LINE_MAX - 3] + "..."
@@ -347,8 +355,7 @@ def _print_error(line: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -284,14 +284,15 @@ class CycleReport:
     mode2_gate_count: int
 
     def to_json(self) -> str:
-        doc = {
-            "gates": [{"index": i, "kind": k, "cycles": c}
-                      for i, k, c in self.per_gate],
-            "total_cycles": self.total_cycles,
-            "n": self.n,
-            "mem_mode": self.mem_mode,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        """The report as `json.dumps({"gates": [{"index", "kind",
+        "cycles"}, ...], "total_cycles", "n", "mem_mode"}, sort_keys=True,
+        separators=(",", ":"))` would write it, byte for byte: each gate
+        through one format string, each distinct kind encoded once."""
+        kinds = {k: json.dumps(k) for k in {k for _, k, _ in self.per_gate}}
+        gates = ",".join('{"cycles":%d,"index":%d,"kind":%s}' % (c, i, kinds[k])
+                         for i, k, c in self.per_gate)
+        return '{"gates":[%s],"mem_mode":%s,"n":%d,"total_cycles":%d}' % (
+            gates, json.dumps(self.mem_mode), self.n, self.total_cycles)
 
 
 def cycle_report(circuit: Circuit,
@@ -300,14 +301,26 @@ def cycle_report(circuit: Circuit,
     n = circuit.n
     per_gate = []
     total = pairs = mode2 = 0
+    # worked out at the first gate that needs them: the cycles of a CX
+    # and of a single-qubit gate (keyed by kind == CX), and whether each
+    # single-qubit target is a Mode2 pair
+    cycles_of = {}
+    mode2_of = {}
     for idx, op in enumerate(circuit.ops):
-        cycles = cx_cycles(n) if op.kind == CX else perfmodel.cycles_single(n, cfg)
+        is_cx = op.kind == CX
+        cycles = cycles_of.get(is_cx)
+        if cycles is None:
+            cycles = cycles_of[is_cx] = (cx_cycles(n) if is_cx
+                                         else perfmodel.cycles_single(n, cfg))
         per_gate.append((idx, op.kind, cycles))
         total += cycles
-        if op.kind == CX:
+        if is_cx:
             pairs += 1 << (n - 2)
-        elif n >= 3 and access_mode(op.target, n) == MODE2:
-            mode2 += 1
+        elif n >= 3:
+            t = op.target
+            if t not in mode2_of:
+                mode2_of[t] = access_mode(t, n) == MODE2
+            mode2 += mode2_of[t]
     return CycleReport(n=n, mem_mode=perfmodel.memory_mode(n, cfg),
                        per_gate=per_gate, total_cycles=total,
                        cx_pairs_swapped=pairs, mode2_gate_count=mode2)

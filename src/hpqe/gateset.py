@@ -92,9 +92,10 @@ def check_gate(op: GateOp, n: int) -> None:
         raise ValueError(f"{op.kind} takes no control, got control {op.control}")
     if op.matrix is None:
         raise ValueError("gate matrix not quantized (use gateset.single)")
-    wide = [v for c in op.matrix for v in c if not fxp.RAW_MIN <= v <= fxp.RAW_MAX]
-    if wide:
-        raise ValueError(f"gate matrix part {wide[0]} lies outside the Q2.30 word")
+    for c in op.matrix:
+        for v in c:
+            if not fxp.RAW_MIN <= v <= fxp.RAW_MAX:
+                raise ValueError(f"gate matrix part {v} lies outside the Q2.30 word")
 
 
 def _is_qubit(q, n: int) -> bool:
@@ -126,24 +127,26 @@ def matrix_of(kind: str, angle: float | None = None) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _quantized(kind: str, angle: float | None) -> tuple:
-    # the four words of kind/angle; a circuit repeats few distinct
-    # matrices (QFT-20: 39 in 590 gates). Angles that compare equal, as
-    # +0.0 and -0.0 do, give the same words: quantization keeps no sign
-    # of zero
+    # the four words of kind/angle, and the one kind check of `single` and
+    # `quantize_gate`; a circuit repeats few distinct matrices (QFT-20: 39
+    # in 590 gates). Angles that compare equal, as +0.0 and -0.0 do, give
+    # the same words: quantization keeps no sign of zero
+    if kind not in SINGLE_KINDS:
+        raise ValueError(f"quantize_gate applies to single-qubit kinds, not {kind}")
     m = matrix_of(kind, angle)
     return tuple(fxp.quantize_complex(complex(m[r, c])) for r in (0, 1) for c in (0, 1))
 
 
 def quantize_gate(op: GateOp) -> GateOp:
     """Populate the Q2.30 matrix from the exact unitary of kind/angle."""
-    if op.kind not in SINGLE_KINDS:
-        raise ValueError(f"quantize_gate applies to single-qubit kinds, not {op.kind}")
     return replace(op, matrix=_quantized(op.kind, op.angle),
                    sparse=op.kind in SPARSE_KINDS)
 
 
 def single(kind: str, target: int, angle: float | None = None) -> GateOp:
-    return quantize_gate(GateOp(kind=kind, target=target, angle=angle))
+    """`quantize_gate(GateOp(kind, target, angle=angle))`, built directly."""
+    return GateOp(kind, target, angle=angle, matrix=_quantized(kind, angle),
+                  sparse=kind in SPARSE_KINDS)
 
 
 def cx(control: int, target: int) -> GateOp:

@@ -1,11 +1,12 @@
 """Shared test utilities: independent oracles and random generators."""
 
 import contextlib
+import json
 from fractions import Fraction
 
 import numpy as np
 
-from hpqe import engine, fxp, gateset
+from hpqe import engine, fxp, gateset, perfmodel
 
 ALL_KINDS = ("H", "S", "RX", "RY", "RZ", "CX")
 # built with this flag, kernels.c leaves out its AVX-512F body, so every
@@ -199,3 +200,31 @@ def norm_sq_reference(sv) -> float:
     """
     a = sv.to_complex()
     return float(np.sum(a.real * a.real + a.imag * a.imag))
+
+
+def cycles_json_reference(report) -> str:
+    """CycleReport.to_json by `json.dumps` of the whole document.
+
+    The form to_json had before it wrote each gate through one format
+    string; that form must match it byte for byte.
+    """
+    doc = {
+        "gates": [{"index": i, "kind": k, "cycles": c} for i, k, c in report.per_gate],
+        "total_cycles": report.total_cycles,
+        "n": report.n,
+        "mem_mode": report.mem_mode,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def cycle_report_reference(circuit, cfg=perfmodel.DEFAULT_CONFIG) -> tuple:
+    """(per_gate, total_cycles, cx_pairs_swapped, mode2_gate_count) of
+    `engine.cycle_report`, with every fact worked out again for each op."""
+    n = circuit.n
+    per_gate = [(i, op.kind, engine.cx_cycles(n) if op.kind == "CX"
+                 else perfmodel.cycles_single(n, cfg))
+                for i, op in enumerate(circuit.ops)]
+    pairs = sum(1 << (n - 2) for op in circuit.ops if op.kind == "CX")
+    mode2 = sum(1 for op in circuit.ops if op.kind != "CX" and n >= 3
+                and engine.access_mode(op.target, n) == engine.MODE2)
+    return per_gate, sum(c for _, _, c in per_gate), pairs, mode2

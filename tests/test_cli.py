@@ -348,6 +348,62 @@ class TestParser:
             parse(["bench", "--gen", "qft", "--n", "3", "--workers", "3"])
 
 
+class TestParserReuse:
+    # main builds its parser once per process and parses every argv with it
+
+    def test_built_once_across_calls(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy():
+            built.append(real())
+            return built[-1]
+
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert run_cli("cx-compare", "--n", "2..3", "--out", tmp_path) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_bench_flag_does_not_stick(self, tmp_path):
+        rows = []
+        for name, flags in (("a", ["--no-wall-clock"]), ("b", [])):
+            assert run_cli("bench", "--gen", "qft", "--n", "2..3", *flags,
+                           "--out", tmp_path / name) == 0
+            with open(tmp_path / name / "bench.csv", newline="", encoding="utf-8") as fh:
+                rows.append(list(csv.DictReader(fh)))
+        assert all(r["wall_clock_s"] == "" for r in rows[0])
+        assert all(float(r["wall_clock_s"]) > 0 for r in rows[1])
+
+    def test_init_does_not_stick(self, tmp_path):
+        outs = {name: tmp_path / name for name in ("zero", "five", "default")}
+        for name, init in (("zero", ["--init", 0]), ("five", ["--init", 5]), ("default", [])):
+            assert run_cli("run", "--gen", "qft", "--n", 4, *init, "--out", outs[name]) == 0
+        files = ("state.bin", "cycles.json", "time.json")
+        read = {name: [(out / f).read_bytes() for f in files] for name, out in outs.items()}
+        assert read["default"] == read["zero"]
+        assert read["five"][0] != read["zero"][0]
+
+    def test_usage_error_then_success(self, tmp_path, capsys):
+        argv = ("run", "--gen", "qft", "--n", 3, "--init", 2)
+        assert run_cli(*argv, "--out", tmp_path / "before") == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--gen", "nonsense", "--n", 3, "--init", 6)
+        assert exc.value.code == 2
+        assert run_cli(*argv, "--out", tmp_path / "after") == 0
+        for name in ("state.bin", "cycles.json", "time.json"):
+            assert (tmp_path / "after" / name).read_bytes() == \
+                (tmp_path / "before" / name).read_bytes()
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[0] == out[1]
+
+
 class TestGen:
     def test_stdout_round_trips(self, capsys):
         assert run_cli("gen", "qft", "--n", 3) == 0

@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hpqe import circuits, engine, fxp, gateset, oracle, state
+from hpqe import circuits, engine, fxp, gateset, oracle, perfmodel, state
 from hpqe.fxp import CFx
 
-from helpers import (as_cfx, random_circuit, random_ref_amplitudes, split_every_state,
-                     window_model)
+from helpers import (as_cfx, cycle_report_reference, cycles_json_reference, random_circuit,
+                     random_ref_amplitudes, split_every_state, window_model)
 
 
 def quantized(amps):
@@ -605,3 +605,43 @@ class TestCycleReport:
         assert doc["mem_mode"] == "BRAM"
         assert doc["total_cycles"] == report.total_cycles
         assert doc["gates"][1] == {"index": 1, "kind": "CX", "cycles": 5}
+
+    @staticmethod
+    def report_circuits():
+        # QFT-1..20 (BRAM up to 19 qubits, HBM at 20), each template, an
+        # empty circuit and a CX-only one
+        yield from (circuits.qft(n) for n in range(1, 21))
+        for kind in circuits.TOPOLOGY_KINDS:
+            for n, layers in ((3, 2), (20, 1)):
+                slots = circuits.rotation_slots(kind, n, layers)
+                yield circuits.template(kind, n, layers, np.linspace(0.1, 6.0, slots))
+        yield gateset.Circuit(n=4)
+        yield gateset.Circuit(n=3, ops=[gateset.cx(0, 2), gateset.cx(2, 1), gateset.cx(1, 0)])
+
+    def test_json_bytes_match_json_dumps(self):
+        for circuit in self.report_circuits():
+            report = engine.cycle_report(circuit)
+            assert report.to_json() == cycles_json_reference(report), circuit.n
+
+    def test_json_escapes_kinds_as_json_dumps_does(self):
+        # cycle_report does not validate kinds, so a report may name any
+        # string; to_json must escape it as json.dumps does
+        odd = 'R"\u00e9\\\n'
+        report = engine.CycleReport(n=3, mem_mode="BRAM",
+                                    per_gate=[(0, odd, 7), (1, "CX", 5), (2, odd, 7)],
+                                    total_cycles=19, cx_pairs_swapped=2, mode2_gate_count=0)
+        doc = report.to_json()
+        assert doc == cycles_json_reference(report)
+        assert doc.isascii() and json.loads(doc)["gates"][2]["kind"] == odd
+
+    def test_facts_match_a_per_op_count(self):
+        # each kind's cycles and each target's access mode are worked out
+        # once per call; the report must equal one that works them out per op
+        cfg = perfmodel.PerfConfig(pe_pairs_per_cycle=3, pipeline_fill=9)
+        rng = np.random.default_rng(26)
+        extra = [random_circuit(n, 40, rng) for n in (1, 2, 3, 4, 7)]
+        for circuit in [*self.report_circuits(), *extra]:
+            for c in (perfmodel.DEFAULT_CONFIG, cfg):
+                report = engine.cycle_report(circuit, c)
+                assert (report.per_gate, report.total_cycles, report.cx_pairs_swapped,
+                        report.mode2_gate_count) == cycle_report_reference(circuit, c)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hpqe import engine, fxp, gateset, oracle, state
+from hpqe import circuits, engine, fxp, gateset, oracle, state
 from hpqe.fxp import CFx
 from hpqe.gateset import Circuit
 
@@ -79,6 +79,29 @@ class TestCheckGate:
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == message, name
+
+    @pytest.mark.parametrize("wide", (fxp.RAW_MAX + 1, fxp.RAW_MIN - 1,
+                                      np.int64(fxp.RAW_MAX + 1), np.int64(fxp.RAW_MIN - 1)))
+    @pytest.mark.parametrize("position", range(8))
+    def test_error_names_the_first_wide_part(self, position, wide):
+        # parts in (m00.re, m00.im, ..., m11.im) order; a second wide part
+        # after the first, and numpy-integer parts in range, change nothing
+        parts = [np.int32(v) for c in H_GATE.matrix for v in c]
+        parts[position] = wide
+        if position < 7:
+            parts[7] = fxp.RAW_MIN - 2
+        matrix = tuple(CFx(parts[k], parts[k + 1]) for k in range(0, 8, 2))
+        with pytest.raises(ValueError) as err:
+            gateset.check_gate(replace(H_GATE, matrix=matrix), 4)
+        assert str(err.value) == f"gate matrix part {int(wide)} lies outside the Q2.30 word"
+
+    @pytest.mark.parametrize("edge", (fxp.RAW_MIN, fxp.RAW_MAX))
+    def test_edge_words_pass(self, edge):
+        for position in range(8):
+            parts = [v for c in H_GATE.matrix for v in c]
+            parts[position] = np.int64(edge) if position % 2 else edge
+            matrix = tuple(CFx(parts[k], parts[k + 1]) for k in range(0, 8, 2))
+            gateset.check_gate(replace(H_GATE, matrix=matrix), 4)
 
     def test_numpy_integer_qubits_pass(self):
         # a qubit is anything operator.index takes
@@ -155,6 +178,43 @@ class TestQuantizeGate:
     def test_rejects_cx(self):
         with pytest.raises(ValueError):
             gateset.quantize_gate(gateset.cx(0, 1))
+
+    @pytest.mark.parametrize("kind", gateset.SINGLE_KINDS)
+    def test_single_is_quantize_gate(self, kind):
+        angles = (-0.0, 0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, 0.7)
+        if kind in ("H", "S"):
+            angles += (None,)
+        for angle in angles:
+            got = gateset.single(kind, 2, angle)
+            want = gateset.quantize_gate(gateset.GateOp(kind, 2, angle=angle))
+            assert got == want and got.matrix == want.matrix, angle
+            assert got.sparse is want.sparse and repr(got.angle) == repr(angle)
+        if kind in gateset.ROTATION_KINDS:
+            with pytest.raises(ValueError, match=f"^{kind} requires an angle$"):
+                gateset.quantize_gate(gateset.GateOp(kind, 2))
+            with pytest.raises(ValueError, match=f"^{kind} requires an angle$"):
+                gateset.single(kind, 2)
+
+    @pytest.mark.parametrize("kind", ("CX", "T", "h", ""))
+    def test_single_refuses_as_quantize_gate_does(self, kind):
+        with pytest.raises(ValueError) as want:
+            gateset.quantize_gate(gateset.GateOp(kind, 0, angle=0.5))
+        with pytest.raises(ValueError) as got:
+            gateset.single(kind, 0, 0.5)
+        assert str(got.value) == str(want.value) == \
+            f"quantize_gate applies to single-qubit kinds, not {kind}"
+
+    def test_generated_ops_are_quantize_gate_ops(self):
+        built = [circuits.qft(n) for n in range(1, 21)]
+        for kind in circuits.TOPOLOGY_KINDS:
+            slots = circuits.rotation_slots(kind, 5, 2)
+            built.append(circuits.template(kind, 5, 2, np.linspace(-7.0, 7.0, slots)))
+        for circuit in built:
+            for op in circuit.ops:
+                if op.kind != "CX":
+                    want = gateset.quantize_gate(
+                        gateset.GateOp(op.kind, op.target, angle=op.angle))
+                    assert op == want and repr(op.angle) == repr(want.angle)
 
     @pytest.mark.parametrize("first", (0.0, -0.0))
     def test_cached_words_are_fresh_words(self, first):
