@@ -26,60 +26,19 @@ makes no pool. Native calls release the GIL and each numpy-body call
 allocates its own scratch, so results are bit-identical for any worker
 count.
 
-`run_circuit` defers CX gates. A CX does no arithmetic, so instead of
-moving words it relabels the stored indices: `parity[q]` is the mask of
-stored-index bits whose parity gives logical bit q (at first 2^q), and
-CX(c, t) is `parity[t] ^= parity[c]`. A diagonal gate on t then takes
-the mask parity[t] in its diagonal step, so each word gets the
-products, roundings and saturations it would get after the swaps, in
-the same order, and the bits cannot change. Before a dense gate and at
-the end of the circuit the deferred CXs are flushed: dropped if
-together they are the identity, applied in order with `fxp.Banks.cx`
-otherwise. In QFT each controlled phase puts a CX pair around an RZ,
-and the pair cancels: QFT-20 swaps words for 30 of its 410 CX, its
-final swaps, and from a basis state for none (below).
-`apply_single` and `apply_cx` stay eager, and the modeled machine still
-swaps for every CX, so `cycle_report` counts each one.
-
-Since CXs only relabel, the diagonal gates between two dense gates form
-one stretch, and `run_circuit` runs each stretch as one `Banks.diag`
-call per piece, its steps the gates' (m00, m11, parity[t]) in order,
-just before the dense gate's flush (or at the end of the loop). The
-kernel runs every step on a word before it moves on to the next word,
-each step with its own roundings and saturations, so the bits are
-those of one call per gate; it reads and writes the state once per
-stretch instead of once per gate. QFT-20's 570 RZ form 19 stretches.
-The AVX-512F bodies also skip the arithmetic of all-zero vectors,
-whose bits cannot change (kernels.c).
-
-From a basis state `run_circuit` runs each call only on the words that
-can be nonzero. It tracks, op by op and in logical coordinates, which
-qubits are free and which are fixed at a known value: a dense gate
-frees its target, and so does a CX whose control is free; a CX whose
-fixed control is 1 flips a fixed target's value. One pass over the
-circuit before the loop gives each qubit a stored bit in the order it
-becomes free, the others after it; that layout is the relabeling's
-starting value, parity[q] = 2^slot(q), and the basis state's word
-moves to its stored index. The k free qubits then sit on stored bits
-0..k-1, so the words that can be nonzero are one aligned window of
-2^k, and every stretch and dense gate runs on that window alone. The
-window moves only when words do, at a dense gate or a flush (where the
-map goes back to the layout); until then the words stand where the
-last one left them, whatever the pending CXs did to the logical
-values. A state is a basis state when it holds exactly one nonzero
-word, found by `count_nonzero` and `argmax`/`argmin` with no
-state-sized temporary; for any other state every qubit is free, the
-layout is the identity and the window is the whole state. At the end,
-if the deferred map is the natural identity (logical bit q is stored
-bit q) the pending CXs are dropped: QFT's swaps exactly undo its
-bit-reversed layout, so QFT-20 moves no word for a CX. Otherwise they
-are flushed and each stored bit is swapped back to its qubit, three
-`Banks.cx` a swap. No bit can change: a word outside the window is
-zero, a zero word stays zero through every step and every pair of two
-zero words, and every word in the window meets the same coefficients
-and partners, in the same order, as in a call on the whole state.
-From a basis state QFT-20's calls cover 3 x 2^20 words instead of
-39 x 2^20.
+`run_circuit` plans, then runs. `_schedule` turns the checked ops into
+the ordered list of kernel calls, reading no state, and its docstring
+is the one statement of how CX gates are deferred as a relabeling of
+the stored indices, how the diagonal gates between two dense gates form
+one `Banks.diag` stretch, which qubits are free and which fixed, the
+qubit layout, the window of words that can be nonzero, and why no bit
+can change. `run_circuit` moves a basis state's one word to its stored
+index and executes the calls. From a basis state QFT-20's calls cover
+3 x 2^20 words instead of 39 x 2^20, its 570 RZ form 19 stretches, and
+it makes no `Banks.cx` call. `apply_single` and `apply_cx` stay eager,
+and the modeled machine still swaps for every CX, so `cycle_report`
+counts each one. The AVX-512F bodies also skip the arithmetic of
+all-zero vectors, whose bits cannot change (kernels.c).
 
 The machine's 8 segments (2 PE arrays x 4 PEs, `state.segment_of`) and
 its access modes (Mode1: a pair inside one segment; Mode2: a pair
@@ -326,105 +285,6 @@ def cycle_report(circuit: Circuit,
                        cx_pairs_swapped=pairs, mode2_gate_count=mode2)
 
 
-class _Relabeling:
-    """CX gates deferred as a GF(2) map of the stored indices, and the
-    window of stored words that can be nonzero.
-
-    Logical bit q of the amplitude stored at index i is the parity of
-    i & parity[q]. The map starts as the layout, `1 << slots[q]`: qubit q
-    is kept on stored bit slots[q]. CX(c, t) adds row c to row t of the
-    map and joins the pending list; `flush` makes the map the layout
-    again, and `finish` makes the stored state the logical one.
-
-    Each qubit is free or fixed, in logical coordinates, op by op:
-    `value[q]` is None for a free qubit and, for a fixed one, its bit on
-    every word that can be nonzero. A dense gate frees its target, and
-    so does a CX whose control is free; a CX whose fixed control is 1
-    flips a fixed target's value. The free qubits are always those on stored bits
-    0..k-1 (see `_layout`), so the words that can be nonzero are one
-    aligned window: `window` = (lo, k), the stored words [lo, lo + 2^k),
-    lo the stored bits of the fixed qubits that are 1. It moves only
-    when words do, at `flush` and `dense`: until then the pending CXs
-    have moved no word, whatever they did to the logical values.
-    """
-
-    def __init__(self, slots: list, word: int | None):
-        # word: the logical index of a basis state; None for any other
-        # state, all of whose qubits are free
-        self.slots = slots
-        self.start = [1 << s for s in slots]
-        self.parity = list(self.start)
-        self.pending: list = []
-        self.value = [None if word is None else word >> q & 1 for q in range(len(slots))]
-        self.window = self._logical_window()
-
-    def _logical_window(self) -> tuple:
-        lo = sum(1 << s for s, v in zip(self.slots, self.value) if v)
-        return lo, self.value.count(None)
-
-    def cx(self, control: int, target: int) -> None:
-        self.parity[target] ^= self.parity[control]
-        self.pending.append((control, target))
-        if self.value[control] is None:
-            self.value[target] = None
-        elif self.value[control] and self.value[target] is not None:
-            self.value[target] ^= 1
-
-    def dense(self, target: int) -> None:
-        """A dense gate on target, run after a flush, frees it; the window
-        then holds both words of each of its pairs."""
-        self.value[target] = None
-        self.window = self._logical_window()
-
-    def flush(self, banks: fxp.Banks) -> None:
-        """Apply the pending CXs in order, on their qubits' stored bits,
-        unless their map is the identity."""
-        if self.parity != self.start:
-            for control, target in self.pending:
-                banks.cx(self.slots[control], self.slots[target])
-            self.parity = list(self.start)
-        self.pending.clear()
-        self.window = self._logical_window()
-
-    def finish(self, banks: fxp.Banks) -> None:
-        """Make the stored state the logical one: drop the pending CXs if
-        the map is the natural identity (QFT's swaps undo its bit-reversed
-        layout), otherwise flush them and swap each stored bit back to its
-        qubit, three CXs a swap."""
-        n = len(self.slots)
-        if self.parity == [1 << q for q in range(n)]:
-            self.pending.clear()
-            return
-        self.flush(banks)
-        slots = list(self.slots)
-        held = [0] * n                  # the qubit on each stored bit
-        for q, s in enumerate(slots):
-            held[s] = q
-        for bit in range(n):
-            s, other = slots[bit], held[bit]
-            if s != bit:
-                for control, target in ((bit, s), (s, bit), (bit, s)):
-                    banks.cx(control, target)
-                slots[bit], held[bit] = bit, bit
-                slots[other], held[s] = s, other
-
-
-def _layout(ops, n: int) -> list:
-    # each qubit's stored bit: the qubits in the order `_Relabeling`
-    # frees them (at a dense gate, or at a CX whose control is free),
-    # then the others in order
-    free, order = [False] * n, []
-    for op in ops:
-        t = op.target
-        if not free[t] and (free[op.control] if op.kind == CX else not op.sparse):
-            free[t] = True
-            order.append(t)
-    slots = [0] * n
-    for s, q in enumerate(order + [q for q in range(n) if not free[q]]):
-        slots[q] = s
-    return slots
-
-
 def _basis_word(state: StateVector) -> int | None:
     # the index of the state's one nonzero word (in re, im or both), or
     # None; count_nonzero and argmax/argmin make no state-sized temporary
@@ -437,6 +297,113 @@ def _basis_word(state: StateVector) -> int | None:
             i = int(a.argmax())
             found.add(i if a[i] else int(a.argmin()))
     return found.pop() if len(found) == 1 else None
+
+
+def _schedule(ops, n: int, word: int | None) -> tuple:
+    """`run_circuit`'s plan: (the stored index of the basis word, the
+    kernel calls in order) for checked ops on n qubits, word the logical
+    index of a basis state's one nonzero word, or None for any other
+    state. It reads no state.
+
+    Deferred CX. A CX does no arithmetic, so no word moves for it.
+    Logical bit q of the word stored at index i is the parity of
+    i & parity[q], a GF(2) map that starts as the layout, 2^slot[q], and
+    CX(c, t) is parity[t] ^= parity[c]. A diagonal gate on t is a step
+    with the mask parity[t] (`_diag_step`), so each word gets the
+    products, roundings and saturations it would get after the swaps, in
+    the same order. The diagonal gates between two dense gates form one
+    stretch, one `Banks.diag` call, which takes each word through every
+    step before it moves on. Before a dense gate the pending CXs are
+    flushed: dropped if the map is the layout again, applied in order on
+    their qubits' stored bits otherwise. At the end they are dropped if
+    the map is the natural identity (logical bit q is stored bit q), as
+    QFT's final swaps undo its bit-reversed layout; otherwise they are
+    flushed and each stored bit is swapped back to its qubit, three CXs
+    a swap.
+
+    Free/fixed rule. Each qubit is free, or fixed at a known value on
+    every word that can be nonzero: from a basis state every qubit
+    starts fixed at its bit of word, from any other state free. A dense
+    gate frees its target, and so does a CX whose control is free; a CX
+    whose fixed control is 1 flips a fixed target. A free qubit stays
+    free.
+
+    Layout and window. A first pass runs the rule over the ops and gives
+    each qubit a stored bit, slot[q]: the qubits in the order they
+    become free (from a state that is not a basis state, all of them at
+    the start, in qubit order), then the others in qubit order. The k
+    free qubits then sit on stored bits 0..k-1, so the words that can be
+    nonzero are one aligned
+    window, [lo, lo + 2^k), lo the stored bits of the fixed qubits at 1,
+    and every stretch and dense gate runs on the window alone. The
+    window moves only when words do, at a dense gate: until then the
+    pending CXs move no word, whatever they did to the logical values.
+    No bit depends on the layout or the window: a word outside the
+    window is zero and stays zero through every step and pair it skips,
+    and every word in it meets the same coefficients and partners, in
+    the same order, as in a call on the whole state.
+
+    Each call is ("diag", k, lo, hi, steps), `Banks.diag` on the words
+    [lo, hi) of a 2^k-word window; ("pair", k, lo, hi, m, bit),
+    `Banks.pair` on the pairs [lo, hi) of stored bit `bit`; or ("cx",
+    control, target), `Banks.cx` on two stored bits.
+    """
+    # first pass: the rule, op by op in logical coordinates; a fixed
+    # qubit's value is its bit of rep
+    free = 0 if word is not None else (1 << n) - 1
+    rep = word or 0
+    order = [q for q in range(n) if free >> q & 1]   # the qubit on each stored bit
+    held = [(free, rep)]            # at the start and at each dense gate
+    for op in ops:
+        t = op.target
+        if op.kind == CX:
+            frees = free >> op.control & 1
+            rep ^= (rep >> op.control & 1) << t
+        else:
+            frees = not op.sparse
+        if frees and not free >> t & 1:
+            order.append(t)
+        free |= frees << t
+        if frees and op.kind != CX:
+            held.append((free, rep))
+    order += [q for q in range(n) if not free >> q & 1]
+    slot = [0] * n
+    for s, q in enumerate(order):
+        slot[q] = s
+    # the window (lo, k) where the words stand at each entry of held
+    windows = ((sum(1 << slot[q] for q in range(n) if (r & ~f) >> q & 1), f.bit_count())
+               for f, r in held)
+    # second pass: the map, the stretches and the flushes, in order
+    start = [1 << s for s in slot]
+    parity, pending, steps, calls = list(start), [], [], []
+    lo, k = next(windows)
+    stored = lo
+    for op in [*ops, None]:
+        if op is not None and op.kind == CX:
+            parity[op.target] ^= parity[op.control]
+            pending.append(("cx", slot[op.control], slot[op.target]))
+        elif op is not None and op.sparse:
+            steps.append(_diag_step(op, parity[op.target]))
+        else:
+            if steps:
+                calls.append(("diag", k, lo, lo + (1 << k), steps))
+                steps = []
+            if op is None:
+                break
+            if parity != start:
+                calls += pending
+            parity, pending = list(start), []
+            lo, k = next(windows)
+            calls.append(("pair", k, lo >> 1, (lo + (1 << k)) >> 1, op.matrix, slot[op.target]))
+    if parity != [1 << q for q in range(n)]:
+        if parity != start:
+            calls += pending
+        for bit in range(n):        # stored bit `bit` back to qubit `bit`
+            s = order.index(bit)
+            if s != bit:
+                calls += [("cx", bit, s), ("cx", s, bit), ("cx", bit, s)]
+                order[bit], order[s] = bit, order[bit]
+    return stored, calls
 
 
 def _pieces(workers: int, k: int) -> int:
@@ -457,28 +424,13 @@ def run_circuit(state: StateVector, circuit: Circuit,
     first that fails run, the state is made logical, and then its error
     is raised, so the state holds every gate before it and none after.
 
-    A state with exactly one nonzero word is a basis state. From one,
-    each qubit gets a stored bit in the order it becomes free (a dense
-    gate on it, or a CX onto it from a free control), that word moves to
-    its stored index, and each qubit is tracked as free or fixed at a
-    known value; from any other state every qubit is free and the layout
-    is the identity. Each kernel call covers only the aligned window of
-    2^k stored words that can be nonzero, k the free qubits, and is cut
-    into p contiguous pieces of near-equal length, p the smaller of
-    `workers` and 2^(k-1), with a barrier after every call; below
-    SPLIT_MIN_AMPS words p is 1, and below SPLIT_MIN_AMPS amplitudes no
-    pool is made. CX gates are deferred as a relabeling, and each
-    stretch of diagonal gates between two dense gates is one
-    `Banks.diag` call per piece; the stretch runs, and then the deferred
-    CXs are flushed, before each dense gate and at the end. At the end
-    the pending CXs are dropped if the map is the natural identity, and
-    otherwise flushed and the layout undone by stored-bit swaps. See the
-    module docstring.
-
-    No bit depends on the worker count, the layout or the window: a word
-    outside the window is zero and would stay zero through every step it
-    skips, and every word in it meets the same coefficients and
-    partners, in the same order, as in a call on the whole state.
+    A state with exactly one nonzero word is a basis state, and that
+    word moves to its stored index; then the calls of `_schedule` run in
+    order. Each `diag` and `pair` call is cut into p contiguous pieces
+    of near-equal length, p the smaller of `workers` and 2^(k-1), with a
+    barrier after every call; below SPLIT_MIN_AMPS words p is 1, and
+    below SPLIT_MIN_AMPS amplitudes no pool is made. Each `cx` call is
+    one `Banks.cx`. No bit depends on the worker count.
     """
     if circuit.n != state.n:
         raise ValueError(f"circuit is for n={circuit.n}, state has n={state.n}")
@@ -494,14 +446,12 @@ def run_circuit(state: StateVector, circuit: Circuit,
             break
         ops.append(op)
     word = _basis_word(state)
-    labels = _Relabeling(list(range(n)) if word is None else _layout(ops, n), word)
+    stored, calls = _schedule(ops, n, word)
     if word is not None:
-        lo = labels.window[0]
         for a in (state.re, state.im):
-            a[lo], a[word] = a[word], a[lo]
+            a[stored], a[word] = a[word], a[stored]
     pieces = _pieces(workers, n)
     banks = fxp.Banks(state.re, state.im)
-    steps: list = []          # the stretch of diagonal gates not yet run
     pool = ThreadPoolExecutor(max_workers=pieces) if pieces > 1 else None
 
     def run(kernel, k: int, lo: int, hi: int, *args) -> None:
@@ -516,29 +466,12 @@ def run_circuit(state: StateVector, circuit: Circuit,
         for f in wait(futures).done:
             f.result()   # re-raise worker errors, a barrier per call
 
-    def run_stretch() -> None:
-        nonlocal steps
-        if steps:
-            lo, k = labels.window
-            run(banks.diag, k, lo, lo + (1 << k), steps)
-            steps = []
-
     with pool or contextlib.nullcontext():
-        for op in ops:
-            if op.kind == CX:
-                labels.cx(op.control, op.target)
-                continue
-            if op.sparse:
-                steps.append(_diag_step(op, labels.parity[op.target]))
-                continue
-            run_stretch()
-            labels.flush(banks)
-            labels.dense(op.target)
-            lo, k = labels.window
-            run(banks.pair, k, lo >> 1, (lo >> 1) + (1 << k >> 1), op.matrix,
-                labels.slots[op.target])
-        run_stretch()
-        labels.finish(banks)
+        for name, *args in calls:
+            if name == "cx":
+                banks.cx(*args)
+            else:
+                run(getattr(banks, name), *args)
     if error is not None:
         raise error
     return state, cycle_report(circuit, cfg)

@@ -69,11 +69,12 @@ def check_gate(op: GateOp, n: int) -> None:
     the SPARSE_KINDS (the engine runs a sparse op as a diagonal step, the
     oracle applies its whole matrix); a target in 0..n-1; for CX, a
     control in 0..n-1 other than the target; for any other kind, no
-    control and a quantized matrix whose parts are all words (a wider
-    part would overflow the kernels' int64 products). A qubit is anything
-    `operator.index` takes, numpy integers included. `Circuit.validate`,
-    `engine.run_circuit` (per op, when it reaches it), `engine.apply_single`
-    and `engine.apply_cx` call it.
+    control and a quantized matrix of exactly four entries of two parts
+    each, every part an integer and a word (the kernels read 8 packed
+    parts, and a wider part would overflow their int64 products). A
+    qubit or a part is anything `operator.index` takes, numpy integers
+    included. `Circuit.validate`, `engine.run_circuit` (per op, when it
+    reaches it), `engine.apply_single` and `engine.apply_cx` call it.
     """
     if op.kind not in BASE_KINDS:
         raise ValueError(f"{op.kind!r} is not a base gate kind")
@@ -92,10 +93,15 @@ def check_gate(op: GateOp, n: int) -> None:
         raise ValueError(f"{op.kind} takes no control, got control {op.control}")
     if op.matrix is None:
         raise ValueError("gate matrix not quantized (use gateset.single)")
-    for c in op.matrix:
-        for v in c:
-            if not fxp.RAW_MIN <= v <= fxp.RAW_MAX:
-                raise ValueError(f"gate matrix part {v} lies outside the Q2.30 word")
+    try:
+        (a, b), (c, d), (e, f), (g, h) = op.matrix
+        parts = [operator.index(v) for v in (a, b, c, d, e, f, g, h)]
+    except (TypeError, ValueError):
+        raise ValueError(f"gate matrix {op.matrix!r} is not four entries "
+                         "of two integer parts") from None
+    for v in parts:
+        if not fxp.RAW_MIN <= v <= fxp.RAW_MAX:
+            raise ValueError(f"gate matrix part {v} lies outside the Q2.30 word")
 
 
 def _is_qubit(q, n: int) -> bool:

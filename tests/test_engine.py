@@ -584,6 +584,148 @@ class TestRunCircuit:
         assert swaps == cx and len(cx) == 57
 
 
+def _plan_ops(n: int, rng, gates: int) -> list:
+    # mostly CX and diagonal gates, so that qubits stay fixed across CXs,
+    # flushes find the map both equal to the layout and not, and the map
+    # often ends neither the layout nor the natural identity
+    ops = []
+    for _ in range(gates):
+        r, q = rng.random(), int(rng.integers(n))
+        if n >= 2 and r < 0.5:
+            a, b = rng.choice(n, size=2, replace=False)
+            ops.append(gateset.cx(int(a), int(b)))
+        elif r < 0.85:
+            ops.append(gateset.single("S", q) if r < 0.6 else
+                       gateset.single("RZ", q, float(rng.uniform(0, 4 * np.pi))))
+        else:
+            kind = ("H", "RX", "RY")[int(rng.integers(3))]
+            ops.append(gateset.single(kind, q, None if kind == "H" else
+                                      float(rng.uniform(0, 4 * np.pi))))
+    return ops
+
+
+def _slots(n: int, index, ops) -> list:
+    # each qubit's stored bit: from the basis state `index`, the qubits in
+    # the order a dense gate or a CX from a free control frees them, then
+    # the others in qubit order; from any other state (index None), its
+    # own bit
+    if index is None:
+        return list(range(n))
+    free, order = 0, []
+    for op in ops:
+        frees = free >> op.control & 1 if op.kind == "CX" else not op.sparse
+        if frees and not free >> op.target & 1:
+            free |= 1 << op.target
+            order.append(op.target)
+    order += [q for q in range(n) if not free >> q & 1]
+    return [order.index(q) for q in range(n)]
+
+
+def _replay_plan(n: int, slot: list, ops, calls) -> set:
+    # the plan beside a relabeling of its own: logical bit q of the word
+    # stored at i is the parity of i & parity[q]; a logical CX edits the
+    # map, a planned ("cx", c, t) moves the words, so every row takes bit
+    # c where it has bit t. Each stretch's masks are the map's rows at its
+    # gates, the words are in the layout at every dense gate, whose stored
+    # bit is its target's, and the map is the natural identity at the
+    # end; words move only where the map is not already what the next
+    # call needs. Returns the flush cases met.
+    layout, natural = [1 << s for s in slot], [1 << q for q in range(n)]
+    parity, steps, i, pending, seen = list(layout), [], 0, 0, set()
+    for op in [*ops, None]:
+        if op is not None and op.kind == "CX":
+            parity[op.target] ^= parity[op.control]
+            pending += 1
+            continue
+        if op is not None and op.sparse:
+            steps.append((op.matrix[0], op.matrix[3], parity[op.target]))
+            continue
+        if steps:
+            assert calls[i][0] == "diag" and calls[i][4] == steps, i
+            i += 1
+        steps, goal, before, moves = [], natural if op is None else layout, list(parity), 0
+        while i < len(calls) and calls[i][0] == "cx":
+            _, c, t = calls[i]
+            assert c != t and 0 <= min(c, t) and max(c, t) < n, calls[i]
+            parity = [p ^ (p >> t & 1) << c for p in parity]
+            i, moves = i + 1, moves + 1
+        assert parity == goal and (moves == 0) == (before == goal), (i, before, goal)
+        if pending:
+            seen.add(("end" if op is None else "flush", "moved" if moves else "dropped"))
+        if op is None and moves > pending:
+            seen.add(("end", "swapped back"))
+        if op is None:
+            break
+        assert calls[i][0] == "pair" and calls[i][4:] == (op.matrix, slot[op.target]), i
+        i, pending = i + 1, 0
+    assert i == len(calls)
+    return seen
+
+
+def _as_model(call) -> tuple:
+    # a planned pair or diag call as `helpers.window_model` writes it:
+    # (name, first argument, stored bit, first word, words)
+    name, k, lo, hi, *args = call
+    per = 1 if name == "diag" else 2
+    assert (hi - lo) * per == 1 << k, call
+    return name, args[0], args[1] if args[1:] else None, lo * per, (hi - lo) * per
+
+
+class TestSchedule:
+    # `engine._schedule` is pure: its pair and diag calls from a basis
+    # state are those of `helpers.window_model`, from any other state
+    # every call covers the whole state in the identity layout, and its
+    # CX calls make the words follow the map exactly where they must
+    # (`_replay_plan`)
+    CASES = {("flush", "moved"), ("flush", "dropped"), ("end", "moved"),
+             ("end", "dropped"), ("end", "swapped back")}
+
+    @staticmethod
+    def _check(n, index, ops) -> set:
+        stored, calls = engine._schedule(ops, n, index)
+        slot = _slots(n, index, ops)
+        if index is None:
+            assert all(c[1:4] == (n, 0, 1 << n >> (c[0] == "pair")) for c in calls
+                       if c[0] != "cx"), n
+        else:
+            assert stored == sum(1 << slot[q] for q in range(n) if index >> q & 1)
+            assert [_as_model(c) for c in calls if c[0] != "cx"] == \
+                window_model(n, index, ops)[0], (n, index)
+        return _replay_plan(n, slot, ops, calls)
+
+    def test_every_basis_state(self):
+        seen = set()
+        for n in range(1, 8):
+            for index in range(1 << n):
+                rng = np.random.default_rng([n, index, 27])
+                seen |= self._check(n, index, _plan_ops(n, rng, 6 * n))
+                # QFT's final swaps undo its bit-reversed layout
+                seen |= self._check(n, index, circuits.qft(n).ops)
+        assert seen == self.CASES
+
+    def test_large_basis_states(self):
+        rng = np.random.default_rng(2710)
+        for n in (10, 11, 12):
+            for _ in range(4):
+                self._check(n, int(rng.integers(1 << n)), _plan_ops(n, rng, 8 * n))
+
+    def test_other_starts(self):
+        seen = set()
+        rng = np.random.default_rng(2711)
+        for n in range(1, 8):
+            for _ in range(6):
+                seen |= self._check(n, None, _plan_ops(n, rng, 6 * n))
+        assert seen == self.CASES - {("end", "swapped back")}
+
+    def test_reads_no_state(self):
+        # the same ops and word give the same plan, and the ops are kept
+        rng = np.random.default_rng(2712)
+        ops = _plan_ops(6, rng, 40)
+        kept = list(ops)
+        assert engine._schedule(ops, 6, 45) == engine._schedule(ops, 6, 45)
+        assert ops == kept
+
+
 class TestCycleReport:
     def test_accounting_only_matches_execution(self):
         rng = np.random.default_rng(47)

@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hpqe import circuits, engine, fxp, gateset, state
+from hpqe import circuits, engine, fxp, gateset, oracle, state
 from hpqe.fxp import CFx, RAW_MAX, RAW_MIN, SCALE
 
 from helpers import (PORTABLE_FLAG, as_cfx, pair_flat, random_circuit, rne, split_every_state,
@@ -1163,6 +1163,63 @@ class TestLayout:
                         with pytest.raises(ValueError, match=re.escape(str(eager.value))):
                             engine.run_circuit(sv, circuit, workers=workers)
                         assert sv.dump() == want, (body.name, workers, cut)
+
+
+_H = gateset.single("H", 0).matrix
+
+
+class TestMatrixShape:
+    # a matrix of anything but four entries of two integer parts is
+    # refused by `check_gate`, so by every entry point, before a kernel
+    # reads it: the native kernels read 8 packed parts, so three entries
+    # would read past them, and a float part cannot be packed
+    BODIES = (*C_BODIES, "numpy")
+
+    @pytest.mark.parametrize("matrix", (
+        _H[:3],
+        (*_H, _H[0]),
+        ((_H[0].re,), *_H[1:]),
+        ((*_H[0], 0), *_H[1:]),
+        ((0.5, 0), *_H[1:]),
+        ((float(_H[0].re), _H[0].im), *_H[1:]),
+        (5, *_H[1:]),
+        5,
+    ), ids=("three entries", "five entries", "one part", "three parts", "half part",
+            "float part", "int entry", "int matrix"))
+    def test_refused_everywhere(self, bodies, matrix):
+        n = 3
+        bad = replace(gateset.single("H", 0), matrix=matrix)
+        with pytest.raises(ValueError, match="is not four entries of two integer parts"):
+            gateset.check_gate(bad, n)
+        head = [gateset.single("H", 1), gateset.cx(1, 2), gateset.single("RZ", 2, 0.7)]
+        circuit = gateset.Circuit(n=n, ops=[*head, bad, gateset.single("H", 2)])
+        with pytest.raises(ValueError, match="is not four entries"):
+            oracle.ref_run(circuit, oracle.basis_state(n, 1))
+        want = _replay(state.init_basis(n, 1), head)
+        for body in bodies:
+            with body.pinned(), split_every_state():
+                sv = state.init_basis(n, 1)
+                with pytest.raises(ValueError, match="is not four entries"):
+                    engine.apply_single(sv, bad)
+                assert sv.dump() == state.init_basis(n, 1).dump(), body.name
+                for workers in (1, 2):
+                    sv = state.init_basis(n, 1)
+                    with pytest.raises(ValueError, match="is not four entries"):
+                        engine.run_circuit(sv, circuit, workers=workers)
+                    assert sv.dump() == want, (body.name, workers)
+
+    def test_numpy_integer_parts_run(self, bodies):
+        # parts that `operator.index` takes are integers: numpy's run as
+        # the same words
+        matrix = tuple(CFx(np.int64(c.re), np.int32(c.im)) for c in _H)
+        op = replace(gateset.single("H", 0), matrix=matrix)
+        gateset.check_gate(op, 3)
+        for body in bodies:
+            with body.pinned():
+                got, want = state.init_basis(3, 1), state.init_basis(3, 1)
+                engine.apply_single(got, op)
+                engine.apply_single(want, gateset.single("H", 0))
+                assert got.dump() == want.dump(), body.name
 
 
 class TestWorkers:

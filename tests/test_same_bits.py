@@ -50,3 +50,15 @@ def test_body_is_restored():
 def test_failed_command_is_an_error():
     with pytest.raises(RuntimeError, match="exited 4"):
         same_bits.manifest(("run --gen chain --n 3 --layers -1",), body="numpy")
+
+
+def test_circuit_file_command():
+    # a command that names a circuit of CIRCUITS reads the text the tool
+    # writes: the swap-back circuit runs, and gives one manifest on the
+    # numpy and native bodies
+    command = next(c for c in same_bits.COMMANDS if "--circuit" in c)
+    lines = same_bits.manifest((command,), body="numpy")
+    assert [line.split("  ")[1] for line in lines] == [
+        f"{command}/{name}" for name in ("cycles.json", "state.bin", "time.json")]
+    if fxp.native_kernels() is not None:
+        assert same_bits.manifest((command,), body="native") == lines

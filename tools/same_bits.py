@@ -4,6 +4,8 @@ usage: python tools/same_bits.py [--body native|portable|numpy]
 
 Each command of COMMANDS runs through `hpqe.cli.main`, from the src/
 of the checkout that holds this file, into a fresh temporary directory.
+A command that names a circuit file of CIRCUITS reads the fixed text
+that the tool writes into a temporary directory of its own.
 The tool prints one `<sha256>  <command>/<file>` line per output file.
 Two checkouts compute the same bits when their manifests are equal, so
 copy this file into each checkout and diff the outputs:
@@ -66,7 +68,38 @@ COMMANDS = (
     "run --gen qft --n 19 --init 349525 --workers 2",
     "run --gen qft --n 17 --init 65536 --workers 8",
     "compare --gen qft --n 16 --init 43690 --workers 1",
+    # the end-of-run swap-back: a circuit that frees its qubits out of
+    # order and ends on a deferred map that is not the identity; qubits
+    # 0 and 12 of |4097> are fixed at 1, so CXs from them move the window
+    "run --circuit swap_back.txt --init 4097 --workers 2",
 )
+
+# the circuits a command names by file name: each is written into the
+# tool's temporary directory, and the command reads it there
+CIRCUITS = {
+    "swap_back.txt": """QUBITS 18
+H 17
+RZ 17 0.3
+H 4
+CX 17 9
+RY 11 0.7
+CX 4 2
+S 2
+RZ 0 1.1
+CX 0 13
+RZ 13 -0.4
+H 6
+RX 15 0.4
+CX 9 1
+RZ 1 -0.6
+H 1
+CX 6 16
+CX 16 3
+RZ 3 2.2
+CX 12 5
+RZ 5 0.9
+""",
+}
 
 
 @contextlib.contextmanager
@@ -95,11 +128,14 @@ def manifest(commands=COMMANDS, body: str = "native") -> list:
     """The `<sha256>  <command>/<file>` lines of every file the commands
     write, in command order and then file-name order."""
     lines = []
-    with kernel_body(body):
+    with kernel_body(body), tempfile.TemporaryDirectory() as texts:
+        for name, text in CIRCUITS.items():
+            (Path(texts) / name).write_text(text, encoding="utf-8")
         for command in commands:
+            argv = [str(Path(texts) / a) if a in CIRCUITS else a for a in command.split()]
             with tempfile.TemporaryDirectory() as out:
                 with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main([*command.split(), "--out", out])
+                    code = cli.main([*argv, "--out", out])
                 if code != 0:
                     raise RuntimeError(f"{command!r} exited {code}")
                 for path in sorted(Path(out).iterdir()):
