@@ -45,8 +45,10 @@ it per coefficient), and a product's clip when its coefficient lies in
 coefficient, the native one once per call for all of them, every step
 of a stretch included). The native vector body also skips the clips
 between the steps of a stretch where they cannot bite: on words in
-[-2^30, 2^30] under coefficients of magnitude at most about 1 (the
-proof is in `kernels.c`).
+[-2^30, 2^30] under coefficients of magnitude at most about 1; and in
+the SU step of a matrix whose imaginary parts are all 0 (H, RY), the
+imaginary products and every product clip (the proofs are in
+`kernels.c`).
 
 Which body ran never shows in the results. `quantize_array` is
 `quantize` over an array. Golden values and oracles use the scalars.

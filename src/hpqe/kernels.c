@@ -53,6 +53,12 @@
  * loaded, so every word of the range is written as before: skipping
  * those stores too gained no time on QFT-20, and one build that skipped
  * them read a higher peak RSS (CHANGES.md has the measurements).
+ *
+ * The AVX-512F SU step also skips the imaginary products of a matrix
+ * whose four imaginary parts are all 0 (H, RY): each part of a product
+ * is then sat(mul(cr, x)), and its clip is not needed (the proof is at
+ * pair_vbody). That variant is one instantiation, beside the two of
+ * the complex body.
  */
 
 #include <stdint.h>
@@ -285,9 +291,12 @@ VBODY int vzero(v16d v)
     return !__builtin_ia32_ptestmd512(v, v, -1);
 }
 
-/* word l takes c1 where the parity of l & mask is odd and c0 elsewhere */
-static VTARGET void vlanes(vcoef *v, int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i,
-                           int64_t mask)
+/* word l takes c1 where the parity of l & mask is odd and c0 elsewhere.
+ * It runs a few times per call, before the loops, so one shared copy
+ * costs no time; inlined into each of its callers, it made this file
+ * build about a quarter slower. */
+static VTARGET __attribute__((noinline)) void
+vlanes(vcoef *v, int64_t c0r, int64_t c0i, int64_t c1r, int64_t c1i, int64_t mask)
 {
     v16d r, i;
     for (int l = 0; l < 16; l++) {
@@ -302,17 +311,26 @@ static VTARGET void vlanes(vcoef *v, int64_t c0r, int64_t c0i, int64_t c1r, int6
 }
 
 /* su_eval on 16 words as sat(cfx_mul(a, own) + cfx_mul(b, other)), one
- * (a, b) per word, stored to (outr, outi) */
+ * (a, b) per word, stored to (outr, outi). With real, every imaginary
+ * part of a and b is 0, and each part of cfx_mul(c, x) is sat(mul(cr,
+ * x)) (pair_vbody); clip is 0 then. */
 VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
                     const vcoef *a, const vcoef *b,
-                    int32_t *outr, int32_t *outi, const int clip)
+                    int32_t *outr, int32_t *outi, const int real, const int clip)
 {
     v8q xr = (v8q)own_r, xi = (v8q)own_i, yr = (v8q)oth_r, yi = (v8q)oth_i;
     v8q or_[2], oi[2];
     for (int h = 0; h < 2; h++) {
         v8q ar, ai, br, bi;
-        vcmul(a, h, xr, xi, &ar, &ai, clip);
-        vcmul(b, h, yr, yi, &br, &bi, clip);
+        if (real) {
+            ar = vmul(a->re[h], xr, 0);
+            ai = vmul(a->re[h], xi, 0);
+            br = vmul(b->re[h], yr, 0);
+            bi = vmul(b->re[h], yi, 0);
+        } else {
+            vcmul(a, h, xr, xi, &ar, &ai, clip);
+            vcmul(b, h, yr, yi, &br, &bi, clip);
+        }
         or_[h] = vsat(ar) + vsat(br);
         oi[h] = vsat(ai) + vsat(bi);
         xr >>= 32;
@@ -340,9 +358,20 @@ VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
  * after the last run the portable loop.
  *
  * When the own and partner vectors are all zero, so are the outputs
- * (the header's zero rule): the words are stored back as loaded. */
+ * (the header's zero rule): the words are stored back as loaded.
+ *
+ * real says that the four imaginary parts of m are 0, as for H and RY.
+ * Then each part of cfx_mul(c, x) is sat(mul(cr, x)) with any clip: the
+ * real part is fx_sub(fx_mul(cr, xr), fx_mul(0, xi)), and fx_mul(0, xi)
+ * = R(0) = 0, so it is sat(sat(R(cr xr)) - 0) = sat(R(cr xr)); the
+ * imaginary part is sat(R(cr xi)) the same way. The sat of each part
+ * follows its product at once, so the product's own clip can change no
+ * bit (sat(sat(q)) = sat(q)): this body runs with clip 0, the ci
+ * products are never formed, and one instantiation serves every real
+ * matrix. The portable loops for the ends take clip 0 too, by the same
+ * proof. */
 VBODY void pair_vbody(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
-                      const int64_t *m, const int clip)
+                      const int64_t *m, const int real, const int clip)
 {
     int64_t half = 1LL << t, lanes = t < 4 ? half : 0, size = t < 4 ? 8 : 16;
     int outputs = t < 4 ? 1 : 2;
@@ -377,16 +406,20 @@ VBODY void pair_vbody(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
 #pragma GCC unroll 1
         for (int o = 0; o < outputs; o++)
             vdense16(v[o][0], v[o][1], v[!o][0], v[!o][1], &c[o][0], &c[o][1],
-                     out[o][0], out[o][1], clip);
+                     out[o][0], out[o][1], real, clip);
     }
     pair_portable(re, im, t, lo, first, m, clip);
     pair_portable(re, im, t, last, hi, m, clip);
 }
 
+/* three instantiations: real (its clip is 0), and complex with each clip */
 static VTARGET void pair_avx512(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
                                 const int64_t *m, int clip)
 {
-    VARIANTS(pair_vbody, clip, re, im, t, lo, hi, m);
+    if (!(m[1] | m[3] | m[5] | m[7]))
+        pair_vbody(re, im, t, lo, hi, m, 1, 0);
+    else
+        VARIANTS(pair_vbody, clip, re, im, t, lo, hi, m, 0);
 }
 
 /* 1 when every word of a and b lies in [-2^30, 2^30] */

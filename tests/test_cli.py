@@ -558,6 +558,24 @@ class TestInputErrors:
         assert err.startswith("capacity error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_one_buffer_gives_the_bytes_of_two_arrays(self, tmp_path, monkeypatch):
+        # init_basis's banks are the halves of one buffer; two np.zeros
+        # arrays, as they were, give the same files
+        def two_arrays(n, k, max_qubits=state.MAX_QUBITS_DEFAULT):
+            state.check_capacity(n, max_qubits)
+            sv = state.StateVector(n, np.zeros(1 << n, dtype=fxp.WORD),
+                                   np.zeros(1 << n, dtype=fxp.WORD))
+            sv.re[k] = fxp.RAW_ONE
+            return sv
+
+        argv = ("run", "--gen", "qft", "--n", 20, "--init", 5, "--workers", 2)
+        assert run_cli(*argv, "--out", tmp_path / "one") == 0
+        monkeypatch.setattr(state, "init_basis", two_arrays)
+        assert run_cli(*argv, "--out", tmp_path / "two") == 0
+        for name in ("state.bin", "cycles.json", "time.json"):
+            assert ((tmp_path / "two" / name).read_bytes()
+                    == (tmp_path / "one" / name).read_bytes()), name
+
     @pytest.mark.parametrize("option, text, head", (
         ("--config", '{"freq_hz": %s}' % ("[" * 900 + "]" * 900),
          "error: PerfConfig.freq_hz must be a number, got [[["),

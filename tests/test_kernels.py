@@ -244,6 +244,11 @@ LANE_COEFFS = (
     (CFx(-SCALE, 0), CFx(0, -SCALE)),               # -2^30 * RAW_MIN saturates
     (CFx(RAW_MIN, RAW_MAX), CFx(SCALE + 1, -SCALE - 1)),
     (CFx(fxp.RAW_SQRT_HALF, -fxp.RAW_SQRT_HALF), CFx(SCALE, SCALE - 1)),   # no clips
+    # two real rows: the pair tests' matrix of the two, (-2^30, TIE,
+    # RAW_MIN, 2^30 + 1), is real, so it takes the vector body's real
+    # variant with every product clip-worthy and ties on the odd words
+    (CFx(-SCALE, 0), CFx(SCALE + 1, 0)),
+    (CFx(TIE, 0), CFx(RAW_MIN, 0)),
 )
 
 
@@ -490,6 +495,31 @@ class TestDiag:
                 assert as_cfx(*got) == want, (body.name, mask, base)
 
 
+def check_pair_range(bodies, m, t, lo, hi, re, im) -> None:
+    """Banks.pair(m, t, lo, hi) on each body against su_eval: pair j is
+    word k = j + (j & -2^t) and word k + 2^t, and every word outside the
+    range keeps its value."""
+    want = (re.copy(), im.copy())
+    for j in range(lo, hi):
+        k = j + (j & -(1 << t))
+        x, y = (CFx(int(re[i]), int(im[i])) for i in (k, k + (1 << t)))
+        for i, a, b in ((k, m[0], m[1]), (k + (1 << t), m[2], m[3])):
+            want[0][i], want[1][i] = fxp.su_eval(a, b, x, y)
+    for body in bodies:
+        got = (re.copy(), im.copy())
+        with body.pinned():
+            fxp.Banks(*got).pair(m, t, lo, hi)
+        assert got[0].tobytes() == want[0].tobytes(), (body.name, m)
+        assert got[1].tobytes() == want[1].tobytes(), (body.name, m)
+
+
+# Real matrices (H, RY) take the vector body's real variant. -2^30 as m00
+# keeps the product clip on, and RAW_MIN words meet it often among EDGES
+real_cfxs = st.builds(CFx, raws, st.just(0))
+real_matrices = st.tuples(st.one_of(st.just(CFx(-SCALE, 0)), real_cfxs),
+                          real_cfxs, real_cfxs, real_cfxs)
+
+
 class TestPairBanks:
     BODIES = ("native",)
 
@@ -546,18 +576,38 @@ class TestPairBanks:
         rng = np.random.default_rng(seed)
         re, im = (np.where(rng.random(1 << n) < 0.3, rng.choice(EDGES, 1 << n),
                            random_words(rng, 1 << n)).astype(fxp.WORD) for _ in range(2))
-        want = (re.copy(), im.copy())
-        for j in range(lo, hi):
-            k = j + (j & -(1 << t))
-            x, y = (CFx(int(re[i]), int(im[i])) for i in (k, k + (1 << t)))
-            for i, a, b in ((k, m[0], m[1]), (k + (1 << t), m[2], m[3])):
-                want[0][i], want[1][i] = fxp.su_eval(a, b, x, y)
-        for body in bodies:
-            got = (re.copy(), im.copy())
-            with body.pinned(), block_size(block):
-                fxp.Banks(*got).pair(m, t, lo, hi)
-            assert got[0].tobytes() == want[0].tobytes(), body.name
-            assert got[1].tobytes() == want[1].tobytes(), body.name
+        with block_size(block):
+            check_pair_range(bodies, m, t, lo, hi, re, im)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=INHERITED)
+    @given(m=real_matrices, t=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+           whole=st.booleans())
+    @example(m=(CFx(-SCALE, 0), CFx(-SCALE, 0), CFx(RAW_MIN, 0), CFx(-SCALE, 0)), t=0,
+             seed=0, whole=True)
+    def test_real_matrices_match_scalar(self, bodies, m, t, seed, whole):
+        # EDGES words on all the pairs of an 8-qubit state, or on a range
+        # whose ends fall anywhere
+        n = 8
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(rng.integers(0, (1 << (n - 1)) + 1, 2).tolist())
+        if whole:
+            lo, hi = 0, 1 << (n - 1)
+        re, im = (rng.choice(EDGES, 1 << n).astype(fxp.WORD) for _ in range(2))
+        check_pair_range(bodies, m, t, lo, hi, re, im)
+
+    @pytest.mark.parametrize("t", (0, 3, 4, 6))
+    def test_one_imaginary_part_is_complex(self, bodies, t):
+        # a real matrix but for one imaginary part, at each of the four
+        # entries: the complex products must run, so the vector body may
+        # take its real variant only when all four parts are 0
+        n = 8
+        re, im = lane_bank(1 << n)
+        real = (CFx(-SCALE, 0), CFx(fxp.RAW_SQRT_HALF, 0), CFx(TIE, 0), CFx(SCALE + 1, 0))
+        for e in range(4):
+            for part in (-SCALE, 1, RAW_MAX):
+                m = list(real)
+                m[e] = CFx(m[e].re, part)
+                check_pair_range(bodies, tuple(m), t, 3, (1 << (n - 1)) - 5, re, im)
 
     def test_real_block_partial_tail(self, bodies):
         rng = np.random.default_rng(71)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hpqe import fxp
+from hpqe import fxp, gateset
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
 spec = importlib.util.spec_from_file_location("same_bits", TOOL)
@@ -60,5 +60,20 @@ def test_circuit_file_command():
     lines = same_bits.manifest((command,), body="numpy")
     assert [line.split("  ")[1] for line in lines] == [
         f"{command}/{name}" for name in ("cycles.json", "state.bin", "time.json")]
+    if fxp.native_kernels() is not None:
+        assert same_bits.manifest((command,), body="native") == lines
+
+
+def test_real_pairs_command():
+    # H, RY(2 pi) and RY(0.7) on each of 18 qubits: real matrices, which
+    # the vector body runs without imaginary products, RY(2 pi)'s m00
+    # -2^30 among them; the native bytes are the numpy ones
+    command = next(c for c in same_bits.COMMANDS if "real_pairs.txt" in c)
+    text = same_bits.CIRCUITS["real_pairs.txt"]
+    assert text.count("\nH ") == text.count(" 6.283185307179586\n") == 18
+    assert gateset.single("RY", 0, 6.283185307179586).matrix == (
+        (-fxp.SCALE, 0), (0, 0), (0, 0), (-fxp.SCALE, 0))
+    lines = same_bits.manifest((command,), body="numpy")
+    assert len(lines) == 3
     if fxp.native_kernels() is not None:
         assert same_bits.manifest((command,), body="native") == lines

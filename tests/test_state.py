@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,79 @@ class TestInitBasis:
             state.init_basis(3, 8)
         with pytest.raises(ValueError):
             state.init_basis(0, 0)
+
+
+class TestBanks:
+    # init_basis takes re and im as the two halves of one buffer
+    SIZES = (1, 2, 3, 18, 20)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_zero_except_word_k(self, n):
+        for k in {0, 1, (1 << n) // 3, (1 << n) - 1}:
+            sv = state.init_basis(n, k)
+            for a in (sv.re, sv.im):
+                assert a.dtype == fxp.WORD and a.shape == (1 << n,)
+                assert a.flags.c_contiguous and a.flags.writeable
+            assert np.flatnonzero(sv.re).tolist() == [k]
+            assert sv.re[k] == fxp.RAW_ONE
+            assert not sv.im.any()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_halves_of_one_buffer(self, n):
+        # im follows re at once, and writing one leaves the other alone
+        sv = state.init_basis(n, 0)
+        assert sv.re.base is sv.im.base is not None
+        assert sv.im.ctypes.data == sv.re.ctypes.data + sv.re.nbytes
+        assert not np.shares_memory(sv.re, sv.im)
+        sv.im[:] = -1
+        sv.re[1:] = 7
+        assert sv.im.tolist() == [-1] * sv.size
+        assert sv.re.tolist() == [fxp.RAW_ONE] + [7] * (sv.size - 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_native_banks(self, n):
+        if fxp.native_kernels() is None:
+            pytest.skip("the native kernels cannot be built or loaded on this host")
+        sv = state.init_basis(n, 0)
+        assert fxp.Banks(sv.re, sv.im)._lib is not None
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_dump_load_and_from_amplitudes(self, n):
+        rng = np.random.default_rng(31 + n)
+        amps = random_ref_amplitudes(n, rng)
+        sv = state.from_amplitudes(n, amps)
+        assert sv.re.tolist() == fxp.quantize_array(amps.real).tolist()
+        assert sv.im.tolist() == fxp.quantize_array(amps.imag).tolist()
+        for sv in (sv, state.init_basis(n, (1 << n) - 1)):
+            back = state.load(sv.dump())
+            assert back.re.tobytes() == sv.re.tobytes()
+            assert back.im.tobytes() == sv.im.tobytes()
+
+    def test_buffers_are_released(self):
+        # 20 states of 8 MiB, each written in whole and dropped: the peak
+        # RSS grows by less than one state after the first. A child's
+        # ru_maxrss starts at its parent's peak on Linux, so the child
+        # reads its own high-water mark, VmHWM
+        if not Path("/proc/self/status").is_file():
+            pytest.skip("no /proc/self/status on this host")
+        code = """
+from hpqe import state
+def peak():
+    return next(int(line.split()[1]) for line in open("/proc/self/status")
+                if line.startswith("VmHWM:"))
+for i in range(20):
+    sv = state.init_basis(20, i)
+    sv.re.fill(1)
+    sv.im.fill(1)
+    if i == 0:
+        first = peak()
+print(peak() - first)
+"""
+        src = Path(state.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) * 1024 < 8 << 20
 
 
 class TestSegmentOf:

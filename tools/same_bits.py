@@ -72,6 +72,10 @@ COMMANDS = (
     # order and ends on a deferred map that is not the identity; qubits
     # 0 and 12 of |4097> are fixed at 1, so CXs from them move the window
     "run --circuit swap_back.txt --init 4097 --workers 2",
+    # real matrices, which the vector body runs without the imaginary
+    # products: H, RY(2 pi) (m00 = -2^30) and RY(0.7) on every qubit, so
+    # on pairs within a vector (qubits 0-3) and across vectors (4 and up)
+    "run --circuit real_pairs.txt --workers 2",
 )
 
 # the circuits a command names by file name: each is written into the
@@ -99,6 +103,9 @@ RZ 3 2.2
 CX 12 5
 RZ 5 0.9
 """,
+    "real_pairs.txt": "QUBITS 18\n" + "".join(
+        gate.format(q) for gate in ("H {}\n", "RY {} 6.283185307179586\n", "RY {} 0.7\n")
+        for q in range(18)),
 }
 
 
