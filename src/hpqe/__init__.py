@@ -4,7 +4,7 @@ from .fxp import CFx, fx_add, fx_mul, fx_sub, cfx_add, cfx_mul, quantize, su_eva
 from .perfmodel import (CapacityError, PerfConfig, TimeEstimate, estimate_time,
                         memory_mode, ngs, transfer_overhead)
 from .state import SegmentAddress, StateVector, init_basis, segment_of
-from .gateset import Circuit, GateOp, decompose_cp, decompose_crx, decompose_swap, matrix_of, quantize_gate
+from .gateset import Circuit, GateOp, decompose_cp, decompose_crx, decompose_swap, matrix_of
 from .engine import (CycleReport, access_mode, apply_cx, apply_single, cx_cycles,
                      cx_cycles_legacy, cycle_report, run_circuit, simulate_swapper)
 from .circuits import gate_count, qft, template

@@ -246,6 +246,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    perfmodel.check_capacity(args.n)    # before a circuit of that size is built
     label, circuit = _generate(args.generator, args.n, args.layers, args.seed)
     text = gateset.circuit_to_text(circuit)
     if args.out:

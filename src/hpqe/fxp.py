@@ -519,8 +519,9 @@ class Banks:
     share no word may run at once.
 
     Every coefficient passed to `pair` and `diag` is a word, a raw in
-    [RAW_MIN, RAW_MAX]; no body checks it. `gateset.check_gate` checks
-    it for every gate before the engine makes any kernel call.
+    [RAW_MIN, RAW_MAX], and no body checks it: the engine passes only
+    the words of a `gateset.GateOp`, which are derived from its kind and
+    angle by `quantize`, and `quantize` saturates.
     """
 
     def __init__(self, re: np.ndarray, im: np.ndarray):

@@ -7,8 +7,13 @@ circuit rather than applied to the state: the fixed-point datapath has
 no way to rotate the whole vector for free, so the reference simulator
 applies the phase when comparing.
 
-Angles stay double-precision on the host side; only the resulting 2x2
-matrices are quantized, once, when a gate is built.
+Angles stay double-precision on the host side. A `GateOp` is built
+from its kind, qubits and angle alone, and derives its words from them:
+its 2x2 matrix is the exact unitary of (kind, angle) quantized by
+`fxp.quantize`, which saturates, so every coefficient is a Q2.30 word,
+and its sparse flag says whether the kind is diagonal. Neither can be
+passed or replaced, so a gate cannot carry words that disagree with
+what it says it is.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import functools
 import math
 import operator
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +41,24 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class GateOp:
+    """One base gate. `matrix` (m00, m01, m10, m11; None for CX) and
+    `sparse` are derived from the kind and angle when the gate is built;
+    an unknown kind, or a rotation without a finite angle, raises
+    ValueError then."""
+
     kind: str
     target: int
     control: int | None = None      # CX only
     angle: float | None = None      # rotations only
-    matrix: tuple[CFx, CFx, CFx, CFx] | None = None   # (m00, m01, m10, m11)
-    sparse: bool = False
+    matrix: tuple[CFx, CFx, CFx, CFx] | None = field(init=False)
+    sparse: bool = field(init=False)
+
+    def __post_init__(self):
+        if self.kind not in BASE_KINDS:
+            raise ValueError(f"{self.kind!r} is not a base gate kind")
+        object.__setattr__(self, "matrix",
+                           None if self.kind == CX else _quantized(self.kind, self.angle))
+        object.__setattr__(self, "sparse", self.kind in SPARSE_KINDS)
 
 
 @dataclass
@@ -63,24 +81,18 @@ class Circuit:
 
 
 def check_gate(op: GateOp, n: int) -> None:
-    """ValueError unless op is a gate both engines can run on n qubits.
+    """ValueError unless op's qubits suit a gate on n qubits.
 
-    The one owner of that contract: a base kind; `sparse` set exactly on
-    the SPARSE_KINDS (the engine runs a sparse op as a diagonal step, the
-    oracle applies its whole matrix); a target in 0..n-1; for CX, a
-    control in 0..n-1 other than the target; for any other kind, no
-    control and a quantized matrix of exactly four entries of two parts
-    each, every part an integer and a word (the kernels read 8 packed
-    parts, and a wider part would overflow their int64 products). A
-    qubit or a part is anything `operator.index` takes, numpy integers
-    included. `Circuit.validate`, `engine.run_circuit` (per op, when it
-    reaches it), `engine.apply_single` and `engine.apply_cx` call it.
+    A target in 0..n-1; for CX, a control in 0..n-1 other than the
+    target; for any other kind, no control. A qubit is anything
+    `operator.index` takes, numpy integers included. The rest of what
+    makes a gate runnable holds for every `GateOp` once it is built: a
+    base kind, and words derived from its kind and angle. So this is
+    the one test of whether a gate can run on n qubits;
+    `Circuit.validate`, `engine.run_circuit` (on every op before its
+    first kernel call), `engine.apply_single` and `engine.apply_cx`
+    call it.
     """
-    if op.kind not in BASE_KINDS:
-        raise ValueError(f"{op.kind!r} is not a base gate kind")
-    if op.sparse != (op.kind in SPARSE_KINDS):
-        raise ValueError(f"{op.kind} gate has sparse={op.sparse!r}; "
-                         f"exactly {' and '.join(SPARSE_KINDS)} are sparse")
     if not _is_qubit(op.target, n):
         raise ValueError(f"target {op.target!r} out of range for n={n}")
     if op.kind == CX:
@@ -88,20 +100,8 @@ def check_gate(op: GateOp, n: int) -> None:
             raise ValueError(f"control {op.control!r} out of range for n={n}")
         if op.control == op.target:
             raise ValueError(f"CX control and target are both qubit {op.target}")
-        return
-    if op.control is not None:
+    elif op.control is not None:
         raise ValueError(f"{op.kind} takes no control, got control {op.control}")
-    if op.matrix is None:
-        raise ValueError("gate matrix not quantized (use gateset.single)")
-    try:
-        (a, b), (c, d), (e, f), (g, h) = op.matrix
-        parts = [operator.index(v) for v in (a, b, c, d, e, f, g, h)]
-    except (TypeError, ValueError):
-        raise ValueError(f"gate matrix {op.matrix!r} is not four entries "
-                         "of two integer parts") from None
-    for v in parts:
-        if not fxp.RAW_MIN <= v <= fxp.RAW_MAX:
-            raise ValueError(f"gate matrix part {v} lies outside the Q2.30 word")
 
 
 def _is_qubit(q, n: int) -> bool:
@@ -133,26 +133,16 @@ def matrix_of(kind: str, angle: float | None = None) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _quantized(kind: str, angle: float | None) -> tuple:
-    # the four words of kind/angle, and the one kind check of `single` and
-    # `quantize_gate`; a circuit repeats few distinct matrices (QFT-20: 39
-    # in 590 gates). Angles that compare equal, as +0.0 and -0.0 do, give
-    # the same words: quantization keeps no sign of zero
-    if kind not in SINGLE_KINDS:
-        raise ValueError(f"quantize_gate applies to single-qubit kinds, not {kind}")
+    # the four words of a single-qubit kind at angle; a circuit repeats
+    # few distinct matrices (QFT-20: 39 in 590 gates). Angles that compare
+    # equal, as +0.0 and -0.0 do, give the same words: quantization keeps
+    # no sign of zero
     m = matrix_of(kind, angle)
     return tuple(fxp.quantize_complex(complex(m[r, c])) for r in (0, 1) for c in (0, 1))
 
 
-def quantize_gate(op: GateOp) -> GateOp:
-    """Populate the Q2.30 matrix from the exact unitary of kind/angle."""
-    return replace(op, matrix=_quantized(op.kind, op.angle),
-                   sparse=op.kind in SPARSE_KINDS)
-
-
 def single(kind: str, target: int, angle: float | None = None) -> GateOp:
-    """`quantize_gate(GateOp(kind, target, angle=angle))`, built directly."""
-    return GateOp(kind, target, angle=angle, matrix=_quantized(kind, angle),
-                  sparse=kind in SPARSE_KINDS)
+    return GateOp(kind, target, angle=angle)
 
 
 def cx(control: int, target: int) -> GateOp:
@@ -313,18 +303,24 @@ def pack_gate_record(op: GateOp) -> bytes:
                        op.target, int(op.sparse), *flat)
 
 
-def unpack_gate_record(data: bytes) -> GateOp:
+class GateRecord(NamedTuple):
+    """A decoded record: the words the machine reads, not an angle, so it
+    cannot be turned back into a `GateOp`."""
+
+    kind: str
+    target: int
+    control: int | None
+    matrix: tuple[CFx, CFx, CFx, CFx] | None
+    sparse: bool
+
+
+def unpack_gate_record(data: bytes) -> GateRecord:
     if len(data) != GATE_RECORD_BYTES:
         raise ValueError(f"gate record must be {GATE_RECORD_BYTES} bytes")
     code, control, target, sparse, *flat = struct.unpack("<BBBB4x8i", data)
+    if code not in _CODE_KINDS:
+        raise ValueError(f"gate record kind code {code} is not one of 0..{len(_CODE_KINDS) - 1}")
     kind = _CODE_KINDS[code]
-    matrix = None
-    if kind != CX:
-        matrix = tuple(CFx(flat[2 * k], flat[2 * k + 1]) for k in range(4))
-    return GateOp(
-        kind=kind,
-        target=target,
-        control=None if control == _NO_CONTROL else control,
-        matrix=matrix,
-        sparse=bool(sparse),
-    )
+    matrix = None if kind == CX else tuple(CFx(*flat[k:k + 2]) for k in range(0, 8, 2))
+    return GateRecord(kind, target, None if control == _NO_CONTROL else control, matrix,
+                      bool(sparse))

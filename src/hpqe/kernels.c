@@ -33,8 +33,9 @@
  *
  * Every coefficient of a call is a word, a raw in [RAW_MIN, RAW_MAX]:
  * the vector body reads only its low 32 bits, and the portable body's
- * int64 products of two words cannot overflow. No entry checks it;
- * gateset.check_gate checks every gate before any kernel call.
+ * int64 products of two words cannot overflow. No entry checks it: the
+ * engine passes only the words of a gateset.GateOp, which are derived
+ * from its kind and angle by fxp.quantize, and quantize saturates.
  *
  * Each kernel has two bodies with the same bits. The portable one is
  * plain C loops that widen each word to int64 and narrow it only after

@@ -546,9 +546,8 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv", (("run", "--gen", "chain", "--n", 3, "--layers", 10 ** 13),
                                       ("compare", "--gen", "rotation", "--n", 3,
                                        "--layers", 10 ** 13),
-                                      ("gen", "chain", "--n", 3, "--layers", 10 ** 13),
-                                      ("gen", "rotation", "--n", 10 ** 13)),
-                             ids=("run", "compare", "gen-layers", "gen-n"))
+                                      ("gen", "chain", "--n", 3, "--layers", 10 ** 13)),
+                             ids=("run", "compare", "gen-layers"))
     def test_refused_allocation_exits_3_with_one_line(self, tmp_path, capsys, argv):
         # the template's angles would take hundreds of TiB, more than a
         # 47-bit address space holds: the host refuses at once
@@ -556,6 +555,18 @@ class TestInputErrors:
         assert run_cli(*argv, "--out", out) == 3
         err = capsys.readouterr().err
         assert err.startswith("capacity error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", (("qft", "--n", 31), ("qft", "--n", 100000),
+                                      ("rotation", "--n", 10 ** 13)),
+                             ids=("qft-31", "qft-100000", "rotation-huge"))
+    def test_gen_refuses_past_the_ceiling(self, tmp_path, capsys, argv):
+        # gen checks the count before it builds the circuit, as run and
+        # compare do: a 100000-qubit QFT would take minutes to build
+        out = tmp_path / "out"
+        assert run_cli("gen", *argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err == f"capacity error: {argv[-1]} qubits exceeds the 30-qubit memory ceiling\n"
         assert not out.exists()
 
     def test_one_buffer_gives_the_bytes_of_two_arrays(self, tmp_path, monkeypatch):

@@ -40,25 +40,16 @@ class TestCheckGate:
     # gateset.check_gate alone decides whether a gate can run: every
     # entry point refuses a malformed gate with its one ValueError
     @pytest.mark.parametrize("op, message", (
-        (replace(H_GATE, kind="T"), "'T' is not a base gate kind"),
         (gateset.GateOp(kind="CX", target=0), "control None out of range for n=4"),
         (replace(H_GATE, control=1), "H takes no control, got control 1"),
         (gateset.GateOp(kind="CX", target=1, control=1),
          "CX control and target are both qubit 1"),
-        (gateset.GateOp(kind="H", target=0), "gate matrix not quantized (use gateset.single)"),
-        (replace(H_GATE, matrix=(CFx(fxp.RAW_MAX + 1, 0), *H_GATE.matrix[1:])),
-         f"gate matrix part {fxp.RAW_MAX + 1} lies outside the Q2.30 word"),
-        (replace(H_GATE, sparse=True), "H gate has sparse=True; exactly S and RZ are sparse"),
-        (replace(gateset.single("RZ", 0, 0.5), sparse=False),
-         "RZ gate has sparse=False; exactly S and RZ are sparse"),
         (replace(H_GATE, target=None), "target None out of range for n=4"),
         (replace(H_GATE, target="1"), "target '1' out of range for n=4"),
         (replace(H_GATE, target=1.5), "target 1.5 out of range for n=4"),
         (gateset.GateOp(kind="CX", target=0, control=1.5), "control 1.5 out of range for n=4"),
-    ), ids=("unknown-kind", "cx-without-control", "single-with-control", "cx-on-one-qubit",
-            "unquantized", "wide-matrix-part", "dense-kind-marked-sparse",
-            "sparse-kind-marked-dense", "target-none", "target-str", "target-float",
-            "control-float"))
+    ), ids=("cx-without-control", "single-with-control", "cx-on-one-qubit",
+            "target-none", "target-str", "target-float", "control-float"))
     def test_every_entry_point_raises_the_same_error(self, op, message):
         n = 4
         circuit = Circuit(n=n, ops=[gateset.single("H", 2), op])
@@ -80,29 +71,6 @@ class TestCheckGate:
                 call()
             assert str(err.value) == message, name
 
-    @pytest.mark.parametrize("wide", (fxp.RAW_MAX + 1, fxp.RAW_MIN - 1,
-                                      np.int64(fxp.RAW_MAX + 1), np.int64(fxp.RAW_MIN - 1)))
-    @pytest.mark.parametrize("position", range(8))
-    def test_error_names_the_first_wide_part(self, position, wide):
-        # parts in (m00.re, m00.im, ..., m11.im) order; a second wide part
-        # after the first, and numpy-integer parts in range, change nothing
-        parts = [np.int32(v) for c in H_GATE.matrix for v in c]
-        parts[position] = wide
-        if position < 7:
-            parts[7] = fxp.RAW_MIN - 2
-        matrix = tuple(CFx(parts[k], parts[k + 1]) for k in range(0, 8, 2))
-        with pytest.raises(ValueError) as err:
-            gateset.check_gate(replace(H_GATE, matrix=matrix), 4)
-        assert str(err.value) == f"gate matrix part {int(wide)} lies outside the Q2.30 word"
-
-    @pytest.mark.parametrize("edge", (fxp.RAW_MIN, fxp.RAW_MAX))
-    def test_edge_words_pass(self, edge):
-        for position in range(8):
-            parts = [v for c in H_GATE.matrix for v in c]
-            parts[position] = np.int64(edge) if position % 2 else edge
-            matrix = tuple(CFx(parts[k], parts[k + 1]) for k in range(0, 8, 2))
-            gateset.check_gate(replace(H_GATE, matrix=matrix), 4)
-
     def test_numpy_integer_qubits_pass(self):
         # a qubit is anything operator.index takes
         n = 4
@@ -114,6 +82,68 @@ class TestCheckGate:
         sv, _ = engine.run_circuit(state.init_basis(n, 0), circuit)
         want, _ = engine.run_circuit(state.init_basis(n, 0), plain)
         assert sv.dump() == want.dump()
+
+
+
+class TestGateOp:
+    # a GateOp is built from its kind, qubits and angle; its words and
+    # sparse flag are derived from them and cannot be set apart from them
+
+    @pytest.mark.parametrize("kind", gateset.BASE_KINDS)
+    def test_words_are_derived(self, kind):
+        angles = (-0.0, 0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, 0.7)
+        for angle in angles if kind in gateset.ROTATION_KINDS else (None,):
+            op = gateset.GateOp(kind, 2, angle=angle)
+            if kind == "CX":
+                assert op.matrix is None
+            else:
+                m = gateset.matrix_of(kind, angle)
+                assert op.matrix == tuple(fxp.quantize_complex(complex(m[r, c]))
+                                          for r in (0, 1) for c in (0, 1)), angle
+                assert op == gateset.single(kind, 2, angle)
+            assert op.sparse is (kind in gateset.SPARSE_KINDS)
+            assert repr(op.angle) == repr(angle)
+
+    def test_words_cannot_be_passed_or_replaced(self):
+        # RZ(0.5) carrying H's words, which once ran as H in the engine and
+        # as RZ(0.5) in the oracle, can no longer be built
+        rz = gateset.single("RZ", 0, 0.5)
+        with pytest.raises(TypeError, match="matrix"):
+            gateset.GateOp("RZ", 0, angle=0.5, matrix=H_GATE.matrix)
+        with pytest.raises(TypeError, match="sparse"):
+            gateset.GateOp("H", 0, sparse=True)
+        with pytest.raises(ValueError, match="matrix"):
+            replace(rz, matrix=H_GATE.matrix)
+        with pytest.raises(ValueError, match="sparse"):
+            replace(rz, sparse=False)
+        assert replace(rz, kind="H", angle=None) == H_GATE
+
+    @pytest.mark.parametrize("kind", ("T", "h", "", "CZ"))
+    def test_unknown_kind_is_refused(self, kind):
+        for build in (lambda: gateset.GateOp(kind, 0), lambda: replace(H_GATE, kind=kind),
+                      lambda: gateset.single(kind, 0, 0.5)):
+            with pytest.raises(ValueError, match=f"^{kind!r} is not a base gate kind$"):
+                build()
+
+    @pytest.mark.parametrize("kind", gateset.ROTATION_KINDS)
+    def test_rotation_needs_an_angle(self, kind):
+        # a non-finite angle is refused as in TestMatrixOf
+        with pytest.raises(ValueError, match=f"^{kind} requires an angle$"):
+            gateset.GateOp(kind, 2)
+        with pytest.raises(ValueError, match=f"^{kind} requires an angle$"):
+            replace(gateset.single(kind, 2, 0.5), angle=None)
+
+    def test_generated_ops_are_rebuilt_ops(self):
+        # every op a generator emits is the op rebuilt from its kind, qubits
+        # and angle, words included
+        built = [circuits.qft(n) for n in range(1, 21)]
+        for kind in circuits.TOPOLOGY_KINDS:
+            slots = circuits.rotation_slots(kind, 5, 2)
+            built.append(circuits.template(kind, 5, 2, np.linspace(-7.0, 7.0, slots)))
+        for circuit in built:
+            for op in circuit.ops:
+                want = gateset.GateOp(op.kind, op.target, op.control, op.angle)
+                assert op == want and op.matrix == want.matrix
 
 
 class TestMatrixOf:
@@ -174,47 +204,6 @@ class TestQuantizeGate:
             assert not gateset.single(kind, 0).sparse
         assert not gateset.single("RX", 0, 0.3).sparse
         assert not gateset.single("RY", 0, 0.3).sparse
-
-    def test_rejects_cx(self):
-        with pytest.raises(ValueError):
-            gateset.quantize_gate(gateset.cx(0, 1))
-
-    @pytest.mark.parametrize("kind", gateset.SINGLE_KINDS)
-    def test_single_is_quantize_gate(self, kind):
-        angles = (-0.0, 0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, 0.7)
-        if kind in ("H", "S"):
-            angles += (None,)
-        for angle in angles:
-            got = gateset.single(kind, 2, angle)
-            want = gateset.quantize_gate(gateset.GateOp(kind, 2, angle=angle))
-            assert got == want and got.matrix == want.matrix, angle
-            assert got.sparse is want.sparse and repr(got.angle) == repr(angle)
-        if kind in gateset.ROTATION_KINDS:
-            with pytest.raises(ValueError, match=f"^{kind} requires an angle$"):
-                gateset.quantize_gate(gateset.GateOp(kind, 2))
-            with pytest.raises(ValueError, match=f"^{kind} requires an angle$"):
-                gateset.single(kind, 2)
-
-    @pytest.mark.parametrize("kind", ("CX", "T", "h", ""))
-    def test_single_refuses_as_quantize_gate_does(self, kind):
-        with pytest.raises(ValueError) as want:
-            gateset.quantize_gate(gateset.GateOp(kind, 0, angle=0.5))
-        with pytest.raises(ValueError) as got:
-            gateset.single(kind, 0, 0.5)
-        assert str(got.value) == str(want.value) == \
-            f"quantize_gate applies to single-qubit kinds, not {kind}"
-
-    def test_generated_ops_are_quantize_gate_ops(self):
-        built = [circuits.qft(n) for n in range(1, 21)]
-        for kind in circuits.TOPOLOGY_KINDS:
-            slots = circuits.rotation_slots(kind, 5, 2)
-            built.append(circuits.template(kind, 5, 2, np.linspace(-7.0, 7.0, slots)))
-        for circuit in built:
-            for op in circuit.ops:
-                if op.kind != "CX":
-                    want = gateset.quantize_gate(
-                        gateset.GateOp(op.kind, op.target, angle=op.angle))
-                    assert op == want and repr(op.angle) == repr(want.angle)
 
     @pytest.mark.parametrize("first", (0.0, -0.0))
     def test_cached_words_are_fresh_words(self, first):
@@ -416,3 +405,15 @@ class TestGateRecord:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             gateset.unpack_gate_record(b"\x00" * 39)
+
+    @pytest.mark.parametrize("code", (6, 9, 0xFF))
+    def test_bad_kind_code(self, code):
+        rec = bytearray(gateset.pack_gate_record(gateset.single("H", 3)))
+        rec[0] = code
+        with pytest.raises(ValueError, match=f"^gate record kind code {code} is not one of 0..5$"):
+            gateset.unpack_gate_record(bytes(rec))
+
+    def test_record_is_words_not_a_gate(self):
+        back = gateset.unpack_gate_record(gateset.pack_gate_record(gateset.single("RX", 1, 0.3)))
+        assert isinstance(back, gateset.GateRecord) and not isinstance(back, gateset.GateOp)
+        assert back == ("RX", 1, None, gateset.single("RX", 1, 0.3).matrix, False)

@@ -950,18 +950,40 @@ def _random_state(n: int, rng) -> state.StateVector:
     return sv
 
 
+# Angles at which RZ, RX and RY have a part of -2^30, outside (-2^30,
+# 2^30] (`fxp.product_fits`), so that their calls take the kernels' clip
+# path: m00 at 2π, the imaginary part of RZ's m00 and of RX's m01 at π,
+# and RZ's m00 at 2π + 1e-5, whose imaginary part is nonzero. On a
+# RAW_MIN word such a part's product is 2^31 and clips; the clip changes
+# the result where that product is subtracted (at π) or summed with a
+# nonzero product of the same coefficient (RZ at 2π + 1e-5)
+CLIP_ANGLES = (np.pi, 2 * np.pi, 2 * np.pi + 1e-5)
+SPARSE_GATES = (*(("RZ", a) for a in CLIP_ANGLES), ("S", None), ("RZ", 0.7))
+DENSE_GATES = (*(("RX", a) for a in CLIP_ANGLES), ("RY", 2 * np.pi), ("H", None),
+               ("RX", 2.3), ("RY", 5.1))
+
+
+def _edge_state(n: int, rng) -> state.StateVector:
+    # a random state of which about a third of the words are EDGES words,
+    # RAW_MIN among them
+    sv = _random_state(n, rng)
+    for bank in (sv.re, sv.im):
+        edge = rng.random(bank.size) < 0.3
+        bank[edge] = rng.choice(EDGES, int(edge.sum()))
+    return sv
+
+
 def _check_gate(bodies, n: int, rng, exhaustive: bool, workers=(None,)) -> None:
     # one gate per target, sparse and dense, through apply_single (None)
-    # or through run_circuit on each worker count in `workers`, on each body
-    sv0 = _random_state(n, rng)
+    # or through run_circuit on each worker count in `workers`, on each
+    # body; the gates take turns from SPARSE_GATES and DENSE_GATES
+    sv0 = _edge_state(n, rng)
     pairs = 1 << (n - 1)
     for t in range(n):
-        for sparse in (True, False):
-            m = [random_coeff(rng) for _ in range(4)]
-            if sparse:
-                m[1] = m[2] = fxp.CFX_ZERO
-            op = gateset.GateOp(kind="RZ" if sparse else "RX", target=t,
-                                matrix=tuple(m), sparse=sparse)
+        for sparse, gates in ((True, SPARSE_GATES), (False, DENSE_GATES)):
+            kind, angle = gates[(n + t) % len(gates)]
+            op = gateset.single(kind, t, angle)
+            m = op.matrix
             ks = range(pairs) if exhaustive else {0, pairs - 1, *rng.integers(
                 0, pairs, 64).tolist()}
             index, want = [], []
@@ -985,7 +1007,7 @@ def _check_gate(bodies, n: int, rng, exhaustive: bool, workers=(None,)) -> None:
                             engine.run_circuit(sv, gateset.Circuit(n=n, ops=[op]),
                                                workers=w)
                         assert as_cfx(sv.re[index], sv.im[index]) == want, (
-                            body.name, n, t, sparse, w)
+                            body.name, n, t, op.kind, op.angle, w)
 
 
 class TestEngineEveryTarget:
@@ -1030,7 +1052,7 @@ class TestDeferral:
         rng = np.random.default_rng(seed)
         qubit = st.integers(0, n - 1)
         cx = st.tuples(st.just("CX"), qubit, qubit).filter(lambda g: g[1] != g[2])
-        sparse = st.tuples(st.sampled_from(("RZ", "S", "diag")), qubit)
+        sparse = st.tuples(st.sampled_from(("RZ", "S", "clip")), qubit)
         dense = st.tuples(st.sampled_from(("H", "RY", "RX")), qubit)
         stretch = st.lists(st.one_of(sparse, cx), min_size=1, max_size=40)
         ops = []
@@ -1039,10 +1061,8 @@ class TestDeferral:
             for g in part:
                 if g[0] == "CX":
                     ops.append(gateset.cx(g[1], g[2]))
-                elif g[0] == "diag":        # full-range coefficients, clip included
-                    m00, m11 = random_coeff(rng), random_coeff(rng)
-                    ops.append(gateset.GateOp(kind="RZ", target=g[1], sparse=True,
-                                              matrix=(m00, fxp.CFX_ZERO, fxp.CFX_ZERO, m11)))
+                elif g[0] == "clip":        # the clip path's words
+                    ops.append(gateset.single("RZ", g[1], float(rng.choice(CLIP_ANGLES))))
                 else:
                     angle = float(rng.uniform(0, 4 * np.pi)) if g[0] not in ("H", "S") else None
                     ops.append(gateset.single(g[0], g[1], angle))
@@ -1072,9 +1092,8 @@ def _layout_ops(n: int, rng, gates: int) -> list:
         if n >= 2 and r < 0.45:
             a, b = rng.choice(n, size=2, replace=False)
             ops.append(gateset.cx(int(a), int(b)))
-        elif r < 0.6:                        # full-range coefficients, clip included
-            ops.append(gateset.GateOp(kind="RZ", target=q, sparse=True, matrix=(
-                random_coeff(rng), fxp.CFX_ZERO, fxp.CFX_ZERO, random_coeff(rng))))
+        elif r < 0.6:                        # the clip path's words
+            ops.append(gateset.single("RZ", q, float(rng.choice(CLIP_ANGLES))))
         elif r < 0.85:
             ops.append(gateset.single("S", q) if r < 0.65 else
                        gateset.single("RZ", q, float(rng.uniform(0, 4 * np.pi))))
@@ -1192,7 +1211,7 @@ class TestLayout:
 
     @pytest.mark.parametrize("bad", (
         gateset.GateOp(kind="CX", target=1, control=1),
-        gateset.GateOp(kind="H", target=0),
+        replace(gateset.single("H", 0), control=1),
         replace(gateset.single("RZ", 0, 0.3), target=9)))
     def test_bad_op_fails_at_its_position(self, bodies, bad):
         # from a basis state, with a layout that is not the identity: the
@@ -1213,63 +1232,6 @@ class TestLayout:
                         with pytest.raises(ValueError, match=re.escape(str(eager.value))):
                             engine.run_circuit(sv, circuit, workers=workers)
                         assert sv.dump() == want, (body.name, workers, cut)
-
-
-_H = gateset.single("H", 0).matrix
-
-
-class TestMatrixShape:
-    # a matrix of anything but four entries of two integer parts is
-    # refused by `check_gate`, so by every entry point, before a kernel
-    # reads it: the native kernels read 8 packed parts, so three entries
-    # would read past them, and a float part cannot be packed
-    BODIES = (*C_BODIES, "numpy")
-
-    @pytest.mark.parametrize("matrix", (
-        _H[:3],
-        (*_H, _H[0]),
-        ((_H[0].re,), *_H[1:]),
-        ((*_H[0], 0), *_H[1:]),
-        ((0.5, 0), *_H[1:]),
-        ((float(_H[0].re), _H[0].im), *_H[1:]),
-        (5, *_H[1:]),
-        5,
-    ), ids=("three entries", "five entries", "one part", "three parts", "half part",
-            "float part", "int entry", "int matrix"))
-    def test_refused_everywhere(self, bodies, matrix):
-        n = 3
-        bad = replace(gateset.single("H", 0), matrix=matrix)
-        with pytest.raises(ValueError, match="is not four entries of two integer parts"):
-            gateset.check_gate(bad, n)
-        head = [gateset.single("H", 1), gateset.cx(1, 2), gateset.single("RZ", 2, 0.7)]
-        circuit = gateset.Circuit(n=n, ops=[*head, bad, gateset.single("H", 2)])
-        with pytest.raises(ValueError, match="is not four entries"):
-            oracle.ref_run(circuit, oracle.basis_state(n, 1))
-        want = _replay(state.init_basis(n, 1), head)
-        for body in bodies:
-            with body.pinned(), split_every_state():
-                sv = state.init_basis(n, 1)
-                with pytest.raises(ValueError, match="is not four entries"):
-                    engine.apply_single(sv, bad)
-                assert sv.dump() == state.init_basis(n, 1).dump(), body.name
-                for workers in (1, 2):
-                    sv = state.init_basis(n, 1)
-                    with pytest.raises(ValueError, match="is not four entries"):
-                        engine.run_circuit(sv, circuit, workers=workers)
-                    assert sv.dump() == want, (body.name, workers)
-
-    def test_numpy_integer_parts_run(self, bodies):
-        # parts that `operator.index` takes are integers: numpy's run as
-        # the same words
-        matrix = tuple(CFx(np.int64(c.re), np.int32(c.im)) for c in _H)
-        op = replace(gateset.single("H", 0), matrix=matrix)
-        gateset.check_gate(op, 3)
-        for body in bodies:
-            with body.pinned():
-                got, want = state.init_basis(3, 1), state.init_basis(3, 1)
-                engine.apply_single(got, op)
-                engine.apply_single(want, gateset.single("H", 0))
-                assert got.dump() == want.dump(), body.name
 
 
 class TestWorkers:
