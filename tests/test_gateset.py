@@ -38,32 +38,39 @@ H_GATE = gateset.single("H", 0)
 
 class TestCheckGate:
     # gateset.check_gate alone decides whether a gate can run: every
-    # entry point refuses a malformed gate with its one ValueError
-    @pytest.mark.parametrize("op, message", (
-        (gateset.GateOp(kind="CX", target=0), "control None out of range for n=4"),
-        (replace(H_GATE, control=1), "H takes no control, got control 1"),
-        (gateset.GateOp(kind="CX", target=1, control=1),
+    # entry point refuses a malformed gate with its one ValueError. Each
+    # case builds its gate inside the entry point, since a gate of an
+    # unknown kind is refused when it is built, before any entry point
+    @pytest.mark.parametrize("make_op, message", (
+        (lambda: replace(H_GATE, kind="T"), "'T' is not a base gate kind"),
+        (lambda: gateset.GateOp(kind="CX", target=0), "control None out of range for n=4"),
+        (lambda: replace(H_GATE, control=1), "H takes no control, got control 1"),
+        (lambda: gateset.GateOp(kind="CX", target=1, control=1),
          "CX control and target are both qubit 1"),
-        (replace(H_GATE, target=None), "target None out of range for n=4"),
-        (replace(H_GATE, target="1"), "target '1' out of range for n=4"),
-        (replace(H_GATE, target=1.5), "target 1.5 out of range for n=4"),
-        (gateset.GateOp(kind="CX", target=0, control=1.5), "control 1.5 out of range for n=4"),
-    ), ids=("cx-without-control", "single-with-control", "cx-on-one-qubit",
+        (lambda: replace(H_GATE, target=None), "target None out of range for n=4"),
+        (lambda: replace(H_GATE, target="1"), "target '1' out of range for n=4"),
+        (lambda: replace(H_GATE, target=1.5), "target 1.5 out of range for n=4"),
+        (lambda: gateset.GateOp(kind="CX", target=0, control=1.5),
+         "control 1.5 out of range for n=4"),
+    ), ids=("unknown-kind", "cx-without-control", "single-with-control", "cx-on-one-qubit",
             "target-none", "target-str", "target-float", "control-float"))
-    def test_every_entry_point_raises_the_same_error(self, op, message):
+    def test_every_entry_point_raises_the_same_error(self, make_op, message):
         n = 4
-        circuit = Circuit(n=n, ops=[gateset.single("H", 2), op])
+
+        def circuit():
+            return Circuit(n=n, ops=[gateset.single("H", 2), make_op()])
 
         def apply():
+            op = make_op()
             if op.kind == "CX":
                 engine.apply_cx(state.init_basis(n, 0), op.control, op.target)
             else:
                 engine.apply_single(state.init_basis(n, 0), op)
 
         entries = {
-            "validate": circuit.validate,
-            "ref_run": lambda: oracle.ref_run(circuit, oracle.basis_state(n, 0)),
-            "run_circuit": lambda: engine.run_circuit(state.init_basis(n, 0), circuit),
+            "validate": lambda: circuit().validate(),
+            "ref_run": lambda: oracle.ref_run(circuit(), oracle.basis_state(n, 0)),
+            "run_circuit": lambda: engine.run_circuit(state.init_basis(n, 0), circuit()),
             "apply_single/apply_cx": apply,
         }
         for name, call in entries.items():
@@ -120,8 +127,7 @@ class TestGateOp:
 
     @pytest.mark.parametrize("kind", ("T", "h", "", "CZ"))
     def test_unknown_kind_is_refused(self, kind):
-        for build in (lambda: gateset.GateOp(kind, 0), lambda: replace(H_GATE, kind=kind),
-                      lambda: gateset.single(kind, 0, 0.5)):
+        for build in (lambda: gateset.GateOp(kind, 0), lambda: replace(H_GATE, kind=kind)):
             with pytest.raises(ValueError, match=f"^{kind!r} is not a base gate kind$"):
                 build()
 
@@ -204,6 +210,16 @@ class TestQuantizeGate:
             assert not gateset.single(kind, 0).sparse
         assert not gateset.single("RX", 0, 0.3).sparse
         assert not gateset.single("RY", 0, 0.3).sparse
+
+    @pytest.mark.parametrize("kind", ("T", "h", ""))
+    def test_single_refuses_as_quantize_gate_does(self, kind):
+        # single() quantizes through the GateOp it builds, so it refuses an
+        # unknown kind with the constructor's own error
+        with pytest.raises(ValueError) as want:
+            gateset.GateOp(kind, 0, angle=0.5)
+        with pytest.raises(ValueError) as got:
+            gateset.single(kind, 0, 0.5)
+        assert str(got.value) == str(want.value) == f"{kind!r} is not a base gate kind"
 
     @pytest.mark.parametrize("first", (0.0, -0.0))
     def test_cached_words_are_fresh_words(self, first):
