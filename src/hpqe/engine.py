@@ -299,6 +299,56 @@ def _basis_word(state: StateVector) -> int | None:
     return found.pop() if len(found) == 1 else None
 
 
+def _walk(ops, n: int, word: int | None, slot: list) -> tuple:
+    # the rule of `_schedule` over the ops, qubit q on stored bit
+    # slot[q]: (the qubits in the order they become free, the stored
+    # index of the basis word, the kernel calls). free is the mask of
+    # the free qubits' stored bits, lo the stored bits of the fixed
+    # qubits at 1, so the words that can be nonzero are those that agree
+    # with lo outside free
+    start = [1 << s for s in slot]
+    if word is None:
+        order, free, lo = list(range(n)), (1 << n) - 1, 0
+    else:
+        order, free = [], 0
+        lo = sum(start[q] for q in range(n) if word >> q & 1)
+    stored = lo
+    parity, pending, steps, calls = list(start), [], [], []
+    for op in [*ops, None]:
+        if op is not None and op.kind == CX:
+            parity[op.target] ^= parity[op.control]
+            pending.append(("cx", slot[op.control], slot[op.target]))
+        elif op is not None and op.sparse:
+            steps.append(_diag_step(op, parity[op.target]))
+        else:
+            k = free.bit_count()
+            if steps:
+                calls.append(("diag", k, lo, lo + (1 << k), steps))
+                steps = []
+            if op is None:
+                break
+            if parity != start:
+                calls += pending
+            # the qubits the map frees, in qubit order, then the target
+            for q in [q for q in range(n) if parity[q] & free] + [op.target]:
+                if not start[q] & free:
+                    order.append(q)
+                    free |= start[q]
+            lo = sum(start[q] for q in range(n) if (lo & parity[q]).bit_count() & 1) & ~free
+            parity, pending, k = list(start), [], free.bit_count()
+            calls.append(("pair", k, lo >> 1, (lo + (1 << k)) >> 1, op.matrix, slot[op.target]))
+    if parity != [1 << q for q in range(n)]:
+        if parity != start:
+            calls += pending
+        on = sorted(range(n), key=slot.__getitem__)     # the qubit on each stored bit
+        for bit in range(n):        # stored bit `bit` back to qubit `bit`
+            s = on.index(bit)
+            if s != bit:
+                calls += [("cx", bit, s), ("cx", s, bit), ("cx", bit, s)]
+                on[bit], on[s] = bit, on[bit]
+    return order, stored, calls
+
+
 def _schedule(ops, n: int, word: int | None) -> tuple:
     """`run_circuit`'s plan: (the stored index of the basis word, the
     kernel calls in order) for checked ops on n qubits, word the logical
@@ -321,89 +371,44 @@ def _schedule(ops, n: int, word: int | None) -> tuple:
     flushed and each stored bit is swapped back to its qubit, three CXs
     a swap.
 
-    Free/fixed rule. Each qubit is free, or fixed at a known value on
-    every word that can be nonzero: from a basis state every qubit
-    starts fixed at its bit of word, from any other state free. A dense
-    gate frees its target, and so does a CX whose control is free; a CX
-    whose fixed control is 1 flips a fixed target. A free qubit stays
-    free.
+    Free/fixed rule, stated on the map. Each qubit is free, or fixed at
+    one value on every word that can be nonzero: from a basis state
+    every qubit starts fixed, from any other state free. Between dense
+    gates a CX only edits the map. At a dense gate the pending CXs first
+    move the words; then the gate's target becomes free, and so does
+    every fixed qubit whose row of the map, parity[q], reads a free
+    stored bit. A fixed qubit's value is the parity of lo & parity[q],
+    lo the stored bits of the fixed qubits at 1. A free qubit stays
+    free: a SWAP can move a fixed value onto a free qubit, but fixing it
+    again would take a stored bit out of the window's low bits.
 
-    Layout and window. A first pass runs the rule over the ops and gives
-    each qubit a stored bit, slot[q]: the qubits in the order they
-    become free (from a state that is not a basis state, all of them at
-    the start, in qubit order), then the others in qubit order. The k
-    free qubits then sit on stored bits 0..k-1, so the words that can be
-    nonzero are one aligned
-    window, [lo, lo + 2^k), lo the stored bits of the fixed qubits at 1,
-    and every stretch and dense gate runs on the window alone. The
-    window moves only when words do, at a dense gate: until then the
-    pending CXs move no word, whatever they did to the logical values.
-    No bit depends on the layout or the window: a word outside the
-    window is zero and stays zero through every step and pair it skips,
-    and every word in it meets the same coefficients and partners, in
-    the same order, as in a call on the whole state.
+    Layout and window. Which qubits become free, and when, does not
+    depend on the layout: a layout renames the stored bits of the map's
+    rows and of the free mask alike. So `_walk` runs the rule once with
+    each qubit on its own stored bit, to learn the order in which the
+    qubits become free (at one dense gate, those the map frees in qubit
+    order, then the target; from a state that is not a basis state, all
+    of them at the start, in qubit order), and once more to emit the
+    calls with each qubit on its place in that order, slot[q], the
+    others on the next bits in qubit order. The k free qubits then sit
+    on stored bits 0..k-1, so the words that can be nonzero are one
+    aligned window, [lo, lo + 2^k), and every stretch and dense gate
+    runs on the window alone. The window moves only when words do, at a
+    dense gate: until then the pending CXs move no word, whatever they
+    did to the logical values. No bit depends on the layout or the
+    window: a word outside the window is zero and stays zero through
+    every step and pair it skips, and every word in it meets the same
+    coefficients and partners, in the same order, as in a call on the
+    whole state.
 
     Each call is ("diag", k, lo, hi, steps), `Banks.diag` on the words
     [lo, hi) of a 2^k-word window; ("pair", k, lo, hi, m, bit),
     `Banks.pair` on the pairs [lo, hi) of stored bit `bit`; or ("cx",
     control, target), `Banks.cx` on two stored bits.
     """
-    # first pass: the rule, op by op in logical coordinates; a fixed
-    # qubit's value is its bit of rep
-    free = 0 if word is not None else (1 << n) - 1
-    rep = word or 0
-    order = [q for q in range(n) if free >> q & 1]   # the qubit on each stored bit
-    held = [(free, rep)]            # at the start and at each dense gate
-    for op in ops:
-        t = op.target
-        if op.kind == CX:
-            frees = free >> op.control & 1
-            rep ^= (rep >> op.control & 1) << t
-        else:
-            frees = not op.sparse
-        if frees and not free >> t & 1:
-            order.append(t)
-        free |= frees << t
-        if frees and op.kind != CX:
-            held.append((free, rep))
-    order += [q for q in range(n) if not free >> q & 1]
-    slot = [0] * n
-    for s, q in enumerate(order):
-        slot[q] = s
-    # the window (lo, k) where the words stand at each entry of held
-    windows = ((sum(1 << slot[q] for q in range(n) if (r & ~f) >> q & 1), f.bit_count())
-               for f, r in held)
-    # second pass: the map, the stretches and the flushes, in order
-    start = [1 << s for s in slot]
-    parity, pending, steps, calls = list(start), [], [], []
-    lo, k = next(windows)
-    stored = lo
-    for op in [*ops, None]:
-        if op is not None and op.kind == CX:
-            parity[op.target] ^= parity[op.control]
-            pending.append(("cx", slot[op.control], slot[op.target]))
-        elif op is not None and op.sparse:
-            steps.append(_diag_step(op, parity[op.target]))
-        else:
-            if steps:
-                calls.append(("diag", k, lo, lo + (1 << k), steps))
-                steps = []
-            if op is None:
-                break
-            if parity != start:
-                calls += pending
-            parity, pending = list(start), []
-            lo, k = next(windows)
-            calls.append(("pair", k, lo >> 1, (lo + (1 << k)) >> 1, op.matrix, slot[op.target]))
-    if parity != [1 << q for q in range(n)]:
-        if parity != start:
-            calls += pending
-        for bit in range(n):        # stored bit `bit` back to qubit `bit`
-            s = order.index(bit)
-            if s != bit:
-                calls += [("cx", bit, s), ("cx", s, bit), ("cx", bit, s)]
-                order[bit], order[s] = bit, order[bit]
-    return stored, calls
+    order = _walk(ops, n, word, list(range(n)))[0]
+    order += [q for q in range(n) if q not in order]
+    return _walk(ops, n, word, [order.index(q) for q in range(n)])[1:]
 
 
 def _pieces(workers: int, k: int) -> int:

@@ -43,8 +43,8 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 class GateOp:
     """One base gate. `matrix` (m00, m01, m10, m11; None for CX) and
     `sparse` are derived from the kind and angle when the gate is built;
-    an unknown kind, or a rotation without a finite angle, raises
-    ValueError then."""
+    an unknown kind, a rotation without a finite angle, or an angle on
+    H, S or CX raises ValueError then."""
 
     kind: str
     target: int
@@ -56,6 +56,8 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in BASE_KINDS:
             raise ValueError(f"{self.kind!r} is not a base gate kind")
+        if self.angle is not None and self.kind not in ROTATION_KINDS:
+            raise ValueError(f"{self.kind} takes no angle, got {self.angle!r}")
         object.__setattr__(self, "matrix",
                            None if self.kind == CX else _quantized(self.kind, self.angle))
         object.__setattr__(self, "sparse", self.kind in SPARSE_KINDS)
@@ -286,21 +288,28 @@ def circuit_from_text(text: str, n: int | None = None) -> Circuit:
 #   bytes 4-7   reserved (zero)
 #   bytes 8-39  m00, m01, m10, m11 as (re, im) int32 little-endian
 # The record carries coefficients, not angles: what the hardware sees.
-# It is a machine fact that the tests pin; no computation reads it.
+# A qubit takes one byte and 0xFF means "no control", so a record holds
+# qubits 0..254. It is a machine fact that the tests pin; no
+# computation reads it.
 # ---------------------------------------------------------------------------
 
 GATE_RECORD_BYTES = 40
+_RECORD = struct.Struct("<BBBBI8i")
 _KIND_CODES = {H: 0, S: 1, RX: 2, RY: 3, RZ: 4, CX: 5}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 _NO_CONTROL = 0xFF
 
 
 def pack_gate_record(op: GateOp) -> bytes:
+    """The op's 40-byte record; ValueError unless its qubits suit a gate
+    on 255 qubits (`check_gate`), the most a record can name."""
+    try:
+        check_gate(op, _NO_CONTROL)
+    except ValueError as exc:
+        raise ValueError(f"gate does not fit a record (qubits 0..254): {exc}") from None
     control = _NO_CONTROL if op.control is None else op.control
-    matrix = op.matrix if op.matrix is not None else (fxp.CFX_ZERO,) * 4
-    flat = [x for entry in matrix for x in entry]
-    return struct.pack("<BBBB4x8i", _KIND_CODES[op.kind], control,
-                       op.target, int(op.sparse), *flat)
+    flat = [x for entry in op.matrix or (fxp.CFX_ZERO,) * 4 for x in entry]
+    return _RECORD.pack(_KIND_CODES[op.kind], control, op.target, op.sparse, 0, *flat)
 
 
 class GateRecord(NamedTuple):
@@ -314,13 +323,45 @@ class GateRecord(NamedTuple):
     sparse: bool
 
 
+def _words_of_kind(kind: str, words: tuple) -> bool:
+    # whether some gate of the kind has these eight words: H's and S's
+    # are fixed, CX's zero, and a rotation's are cos and sin of half its
+    # angle, x and y, quantized (symmetrically, so -y is the word of the
+    # negated sine) in its kind's places, with x^2 + y^2 within the
+    # rounding of 2^60
+    if kind not in ROTATION_KINDS:
+        want = (fxp.CFX_ZERO,) * 4 if kind == CX else _quantized(kind, None)
+        return words == tuple(x for entry in want for x in entry)
+    x = words[0]
+    y = {RX: -words[3], RY: words[4], RZ: -words[1]}[kind]
+    want = {RX: (x, 0, 0, -y, 0, -y, x, 0), RY: (x, 0, -y, 0, y, 0, x, 0),
+            RZ: (x, -y, 0, 0, 0, 0, x, y)}[kind]
+    return words == want and abs(math.hypot(x, y) - fxp.SCALE) <= 1
+
+
 def unpack_gate_record(data: bytes) -> GateRecord:
+    """The fields of a record; ValueError for one that `pack_gate_record`
+    could not have written: a wrong length, an unknown kind code, a
+    control byte that does not suit the kind, a target byte of 0xFF, a
+    sparse flag other than the kind's, nonzero reserved bytes, or words
+    no gate of the kind has."""
     if len(data) != GATE_RECORD_BYTES:
         raise ValueError(f"gate record must be {GATE_RECORD_BYTES} bytes")
-    code, control, target, sparse, *flat = struct.unpack("<BBBB4x8i", data)
+    code, control, target, sparse, reserved, *flat = _RECORD.unpack(data)
     if code not in _CODE_KINDS:
         raise ValueError(f"gate record kind code {code} is not one of 0..{len(_CODE_KINDS) - 1}")
     kind = _CODE_KINDS[code]
+    if target == _NO_CONTROL:
+        raise ValueError("gate record target byte is 0xFF, which names no qubit")
+    if control != _NO_CONTROL if kind != CX else control in (_NO_CONTROL, target):
+        raise ValueError(f"gate record control byte {control} does not suit a {kind} "
+                         f"on qubit {target}")
+    if sparse != (kind in SPARSE_KINDS):
+        raise ValueError(f"gate record sparse byte {sparse} does not match kind {kind}")
+    if reserved:
+        raise ValueError("gate record reserved bytes 4-7 are not zero")
+    if not _words_of_kind(kind, tuple(flat)):
+        raise ValueError(f"gate record words are those of no {kind} gate")
     matrix = None if kind == CX else tuple(CFx(*flat[k:k + 2]) for k in range(0, 8, 2))
     return GateRecord(kind, target, None if control == _NO_CONTROL else control, matrix,
                       bool(sparse))

@@ -87,56 +87,63 @@ def random_circuit(n: int, gates: int, rng) -> gateset.Circuit:
     return circuit
 
 
-def window_model(n: int, index: int, ops) -> tuple:
+def window_model(n: int, index, ops) -> tuple:
     """`engine.run_circuit`'s kernel calls from the basis state `index`,
-    by the rules its docstrings state, written without its code.
+    or from a state that is not a basis state (index None), by the rules
+    its docstrings state, written without its code.
 
-    A qubit is free from a dense gate on it, or a CX onto it whose
-    control is free; free qubits take stored bits 0, 1, ... in that
-    order, the others the next bits in qubit order. Until then it keeps
-    the bit of `rep`, the index a CX with a fixed control moves
-    classically. Returns (calls, natural): calls one
-    (name, first argument, dense target's stored bit, lo, words) per
-    kernel call, the words [lo, lo + words) that can be nonzero where
-    the words stand at the call; natural whether the deferred map ends
-    as the identity of logical and stored bits.
+    The rule in logical terms: qubit q is, at each op, the xor of the
+    qubits in dep[q] as they stood at the last dense gate, so a CX onto
+    q only xors its control's dep into dep[q]. From a basis state every
+    qubit starts fixed at its bit of `index`, from any other state free.
+    At a dense gate the target becomes free, and so does every fixed
+    qubit whose dep holds a free one; the others take the parity of
+    their dep's values. A free qubit stays free. Free qubits take stored
+    bits 0, 1, ... in the order they become free (at one dense gate,
+    those freed through dep in qubit order, then the target), the
+    others the next bits in qubit order. Returns (calls, natural,
+    order): calls one (name, first argument, dense target's stored bit,
+    lo, words) per kernel call, the words [lo, lo + words) that can be
+    nonzero where the words stand at the call; natural whether the
+    deferred map ends as the identity of logical and stored bits; order
+    the qubit on each stored bit.
     """
-    free, order = 0, []
-    for op in ops:
-        frees = free >> op.control & 1 if op.kind == "CX" else not op.sparse
-        if frees and not free >> op.target & 1:
-            free |= 1 << op.target
-            order.append(op.target)
-    order += [q for q in range(n) if not free >> q & 1]
-    bit = {q: b for b, q in enumerate(order)}
-
-    def window(rep, free):
-        fixed_ones = rep & ~free
-        return (sum(1 << bit[q] for q in range(n) if fixed_ones >> q & 1),
-                1 << bin(free).count("1"))
-
-    start = [1 << bit[q] for q in range(n)]
-    parity, rep, free, steps, calls = list(start), index, 0, [], []
-    held = window(rep, free)          # where the words stand
+    free = 0 if index is not None else (1 << n) - 1
+    order = [q for q in range(n) if free >> q & 1]
+    dep, value, steps, events = [1 << q for q in range(n)], index or 0, [], []
+    held = (value, free)              # where the words stand
     for op in [*ops, None]:
         if op is not None and op.kind == "CX":
-            parity[op.target] ^= parity[op.control]
-            if free >> op.control & 1:
-                free |= 1 << op.target
-            rep ^= (rep >> op.control & 1) << op.target
+            dep[op.target] ^= dep[op.control]
         elif op is not None and op.sparse:
-            steps.append((op.matrix[0], op.matrix[3], parity[op.target]))
+            steps.append((op.matrix[0], op.matrix[3], dep[op.target]))
         else:
             if steps:
-                calls.append(("diag", steps, None, *held))
+                events.append(("diag", steps, None, held))
             steps = []
             if op is None:
                 break
-            parity = list(start)
-            free |= 1 << op.target
-            held = window(rep, free)
-            calls.append(("pair", op.matrix, bit[op.target], *held))
-    return calls, parity == [1 << q for q in range(n)]
+            for q in [q for q in range(n) if dep[q] & free] + [op.target]:
+                if not free >> q & 1:
+                    free |= 1 << q
+                    order.append(q)
+            value = sum(bin(value & dep[q]).count("1") % 2 << q for q in range(n)) & ~free
+            dep = [1 << q for q in range(n)]
+            held = (value, free)
+            events.append(("pair", op.matrix, op.target, held))
+    order += [q for q in range(n) if not free >> q & 1]
+    bit = {q: b for b, q in enumerate(order)}
+
+    def stored(qubits):
+        return sum(1 << bit[q] for q in range(n) if qubits >> q & 1)
+
+    calls = []
+    for name, first, target, (value, free) in events:
+        if name == "diag":
+            first = [(m00, m11, stored(mask)) for m00, m11, mask in first]
+        calls.append((name, first, None if target is None else bit[target],
+                      stored(value), 1 << bin(free).count("1")))
+    return calls, all(stored(dep[q]) == 1 << q for q in range(n)), order
 
 
 def random_ref_amplitudes(n: int, rng) -> np.ndarray:

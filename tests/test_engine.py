@@ -551,23 +551,6 @@ def _plan_ops(n: int, rng, gates: int) -> list:
     return ops
 
 
-def _slots(n: int, index, ops) -> list:
-    # each qubit's stored bit: from the basis state `index`, the qubits in
-    # the order a dense gate or a CX from a free control frees them, then
-    # the others in qubit order; from any other state (index None), its
-    # own bit
-    if index is None:
-        return list(range(n))
-    free, order = 0, []
-    for op in ops:
-        frees = free >> op.control & 1 if op.kind == "CX" else not op.sparse
-        if frees and not free >> op.target & 1:
-            free |= 1 << op.target
-            order.append(op.target)
-    order += [q for q in range(n) if not free >> q & 1]
-    return [order.index(q) for q in range(n)]
-
-
 def _replay_plan(n: int, slot: list, ops, calls) -> set:
     # the plan beside a relabeling of its own: logical bit q of the word
     # stored at i is the parity of i & parity[q]; a logical CX edits the
@@ -619,9 +602,9 @@ def _as_model(call) -> tuple:
 
 
 class TestSchedule:
-    # `engine._schedule` is pure: its pair and diag calls from a basis
-    # state are those of `helpers.window_model`, from any other state
-    # every call covers the whole state in the identity layout, and its
+    # `engine._schedule` is pure: its pair and diag calls are those of
+    # `helpers.window_model` (from a state that is not a basis state,
+    # each covers the whole state in the identity layout), and its
     # CX calls make the words follow the map exactly where they must
     # (`_replay_plan`)
     CASES = {("flush", "moved"), ("flush", "dropped"), ("end", "moved"),
@@ -630,14 +613,15 @@ class TestSchedule:
     @staticmethod
     def _check(n, index, ops) -> set:
         stored, calls = engine._schedule(ops, n, index)
-        slot = _slots(n, index, ops)
+        model, _, order = window_model(n, index, ops)
+        slot = [order.index(q) for q in range(n)]
         if index is None:
+            assert slot == list(range(n))
             assert all(c[1:4] == (n, 0, 1 << n >> (c[0] == "pair")) for c in calls
                        if c[0] != "cx"), n
         else:
             assert stored == sum(1 << slot[q] for q in range(n) if index >> q & 1)
-            assert [_as_model(c) for c in calls if c[0] != "cx"] == \
-                window_model(n, index, ops)[0], (n, index)
+        assert [_as_model(c) for c in calls if c[0] != "cx"] == model, (n, index)
         return _replay_plan(n, slot, ops, calls)
 
     def test_every_basis_state(self):
@@ -663,6 +647,36 @@ class TestSchedule:
             for _ in range(6):
                 seen |= self._check(n, None, _plan_ops(n, rng, 6 * n))
         assert seen == self.CASES - {("end", "swapped back")}
+
+    def test_walks_free_in_one_order(self):
+        # which qubits become free, and when, does not depend on the
+        # layout: in the identity layout, in the model's layout and in a
+        # random one, the walk frees the qubits in the model's order
+        rng = np.random.default_rng(3001)
+        for n in range(1, 10):
+            for _ in range(8):
+                ops = _plan_ops(n, rng, 6 * n)
+                index = None if rng.random() < 0.2 else int(rng.integers(1 << n))
+                order = window_model(n, index, ops)[2]
+                for slot in (list(range(n)), [order.index(q) for q in range(n)],
+                             [int(s) for s in rng.permutation(n)]):
+                    got = engine._walk(ops, n, index, slot)[0]
+                    assert got + [q for q in range(n) if q not in got] == order, (n, index)
+
+    def test_a_cancelled_cx_frees_nothing(self):
+        # a guard on the rule that needs no clock: H(0), then CP(0 -> j)
+        # for j = 1..19 with the free qubit as the control, then H(1); each
+        # CP's two CXs cancel in the map, so only qubits 0 and 1 become
+        # free and the calls cover 2 + 2 + 4 words, at most 2^4
+        ops = [gateset.single("H", 0)]
+        for j in range(1, 20):
+            ops += gateset.decompose_cp(0.3, 0, j)[0]
+        ops.append(gateset.single("H", 1))
+        for index in (0, 6, (1 << 20) - 4):
+            stored, calls = engine._schedule(ops, 20, index)
+            assert [c[0] for c in calls] == ["pair", "diag", "pair"], index
+            assert sum(1 << c[1] for c in calls) <= 1 << 4, index
+            assert stored == index
 
     def test_reads_no_state(self):
         # the same ops and word give the same plan, and the ops are kept

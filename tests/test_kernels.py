@@ -1084,8 +1084,9 @@ class TestDeferral:
 def _layout_ops(n: int, rng, gates: int) -> list:
     # mostly CX and diagonal gates and few dense ones, so that qubits stay
     # fixed across CXs: a CX from a fixed control of value 1 onto a fixed
-    # target moves the window, one from a free control grows it, and
-    # diagonal gates fall on fixed qubits
+    # target moves the window at the next dense gate, one from a free
+    # control grows it there unless a second CX cancels it, and diagonal
+    # gates fall on fixed qubits
     ops = []
     for _ in range(gates):
         r, q = rng.random(), int(rng.integers(n))
@@ -1127,27 +1128,26 @@ def _replay(start: state.StateVector, ops) -> bytearray:
 
 def _window_cases(n: int, index: int, ops) -> set:
     # the cases of run_circuit's window a circuit reaches from the basis
-    # state `index`, by the free/fixed rule of `helpers.window_model`
-    free, rep, order, seen = 0, index, [], set()
-    for op in ops:
-        fixed = not free >> op.target & 1
-        if op.kind == "CX" and free >> op.control & 1:
-            if fixed:
-                seen.add("grows")
-            free |= 1 << op.target
-        elif op.kind == "CX":
-            if rep >> op.control & 1 and fixed:
-                seen.add("moves")
-            rep ^= (rep >> op.control & 1) << op.target
-        elif op.sparse and fixed:
-            seen.add("fixed diagonal")
-        elif not op.sparse:
-            free |= 1 << op.target
-        if fixed and free >> op.target & 1:
-            order.append(op.target)
-    if not window_model(n, index, ops)[1]:
+    # state `index`, read from the calls of `helpers.window_model`: at a
+    # dense gate the window moves (a qubit that stays fixed changed its
+    # value) or grows by more than its target (the map freed a qubit); a
+    # diagonal step reads no free bit; the map ends neither the natural
+    # identity, nor (then) in the identity layout
+    calls, natural, order = window_model(n, index, ops)
+    seen, held = set(), (sum(1 << order.index(q) for q in range(n) if index >> q & 1), 1)
+    for name, first, _, lo, size in calls:
+        if name == "diag":
+            if any(mask & (size - 1) == 0 for _, _, mask in first):
+                seen.add("fixed diagonal")
+            continue
+        if size > 2 * held[1]:
+            seen.add("grows")
+        if lo & -size != held[0] & -size:
+            seen.add("moves")
+        held = lo, size
+    if not natural:
         seen.add("final map")
-        if order + [q for q in range(n) if q not in order] != list(range(n)):
+        if order != list(range(n)):
             seen.add("layout undone")
     return seen
 

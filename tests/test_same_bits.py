@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hpqe import fxp, gateset
+from hpqe import engine, fxp, gateset
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
 spec = importlib.util.spec_from_file_location("same_bits", TOOL)
@@ -73,6 +73,21 @@ def test_real_pairs_command():
     assert text.count("\nH ") == text.count(" 6.283185307179586\n") == 18
     assert gateset.single("RY", 0, 6.283185307179586).matrix == (
         (-fxp.SCALE, 0), (0, 0), (0, 0), (-fxp.SCALE, 0))
+    lines = same_bits.manifest((command,), body="numpy")
+    assert len(lines) == 3
+    if fxp.native_kernels() is not None:
+        assert same_bits.manifest((command,), body="native") == lines
+
+
+def test_map_rule_command():
+    # the CXs of the controlled phases cancel in the map, so they free no
+    # qubit, and the SWAP frees qubit 5 at the next dense gate while
+    # qubit 0 stays free: the pair and diag calls cover 76 words of 2^18,
+    # and the native bytes are the numpy ones
+    command = next(c for c in same_bits.COMMANDS if "map_rule.txt" in c)
+    circuit = gateset.circuit_from_text(same_bits.CIRCUITS["map_rule.txt"])
+    _, calls = engine._schedule(circuit.ops, circuit.n, 131112)
+    assert sum(1 << c[1] for c in calls if c[0] != "cx") == 76
     lines = same_bits.manifest((command,), body="numpy")
     assert len(lines) == 3
     if fxp.native_kernels() is not None:

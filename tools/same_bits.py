@@ -76,6 +76,11 @@ COMMANDS = (
     # products: H, RY(2 pi) (m00 = -2^30) and RY(0.7) on every qubit, so
     # on pairs within a vector (qubits 0-3) and across vectors (4 and up)
     "run --circuit real_pairs.txt --workers 2",
+    # the free/fixed rule on the deferred map: CXs that cancel free
+    # nothing, and a SWAP of a fixed value onto a free qubit frees the
+    # fixed one and leaves the free one free; qubits 3, 5 and 17 of
+    # |131112> are fixed at 1
+    "run --circuit map_rule.txt --init 131112 --workers 2",
 )
 
 # the circuits a command names by file name: each is written into the
@@ -106,6 +111,13 @@ RZ 5 0.9
     "real_pairs.txt": "QUBITS 18\n" + "".join(
         gate.format(q) for gate in ("H {}\n", "RY {} 6.283185307179586\n", "RY {} 0.7\n")
         for q in range(18)),
+    # H 0, then a controlled phase from the free qubit 0 onto each other
+    # qubit, its two CXs cancelling in the map, then H 1; then a SWAP of
+    # qubit 0 with qubit 5, diagonal gates on both, and dense gates that
+    # flush the SWAP and end on a layout that is not the identity
+    "map_rule.txt": "QUBITS 18\nH 0\n" + "".join(
+        f"RZ 0 0.{j}\nCX 0 {j}\nRZ {j} -0.{j}\nCX 0 {j}\nRZ {j} 0.{j}\n" for j in range(1, 18))
+        + "H 1\nCX 0 5\nCX 5 0\nCX 0 5\nRZ 0 0.9\nS 5\nH 2\nRZ 0 1.3\nRY 3 0.8\n",
 }
 
 
