@@ -8,6 +8,6 @@ from .gateset import Circuit, GateOp, decompose_cp, decompose_crx, decompose_swa
 from .engine import (CycleReport, access_mode, apply_cx, apply_single, cx_cycles,
                      cx_cycles_legacy, cycle_report, run_circuit, simulate_swapper)
 from .circuits import gate_count, qft, template
-from .oracle import Metrics, RefState, SizeError, fidelity, mse, ref_run, ref_run_matrix
+from .oracle import Metrics, RefState, SizeError, ref_run, ref_run_matrix
 
 __version__ = "0.1.0"

@@ -42,9 +42,12 @@ all-zero vectors, whose bits cannot change (kernels.c).
 
 The machine's 8 segments (2 PE arrays x 4 PEs, `state.segment_of`) and
 its access modes (Mode1: a pair inside one segment; Mode2: a pair
-across two PEs at equal offsets, `access_mode`) matter to its timing
-only: `cycle_report` counts the mode-2 gates, and no kernel call
-follows the segments.
+across two PEs at equal offsets, `access_mode`) change neither the bits
+nor the modeled cycles: no kernel call follows the segments, and
+`perfmodel.cycles_single` charges every single-qubit gate
+ceil(2^(n-1) / pe_pairs_per_cycle) + pipeline_fill cycles, whatever its
+mode. `access_mode` names a gate's mode for the benchmark's split of
+kernel time by path.
 
 CX performs no arithmetic: it swaps 2^(n-2) amplitude pairs
 (`fxp.Banks.cx`). The pipelined swapper schedule costs 2*(2^(n-2)+1)+1
@@ -103,33 +106,6 @@ def cx_cycles_legacy(n: int) -> int:
     return 5 * (1 << (n - 2))
 
 
-# ---------------------------------------------------------------------------
-# CX pair addressing: pair k is built by re-inserting a 0 at the target
-# and a 1 at the control position of the compressed index k. Ascending k
-# is the canonical enumeration order.
-# ---------------------------------------------------------------------------
-
-def _insert_bit(x, pos: int, bit: int):
-    """x with `bit` inserted at position pos: the step of `cx_pair`'s
-    address order, a machine fact that the tests pin; no computation
-    reads it."""
-    high = (x >> pos) << (pos + 1)
-    low = x & ((1 << pos) - 1)
-    return high | low | (bit << pos)
-
-
-def cx_pair(k: int, n: int, control: int, target: int) -> tuple[int, int]:
-    """Global indices of the k-th swapped pair (control=1, target=0/1).
-
-    The swapper's address order: a machine fact that the tests pin; no
-    computation reads it, since the schedule does not depend on it.
-    """
-    lo, hi = sorted((control, target))
-    x = _insert_bit(_insert_bit(k, lo, 0), hi, 0)
-    i0 = x | (1 << control)
-    return i0, i0 | (1 << target)
-
-
 def apply_cx(state: StateVector, control: int, target: int) -> None:
     """Swap the control=1 amplitude pairs in place (cycles: `cx_cycles`):
     words i and i | 2^target for every i whose control bit is set and
@@ -160,7 +136,7 @@ def simulate_swapper(n: int, record_trace: bool | None = None) -> SwapperRun:
 
     Traces are recorded for n <= 12 unless forced; the cycle and stage
     counts are always produced by honest stepping. The pairs' addresses
-    (`cx_pair`) do not change the schedule, so no stage computes them.
+    do not change the schedule, so no stage computes them.
     """
     if n < 2:
         raise ValueError("swapper requires n >= 2")
@@ -239,8 +215,6 @@ class CycleReport:
     mem_mode: str
     per_gate: list          # (gate index, kind, cycles)
     total_cycles: int
-    cx_pairs_swapped: int
-    mode2_gate_count: int
 
     def to_json(self) -> str:
         """The report as `json.dumps({"gates": [{"index", "kind",
@@ -256,33 +230,16 @@ class CycleReport:
 
 def cycle_report(circuit: Circuit,
                  cfg: perfmodel.PerfConfig = perfmodel.DEFAULT_CONFIG) -> CycleReport:
-    """Pure cycle accounting for a circuit, no state required."""
+    """Pure cycle accounting for a circuit, no state required: each CX
+    costs `cx_cycles(n)`, each single-qubit gate
+    `perfmodel.cycles_single(n, cfg)`."""
     n = circuit.n
-    per_gate = []
-    total = pairs = mode2 = 0
-    # worked out at the first gate that needs them: the cycles of a CX
-    # and of a single-qubit gate (keyed by kind == CX), and whether each
-    # single-qubit target is a Mode2 pair
-    cycles_of = {}
-    mode2_of = {}
-    for idx, op in enumerate(circuit.ops):
-        is_cx = op.kind == CX
-        cycles = cycles_of.get(is_cx)
-        if cycles is None:
-            cycles = cycles_of[is_cx] = (cx_cycles(n) if is_cx
-                                         else perfmodel.cycles_single(n, cfg))
-        per_gate.append((idx, op.kind, cycles))
-        total += cycles
-        if is_cx:
-            pairs += 1 << (n - 2)
-        elif n >= 3:
-            t = op.target
-            if t not in mode2_of:
-                mode2_of[t] = access_mode(t, n) == MODE2
-            mode2 += mode2_of[t]
-    return CycleReport(n=n, mem_mode=perfmodel.memory_mode(n, cfg),
-                       per_gate=per_gate, total_cycles=total,
-                       cx_pairs_swapped=pairs, mode2_gate_count=mode2)
+    cx_cost = cx_cycles(n) if n >= 2 else None
+    single_cost = perfmodel.cycles_single(n, cfg)
+    per_gate = [(idx, op.kind, cx_cost if op.kind == CX else single_cost)
+                for idx, op in enumerate(circuit.ops)]
+    return CycleReport(n=n, mem_mode=perfmodel.memory_mode(n, cfg), per_gate=per_gate,
+                       total_cycles=sum(c for _, _, c in per_gate))
 
 
 def _basis_word(state: StateVector) -> int | None:

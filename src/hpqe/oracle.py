@@ -355,26 +355,15 @@ def _sum_sq_abs(d: np.ndarray, buf: np.ndarray) -> float:
     return np.sum(np.square(buf, out=buf))
 
 
-def fidelity(a, b) -> float:
-    """|<a|b>|^2: global-phase-invariant overlap of two state vectors."""
-    return metrics(a, b).fidelity
-
-
-def mse(a, b):
-    """Per-amplitude mean squared error, raw and after phase alignment.
-
-    The reported phase is the rotation applied to b that minimizes the
-    aligned error, so mse_aligned <= mse_raw always holds; for a sign
-    flip it comes out as pi.
-    """
-    m = metrics(a, b)
-    return m.mse_raw, m.mse_aligned, m.phase
-
-
 def metrics(a, b) -> Metrics:
     """Fidelity and MSE of a against b, in blocks of
     min(2^BLOCK_BITS, size) amplitudes: one pass for the overlaps and
     the raw error, and one for the aligned error where the raw is not 0.
+
+    The fidelity is |<a|b>|^2, which ignores a global phase. The MSEs
+    are per amplitude, raw and after turning b by `phase`, the rotation
+    that minimizes the aligned error, so mse_aligned <= mse_raw always
+    holds; for a sign flip the phase comes out as pi.
 
     The bytes equal those of the whole-array expressions (the tests keep
     them as the reference): every amplitude meets the same elementwise

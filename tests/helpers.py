@@ -225,13 +225,10 @@ def cycles_json_reference(report) -> str:
 
 
 def cycle_report_reference(circuit, cfg=perfmodel.DEFAULT_CONFIG) -> tuple:
-    """(per_gate, total_cycles, cx_pairs_swapped, mode2_gate_count) of
-    `engine.cycle_report`, with every fact worked out again for each op."""
+    """(per_gate, total_cycles) of `engine.cycle_report`, with each gate's
+    cycles worked out again for each op."""
     n = circuit.n
     per_gate = [(i, op.kind, engine.cx_cycles(n) if op.kind == "CX"
                  else perfmodel.cycles_single(n, cfg))
                 for i, op in enumerate(circuit.ops)]
-    pairs = sum(1 << (n - 2) for op in circuit.ops if op.kind == "CX")
-    mode2 = sum(1 for op in circuit.ops if op.kind != "CX" and n >= 3
-                and engine.access_mode(op.target, n) == engine.MODE2)
-    return per_gate, sum(c for _, _, c in per_gate), pairs, mode2
+    return per_gate, sum(c for _, _, c in per_gate)

@@ -215,14 +215,6 @@ class TestSwapper:
         ratio = engine.cx_cycles_legacy(17) / engine.cx_cycles(17)
         assert abs(ratio - 2.5) < 0.001
 
-    def test_pair_addresses_cover_all_swaps(self):
-        n, c, t = 5, 4, 1
-        run_pairs = [engine.cx_pair(k, n, c, t) for k in range(1 << (n - 2))]
-        want = {(i, i | (1 << t)) for i in range(1 << n)
-                if (i >> c) & 1 and not (i >> t) & 1}
-        assert set(run_pairs) == want
-        assert run_pairs == sorted(run_pairs)    # canonical ascending order
-
 
 class TestRunCircuit:
     def test_empty_circuit(self):
@@ -248,7 +240,7 @@ class TestRunCircuit:
             circuit = random_circuit(n, gates, rng)
             sv, _ = engine.run_circuit(state.init_basis(n, 0), circuit)
             ref = oracle.ref_run(circuit, oracle.basis_state(n, 0))
-            _, _, phase = oracle.mse(sv.to_complex(), ref.amps)
+            phase = oracle.metrics(sv.to_complex(), ref.amps).phase
             qre, qim = quantized(ref.amps * np.exp(1j * phase))
             assert np.abs(sv.re - qre).max() <= 50
             assert np.abs(sv.im - qim).max() <= 50
@@ -275,17 +267,6 @@ class TestRunCircuit:
                 assert np.array_equal(sv.re, base[0])
                 assert np.array_equal(sv.im, base[1])
                 assert report.total_cycles == base[2]
-
-    def test_mode2_and_pair_accounting(self):
-        c = gateset.Circuit(n=4, ops=[
-            gateset.single("H", 0),     # Mode1
-            gateset.single("H", 3),     # Mode2 (t = n-1)
-            gateset.single("RZ", 1, 0.5),   # Mode2 (t = n-3)
-            gateset.cx(0, 1),
-        ])
-        _, report = engine.run_circuit(state.init_basis(4, 0), c)
-        assert report.mode2_gate_count == 2
-        assert report.cx_pairs_swapped == 4
 
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
@@ -695,8 +676,6 @@ class TestCycleReport:
         accounted = engine.cycle_report(circuit)
         assert accounted.per_gate == executed.per_gate
         assert accounted.total_cycles == executed.total_cycles
-        assert accounted.cx_pairs_swapped == executed.cx_pairs_swapped
-        assert accounted.mode2_gate_count == executed.mode2_gate_count
         assert accounted.mem_mode == executed.mem_mode
 
     def test_json_shape(self):
@@ -732,19 +711,19 @@ class TestCycleReport:
         odd = 'R"\u00e9\\\n'
         report = engine.CycleReport(n=3, mem_mode="BRAM",
                                     per_gate=[(0, odd, 7), (1, "CX", 5), (2, odd, 7)],
-                                    total_cycles=19, cx_pairs_swapped=2, mode2_gate_count=0)
+                                    total_cycles=19)
         doc = report.to_json()
         assert doc == cycles_json_reference(report)
         assert doc.isascii() and json.loads(doc)["gates"][2]["kind"] == odd
 
     def test_facts_match_a_per_op_count(self):
-        # each kind's cycles and each target's access mode are worked out
-        # once per call; the report must equal one that works them out per op
+        # a CX's cycles and a single-qubit gate's are worked out once per
+        # call; the report must equal one that works them out per op
         cfg = perfmodel.PerfConfig(pe_pairs_per_cycle=3, pipeline_fill=9)
         rng = np.random.default_rng(26)
         extra = [random_circuit(n, 40, rng) for n in (1, 2, 3, 4, 7)]
         for circuit in [*self.report_circuits(), *extra]:
             for c in (perfmodel.DEFAULT_CONFIG, cfg):
                 report = engine.cycle_report(circuit, c)
-                assert (report.per_gate, report.total_cycles, report.cx_pairs_swapped,
-                        report.mode2_gate_count) == cycle_report_reference(circuit, c)
+                assert (report.per_gate, report.total_cycles) == \
+                    cycle_report_reference(circuit, c)

@@ -1,5 +1,4 @@
 import math
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -406,129 +405,3 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=f"^line 3: global phase '{phase}'"):
             gateset.circuit_from_text(text)
 
-
-class TestGateRecord:
-    def test_size_and_header(self):
-        rec = gateset.pack_gate_record(gateset.single("H", 3))
-        assert len(rec) == gateset.GATE_RECORD_BYTES == 40
-        assert rec[0] == 0            # kind code H
-        assert rec[1] == 0xFF         # no control
-        assert rec[2] == 3            # target
-        assert rec[3] == 0            # dense
-        assert rec[4:8] == b"\x00\x00\x00\x00"
-        r = fxp.RAW_SQRT_HALF         # m00 = (r, 0), int32 little-endian
-        assert rec[8:16] == r.to_bytes(4, "little", signed=True) + bytes(4)
-
-    def test_cx_record(self):
-        rec = gateset.pack_gate_record(gateset.cx(1, 0))
-        assert rec[0] == 5 and rec[1] == 1 and rec[2] == 0
-        assert rec[8:] == b"\x00" * 32
-        back = gateset.unpack_gate_record(rec)
-        assert (back.kind, back.control, back.target) == ("CX", 1, 0)
-        assert back.matrix is None
-
-    def test_round_trip_preserves_coefficients(self):
-        for g in (gateset.single("RZ", 2, 0.7), gateset.single("S", 1),
-                  gateset.single("RY", 0, -1.9)):
-            back = gateset.unpack_gate_record(gateset.pack_gate_record(g))
-            assert back.kind == g.kind
-            assert back.target == g.target
-            assert back.sparse == g.sparse
-            assert back.matrix == g.matrix    # angles travel as coefficients
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            gateset.unpack_gate_record(b"\x00" * 39)
-
-    @pytest.mark.parametrize("code", (6, 9, 0xFF))
-    def test_bad_kind_code(self, code):
-        rec = bytearray(gateset.pack_gate_record(gateset.single("H", 3)))
-        rec[0] = code
-        with pytest.raises(ValueError, match=f"^gate record kind code {code} is not one of 0..5$"):
-            gateset.unpack_gate_record(bytes(rec))
-
-    def test_every_qubit_that_fits_round_trips(self):
-        # a record names qubits 0..254: 0xFF is "no control"
-        for op in (gateset.single("H", 254), gateset.single("RZ", 0, 0.2),
-                   gateset.cx(254, 0), gateset.cx(0, 254), gateset.cx(253, 254)):
-            back = gateset.unpack_gate_record(gateset.pack_gate_record(op))
-            assert back == (op.kind, op.target, op.control, op.matrix, op.sparse)
-
-    @pytest.mark.parametrize("op, message", (
-        (gateset.single("H", 300), "target 300 out of range"),
-        (gateset.single("RX", 255, 0.1), "target 255 out of range"),
-        (gateset.cx(255, 3), "control 255 out of range"),
-        (gateset.cx(3, 255), "target 255 out of range"),
-        (gateset.cx(300, 3), "control 300 out of range"),
-        (gateset.GateOp("CX", 3), "control None out of range"),
-        (gateset.GateOp("CX", 3, control=3), "CX control and target are both qubit 3"),
-        (gateset.GateOp("H", 3, control=1), "H takes no control"),
-        (gateset.GateOp("S", -1), "target -1 out of range")))
-    def test_pack_refuses_what_a_record_cannot_hold(self, op, message):
-        with pytest.raises(ValueError, match=r"^gate does not fit a record \(qubits 0\.\.254\): "
-                           + message):
-            gateset.pack_gate_record(op)
-
-    @pytest.mark.parametrize("kind", gateset.ROTATION_KINDS)
-    def test_every_rotation_record_unpacks(self, kind):
-        # the words of any angle are words of the kind: x and y, each
-        # quantized on its own, meet 2^30 on the circle within one word
-        rng = np.random.default_rng(393)
-        angles = [0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, *rng.uniform(-40, 40, 2000)]
-        for angle in angles:
-            op = gateset.single(kind, 1, float(angle))
-            assert gateset.unpack_gate_record(gateset.pack_gate_record(op)).matrix == \
-                op.matrix, angle
-
-    @staticmethod
-    def _edited(op, *edits) -> bytes:
-        rec = bytearray(gateset.pack_gate_record(op))
-        for at, value in edits:
-            rec[at] = value
-        return bytes(rec)
-
-    @pytest.mark.parametrize("op, edits, message", (
-        # a CX with 0xFF, its target or no control
-        (gateset.cx(1, 3), ((1, 0xFF),), "control byte 255 does not suit a CX on qubit 3"),
-        (gateset.cx(1, 3), ((1, 3),), "control byte 3 does not suit a CX on qubit 3"),
-        # a single-qubit kind with a control, even its own target
-        (gateset.single("H", 3), ((1, 2),), "control byte 2 does not suit a H on qubit 3"),
-        (gateset.single("RZ", 3, 0.4), ((1, 3),), "control byte 3 does not suit a RZ"),
-        # a target of 0xFF
-        (gateset.single("H", 3), ((2, 0xFF),), "target byte is 0xFF"),
-        (gateset.cx(1, 3), ((2, 0xFF),), "target byte is 0xFF"),
-        # a sparse byte other than the kind's
-        (gateset.single("H", 3), ((3, 1),), "sparse byte 1 does not match kind H"),
-        (gateset.single("RZ", 3, 0.4), ((3, 0),), "sparse byte 0 does not match kind RZ"),
-        (gateset.single("S", 3), ((3, 2),), "sparse byte 2 does not match kind S"),
-        # nonzero reserved bytes, each of the four
-        *((gateset.single("H", 3), ((at, 1),), "reserved bytes 4-7 are not zero")
-          for at in range(4, 8)),
-        # words no gate of the kind has
-        (gateset.single("H", 3), ((8, 0),), "words are those of no H gate"),
-        (gateset.single("S", 3), ((39, 1),), "words are those of no S gate"),
-        (gateset.cx(1, 3), ((20, 1),), "words are those of no CX gate"),
-        (gateset.single("RZ", 3, 0.4), ((16, 1),), "words are those of no RZ gate"),
-        (gateset.single("RZ", 3, 0.4), ((12, 0),), "words are those of no RZ gate"),
-        (gateset.single("RX", 3, 0.4), ((17, 1),), "words are those of no RX gate"),
-        (gateset.single("RX", 3, 0.4), ((20, 0),), "words are those of no RX gate"),
-        (gateset.single("RY", 3, 0.4), ((24, 0),), "words are those of no RY gate"),
-        (gateset.single("RY", 3, 0.4), ((8, 2),), "words are those of no RY gate")))
-    def test_unpack_refuses_what_pack_cannot_write(self, op, edits, message):
-        data = self._edited(op, *edits)
-        with pytest.raises(ValueError, match="^gate record " + message):
-            gateset.unpack_gate_record(data)
-
-    def test_rotation_words_off_the_circle_are_refused(self):
-        # RZ's form at x^2 + y^2 away from 2^60 by more than one word's
-        # rounding: (2^30 - 2, 0) and (0, 0)
-        for x in (fxp.SCALE - 2, 0, fxp.SCALE + 2):
-            data = bytearray(gateset.pack_gate_record(gateset.single("RZ", 0, 0.0)))
-            data[8:40] = struct.pack("<8i", x, 0, 0, 0, 0, 0, x, 0)
-            with pytest.raises(ValueError, match="^gate record words are those of no RZ gate$"):
-                gateset.unpack_gate_record(bytes(data))
-
-    def test_record_is_words_not_a_gate(self):
-        back = gateset.unpack_gate_record(gateset.pack_gate_record(gateset.single("RX", 1, 0.3)))
-        assert isinstance(back, gateset.GateRecord) and not isinstance(back, gateset.GateOp)
-        assert back == ("RX", 1, None, gateset.single("RX", 1, 0.3).matrix, False)

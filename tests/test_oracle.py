@@ -402,17 +402,17 @@ class TestGlobalPhaseCoherence:
 class TestFidelity:
     def test_self_overlap(self):
         psi = random_ref_amplitudes(4, np.random.default_rng(65))
-        assert oracle.fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
+        assert oracle.metrics(psi, psi).fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert oracle.fidelity(oracle.basis_state(2, 0),
-                               oracle.basis_state(2, 1)) == 0.0
+        assert oracle.metrics(oracle.basis_state(2, 0),
+                              oracle.basis_state(2, 1)).fidelity == 0.0
 
     def test_phase_invariance(self):
         rng = np.random.default_rng(66)
         psi = random_ref_amplitudes(3, rng)
         for phi in rng.uniform(0, 2 * np.pi, 10):
-            assert oracle.fidelity(psi, np.exp(1j * phi) * psi) == \
+            assert oracle.metrics(psi, np.exp(1j * phi) * psi).fidelity == \
                 pytest.approx(1.0, abs=1e-12)
 
     def test_bounds_for_normalized_inputs(self):
@@ -420,51 +420,52 @@ class TestFidelity:
         for _ in range(50):
             a = random_ref_amplitudes(4, rng)
             b = random_ref_amplitudes(4, rng)
-            f = oracle.fidelity(a, b)
+            f = oracle.metrics(a, b).fidelity
             assert 0.0 <= f <= 1.0 + 1e-9
 
     def test_accepts_fixed_point_inputs(self):
         sv = state.init_basis(3, 1)
-        assert oracle.fidelity(sv, oracle.basis_state(3, 1)) == \
+        assert oracle.metrics(sv, oracle.basis_state(3, 1)).fidelity == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            oracle.fidelity(oracle.basis_state(2, 0), oracle.basis_state(3, 0))
+            oracle.metrics(oracle.basis_state(2, 0), oracle.basis_state(3, 0))
 
 
 class TestMse:
     def test_identical(self):
         psi = random_ref_amplitudes(4, np.random.default_rng(68))
-        assert oracle.mse(psi, psi) == (0.0, 0.0, 0.0)
+        m = oracle.metrics(psi, psi)
+        assert (m.mse_raw, m.mse_aligned, m.phase) == (0.0, 0.0, 0.0)
 
     def test_sign_flip_is_pure_phase(self):
         psi = random_ref_amplitudes(5, np.random.default_rng(69))
-        mse_raw, mse_aligned, phase = oracle.mse(psi, -psi)
-        assert mse_aligned == pytest.approx(0.0, abs=1e-15)
-        assert abs(phase) == pytest.approx(math.pi)
-        assert mse_raw == pytest.approx(4.0 / 2 ** 5)
+        m = oracle.metrics(psi, -psi)
+        assert m.mse_aligned == pytest.approx(0.0, abs=1e-15)
+        assert abs(m.phase) == pytest.approx(math.pi)
+        assert m.mse_raw == pytest.approx(4.0 / 2 ** 5)
 
     def test_aligned_never_exceeds_raw(self):
         rng = np.random.default_rng(70)
         for _ in range(100):
             a = random_ref_amplitudes(3, rng)
             b = np.exp(1j * rng.uniform(0, 2 * np.pi)) * random_ref_amplitudes(3, rng)
-            mse_raw, mse_aligned, _ = oracle.mse(a, b)
-            assert mse_aligned <= mse_raw + 1e-15
+            m = oracle.metrics(a, b)
+            assert m.mse_aligned <= m.mse_raw + 1e-15
 
     def test_alignment_is_optimal(self):
         rng = np.random.default_rng(71)
         a = random_ref_amplitudes(3, rng)
         b = random_ref_amplitudes(3, rng)
-        _, mse_aligned, phase = oracle.mse(a, b)
+        mse_aligned = oracle.metrics(a, b).mse_aligned
         for phi in np.linspace(0, 2 * np.pi, 37):
             trial = np.mean(np.abs(a - np.exp(1j * phi) * b) ** 2)
             assert mse_aligned <= trial + 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            oracle.mse(np.zeros(4), np.zeros(8))
+            oracle.metrics(np.zeros(4), np.zeros(8))
 
 
 class TestMetrics:
@@ -510,7 +511,6 @@ class TestMetrics:
                 want = bits(metrics_reference(amps(a), amps(b)))
                 got = oracle.metrics(a, b)
                 assert bits((got.fidelity, got.mse_raw, got.mse_aligned, got.phase)) == want
-                assert bits((oracle.fidelity(a, b), *oracle.mse(a, b))) == want
         with pytest.raises(ValueError, match=f"^length mismatch: {size} vs {2 * size}$"):
             oracle.metrics(ref, state.init_basis(n + 1, 0))
 

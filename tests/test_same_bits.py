@@ -92,3 +92,18 @@ def test_map_rule_command():
     assert len(lines) == 3
     if fxp.native_kernels() is not None:
         assert same_bits.manifest((command,), body="native") == lines
+
+
+def test_ghz_command():
+    # H 0 frees qubit 0, so its pair call covers a 2-word window, and the
+    # 19 CXs of the chain stay deferred to the end of the run, where they
+    # are flushed over the whole state; the native bytes are the numpy ones
+    command = next(c for c in same_bits.COMMANDS if "ghz20.txt" in c)
+    circuit = gateset.circuit_from_text(same_bits.CIRCUITS["ghz20.txt"])
+    assert (len(circuit.ops), circuit.n) == (20, 20)
+    _, calls = engine._schedule(circuit.ops, circuit.n, 0)
+    assert [c[:2] for c in calls] == [("pair", 1)] + [("cx", q) for q in range(19)]
+    lines = same_bits.manifest((command,), body="numpy")
+    assert len(lines) == 3
+    if fxp.native_kernels() is not None:
+        assert same_bits.manifest((command,), body="native") == lines

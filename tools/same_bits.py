@@ -81,6 +81,10 @@ COMMANDS = (
     # fixed one and leaves the free one free; qubits 3, 5 and 17 of
     # |131112> are fixed at 1
     "run --circuit map_rule.txt --init 131112 --workers 2",
+    # the end-of-run flush: after H 0 the window is 2 words, and the 19
+    # CXs of a GHZ chain, still deferred at the end, are flushed over
+    # the whole state
+    "run --circuit ghz20.txt --workers 2",
 )
 
 # the circuits a command names by file name: each is written into the
@@ -118,6 +122,7 @@ RZ 5 0.9
     "map_rule.txt": "QUBITS 18\nH 0\n" + "".join(
         f"RZ 0 0.{j}\nCX 0 {j}\nRZ {j} -0.{j}\nCX 0 {j}\nRZ {j} 0.{j}\n" for j in range(1, 18))
         + "H 1\nCX 0 5\nCX 5 0\nCX 0 5\nRZ 0 0.9\nS 5\nH 2\nRZ 0 1.3\nRY 3 0.8\n",
+    "ghz20.txt": "QUBITS 20\nH 0\n" + "".join(f"CX {q} {q + 1}\n" for q in range(19)),
 }
 
 
