@@ -256,13 +256,14 @@ def _basis_word(state: StateVector) -> int | None:
     return found.pop() if len(found) == 1 else None
 
 
-def _walk(ops, n: int, word: int | None, slot: list) -> tuple:
+def _walk(ops, n: int, word: int | None, slot: list, emit: bool = True) -> tuple:
     # the rule of `_schedule` over the ops, qubit q on stored bit
     # slot[q]: (the qubits in the order they become free, the stored
     # index of the basis word, the kernel calls). free is the mask of
     # the free qubits' stored bits, lo the stored bits of the fixed
     # qubits at 1, so the words that can be nonzero are those that agree
-    # with lo outside free
+    # with lo outside free. Without emit it follows only the map and the
+    # free mask, which alone decide the order, and returns no calls
     start = [1 << s for s in slot]
     if word is None:
         order, free, lo = list(range(n)), (1 << n) - 1, 0
@@ -272,11 +273,14 @@ def _walk(ops, n: int, word: int | None, slot: list) -> tuple:
     stored = lo
     parity, pending, steps, calls = list(start), [], [], []
     for op in [*ops, None]:
-        if op is not None and op.kind == CX:
-            parity[op.target] ^= parity[op.control]
-            pending.append(("cx", slot[op.control], slot[op.target]))
-        elif op is not None and op.sparse:
-            steps.append(_diag_step(op, parity[op.target]))
+        if op is not None and op.sparse:
+            if emit:
+                steps.append(_diag_step(op, parity[op.target]))
+        elif op is not None and op.kind == CX:
+            c, t = op.control, op.target
+            parity[t] ^= parity[c]
+            if emit:
+                pending.append(("cx", slot[c], slot[t]))
         else:
             k = free.bit_count()
             if steps:
@@ -284,17 +288,28 @@ def _walk(ops, n: int, word: int | None, slot: list) -> tuple:
                 steps = []
             if op is None:
                 break
-            if parity != start:
+            if emit and parity != start:
                 calls += pending
+            # only the qubits whose rows the pending CXs changed can take
+            # a free bit or a new value: none after a CX pair that
+            # cancels, as in QFT's controlled phases
+            rows = [] if parity == start else [q for q in range(n) if parity[q] != start[q]]
             # the qubits the map frees, in qubit order, then the target
-            for q in [q for q in range(n) if parity[q] & free] + [op.target]:
+            for q in [q for q in rows if parity[q] & free] + [op.target]:
                 if not start[q] & free:
                     order.append(q)
                     free |= start[q]
-            lo = sum(start[q] for q in range(n) if (lo & parity[q]).bit_count() & 1) & ~free
-            parity, pending, k = list(start), [], free.bit_count()
-            calls.append(("pair", k, lo >> 1, (lo + (1 << k)) >> 1, op.matrix, slot[op.target]))
-    if parity != [1 << q for q in range(n)]:
+            if emit:
+                # a fixed qubit's value, the parity of lo & parity[q],
+                # flips where that of lo & (parity[q] ^ start[q]) is odd
+                lo ^= sum(start[q] for q in rows
+                          if (lo & (parity[q] ^ start[q])).bit_count() & 1)
+                lo &= ~free
+                k = free.bit_count()
+                calls.append(("pair", k, lo >> 1, (lo + (1 << k)) >> 1, op.matrix,
+                              slot[op.target]))
+            parity, pending = list(start), []
+    if emit and parity != [1 << q for q in range(n)]:
         if parity != start:
             calls += pending
         on = sorted(range(n), key=slot.__getitem__)     # the qubit on each stored bit
@@ -342,7 +357,8 @@ def _schedule(ops, n: int, word: int | None) -> tuple:
     Layout and window. Which qubits become free, and when, does not
     depend on the layout: a layout renames the stored bits of the map's
     rows and of the free mask alike. So `_walk` runs the rule once with
-    each qubit on its own stored bit, to learn the order in which the
+    each qubit on its own stored bit, following only the map and the
+    free mask and emitting nothing, to learn the order in which the
     qubits become free (at one dense gate, those the map frees in qubit
     order, then the target; from a state that is not a basis state, all
     of them at the start, in qubit order), and once more to emit the
@@ -363,9 +379,38 @@ def _schedule(ops, n: int, word: int | None) -> tuple:
     `Banks.pair` on the pairs [lo, hi) of stored bit `bit`; or ("cx",
     control, target), `Banks.cx` on two stored bits.
     """
-    order = _walk(ops, n, word, list(range(n)))[0]
+    order = _walk(ops, n, word, list(range(n)), emit=False)[0]
     order += [q for q in range(n) if q not in order]
     return _walk(ops, n, word, [order.index(q) for q in range(n)])[1:]
+
+
+def _fits(call, n: int) -> bool:
+    # whether a call of a plan stays inside the n-qubit state: a diag on
+    # an aligned window [lo, lo + 2^k) of the 2^n words, a pair on an
+    # aligned window [lo, lo + 2^(k-1)) of the 2^(n-1) pairs with its
+    # bit below k, a cx on two distinct bits below n
+    name, *args = call
+    if name == "cx":
+        return len(args) == 2 and 0 <= args[0] < n and 0 <= args[1] < n and args[0] != args[1]
+    pair = name == "pair"
+    if name not in ("diag", "pair") or len(args) != 4 + pair or not pair <= args[0] <= n:
+        return False
+    k, lo, hi = args[:3]
+    size = 1 << (k - pair)      # the window's words, or pairs
+    return (0 <= lo and lo % size == 0 and hi == lo + size <= 1 << (n - pair)
+            and (not pair or 0 <= args[4] < k))
+
+
+def _check_plan(stored: int, calls, n: int) -> None:
+    # RuntimeError unless the plan's stored index is a word of the state
+    # and every call `_fits`. No `fxp.Banks` call checks its range, and
+    # the native kernels write wherever one points, so an unchecked
+    # planning bug would corrupt memory instead of raising
+    if not 0 <= stored < 1 << n:
+        raise RuntimeError(f"plan stores the basis word at {stored}, outside n={n}")
+    for call in calls:
+        if not _fits(call, n):
+            raise RuntimeError(f"plan call {call!r} does not fit a state of n={n}")
 
 
 def _pieces(workers: int, k: int) -> int:
@@ -388,10 +433,13 @@ def run_circuit(state: StateVector, circuit: Circuit,
 
     A state with exactly one nonzero word is a basis state, and that
     word moves to its stored index; then the calls of `_schedule` run in
-    order. Each `diag` and `pair` call is cut into p contiguous pieces
-    of near-equal length, p the smaller of `workers` and 2^(k-1), with a
-    barrier after every call; below SPLIT_MIN_AMPS words p is 1, and
-    below SPLIT_MIN_AMPS amplitudes no pool is made. Each `cx` call is
+    order. Before any word moves, `_check_plan` raises RuntimeError for
+    a plan that leaves the state, a planning bug that the unchecked
+    kernels would turn into a memory fault. Each `diag` and `pair` call
+    is cut into p contiguous pieces of near-equal length, p the smaller
+    of `workers` and 2^(k-1), with a barrier after every call; below
+    SPLIT_MIN_AMPS words p is 1, and below SPLIT_MIN_AMPS amplitudes no
+    pool is made. Each `cx` call is
     one `Banks.cx`. No bit depends on the worker count.
     """
     if circuit.n != state.n:
@@ -409,6 +457,7 @@ def run_circuit(state: StateVector, circuit: Circuit,
         ops.append(op)
     word = _basis_word(state)
     stored, calls = _schedule(ops, n, word)
+    _check_plan(stored, calls, n)
     if word is not None:
         for a in (state.re, state.im):
             a[stored], a[word] = a[word], a[stored]

@@ -59,7 +59,14 @@
  * whose four imaginary parts are all 0 (H, RY): each part of a product
  * is then sat(mul(cr, x)), and its clip is not needed (the proof is at
  * pair_vbody). That variant is one instantiation, beside the two of
- * the complex body.
+ * the complex body. A real matrix (a, b, a, -b) with |a| < 2^30 and
+ * |b| < 2^30, both strictly, on a qubit t >= 4 takes a fourth, the
+ * butterfly, as H, RY(pi/2) and RY(5 pi/2) do: its two outputs share
+ * their products, x' = sat(P + Q) and y' = sat(P - Q) with P = R(a x)
+ * and Q = R(b y), so it forms 4 rounded products per pair where the
+ * real variant forms 8, with the same bits. Round half to even is odd
+ * (R(-p) = -R(p)), and under the strict bound no product or negation
+ * leaves the word's range (the proof is at pair_vbody).
  */
 
 #include <stdint.h>
@@ -343,6 +350,25 @@ VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
     vstore(outi, vnarrow(oi[0], oi[1]));
 }
 
+/* the butterfly on 16 pairs of one row: v holds the x words and the y
+ * words (re, im), and each part of x takes sat(P + Q), of y sat(P - Q),
+ * with P = R(a x) and Q = R(b y) (pair_vbody) */
+VBODY void vfly16(v16d v[2][2], v8q a, v8q b, int32_t *out[2][2])
+{
+    for (int p = 0; p < 2; p++) {
+        v8q x = (v8q)v[0][p], y = (v8q)v[1][p], sum[2], dif[2];
+        for (int h = 0; h < 2; h++) {
+            v8q P = vmul(a, x, 0), Q = vmul(b, y, 0);
+            sum[h] = P + Q;
+            dif[h] = P - Q;
+            x >>= 32;
+            y >>= 32;
+        }
+        vstore(out[0][p], vnarrow(sum[0], sum[1]));
+        vstore(out[1][p], vnarrow(dif[0], dif[1]));
+    }
+}
+
 /* the word indices 0..15 of a vector */
 #define LANES {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
@@ -369,13 +395,31 @@ VBODY void vdense16(v16d own_r, v16d own_i, v16d oth_r, v16d oth_i,
  * follows its product at once, so the product's own clip can change no
  * bit (sat(sat(q)) = sat(q)): this body runs with clip 0, the ci
  * products are never formed, and one instantiation serves every real
- * matrix. The portable loops for the ends take clip 0 too, by the same
- * proof. */
+ * matrix but the butterflies. The portable loops for the ends take clip
+ * 0 too, by the same proof.
+ *
+ * fly says that m is real and (a, b, a, -b), with |a| < 2^30 and |b| <
+ * 2^30, and t >= 4 (pair_avx512 checks it). Then the real variant's
+ * outputs are x' = sat(sat(R(a x)) + sat(R(b y))) and y' =
+ * sat(sat(R(a x)) + sat(R(-b y))) for each part. Every word w has |w| <=
+ * 2^31 and |a|, |b| <= 2^30 - 1, so |a w| <= 2^61 - 2^31 and |R(a w)| <=
+ * 2^31 - 2: each product's sat is the identity, and so is the negation
+ * of one. R rounds p / 2^30 to the nearest integer, ties to the even
+ * one, and both choices are mirrored about 0, so R is odd: R(-p) =
+ * -R(p). So with P = R(a x) and Q = R(b y), x' = sat(P + Q) and y' =
+ * sat(P - Q), and the body forms P and Q once for both outputs
+ * (vfly16). The bound must
+ * be strict: at a = -2^30 and x = RAW_MIN, R(a x) = 2^31 is past
+ * RAW_MAX, and its sat gives 2^31 - 1, which the shared sum would not
+ * see; at b = 2^30 and y = RAW_MIN, Q = RAW_MIN, and -Q = 2^31 is not
+ * R(-b y)'s saturated 2^31 - 1. The ends take the portable loops with
+ * clip 0, as above: every coefficient fits. */
 VBODY void pair_vbody(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
-                      const int64_t *m, const int real, const int clip)
+                      const int64_t *m, const int real, const int fly, const int clip)
 {
-    int64_t half = 1LL << t, lanes = t < 4 ? half : 0, size = t < 4 ? 8 : 16;
-    int outputs = t < 4 ? 1 : 2;
+    int whole = fly || t >= 4;      /* fly implies t >= 4: no shuffles */
+    int64_t half = 1LL << t, lanes = whole ? 0 : half, size = whole ? 16 : 8;
+    int outputs = whole ? 2 : 1;
     int64_t first = (lo + size - 1) & -size, last = hi & -size;
     if (first >= last) {
         pair_portable(re, im, t, lo, hi, m, clip);
@@ -402,6 +446,10 @@ VBODY void pair_vbody(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
                     vstore(out[o][p], v[o][p]);
             continue;
         }
+        if (fly) {
+            vfly16(v, c[0][0].re[0], c[0][1].re[0], out);
+            continue;
+        }
         /* a loop, not two calls: one copy of the step per variant
          * halves the compile time of this body */
 #pragma GCC unroll 1
@@ -413,14 +461,23 @@ VBODY void pair_vbody(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
     pair_portable(re, im, t, last, hi, m, clip);
 }
 
-/* three instantiations: real (its clip is 0), and complex with each clip */
+/* 1 when -2^30 < c < 2^30 */
+static inline int below_one(int64_t c)
+{
+    return -(1LL << 30) < c && c < (1LL << 30);
+}
+
+/* four instantiations: the butterfly and real (their clip is 0), and
+ * complex with each clip */
 static VTARGET void pair_avx512(int32_t *re, int32_t *im, int t, int64_t lo, int64_t hi,
                                 const int64_t *m, int clip)
 {
-    if (!(m[1] | m[3] | m[5] | m[7]))
-        pair_vbody(re, im, t, lo, hi, m, 1, 0);
+    if (m[1] | m[3] | m[5] | m[7])
+        VARIANTS(pair_vbody, clip, re, im, t, lo, hi, m, 0, 0);
+    else if (t >= 4 && m[4] == m[0] && m[6] == -m[2] && below_one(m[0]) && below_one(m[2]))
+        pair_vbody(re, im, t, lo, hi, m, 1, 1, 0);
     else
-        VARIANTS(pair_vbody, clip, re, im, t, lo, hi, m, 0);
+        pair_vbody(re, im, t, lo, hi, m, 1, 0, 0);
 }
 
 /* 1 when every word of a and b lies in [-2^30, 2^30] */

@@ -641,8 +641,13 @@ class TestSchedule:
                 order = window_model(n, index, ops)[2]
                 for slot in (list(range(n)), [order.index(q) for q in range(n)],
                              [int(s) for s in rng.permutation(n)]):
-                    got = engine._walk(ops, n, index, slot)[0]
-                    assert got + [q for q in range(n) if q not in got] == order, (n, index)
+                    # the walk that emits the calls, and the one that only
+                    # follows the map for the order
+                    for emit in (True, False):
+                        got, stored, calls = engine._walk(ops, n, index, slot, emit)
+                        assert got + [q for q in range(n) if q not in got] == order, (
+                            n, index, emit)
+                    assert calls == [], (n, index)
 
     def test_a_cancelled_cx_frees_nothing(self):
         # a guard on the rule that needs no clock: H(0), then CP(0 -> j)
@@ -666,6 +671,74 @@ class TestSchedule:
         kept = list(ops)
         assert engine._schedule(ops, 6, 45) == engine._schedule(ops, 6, 45)
         assert ops == kept
+
+
+class TestPlanCheck:
+    # `run_circuit` refuses a plan that leaves the state before any word
+    # moves: each bad call replaces one call of a real plan, through a
+    # patched `_schedule`, and the state's bytes stay as they were
+    N = 6
+    BAD = {
+        "diag-past-the-end": ("diag", 3, 64, 72, []),
+        "diag-not-aligned": ("diag", 3, 4, 12, []),
+        "diag-not-its-window": ("diag", 3, 8, 15, []),
+        "diag-negative": ("diag", 3, -8, 0, []),
+        "diag-too-wide": ("diag", 7, 0, 128, []),
+        "pair-past-the-pairs": ("pair", 3, 32, 36, None, 0),
+        "pair-not-aligned": ("pair", 3, 2, 6, None, 0),
+        "pair-not-its-window": ("pair", 3, 0, 3, None, 0),
+        "pair-no-window": ("pair", 0, 0, 1, None, 0),
+        "pair-bit-outside-window": ("pair", 3, 0, 4, None, 3),
+        "pair-bit-negative": ("pair", 3, 0, 4, None, -1),
+        "cx-control-past-n": ("cx", 6, 0),
+        "cx-target-past-n": ("cx", 0, 6),
+        "cx-negative": ("cx", -1, 2),
+        "cx-one-bit-twice": ("cx", 2, 2),
+        "unknown-kind": ("swap", 0, 1),
+    }
+
+    @pytest.mark.parametrize("start", ("basis", "dense"))
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_call_raises_before_any_word_moves(self, monkeypatch, start, bad):
+        n = self.N
+        rng = np.random.default_rng(33)
+        circuit = gateset.Circuit(n, _plan_ops(n, rng, 30))
+        sv = state.init_basis(n, 45)
+        if start == "dense":
+            sv.re[:] = rng.integers(-1000, 1000, sv.size)
+        real = engine._schedule
+
+        def schedule(ops, n, word):
+            stored, calls = real(ops, n, word)
+            call = self.BAD[bad]
+            if call[0] == "pair":
+                call = call[:4] + (ops[0].matrix, call[5])
+            return stored, calls[:1] + [call] + calls[1:]
+
+        monkeypatch.setattr(engine, "_schedule", schedule)
+        before = sv.re.tobytes(), sv.im.tobytes()
+        with pytest.raises(RuntimeError, match="does not fit a state of n=6"):
+            engine.run_circuit(sv, circuit)
+        assert (sv.re.tobytes(), sv.im.tobytes()) == before
+
+    def test_bad_stored_index_raises(self, monkeypatch):
+        sv = state.init_basis(4, 3)
+        circuit = gateset.Circuit(4, [gateset.single("H", 0)])
+        for stored in (-1, 16):
+            monkeypatch.setattr(engine, "_schedule", lambda ops, n, word: (stored, []))
+            with pytest.raises(RuntimeError, match="outside n=4"):
+                engine.run_circuit(sv, circuit)
+            assert sv.re.tolist() == [0, 0, 0, fxp.SCALE] + [0] * 12
+
+    def test_every_real_plan_fits(self):
+        # the plans of random circuits and QFT, from basis states and
+        # others, at the edges of each window
+        rng = np.random.default_rng(34)
+        for n in range(1, 9):
+            for ops in (_plan_ops(n, rng, 8 * n), circuits.qft(n).ops):
+                for word in (None, 0, (1 << n) - 1, int(rng.integers(1 << n))):
+                    stored, calls = engine._schedule(ops, n, word)
+                    engine._check_plan(stored, calls, n)
 
 
 class TestCycleReport:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -124,6 +125,23 @@ class TestGateOp:
         with pytest.raises(ValueError, match="sparse"):
             replace(rz, sparse=False)
         assert replace(rz, kind="H", angle=None) == H_GATE
+
+    def test_frozen_equal_and_hashable(self):
+        # every field is set once, when the gate is built, and stays: an
+        # assignment raises, and equal gates are equal and hash alike
+        rz = gateset.GateOp("RZ", 2, angle=0.5)
+        for name, value in (("kind", "H"), ("target", 1), ("matrix", H_GATE.matrix),
+                            ("sparse", False), ("new", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rz, name, value)
+        same = gateset.single("RZ", 2, 0.5)
+        assert rz == same and hash(rz) == hash(same) and len({rz, same}) == 1
+        assert rz != gateset.single("RZ", 2, 0.25) and rz != gateset.single("RZ", 1, 0.5)
+        assert gateset.cx(0, 1) == gateset.GateOp("CX", target=1, control=0)
+        assert (rz.kind, rz.target, rz.control, rz.angle, rz.sparse) == ("RZ", 2, None, 0.5, True)
+        assert rz.matrix == gateset._quantized("RZ", 0.5)
+        assert [f.name for f in dataclasses.fields(rz)] == [
+            "kind", "target", "control", "angle", "matrix", "sparse"]
 
     @pytest.mark.parametrize("kind", ("T", "h", "", "CZ"))
     def test_unknown_kind_is_refused(self, kind):

@@ -519,6 +519,32 @@ real_cfxs = st.builds(CFx, raws, st.just(0))
 real_matrices = st.tuples(st.one_of(st.just(CFx(-SCALE, 0)), real_cfxs),
                           real_cfxs, real_cfxs, real_cfxs)
 
+# Real matrices (a, b, a, -b) with |a|, |b| < 2^30 on t >= 4 take the
+# vector body's butterfly, which forms each product once for both
+# outputs; at |a| or |b| = 2^30 a product against RAW_MIN saturates, and
+# the real variant must run instead
+FLY_PARTS = (SCALE - 1, -SCALE + 1, SCALE, -SCALE, 0, TIE)
+fly_parts = st.one_of(st.sampled_from(FLY_PARTS), st.integers(RAW_MIN + 1, RAW_MAX))
+
+
+def butterfly(a: int, b: int) -> tuple:
+    return CFx(a, 0), CFx(b, 0), CFx(a, 0), CFx(-b, 0)
+
+
+def fly_bank(n: int, t: int, rng) -> tuple:
+    # a third of the words EDGES words and the rest random; then, row by
+    # row of 2^t pairs, the x words of every fourth row RAW_MIN, the y
+    # words of the next RAW_MIN, and the whole row after that RAW_MAX
+    re, im = (np.where(rng.random(1 << n) < 0.3, rng.choice(EDGES, 1 << n),
+                       random_words(rng, 1 << n)).astype(fxp.WORD) for _ in range(2))
+    k = np.arange(1 << n)
+    row, odd = (k >> (t + 1)) % 4, (k >> t) & 1
+    for bank in (re, im):
+        bank[(row == 1) & (odd == 0)] = RAW_MIN
+        bank[(row == 2) & (odd == 1)] = RAW_MIN
+        bank[row == 3] = RAW_MAX
+    return re, im
+
 
 class TestPairBanks:
     BODIES = ("native",)
@@ -594,6 +620,33 @@ class TestPairBanks:
             lo, hi = 0, 1 << (n - 1)
         re, im = (rng.choice(EDGES, 1 << n).astype(fxp.WORD) for _ in range(2))
         check_pair_range(bodies, m, t, lo, hi, re, im)
+
+    @pytest.mark.parametrize("t", range(8))
+    def test_butterfly_edges(self, bodies, t):
+        # every (a, b) of FLY_PARTS, at the bound 2^30 - 1 and past it, on
+        # a range of 4 rows of pairs that starts 3 pairs in and ends 5
+        # pairs short, so the vector loop has partial tails on both sides
+        n = t + 3
+        re, im = fly_bank(n, t, np.random.default_rng([32, t]))
+        for a in FLY_PARTS:
+            for b in FLY_PARTS:
+                check_pair_range(bodies, butterfly(a, b), t, 3, (1 << (n - 1)) - 5, re, im)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=INHERITED)
+    @given(a=fly_parts, b=fly_parts, t=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_butterflies_match_scalar(self, bodies, a, b, t, seed, data):
+        # a butterfly matrix on a range whose ends fall anywhere, or on
+        # or next to a vector or row boundary
+        n = data.draw(st.integers(t + 1, 9))
+        pairs = 1 << (n - 1)
+        edge = st.builds(lambda size, i, d: min(max(i * size + d, 0), pairs),
+                         st.sampled_from((16, 1 << t)), st.integers(0, pairs >> t),
+                         st.integers(-1, 1))
+        end = st.one_of(st.integers(0, pairs), edge)
+        lo, hi = sorted((data.draw(end), data.draw(end)))
+        re, im = fly_bank(n, t, np.random.default_rng(seed))
+        check_pair_range(bodies, butterfly(a, b), t, lo, hi, re, im)
 
     @pytest.mark.parametrize("t", (0, 3, 4, 6))
     def test_one_imaginary_part_is_complex(self, bodies, t):

@@ -107,3 +107,22 @@ def test_ghz_command():
     assert len(lines) == 3
     if fxp.native_kernels() is not None:
         assert same_bits.manifest((command,), body="native") == lines
+
+
+def test_butterfly_command():
+    # H, RY(pi/2) and RY(5 pi/2) on each of 18 qubits have the words (a,
+    # b, a, -b) with |a|, |b| < 2^30, which the vector body runs as a
+    # butterfly on qubits 4 and up; RY(0.7) has not; the native bytes
+    # are the numpy ones
+    command = next(c for c in same_bits.COMMANDS if "butterfly.txt" in c)
+    circuit = gateset.circuit_from_text(same_bits.CIRCUITS["butterfly.txt"])
+    assert (len(circuit.ops), circuit.n) == (72, 18)
+    for op in circuit.ops:
+        (a, ai), (b, bi), c, d = op.matrix
+        fly = (c, d) == ((a, 0), (-b, 0)) and ai == bi == 0 and max(abs(a), abs(b)) < fxp.SCALE
+        assert fly == (op.angle != 0.7), op
+    assert {op.target for op in circuit.ops} == set(range(18))
+    lines = same_bits.manifest((command,), body="numpy")
+    assert len(lines) == 3
+    if fxp.native_kernels() is not None:
+        assert same_bits.manifest((command,), body="native") == lines

@@ -85,6 +85,10 @@ COMMANDS = (
     # CXs of a GHZ chain, still deferred at the end, are flushed over
     # the whole state
     "run --circuit ghz20.txt --workers 2",
+    # the vector body's butterfly: H, RY(pi/2) and RY(5 pi/2) are real
+    # (a, b, a, -b) with |a|, |b| < 2^30, which takes it on qubits 4 and
+    # up, and RY(0.7) is not, on every qubit
+    "run --circuit butterfly.txt --workers 2",
 )
 
 # the circuits a command names by file name: each is written into the
@@ -123,6 +127,10 @@ RZ 5 0.9
         f"RZ 0 0.{j}\nCX 0 {j}\nRZ {j} -0.{j}\nCX 0 {j}\nRZ {j} 0.{j}\n" for j in range(1, 18))
         + "H 1\nCX 0 5\nCX 5 0\nCX 0 5\nRZ 0 0.9\nS 5\nH 2\nRZ 0 1.3\nRY 3 0.8\n",
     "ghz20.txt": "QUBITS 20\nH 0\n" + "".join(f"CX {q} {q + 1}\n" for q in range(19)),
+    "butterfly.txt": "QUBITS 18\n" + "".join(
+        gate.format(q) for q in range(18)
+        for gate in ("H {}\n", "RY {} 1.5707963267948966\n", "RY {} 7.853981633974483\n",
+                     "RY {} 0.7\n")),
 }
 
 
